@@ -230,10 +230,9 @@ def _den(p: TheoremParams) -> float:
 
 def _exact_h_term(hf: HFunction, p: TheoremParams,
                   config: Optional[QuadratureConfig]) -> float:
-    # alpha rho Int_0^1 t^(alpha rho - 1) h(t^rho) dt
-    operand = CompositeOperand(hf, p.rho)
-    return (p.alpha * p.rho
-            * power_kernel_integral(operand, 1.0, p.alpha * p.rho, config))
+    # alpha rho Int_0^1 t^(alpha rho - 1) h(t^rho) dt; with v = t^rho it
+    # is alpha Int_0^1 v^(alpha - 1) h(v) dv, free of the t^rho factor
+    return p.alpha * power_kernel_integral(hf, 1.0, p.alpha, config)
 
 
 def _k0_term(hf: HFunction, p: TheoremParams,

@@ -59,7 +59,11 @@ _POWER_RE = re.compile(r"^power\(\s*([^)\s]+)\s*\)$")
 
 
 def _power_h(k: float) -> HFunction:
-    return HFunction("power(%g)" % k, lambda t: np.power(t, k))
+    # repr round-trips through float(); integral k prints as power(2)
+    text = repr(float(k))
+    if text.endswith(".0"):
+        text = text[:-2]
+    return HFunction("power(%s)" % text, lambda t: np.power(t, k))
 
 
 def h_function(spec: Union[str, HFunction, Callable]) -> HFunction:

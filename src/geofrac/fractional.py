@@ -12,8 +12,10 @@ integral becomes
 
     prefactor * integral of w**(alpha-1) * g(w) dw over (0, W)
 
-with g smooth whenever the operand is, and the power kernel is handled
-exactly by the quadrature layer.
+with g smooth whenever the operand is.  The quadrature layer integrates
+the power kernel exactly with a Gauss-Jacobi rule on the panel at w = 0
+and Gauss-Legendre elsewhere; an operand with its own power singularity
+at w = 0 falls back to the substitution v = w**alpha.
 """
 
 from __future__ import annotations

@@ -1,14 +1,27 @@
-"""Adaptive Gauss-Legendre quadrature with exact endpoint-singularity removal.
+"""Adaptive Gauss quadrature with a Gauss-Jacobi panel for power kernels.
 
-The engine integrates on finite intervals with a composite Gauss-Legendre
-rule refined by panel bisection.  Power-law endpoint kernels w**(alpha-1)
-are handled by :func:`power_kernel_integral`, which removes the singularity
-exactly with the substitution v = w**alpha instead of resolving it
-adaptively.
+`integrate` is the one adaptive engine.  It integrates
+
+    (x - lo)**(exponent - 1) * f(x)   over [lo, hi]
+
+by panel bisection: each panel is compared with its two halves and split
+again until the difference falls under the panel's share of the budget.
+With the default exponent 1 the weight is absent and every panel uses
+the n-node Gauss-Legendre rule.  Otherwise the panel that touches lo uses
+the n-node Gauss-Jacobi rule for the weight u**(exponent-1) on (0, 1),
+built by the Golub-Welsch method, so the endpoint kernel is integrated
+exactly and smooth f needs no refinement there; every other panel uses
+Gauss-Legendre on the weighted integrand, which is smooth away from lo.
+
+:func:`power_kernel_integral` puts the kernel w**(exponent-1) through this
+engine.  An operand with a power singularity of its own at w = 0 defeats
+the Jacobi panel; for it the integral is re-run once through the
+substitution v = w**exponent, which folds the kernel into the measure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -60,6 +73,29 @@ def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+@functools.lru_cache(maxsize=16)
+def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule for the weight u**beta on (0, 1), beta > -1.
+
+    Golub-Welsch: the three-term recurrence of the Jacobi polynomials for
+    (1 + x)**beta on (-1, 1), mapped by u = (1 + x)/2, gives a symmetric
+    tridiagonal matrix whose eigenvalues are the nodes; the weights are
+    the squared first eigenvector components times the mass 1/(beta + 1).
+    """
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    jac = np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1)
+    nodes, vecs = np.linalg.eigh(jac, UPLO="U")
+    weights = vecs[0] ** 2 / (beta + 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def as_array_function(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """Adapt f to accept ndarrays, falling back to a scalar loop.
 
@@ -84,11 +120,18 @@ def as_array_function(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
+def _check_exponent(exponent: float) -> None:
+    if not (exponent > 0.0 and math.isfinite(exponent)):
+        raise DomainError("kernel exponent must be positive and finite")
+
+
 def integrate(f: Callable, lo: float, hi: float,
               config: QuadratureConfig | None = None,
-              full_output: bool = False):
-    """Integral of f over [lo, hi]; returns (value, error) if full_output.
+              full_output: bool = False, exponent: float = 1.0):
+    """Integral of (x - lo)**(exponent - 1) * f(x) over [lo, hi].
 
+    Returns (value, error) if full_output.  With exponent != 1 the panel
+    at lo carries the weight in a Gauss-Jacobi rule (module docstring).
     Raises AccuracyError when the panel budget is exhausted before the
     tolerance is met (divergent or unresolvable integrands).
     """
@@ -97,6 +140,7 @@ def integrate(f: Callable, lo: float, hi: float,
         raise DomainError("integration limits must be finite")
     if hi < lo:
         raise DomainError("upper integration limit lies below the lower one")
+    _check_exponent(exponent)
     if hi == lo:
         return (0.0, 0.0) if full_output else 0.0
 
@@ -104,17 +148,31 @@ def integrate(f: Callable, lo: float, hi: float,
     xs, ws = _rule(cfg.nodes_per_panel)
     n = xs.size
     span = hi - lo
+    beta = exponent - 1.0
+    if beta != 0.0:
+        us, lams = _jacobi_rule(n, beta)
+
+    def panel(a: float, b: float):
+        # nodes, weights and scale of the rule on [a, b]
+        if beta == 0.0:
+            half = 0.5 * (b - a)
+            return 0.5 * (a + b) + half * xs, ws, half
+        if a == lo:
+            width = b - a
+            return a + width * us, lams, width ** exponent
+        half = 0.5 * (b - a)
+        pts = 0.5 * (a + b) + half * xs
+        return pts, ws * (pts - lo) ** beta, half
 
     def one_panel(a: float, b: float) -> float:
-        half = 0.5 * (b - a)
-        return half * float(ws @ g(0.5 * (a + b) + half * xs))
+        pts, w, scale = panel(a, b)
+        return scale * float(w @ g(pts))
 
     def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
-        h1 = 0.5 * (m - a)
-        h2 = 0.5 * (b - m)
-        pts = np.concatenate((0.5 * (a + m) + h1 * xs, 0.5 * (m + b) + h2 * xs))
-        vals = g(pts)
-        return h1 * float(ws @ vals[:n]), h2 * float(ws @ vals[n:])
+        p1, w1, s1 = panel(a, m)
+        p2, w2, s2 = panel(m, b)
+        vals = g(np.concatenate((p1, p2)))
+        return s1 * float(w1 @ vals[:n]), s2 * float(w2 @ vals[n:])
 
     whole = one_panel(lo, hi)
     budget = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
@@ -163,36 +221,34 @@ def power_kernel_integral(g: Callable, upper: float, exponent: float,
                           full_output: bool = False):
     """Integral of w**(exponent-1) * g(w) over (0, upper).
 
-    Integer exponents integrate the polynomial kernel directly.  Otherwise
-    the substitution v = w**exponent turns the kernel into a constant, so
-    the (possibly singular) endpoint factor is removed exactly:
+    The kernel goes into the Gauss-Jacobi panel of `integrate`, which
+    integrates it exactly, so smooth g converges without refinement.  If
+    that raises AccuracyError (g with a power singularity of its own at
+    w = 0), the integral is re-run once through the substitution
+    v = w**exponent, which turns the kernel into a constant:
 
         integral = (1/exponent) * integral of g(v**(1/exponent)) dv
-                   over (0, upper**exponent).
+                   over (0, upper**exponent),
+
+    and an AccuracyError from that run propagates.
     """
-    if not (exponent > 0.0 and math.isfinite(exponent)):
-        raise DomainError("kernel exponent must be positive and finite")
+    _check_exponent(exponent)
     if upper < 0.0:
         raise DomainError("upper endpoint must be nonnegative")
     if upper == 0.0:
         return (0.0, 0.0) if full_output else 0.0
-
-    garr = as_array_function(g)
-    if float(exponent).is_integer():
-        k = exponent - 1.0
-        if k == 0.0:
-            integrand = garr
-        else:
-            def integrand(w):
-                return w ** k * garr(w)
-        return integrate(integrand, 0.0, upper, config, full_output)
+    try:
+        return integrate(g, 0.0, upper, config, full_output, exponent)
+    except AccuracyError:
+        if exponent == 1.0:
+            raise  # the substitution is the identity: nothing to retry
 
     inv = 1.0 / exponent
 
     def transformed(v):
-        return garr(v ** inv)
+        return g(v ** inv)
 
-    out = integrate(transformed, 0.0, upper ** exponent, config,
-                    full_output=True)
-    value, err = out[0] / exponent, out[1] / exponent
+    value, err = integrate(transformed, 0.0, upper ** exponent, config,
+                           full_output=True)
+    value, err = value / exponent, err / exponent
     return (value, err) if full_output else value

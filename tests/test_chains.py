@@ -198,6 +198,21 @@ def test_cb1_holder_step_bound():
     assert exact <= bound
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.9, 2.5])
+@pytest.mark.parametrize("rho", [0.5, 1.7])
+def test_exact_h_term_closed_forms(alpha, rho):
+    # alpha rho Int_0^1 t^(alpha rho - 1) h(t^rho) dt = alpha Int_0^1
+    # v^(alpha - 1) h(v) dv, independent of rho
+    from geofrac.chains import _exact_h_term
+    p = TheoremParams(alpha, rho, 0.1, 0.9)
+    cases = [("identity", alpha / (alpha + 1.0)), ("constant_one", 1.0)]
+    cases += [("power(%r)" % k, alpha / (alpha + k))
+              for k in (0.25, 0.6, 2.0)]
+    for name, want in cases:
+        got = _exact_h_term(h_function(name), p, None)
+        assert got == pytest.approx(want, rel=1e-10), name
+
+
 def test_cb2_square_pullback():
     f, g = _pullback(lambda t: t * t)
     rep = thm_cb2(f, g, "identity", TheoremParams(1.0, 1.0, 0.0, 1.0))

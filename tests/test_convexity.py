@@ -46,6 +46,17 @@ def test_h_function_rejects_unknown():
     assert "power(k)" in H_CATALOG
 
 
+def test_power_h_name_round_trips():
+    rng = np.random.default_rng(7)
+    ks = np.concatenate((rng.uniform(0.0, 3.0, 50),
+                         rng.uniform(-1e6, 1e6, 5), [2.0, 1e-7, 1e22]))
+    for k in map(float, ks):
+        name = h_function("power(%r)" % k).name
+        assert float(name[6:-1]) == k
+        assert h_function(name).name == name
+    assert h_function("power(2.0)").name == "power(2)"
+
+
 def test_godunova_levin_is_infinite_at_zero():
     h = h_function("godunova_levin")
     vals = h(np.array([0.0, 0.5]))

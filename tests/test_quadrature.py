@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from geofrac.errors import AccuracyError, DomainError
-from geofrac.quadrature import (QuadratureConfig, as_array_function,
-                                integrate, power_kernel_integral)
+from geofrac.quadrature import (QuadratureConfig, _jacobi_rule,
+                                as_array_function, integrate,
+                                power_kernel_integral)
 
 
 def test_polynomial_is_exact():
@@ -62,11 +63,27 @@ def test_config_validation():
         QuadratureConfig(max_panels=2)
 
 
-@pytest.mark.parametrize("exponent", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0])
+EXPONENTS = [0.05, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]
+EPS = np.finfo(float).eps
+
+
+def _assert_honest(out, exact):
+    value, err = out
+    assert abs(value - exact) <= err + 8.0 * EPS * abs(exact)
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
 def test_power_kernel_pure_moment(exponent):
     # integral of w**(e-1) over (0,1) is 1/e; singular endpoints included
-    value = power_kernel_integral(lambda w: 1.0, 1.0, exponent)
-    assert abs(value - 1.0 / exponent) < 1e-12
+    out = power_kernel_integral(lambda w: 1.0, 1.0, exponent,
+                                full_output=True)
+    assert abs(out[0] - 1.0 / exponent) < 1e-12
+    _assert_honest(out, 1.0 / exponent)
+    # integral of w**(e+1) over (0,1) is 1/(e+2)
+    out = power_kernel_integral(lambda w: w * w, 1.0, exponent,
+                                full_output=True)
+    assert abs(out[0] - 1.0 / (exponent + 2.0)) < 1e-12
+    _assert_honest(out, 1.0 / (exponent + 2.0))
 
 
 def test_power_kernel_with_smooth_factor():
@@ -76,16 +93,55 @@ def test_power_kernel_with_smooth_factor():
 
 
 def test_power_kernel_scaled_upper_limit():
-    # integral of w**(a-1) over (0,W) = W**a / a
+    # integral of w**(e-1) over (0,W) = W**e / e, and of w**(e+1) is
+    # W**(e+2) / (e+2)
     for w_up in (0.25, 1.7):
-        for e in (0.5, 2.5):
-            value = power_kernel_integral(lambda w: 1.0, w_up, e)
-            assert abs(value - w_up ** e / e) < 1e-11 * max(1.0, w_up ** e)
+        for e in (0.05, 0.5, 2.5):
+            for g, exact in ((lambda w: 1.0, w_up ** e / e),
+                             (lambda w: w * w,
+                              w_up ** (e + 2.0) / (e + 2.0))):
+                out = power_kernel_integral(g, w_up, e, full_output=True)
+                assert abs(out[0] - exact) < 1e-11 * max(1.0, exact)
+                _assert_honest(out, exact)
+
+
+def test_power_kernel_operand_singularity_falls_back():
+    # w**0.25 defeats the Jacobi panel for w**(-3/4); the substitution
+    # v = w**(1/4) makes the operand linear.  Integral of w**(-1/2) is 2.
+    value, err = power_kernel_integral(lambda w: w ** 0.25, 1.0, 0.25,
+                                       full_output=True)
+    assert abs(value - 2.0) < 1e-12
+    assert err < 1e-8
+    with pytest.raises(AccuracyError):
+        integrate(lambda w: w ** 0.25, 0.0, 1.0, exponent=0.25)
+
+
+def test_weighted_integrate_shifted_interval():
+    # integral of (x-1)**(-1/2) cos(x) over [1, 3] against the
+    # substituted form 2 * integral of cos(1 + u**2) over [0, sqrt 2]
+    value = integrate(np.cos, 1.0, 3.0, exponent=0.5)
+    exact = 2.0 * integrate(lambda u: np.cos(1.0 + u * u), 0.0,
+                            math.sqrt(2.0))
+    assert abs(value - exact) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 0.5, 1.5, 2.0])
+def test_jacobi_rule_matches_scipy(beta):
+    special = pytest.importorskip("scipy.special")
+    nodes, weights = _jacobi_rule(16, beta)
+    x, lam = special.roots_jacobi(16, 0.0, beta)
+    ref_nodes = 0.5 * (1.0 + x)
+    ref_weights = lam * 2.0 ** (-beta - 1.0)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+    assert (np.max(np.abs(weights - ref_weights))
+            <= 1e-12 * np.max(ref_weights))
 
 
 def test_power_kernel_domain_errors():
     with pytest.raises(DomainError):
         power_kernel_integral(lambda w: 1.0, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        integrate(np.exp, 0.0, 1.0, exponent=-0.5)
     with pytest.raises(DomainError):
         power_kernel_integral(lambda w: 1.0, -1.0, 1.0)
     assert power_kernel_integral(lambda w: 1.0, 0.0, 1.0) == 0.0
