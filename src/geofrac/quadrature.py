@@ -62,15 +62,13 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _RULES.get(n)
-    if rule is None:
-        rule = np.polynomial.legendre.leggauss(n)
-        _RULES[n] = rule
-    return rule
+    """n-node Gauss-Legendre rule on (-1, 1)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=16)
@@ -149,30 +147,41 @@ def integrate(f: Callable, lo: float, hi: float,
     n = xs.size
     span = hi - lo
     beta = exponent - 1.0
-    if beta != 0.0:
+
+    if beta == 0.0:
+        def one_panel(a: float, b: float) -> float:
+            half = 0.5 * (b - a)
+            return half * float(ws @ g(0.5 * (a + b) + half * xs))
+
+        def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
+            h1 = 0.5 * (m - a)
+            h2 = 0.5 * (b - m)
+            pts = np.concatenate((0.5 * (a + m) + h1 * xs,
+                                  0.5 * (m + b) + h2 * xs))
+            vals = g(pts)
+            return h1 * float(ws @ vals[:n]), h2 * float(ws @ vals[n:])
+    else:
         us, lams = _jacobi_rule(n, beta)
 
-    def panel(a: float, b: float):
-        # nodes, weights and scale of the rule on [a, b]
-        if beta == 0.0:
+        def panel(a: float, b: float):
+            # nodes, weights and scale of the rule on [a, b]: Jacobi at
+            # lo, Legendre on the weighted integrand elsewhere
+            if a == lo:
+                width = b - a
+                return a + width * us, lams, width ** exponent
             half = 0.5 * (b - a)
-            return 0.5 * (a + b) + half * xs, ws, half
-        if a == lo:
-            width = b - a
-            return a + width * us, lams, width ** exponent
-        half = 0.5 * (b - a)
-        pts = 0.5 * (a + b) + half * xs
-        return pts, ws * (pts - lo) ** beta, half
+            pts = 0.5 * (a + b) + half * xs
+            return pts, ws * (pts - lo) ** beta, half
 
-    def one_panel(a: float, b: float) -> float:
-        pts, w, scale = panel(a, b)
-        return scale * float(w @ g(pts))
+        def one_panel(a: float, b: float) -> float:
+            pts, w, scale = panel(a, b)
+            return scale * float(w @ g(pts))
 
-    def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
-        p1, w1, s1 = panel(a, m)
-        p2, w2, s2 = panel(m, b)
-        vals = g(np.concatenate((p1, p2)))
-        return s1 * float(w1 @ vals[:n]), s2 * float(w2 @ vals[n:])
+        def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
+            p1, w1, s1 = panel(a, m)
+            p2, w2, s2 = panel(m, b)
+            vals = g(np.concatenate((p1, p2)))
+            return s1 * float(w1 @ vals[:n]), s2 * float(w2 @ vals[n:])
 
     whole = one_panel(lo, hi)
     budget = max(cfg.abs_tol, cfg.rel_tol * abs(whole))

@@ -94,14 +94,13 @@ def test_power_kernel_with_smooth_factor():
 
 def test_power_kernel_scaled_upper_limit():
     # integral of w**(e-1) over (0,W) = W**e / e, and of w**(e+1) is
-    # W**(e+2) / (e+2)
+    # W**(e+2) / (e+2); each bound scales with W**power
     for w_up in (0.25, 1.7):
         for e in (0.05, 0.5, 2.5):
-            for g, exact in ((lambda w: 1.0, w_up ** e / e),
-                             (lambda w: w * w,
-                              w_up ** (e + 2.0) / (e + 2.0))):
+            for g, power in ((lambda w: 1.0, e), (lambda w: w * w, e + 2.0)):
+                exact = w_up ** power / power
                 out = power_kernel_integral(g, w_up, e, full_output=True)
-                assert abs(out[0] - exact) < 1e-11 * max(1.0, exact)
+                assert abs(out[0] - exact) < 1e-11 * max(1.0, w_up ** power)
                 _assert_honest(out, exact)
 
 
