@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,10 +43,8 @@ from .spaces import Geodesic, Space, random_geodesic, random_point
 __all__ = ["TheoremParams", "InequalityReport", "CompositeOperand",
            "classic_hh", "h_hh", "conde_hh", "thm_cb1", "thm_cb2", "thm_ty1",
            "compute_C", "compute_C_oracle", "compute_E",
-           "corollary_distance", "falsify_search", "CHAIN_NAMES"]
-
-CHAIN_NAMES = ("classic_hh", "h_hh", "conde_hh", "thm_cb1", "thm_cb2",
-               "thm_ty1", "corollary_distance")
+           "corollary_distance", "falsify_search", "CHAIN_NAMES", "CHAINS",
+           "ChainSpec", "chain_spec"]
 
 DEFAULT_CHAIN_TOL = 1e-8
 
@@ -259,16 +257,12 @@ def _instance(chain: str, f: Callable, g: Geodesic, hf: HFunction,
             "geodesic": _geodesic_json(g)}
 
 
-def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
-            params: TheoremParams, *, tol: float = DEFAULT_CHAIN_TOL,
-            config: Optional[QuadratureConfig] = None) -> InequalityReport:
-    """Fractional chain whose right side bounds the h-integral via Hoelder.
-
-    Needs params.q; requires nonnegative f, h-convex along g (asserted by
-    the caller).
-    """
-    p = params
-    if p.q is None:
+def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
+            h: Union[str, HFunction, Callable], p: TheoremParams, tol: float,
+            config: Optional[QuadratureConfig]) -> InequalityReport:
+    # shared body of thm_cb1 (holder: the Hoelder bound of the h-integral)
+    # and thm_cb2 (its exact value)
+    if holder and p.q is None:
         raise DomainError("thm_cb1 needs the Hoelder exponent q")
     hf = h_function(h)
     h_half = float(hf(0.5))
@@ -277,15 +271,35 @@ def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     mid = float(fg(0.5 * (p.a ** p.rho + p.b ** p.rho))[0])
     ops = _operator_mean(F, p, h_half, (p.a, p.b), config)
     f_ends = float(fg(p.a ** p.rho)[0] + fg(p.b ** p.rho)[0])
-    holder = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
-              ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q, config))
+    if holder:
+        term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
+                ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q, config))
+    else:
+        term = _exact_h_term(hf, p, config)
     k0 = _k0_term(hf, p, config)
-    ends = h_half * f_ends * (holder + k0)
-    extras = {"holder_bound": holder, "k0_term": k0}
-    return _report("thm_cb1",
+    ends = h_half * f_ends * (term + k0)
+    if holder:
+        extras = {"holder_bound": term, "k0_term": k0}
+    else:
+        literal = h_half * f_ends * (p.rho * term + k0)
+        extras = {"exact_h_term": term, "k0_term": k0,
+                  "right_side_literal": literal,
+                  "literal_minus_canonical": literal - ends}
+    return _report(chain,
                    [("midpoint", mid), ("operators", ops),
                     ("endpoints", ends)],
-                   tol, _instance("thm_cb1", f, g, hf, p), extras)
+                   tol, _instance(chain, f, g, hf, p), extras)
+
+
+def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
+            params: TheoremParams, *, tol: float = DEFAULT_CHAIN_TOL,
+            config: Optional[QuadratureConfig] = None) -> InequalityReport:
+    """Fractional chain whose right side bounds the h-integral via Hoelder.
+
+    Needs params.q; requires nonnegative f, h-convex along g (asserted by
+    the caller).
+    """
+    return _thm_cb("thm_cb1", True, f, g, h, params, tol, config)
 
 
 def thm_cb2(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
@@ -298,25 +312,7 @@ def thm_cb2(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     the variant with an extra factor rho on that term is logged in extras
     as right_side_literal.
     """
-    p = params
-    hf = h_function(h)
-    h_half = float(hf(0.5))
-    fg = on_geodesic(f, g)
-    F = CompositeOperand(fg, p.rho)
-    mid = float(fg(0.5 * (p.a ** p.rho + p.b ** p.rho))[0])
-    ops = _operator_mean(F, p, h_half, (p.a, p.b), config)
-    f_ends = float(fg(p.a ** p.rho)[0] + fg(p.b ** p.rho)[0])
-    exact = _exact_h_term(hf, p, config)
-    k0 = _k0_term(hf, p, config)
-    ends = h_half * f_ends * (exact + k0)
-    literal = h_half * f_ends * (p.rho * exact + k0)
-    extras = {"exact_h_term": exact, "k0_term": k0,
-              "right_side_literal": literal,
-              "literal_minus_canonical": literal - ends}
-    return _report("thm_cb2",
-                   [("midpoint", mid), ("operators", ops),
-                    ("endpoints", ends)],
-                   tol, _instance("thm_cb2", f, g, hf, p), extras)
+    return _thm_cb("thm_cb2", False, f, g, h, params, tol, config)
 
 
 def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
@@ -462,6 +458,56 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
 
 
 # ---------------------------------------------------------------------------
+# chain table
+# ---------------------------------------------------------------------------
+
+
+class ChainSpec(NamedTuple):
+    """How one chain is instantiated and evaluated.
+
+    evaluate(f, g, h, params, tol=..., config=...) returns the report.  f
+    is a space function and g a geodesic; for a two_geodesics chain g is a
+    pair of geodesics and f is unused.  h is None unless takes_h, and
+    params.q is None unless needs_q.  The evaluators reach the chains
+    through their module-level names, so rebinding a name takes effect.
+    """
+
+    evaluate: Callable[..., InequalityReport]
+    takes_h: bool = True
+    needs_q: bool = False
+    two_geodesics: bool = False
+
+
+CHAINS = {
+    "classic_hh": ChainSpec(
+        lambda f, g, h, p, **kw: classic_hh(on_geodesic(f, g), p.a, p.b,
+                                            **kw),
+        takes_h=False),
+    "h_hh": ChainSpec(
+        lambda f, g, h, p, **kw: h_hh(on_geodesic(f, g), h, p.a, p.b, **kw)),
+    "conde_hh": ChainSpec(lambda f, g, h, p, **kw: conde_hh(f, g, **kw),
+                          takes_h=False),
+    "thm_cb1": ChainSpec(lambda f, g, h, p, **kw: thm_cb1(f, g, h, p, **kw),
+                         needs_q=True),
+    "thm_cb2": ChainSpec(lambda f, g, h, p, **kw: thm_cb2(f, g, h, p, **kw)),
+    "thm_ty1": ChainSpec(lambda f, g, h, p, **kw: thm_ty1(f, g, h, p, **kw)),
+    "corollary_distance": ChainSpec(
+        lambda f, g, h, p, **kw: corollary_distance(*g, h, p, **kw),
+        two_geodesics=True),
+}
+
+CHAIN_NAMES = tuple(CHAINS)
+
+
+def chain_spec(chain: str) -> ChainSpec:
+    """The table entry of a chain; DomainError for unknown names."""
+    if chain not in CHAINS:
+        raise DomainError("unknown chain %r; expected one of %s"
+                          % (chain, ", ".join(CHAIN_NAMES)))
+    return CHAINS[chain]
+
+
+# ---------------------------------------------------------------------------
 # randomized falsification
 # ---------------------------------------------------------------------------
 
@@ -477,13 +523,14 @@ def _draw_h(rng: np.random.Generator) -> HFunction:
     return h_function(kind)
 
 
-def _draw_params(chain: str, rng: np.random.Generator) -> TheoremParams:
+def _draw_params(spec: ChainSpec,
+                 rng: np.random.Generator) -> TheoremParams:
     alpha = float(rng.uniform(0.25, 3.0))
     rho = float(rng.uniform(0.5, 2.5))
     a = float(rng.uniform(0.0, 0.9))
     b = float(rng.uniform(a + 0.05, 1.0))
     q = None
-    if chain == "thm_cb1":
+    if spec.needs_q:
         q = float(rng.uniform(1.5, 4.0))
         while alpha * q <= 1.05:
             alpha = float(rng.uniform(0.25, 3.0))
@@ -507,9 +554,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     printed form, so violations under it are expected and reported, not a
     defect.
     """
-    if chain not in CHAIN_NAMES:
-        raise DomainError("unknown chain %r; expected one of %s"
-                          % (chain, ", ".join(CHAIN_NAMES)))
+    spec = chain_spec(chain)
     if product_c_term and chain != "corollary_distance":
         raise DomainError("product_c_term only applies to"
                           " corollary_distance")
@@ -521,14 +566,13 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     worst_margin = None
     worst_instance = None
     for _ in range(trials):
-        p = _draw_params(chain, rng)
-        hf = _draw_h(rng) if chain not in ("classic_hh", "conde_hh") else None
+        p = _draw_params(spec, rng)
+        hf = _draw_h(rng) if spec.takes_h else None
         try:
-            if chain == "corollary_distance":
-                g1 = random_geodesic(space, rng, min_length=0.05)
-                g2 = random_geodesic(space, rng, min_length=0.05)
-                report = corollary_distance(g1, g2, hf, p, tol=tol,
-                                            config=config)
+            if spec.two_geodesics:
+                f = None
+                g = (random_geodesic(space, rng, min_length=0.05),
+                     random_geodesic(space, rng, min_length=0.05))
             else:
                 y = random_point(space, rng)
                 f = squared_distance_function(space, y, 2.0)
@@ -540,20 +584,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
                 if not ok:
                     discarded += 1
                     continue
-                if chain == "classic_hh":
-                    report = classic_hh(on_geodesic(f, g), p.a, p.b, tol=tol,
-                                        config=config)
-                elif chain == "h_hh":
-                    report = h_hh(on_geodesic(f, g), hf, p.a, p.b, tol=tol,
-                                  config=config)
-                elif chain == "conde_hh":
-                    report = conde_hh(f, g, tol=tol, config=config)
-                elif chain == "thm_cb1":
-                    report = thm_cb1(f, g, hf, p, tol=tol, config=config)
-                elif chain == "thm_cb2":
-                    report = thm_cb2(f, g, hf, p, tol=tol, config=config)
-                else:
-                    report = thm_ty1(f, g, hf, p, tol=tol, config=config)
+            report = spec.evaluate(f, g, hf, p, tol=tol, config=config)
         except AccuracyError:
             failures += 1
             continue

@@ -23,11 +23,11 @@ import re
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .chains import (CHAIN_NAMES, TheoremParams, classic_hh, compute_C,
-                     compute_C_oracle, compute_E, conde_hh,
+from .chains import (CHAIN_NAMES, TheoremParams, chain_spec, classic_hh,
+                     compute_C, compute_C_oracle, compute_E, conde_hh,
                      corollary_distance, falsify_search, h_hh, thm_cb1,
                      thm_cb2, thm_ty1)
-from .convexity import on_geodesic, squared_distance_function
+from .convexity import squared_distance_function
 from .errors import AccuracyError, DomainError, SpaceMismatchError
 from .expressions import parse_expression
 from .fractional import (hadamard_left, hadamard_right, katugampola_left,
@@ -142,28 +142,6 @@ def _fixed_coords(space: Space):
 def _fixed_instance(space: Space):
     s, e, y = _fixed_coords(space)
     return Geodesic(space.point(s), space.point(e)), space.point(y)
-
-
-_USES_H = ("h_hh", "thm_cb1", "thm_cb2", "thm_ty1", "corollary_distance")
-
-
-def _chain_report(chain, space, f, g, hname, p, tol, config=None):
-    if chain == "classic_hh":
-        return classic_hh(on_geodesic(f, g), p.a, p.b, tol=tol,
-                          config=config)
-    if chain == "h_hh":
-        return h_hh(on_geodesic(f, g), hname, p.a, p.b, tol=tol,
-                    config=config)
-    if chain == "conde_hh":
-        return conde_hh(f, g, tol=tol, config=config)
-    if chain == "thm_cb1":
-        return thm_cb1(f, g, hname, p, tol=tol, config=config)
-    if chain == "thm_cb2":
-        return thm_cb2(f, g, hname, p, tol=tol, config=config)
-    if chain == "thm_ty1":
-        return thm_ty1(f, g, hname, p, tol=tol, config=config)
-    half = Geodesic(g.eval(0.5), g.end)
-    return corollary_distance(g, half, hname, p, tol=tol, config=config)
 
 
 def _regression_rows(chains: Sequence[str], include_all: bool,
@@ -288,9 +266,7 @@ def _run_verify(args) -> Tuple[dict, int]:
 
 def _run_sweep(args) -> Tuple[dict, int]:
     chain = _SUITE_ALIASES.get(args.chain, args.chain)
-    if chain not in CHAIN_NAMES:
-        raise DomainError("unknown chain %r; expected one of %s"
-                          % (args.chain, ", ".join(CHAIN_NAMES)))
+    spec = chain_spec(chain)
     space = parse_space(args.space)
     alphas = _parse_grid(args.alphas, "--alphas")
     rhos = _parse_grid(args.rhos, "--rhos")
@@ -298,17 +274,18 @@ def _run_sweep(args) -> Tuple[dict, int]:
     bvals = _parse_grid(args.b_values, "--b-values")
     g, y = _fixed_instance(space)
     f = squared_distance_function(space, y)
-    hname = args.h if chain in _USES_H else None
+    if spec.two_geodesics:
+        g = (g, Geodesic(g.eval(0.5), g.end))
+    hname = args.h if spec.takes_h else None
+    q = args.q if spec.needs_q else None
     rows = []
     violations = 0
     for alpha in alphas:
         for rho in rhos:
             for a in avals:
                 for b in bvals:
-                    q = args.q if chain == "thm_cb1" else None
                     p = TheoremParams(alpha, rho, a, b, q)
-                    report = _chain_report(chain, space, f, g, hname, p,
-                                           args.tol)
+                    report = spec.evaluate(f, g, hname, p, tol=args.tol)
                     d = report.to_dict()
                     rows.append({"alpha": alpha, "rho": rho, "a": a, "b": b,
                                  "q": q, "sides": d["sides"],

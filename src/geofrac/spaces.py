@@ -21,13 +21,18 @@ difference of endpoint distances subtracted).
 
 Internally every space operates on coordinate batches (vectorized over a
 leading axis) so that bulk randomized checks stay cheap; the public Point
-and Geodesic layer wraps batches of size one.
+and Geodesic layer wraps batches of size one.  Each space writes its
+geodesic formula once, in two stages: an endpoint stage (`_ends`) turns
+two endpoint batches into per-row constants, and a parameter stage
+(`_along`) broadcasts those constants against the parameters t.  The batch
+primitive `_interp` is their composition; a Geodesic runs the endpoint
+stage once and every evaluation only the parameter stage.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,7 +67,14 @@ class Point:
 
 
 class Space:
-    """Common interface: validated points, batch distance, batch geodesics."""
+    """Common interface: validated points, batch distance, batch geodesics.
+
+    Geodesics come from two stages that subclasses provide:
+    `_ends(A, B)` computes per-row constants from the endpoint batches, and
+    `_along(ends, t)` evaluates them at parameters t, broadcasting a single
+    row against many parameters or many rows against one parameter each.
+    `_interp(A, B, t)` is the composition of the two.
+    """
 
     name: str = "abstract"
 
@@ -105,9 +117,12 @@ class Space:
         raise NotImplementedError
 
     def _interp(self, A, B, t) -> Any:
+        return self._along(self._ends(A, B), t)
+
+    def _ends(self, A, B) -> Any:
         raise NotImplementedError
 
-    def _curve(self, ca, cb) -> Callable[[np.ndarray], Any]:
+    def _along(self, ends, t) -> Any:
         raise NotImplementedError
 
     def _stack(self, coords_list: Sequence[Any]):
@@ -121,13 +136,6 @@ class Space:
 
     def _coords_json(self, coords):
         raise NotImplementedError
-
-
-def _as_params(t, m: int) -> np.ndarray:
-    tt = np.asarray(t, dtype=float)
-    if tt.ndim == 0:
-        return np.full(m, float(tt))
-    return tt
 
 
 class EuclideanSpace(Space):
@@ -149,18 +157,12 @@ class EuclideanSpace(Space):
     def _dist(self, A, B):
         return np.linalg.norm(A - B, axis=-1)
 
-    def _interp(self, A, B, t):
-        tt = _as_params(t, A.shape[0])[:, None]
-        return A + tt * (B - A)
+    def _ends(self, A, B):
+        return A, B - A
 
-    def _curve(self, ca, cb):
-        ca = np.asarray(ca, float)
-        delta = np.asarray(cb, float) - ca
-
-        def at(ts: np.ndarray):
-            return ca + ts[:, None] * delta
-
-        return at
+    def _along(self, ends, t):
+        A, delta = ends
+        return A + np.asarray(t, dtype=float)[..., None] * delta
 
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list),
@@ -207,56 +209,40 @@ class HalfPlaneSpace(Space):
         u2 = ((z2 - p) / (q - z2)).imag
         return p, q, u1, u2
 
-    def _interp(self, A, B, t):
-        m = A.shape[0]
-        tt = _as_params(t, m)
+    def _ends(self, A, B):
         x1, y1 = A[:, 0], A[:, 1]
         x2, y2 = B[:, 0], B[:, 1]
-        out = np.empty((m, 2))
         scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
         vert = np.abs(x2 - x1) <= _VERTICAL_RTOL * scale
-        if np.any(vert):
-            tv = tt[vert]
-            yv1 = y1[vert]
-            out[vert, 0] = 0.5 * (x1[vert] + x2[vert])
-            out[vert, 1] = yv1 * np.exp(tv * np.log(y2[vert] / yv1))
+        if not vert.any():
+            p, q, u1, u2 = self._mobius(x1, y1, x2, y2)
+            return A, B, None, p, q, u1, np.log(u2 / u1)
+        # vertical rows move exponentially in y at their mean x; p = q = 0
+        # keeps their unused Moebius branch finite
         gen = ~vert
-        if np.any(gen):
-            p, q, u1, u2 = self._mobius(x1[gen], y1[gen], x2[gen], y2[gen])
-            u = u1 * np.exp(tt[gen] * np.log(u2 / u1))
-            z = (q * 1j * u + p) / (1j * u + 1.0)
-            out[gen, 0] = z.real
-            out[gen, 1] = z.imag
+        p, q = np.zeros_like(x1), np.zeros_like(x1)
+        u1, u2 = y1.copy(), y2.copy()
+        p[gen], q[gen], u1[gen], u2[gen] = self._mobius(x1[gen], y1[gen],
+                                                        x2[gen], y2[gen])
+        return (A, B, (vert, 0.5 * (x1 + x2)), p, q, u1,
+                np.log(u2 / u1))
+
+    def _along(self, ends, t):
+        A, B, vertical, p, q, u1, lam = ends
+        t = np.asarray(t, dtype=float)
+        u = u1 * np.exp(t * lam)
+        z = (q * 1j * u + p) / (1j * u + 1.0)
+        x, y = z.real, z.imag
+        if vertical is not None:
+            vert, xm = vertical
+            x = np.where(vert, xm, x)
+            y = np.where(vert, u, y)
+        out = np.stack((x, y), axis=-1)
+        # the ends are exact, not the roundoff of the Moebius round trip
+        for at, P in ((t == 0.0, A), (t == 1.0, B)):
+            if at.any():
+                out = np.where(at[..., None], P, out)
         return out
-
-    def _curve(self, ca, cb):
-        x1, y1 = float(ca[0]), float(ca[1])
-        x2, y2 = float(cb[0]), float(cb[1])
-        scale = max(1.0, abs(x1), abs(x2))
-        if abs(x2 - x1) <= _VERTICAL_RTOL * scale:
-            xm = 0.5 * (x1 + x2)
-            lam = math.log(y2 / y1)
-
-            def at(ts: np.ndarray):
-                xs = np.full(ts.shape, xm)
-                ys = y1 * np.exp(lam * ts)
-                return _pin_ends(np.stack((xs, ys), axis=-1), ts,
-                                 (x1, y1), (x2, y2))
-
-            return at
-
-        p, q, u1, u2 = self._mobius(np.array([x1]), np.array([y1]),
-                                    np.array([x2]), np.array([y2]))
-        p, q, u1, u2 = float(p[0]), float(q[0]), float(u1[0]), float(u2[0])
-        lam = math.log(u2 / u1)
-
-        def at(ts: np.ndarray):
-            u = u1 * np.exp(lam * ts)
-            z = (q * 1j * u + p) / (1j * u + 1.0)
-            return _pin_ends(np.stack((z.real, z.imag), axis=-1), ts,
-                             (x1, y1), (x2, y2))
-
-        return at
 
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list), 2)
@@ -271,16 +257,6 @@ class HalfPlaneSpace(Space):
 
     def _coords_json(self, coords):
         return [float(coords[0]), float(coords[1])]
-
-
-def _pin_ends(batch: np.ndarray, ts: np.ndarray, start, end) -> np.ndarray:
-    at0 = ts == 0.0
-    at1 = ts == 1.0
-    if np.any(at0):
-        batch[at0] = start
-    if np.any(at1):
-        batch[at1] = end
-    return batch
 
 
 class SpiderSpace(Space):
@@ -311,46 +287,20 @@ class SpiderSpace(Space):
         rays2, r2 = B
         return np.where(rays1 == rays2, np.abs(r1 - r2), r1 + r2)
 
-    def _interp(self, A, B, t):
+    def _ends(self, A, B):
         rays1, r1 = A
         rays2, r2 = B
-        tt = _as_params(t, rays1.shape[0])
-        # rows whose segment stays on a single ray (hub endpoints included)
-        same = (rays1 == rays2) | (r1 == 0.0) | (r2 == 0.0)
-        ray_same = np.where(r1 > 0.0, rays1, rays2)
-        rad_same = r1 + (r2 - r1) * tt
-        pos = tt * (r1 + r2)
-        on_first = pos <= r1
-        ray_diff = np.where(on_first, rays1, rays2)
-        rad_diff = np.where(on_first, r1 - pos, pos - r1)
-        rays = np.where(same, ray_same, ray_diff)
-        rads = np.maximum(np.where(same, rad_same, rad_diff), 0.0)
-        return (rays.astype(np.int64), rads)
+        # signed radius s = r1 + slope t: while s >= 0 the point sits at
+        # radius s on the first ray (the second if the segment starts at
+        # the hub); a segment between two rays passes the hub where s turns
+        # negative and goes on along the second ray at radius -s
+        slope = np.where(rays1 == rays2, r2 - r1, -(r1 + r2))
+        return r1, slope, np.where(r1 > 0.0, rays1, rays2), rays2
 
-    def _curve(self, ca, cb):
-        ray1, r1 = ca
-        ray2, r2 = cb
-
-        if ray1 == ray2 or r1 == 0.0 or r2 == 0.0:
-            ray = ray1 if (r1 > 0.0 or ray1 == ray2) else ray2
-
-            def at(ts: np.ndarray):
-                rads = r1 + (r2 - r1) * ts
-                return (np.full(ts.shape, ray, dtype=np.int64),
-                        np.maximum(rads, 0.0))
-
-            return at
-
-        total = r1 + r2
-
-        def at(ts: np.ndarray):
-            pos = ts * total
-            on_first = pos <= r1
-            rays = np.where(on_first, ray1, ray2).astype(np.int64)
-            rads = np.maximum(np.where(on_first, r1 - pos, pos - r1), 0.0)
-            return (rays, rads)
-
-        return at
+    def _along(self, ends, t):
+        r1, slope, ray_a, ray_b = ends
+        s = r1 + slope * np.asarray(t, dtype=float)
+        return (np.where(s >= 0.0, ray_a, ray_b), np.abs(s))
 
     def _stack(self, coords_list):
         rays = np.array([c[0] for c in coords_list], dtype=np.int64)
@@ -391,18 +341,11 @@ class ProductSpace(Space):
         return np.hypot(self.left._dist(A[0], B[0]),
                         self.right._dist(A[1], B[1]))
 
-    def _interp(self, A, B, t):
-        return (self.left._interp(A[0], B[0], t),
-                self.right._interp(A[1], B[1], t))
+    def _ends(self, A, B):
+        return (self.left._ends(A[0], B[0]), self.right._ends(A[1], B[1]))
 
-    def _curve(self, ca, cb):
-        cl = self.left._curve(ca[0], cb[0])
-        cr = self.right._curve(ca[1], cb[1])
-
-        def at(ts: np.ndarray):
-            return (cl(ts), cr(ts))
-
-        return at
+    def _along(self, ends, t):
+        return (self.left._along(ends[0], t), self.right._along(ends[1], t))
 
     def _stack(self, coords_list):
         return (self.left._stack([c[0] for c in coords_list]),
@@ -450,19 +393,19 @@ def _check_unit(t: float, what: str = "t") -> float:
 class Geodesic:
     """Constant-speed geodesic segment parametrized on [0, 1]."""
 
-    __slots__ = ("space", "start", "end", "length", "_curve_fn")
+    __slots__ = ("space", "start", "end", "length", "_ends")
 
-    def __init__(self, start: Point, end: Point, _curve_fn=None):
+    def __init__(self, start: Point, end: Point):
         if start.space != end.space:
             raise SpaceMismatchError("geodesic endpoints live in different "
                                      "spaces")
-        self.space = start.space
+        space = self.space = start.space
         self.start = start
         self.end = end
-        self.length = self.space.distance(start, end)
-        if _curve_fn is None:
-            _curve_fn = self.space._curve(start.coords, end.coords)
-        self._curve_fn = _curve_fn
+        A = space._stack([start.coords])
+        B = space._stack([end.coords])
+        self.length = float(space._dist(A, B)[0])
+        self._ends = space._ends(A, B)
 
     def eval(self, t: float) -> Point:
         t = _check_unit(t)
@@ -470,26 +413,22 @@ class Geodesic:
             return self.start
         if t == 1.0:
             return self.end
-        batch = self._curve_fn(np.array([t]))
+        batch = self.space._along(self._ends, np.array([t]))
         return Point(self.space, self.space._single(batch, 0))
 
     def eval_batch(self, ts) -> Any:
         ts = np.asarray(ts, dtype=float).ravel()
-        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
             raise DomainError("geodesic parameters must lie in [0, 1]")
-        return self._curve_fn(ts)
+        return self.space._along(self._ends, ts)
 
     def restrict(self, t1: float, t2: float) -> "Geodesic":
         t1, t2 = float(t1), float(t2)
         if not (0.0 <= t1 < t2 <= 1.0):
             raise DomainError("restriction needs 0 <= t1 < t2 <= 1")
-        parent = self._curve_fn
-        span = t2 - t1
-
-        def curve(ts: np.ndarray):
-            return parent(t1 + span * ts)
-
-        return Geodesic(self.eval(t1), self.eval(t2), _curve_fn=curve)
+        # geodesics are unique in CAT(0): the sub-segment is the geodesic
+        # between its end points
+        return Geodesic(self.eval(t1), self.eval(t2))
 
     def __repr__(self) -> str:
         return "Geodesic(%r -> %r)" % (self.start, self.end)
@@ -610,13 +549,8 @@ def sturm_gap(g1: Geodesic, g2: Geodesic, t: float) -> float:
     t = _check_unit(t)
     if g1.space != g2.space:
         raise SpaceMismatchError("geodesics live in different spaces")
-    space = g1.space
-    lhs = space.distance(g1.eval(t), g2.eval(t)) ** 2
-    dns = g2.length - g1.length
-    rhs = ((1.0 - t) * space.distance(g1.start, g2.start) ** 2
-           + t * space.distance(g1.end, g2.end) ** 2
-           - t * (1.0 - t) * dns * dns)
-    return rhs - lhs
+    return _scalar_gap(sturm_gap_batch, g1.space,
+                       (g1.start, g1.end, g2.start, g2.end), t)
 
 
 # ---------------------------------------------------------------------------

@@ -470,3 +470,30 @@ def test_falsify_is_deterministic():
     a = falsify_search("thm_ty1", euclidean(2), 10, seed=7)
     b = falsify_search("thm_ty1", euclidean(2), 10, seed=7)
     assert a == b
+
+
+def test_chain_table_reaches_chains_by_module_name(monkeypatch):
+    # the table must call a rebound name (as an outside tracer does), not
+    # a function object captured at import
+    import geofrac.chains as chains
+
+    calls = []
+    for name in CHAIN_NAMES:
+        def counted(*args, _fn=getattr(chains, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(chains, name, counted)
+    for name in CHAIN_NAMES:
+        falsify_search(name, euclidean(2), 3, seed=1)
+    assert sorted(set(calls)) == sorted(CHAIN_NAMES)
+
+
+def test_chain_table_flags():
+    from geofrac.chains import CHAINS
+
+    assert CHAIN_NAMES == tuple(CHAINS)
+    assert [c for c in CHAIN_NAMES if CHAINS[c].needs_q] == ["thm_cb1"]
+    assert [c for c in CHAIN_NAMES if not CHAINS[c].takes_h] == [
+        "classic_hh", "conde_hh"]
+    assert [c for c in CHAIN_NAMES if CHAINS[c].two_geodesics] == [
+        "corollary_distance"]

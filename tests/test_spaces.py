@@ -102,6 +102,10 @@ def test_geodesic_endpoints_are_exact():
             g = random_geodesic(space, rng)
             assert g.eval(0.0) is g.start
             assert g.eval(1.0) is g.end
+            if space == H:
+                # pinned, not the roundoff of the Moebius round trip
+                assert np.array_equal(g.eval_batch([0.0, 1.0]),
+                                      [g.start.coords, g.end.coords])
 
 
 def test_half_plane_vertical_midpoint():
@@ -196,6 +200,36 @@ def test_eval_batch_layouts():
     assert left.shape == (3, 2) and right.shape == (3, 2)
 
 
+def _same_batch(a, b) -> bool:
+    # coordinate batches are arrays or nested tuples of arrays
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(_same_batch(x, y) for x, y in zip(a, b)))
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _special_geodesics():
+    # vertical half-plane segment, spider segments through the hub, along
+    # one ray and from the hub, plus random geodesics of every space
+    yield Geodesic(H.point(0.3, 0.5), H.point(0.3, 4.0))
+    yield Geodesic(S3.point(0, 1.5), S3.point(2, 0.5))
+    yield Geodesic(S3.point(1, 2.0), S3.point(1, 0.5))
+    yield Geodesic(S3.point(0, 0.0), S3.point(2, 1.0))
+    rng = np.random.default_rng(77)
+    for space in ALL_SPACES:
+        for _ in range(20):
+            yield random_geodesic(space, rng)
+
+
+def test_eval_batch_is_the_batch_primitive_bit_for_bit():
+    ts = np.concatenate(([0.0, 1.0, 0.5], np.linspace(0.0, 1.0, 29)))
+    for g in _special_geodesics():
+        space = g.space
+        A = space._stack([g.start.coords] * ts.size)
+        B = space._stack([g.end.coords] * ts.size)
+        assert _same_batch(g.eval_batch(ts), space._interp(A, B, ts))
+
+
 # ---------------------------------------------------------------------------
 # comparison gaps
 # ---------------------------------------------------------------------------
@@ -259,6 +293,22 @@ def test_scalar_gap_wrappers_match_batch():
         float(cn_gap_batch(H, *stacked[:3])[0]), rel=1e-12)
     assert four_point_gap(p, x, y, z, 0.3) == pytest.approx(
         float(four_point_gap_batch(H, *stacked, 0.3)[0]), rel=1e-12)
+
+
+def test_scalar_sturm_gap_is_the_batch_row():
+    rng = np.random.default_rng(53)
+    for space in ALL_SPACES:
+        for restrict in (False, True):
+            g1 = random_geodesic(space, rng, min_length=0.1)
+            g2 = random_geodesic(space, rng, min_length=0.1)
+            if restrict:
+                g1 = g1.restrict(0.1, 0.8)
+                g2 = g2.restrict(0.35, 1.0)
+            stacks = [space._stack([p.coords])
+                      for p in (g1.start, g1.end, g2.start, g2.end)]
+            for t in (0.0, 0.2, 0.5, 0.7, 1.0):
+                row = float(sturm_gap_batch(space, *stacks, t)[0])
+                assert sturm_gap(g1, g2, t) == row
 
 
 def test_sturm_gap_on_restricted_geodesics():
@@ -345,5 +395,10 @@ def test_parameter_domain_checks():
         g.restrict(-0.1, 0.5)
     with pytest.raises(DomainError):
         g.eval_batch([0.0, 2.0])
+    for bad in ([math.nan], [0.5, math.nan], [math.nan, 0.0, 1.0]):
+        with pytest.raises(DomainError):
+            g.eval_batch(bad)
+    with pytest.raises(DomainError):
+        g.eval(math.nan)
     with pytest.raises(DomainError):
         comparison_gap(g.start, g.start, g.end, 1.2)
