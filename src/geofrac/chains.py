@@ -117,25 +117,20 @@ def _report(chain_name: str, sides, tol: float, instance: dict,
 
 
 class CompositeOperand:
-    """Operand x -> base(x^rho), optionally through a geodesic pullback.
+    """Operand x -> base(x^rho) of an array function base.
 
-    With a geodesic the base is a space function and the operand becomes
-    x -> f(gamma(x^rho)).  Parameters are clipped to [0, 1] to absorb
-    roundoff at interval ends.
+    With the pullback `on_geodesic(f, g)` as base it is x -> f(g(x^rho)).
+    Parameters are clipped to [0, 1] to absorb roundoff at interval ends.
     """
 
     __slots__ = ("rho", "_fn", "name")
 
-    def __init__(self, base: Callable, rho: float,
-                 geodesic: Optional[Geodesic] = None):
+    def __init__(self, base: Callable, rho: float):
         rho = float(rho)
         if not (math.isfinite(rho) and rho > 0.0):
             raise DomainError("rho must be positive and finite")
         self.rho = rho
-        if geodesic is None:
-            self._fn = as_array_function(base)
-        else:
-            self._fn = on_geodesic(base, geodesic)
+        self._fn = as_array_function(base)
         self.name = getattr(base, "__name__", "f")
 
     def __call__(self, x) -> np.ndarray:

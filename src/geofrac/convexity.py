@@ -1,8 +1,9 @@
 """Convexity checks for functions along geodesics.
 
-A "space function" maps a coordinate batch of some model space to a float
-array; `squared_distance_function` and friends build the common ones.
-Plain callables taking a single Point also work (detected by probing).
+A "space function" maps a coordinate batch of m points to a float array
+of shape (m,); `squared_distance_function` and friends build the common
+ones.  A function f of one Point pulls back along g as the operand
+`pointwise(lambda t: f(g.eval(t)))`.
 
 `check_h_convex` samples restrictions of one geodesic and tests the
 endpoint form of h-convexity on each: with F(lam) the function along the
@@ -98,23 +99,15 @@ def h_function(spec: Union[str, HFunction, Callable]) -> HFunction:
 # ---------------------------------------------------------------------------
 
 
-def _batchify(space: Space, f: Callable) -> Callable:
-    """Accept either a batch function or a per-Point function."""
-    state = {"pointwise": False}
-
-    def call(batch, m: int) -> np.ndarray:
-        if not state["pointwise"]:
-            try:
-                vals = np.asarray(f(batch), dtype=float)
-                if vals.shape == (m,):
-                    return vals
-            except Exception:
-                pass
-            state["pointwise"] = True
-        return np.array([float(f(Point(space, space._single(batch, i))))
-                         for i in range(m)])
-
-    return call
+def _batch_values(f: Callable, batch, m: int) -> np.ndarray:
+    """f on a coordinate batch of m points; the result must have shape (m,)."""
+    vals = np.asarray(f(batch), dtype=float)
+    if vals.shape != (m,):
+        raise DomainError("space function returned shape %s for a batch of "
+                          "%d points; a function of one Point pulls back as "
+                          "pointwise(lambda t: f(g.eval(t)))"
+                          % (vals.shape, m))
+    return vals
 
 
 def squared_distance_function(space: Space, y: Point,
@@ -151,11 +144,10 @@ def distance_between_geodesics_function(g1: Geodesic,
 
 def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
     """Pull a space function back along a geodesic: t -> f(g(t))."""
-    call = _batchify(geodesic.space, f)
 
     def fn(ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float).ravel()
-        return call(geodesic.eval_batch(ts), ts.size)
+        return _batch_values(f, geodesic.eval_batch(ts), ts.size)
 
     return fn
 
@@ -201,9 +193,8 @@ def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
     t2 = np.where(degenerate, 0.75, t2)
     lam = np.linspace(0.0, 1.0, samples + 2)
     params = t1[:, None] * (1.0 - lam)[None, :] + t2[:, None] * lam[None, :]
-    call = _batchify(geodesic.space, f)
-    values = call(geodesic.eval_batch(params.ravel()),
-                  params.size).reshape(params.shape)
+    values = _batch_values(f, geodesic.eval_batch(params.ravel()),
+                           params.size).reshape(params.shape)
     return t1, t2, lam, values
 
 

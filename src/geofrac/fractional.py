@@ -32,8 +32,8 @@ __all__ = ["gamma_fn", "rl_left", "rl_right", "hadamard_left",
            "hadamard_right", "katugampola_left", "katugampola_right",
            "xcp_norm", "lq_norm_unit"]
 
-#: scalar-or-ndarray real function of one variable
-RealFunction = Callable[[float], float]
+#: array function of one real variable (quadrature.pointwise wraps scalar ones)
+RealFunction = Callable[[np.ndarray], np.ndarray]
 
 
 def gamma_fn(x: float) -> float:

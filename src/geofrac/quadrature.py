@@ -17,6 +17,10 @@ Gauss-Legendre on the weighted integrand, which is smooth away from lo.
 engine.  An operand with a power singularity of its own at w = 0 defeats
 the Jacobi panel; for it the integral is re-run once through the
 substitution v = w**exponent, which folds the kernel into the measure.
+
+Operands are array functions: an array of nodes in, the same shape out
+(a 0-d result broadcasts).  They are never probed: a scalar-only function
+is wrapped in :func:`pointwise`, and an operand's exceptions propagate.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 
 __all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate",
-           "power_kernel_integral", "as_array_function"]
+           "power_kernel_integral", "as_array_function", "pointwise"]
 
 
 @dataclass(frozen=True)
@@ -95,25 +99,34 @@ def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def as_array_function(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt f to accept ndarrays, falling back to a scalar loop.
+    """Normalise an array operand: f(x) has x's shape, or is 0-d.
 
-    Scalar-only callables are probed once; constants broadcast.
+    A 0-d result (a constant operand) is broadcast to x's shape; any other
+    shape raises DomainError.  f is called once, on the whole array, and
+    its exceptions propagate: wrap a scalar-only f in `pointwise`.
     """
-    state = {"scalar": False}
 
     def call(x: np.ndarray) -> np.ndarray:
-        if not state["scalar"]:
-            try:
-                y = np.asarray(f(x), dtype=float)
-            except Exception:
-                state["scalar"] = True
-            else:
-                if y.ndim == 0:
-                    return np.full(x.shape, float(y))
-                if y.shape == x.shape:
-                    return y
-                state["scalar"] = True
-        return np.array([float(f(t)) for t in x], dtype=float)
+        y = np.asarray(f(x), dtype=float)
+        if y.ndim == 0:
+            return np.full(x.shape, float(y))
+        if y.shape != x.shape:
+            raise DomainError("operand returned shape %s for an input of "
+                              "shape %s; wrap a scalar-only function in "
+                              "pointwise(f)" % (y.shape, x.shape))
+        return y
+
+    return call
+
+
+def pointwise(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """Array function that calls the scalar-only f once per element."""
+
+    @functools.wraps(f)
+    def call(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.array([float(f(t)) for t in x.ravel()],
+                        dtype=float).reshape(x.shape)
 
     return call
 
@@ -148,40 +161,28 @@ def integrate(f: Callable, lo: float, hi: float,
     span = hi - lo
     beta = exponent - 1.0
 
-    if beta == 0.0:
-        def one_panel(a: float, b: float) -> float:
-            half = 0.5 * (b - a)
-            return half * float(ws @ g(0.5 * (a + b) + half * xs))
-
-        def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
-            h1 = 0.5 * (m - a)
-            h2 = 0.5 * (b - m)
-            pts = np.concatenate((0.5 * (a + m) + h1 * xs,
-                                  0.5 * (m + b) + h2 * xs))
-            vals = g(pts)
-            return h1 * float(ws @ vals[:n]), h2 * float(ws @ vals[n:])
-    else:
+    if beta != 0.0:
         us, lams = _jacobi_rule(n, beta)
 
-        def panel(a: float, b: float):
-            # nodes, weights and scale of the rule on [a, b]: Jacobi at
-            # lo, Legendre on the weighted integrand elsewhere
-            if a == lo:
-                width = b - a
-                return a + width * us, lams, width ** exponent
-            half = 0.5 * (b - a)
-            pts = 0.5 * (a + b) + half * xs
-            return pts, ws * (pts - lo) ** beta, half
+    def panel(a: float, b: float):
+        # nodes, weights and scale of the rule on [a, b]: Jacobi at lo for
+        # a weighted integral, Legendre on the weighted integrand elsewhere
+        if beta != 0.0 and a == lo:
+            width = b - a
+            return a + width * us, lams, width ** exponent
+        half = 0.5 * (b - a)
+        pts = 0.5 * (a + b) + half * xs
+        return pts, ws if beta == 0.0 else ws * (pts - lo) ** beta, half
 
-        def one_panel(a: float, b: float) -> float:
-            pts, w, scale = panel(a, b)
-            return scale * float(w @ g(pts))
+    def one_panel(a: float, b: float) -> float:
+        pts, w, scale = panel(a, b)
+        return scale * float(w @ g(pts))
 
-        def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
-            p1, w1, s1 = panel(a, m)
-            p2, w2, s2 = panel(m, b)
-            vals = g(np.concatenate((p1, p2)))
-            return s1 * float(w1 @ vals[:n]), s2 * float(w2 @ vals[n:])
+    def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
+        p1, w1, s1 = panel(a, m)
+        p2, w2, s2 = panel(m, b)
+        vals = g(np.concatenate((p1, p2)))
+        return s1 * float(w1 @ vals[:n]), s2 * float(w2 @ vals[n:])
 
     whole = one_panel(lo, hi)
     budget = max(cfg.abs_tol, cfg.rel_tol * abs(whole))

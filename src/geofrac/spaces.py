@@ -158,11 +158,17 @@ class EuclideanSpace(Space):
         return np.linalg.norm(A - B, axis=-1)
 
     def _ends(self, A, B):
-        return A, B - A
+        return A, B, B - A
 
     def _along(self, ends, t):
-        A, delta = ends
-        return A + np.asarray(t, dtype=float)[..., None] * delta
+        A, B, delta = ends
+        t = np.asarray(t, dtype=float)
+        out = A + t[..., None] * delta
+        # A + 1 * (B - A) may miss B by an ulp; the end is exact
+        at = t == 1.0
+        if np.count_nonzero(at):
+            out = np.where(at[..., None], B, out)
+        return out
 
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list),
@@ -240,7 +246,7 @@ class HalfPlaneSpace(Space):
         out = np.stack((x, y), axis=-1)
         # the ends are exact, not the roundoff of the Moebius round trip
         for at, P in ((t == 0.0, A), (t == 1.0, B)):
-            if at.any():
+            if np.count_nonzero(at):
                 out = np.where(at[..., None], P, out)
         return out
 
@@ -295,12 +301,18 @@ class SpiderSpace(Space):
         # the hub); a segment between two rays passes the hub where s turns
         # negative and goes on along the second ray at radius -s
         slope = np.where(rays1 == rays2, r2 - r1, -(r1 + r2))
-        return r1, slope, np.where(r1 > 0.0, rays1, rays2), rays2
+        return r1, slope, np.where(r1 > 0.0, rays1, rays2), rays2, r2
 
     def _along(self, ends, t):
-        r1, slope, ray_a, ray_b = ends
-        s = r1 + slope * np.asarray(t, dtype=float)
-        return (np.where(s >= 0.0, ray_a, ray_b), np.abs(s))
+        r1, slope, ray_a, ray_b, r2 = ends
+        t = np.asarray(t, dtype=float)
+        s = r1 + slope * t
+        rays, radii = np.where(s >= 0.0, ray_a, ray_b), np.abs(s)
+        # r1 + slope may miss the end radius by an ulp; the end is exact
+        at = t == 1.0
+        if np.count_nonzero(at):
+            rays, radii = np.where(at, ray_b, rays), np.where(at, r2, radii)
+        return (rays, radii)
 
     def _stack(self, coords_list):
         rays = np.array([c[0] for c in coords_list], dtype=np.int64)

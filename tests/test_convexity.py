@@ -12,8 +12,9 @@ from geofrac.convexity import (ConvexityVerdict, H_CATALOG, HFunction,
                                h_function, on_geodesic, scalar_pullback,
                                squared_distance_function)
 from geofrac.errors import DomainError, SpaceMismatchError
-from geofrac.spaces import (Geodesic, euclidean, half_plane, product,
-                            random_geodesic, random_point, spider)
+from geofrac.quadrature import pointwise
+from geofrac.spaces import (Geodesic, distance, euclidean, half_plane,
+                            product, random_geodesic, random_point, spider)
 
 ALL_SPACES = [euclidean(2), half_plane(), spider(3),
               product(euclidean(2), half_plane())]
@@ -225,12 +226,34 @@ def test_on_geodesic_pullback_matches_direct_values():
     assert np.allclose(fn(ts), (2.0 * ts) ** 2)
 
 
-def test_on_geodesic_accepts_pointwise_functions():
+def test_per_point_function_pulls_back_through_pointwise():
     e2 = euclidean(2)
     g = Geodesic(e2.point(0.0, 0.0), e2.point(1.0, 0.0))
-    fn = on_geodesic(lambda pt: float(pt.coords[0]), g)
+    fn = pointwise(lambda t: float(g.eval(t).coords[0]))
     ts = np.array([0.1, 0.4, 0.9])
     assert np.allclose(fn(ts), ts)
+    # a function of one Point is not a space function
+    with pytest.raises(AttributeError):
+        on_geodesic(lambda pt: float(pt.coords[0]), g)(ts)
+    y = e2.point(0.3, 1.0)
+    per_point = pointwise(lambda t: distance(g.eval(t), y) ** 2)
+    verdict = check_convex(*scalar_pullback(per_point))
+    assert verdict.holds
+    batch = check_convex(squared_distance_function(e2, y), g)
+    assert verdict.worst_slack == pytest.approx(batch.worst_slack, abs=1e-12)
+
+
+def test_space_function_errors_propagate():
+    e2 = euclidean(2)
+    g = Geodesic(e2.point(0.0, 0.0), e2.point(1.0, 1.0))
+    with pytest.raises(IndexError):
+        check_convex(lambda b: b[:, 2] ** 2, g)
+    with pytest.raises(IndexError):
+        on_geodesic(lambda b: b[:, 2] ** 2, g)(np.array([0.5]))
+    with pytest.raises(DomainError, match="pointwise"):
+        check_convex(lambda b: b ** 2, g)
+    with pytest.raises(DomainError, match="pointwise"):
+        on_geodesic(lambda b: 1.0, g)(np.array([0.25, 0.5]))
 
 
 def test_check_is_deterministic_per_seed():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from geofrac.errors import AccuracyError, DomainError
+from geofrac.fractional import rl_left
 from geofrac.quadrature import (QuadratureConfig, _jacobi_rule,
-                                as_array_function, integrate,
+                                as_array_function, integrate, pointwise,
                                 power_kernel_integral)
 
 
@@ -34,12 +35,44 @@ def test_empty_and_reversed_interval():
         integrate(np.exp, 1.0, 0.0)
 
 
-def test_scalar_only_callable_falls_back():
+def test_scalar_only_callable_needs_pointwise():
     def f(t):
         return math.exp(t)  # rejects ndarray input
 
-    value = integrate(f, 0.0, 1.0)
+    # no probing: the operand's own error reaches the caller
+    with pytest.raises(TypeError):
+        integrate(f, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        rl_left(f, 0.5, 0.0, 1.0)
+    value = integrate(pointwise(f), 0.0, 1.0)
     assert abs(value - (math.e - 1.0)) < 1e-12
+    assert rl_left(pointwise(f), 0.5, 0.0, 1.0) == pytest.approx(
+        rl_left(np.exp, 0.5, 0.0, 1.0), rel=1e-14)
+
+
+def test_pointwise_is_the_element_loop():
+    def f(t):
+        return max(t, 0.25) ** 2  # ambiguous truth value on arrays
+
+    with pytest.raises(ValueError):
+        integrate(f, 0.0, 1.0)
+    # the per-element loop a scalar-only operand used to fall back to
+    loop = integrate(lambda x: np.array([float(f(t)) for t in x]), 0.0, 1.0)
+    assert integrate(pointwise(f), 0.0, 1.0) == loop
+    assert loop == pytest.approx(
+        integrate(lambda x: np.maximum(x, 0.25) ** 2, 0.0, 1.0), rel=1e-14)
+    wrapped = pointwise(f)
+    assert wrapped.__name__ == "f"
+    x = np.array([[0.0, 0.5], [1.0, 2.0]])
+    assert wrapped(x).tolist() == [[0.0625, 0.25], [1.0, 4.0]]
+    assert wrapped(0.5).shape == ()
+
+
+def test_wrong_shaped_operand_names_pointwise():
+    with pytest.raises(DomainError, match=r"pointwise\(f\)"):
+        integrate(lambda x: x[:1], 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"pointwise\(f\)"):
+        as_array_function(lambda x: [1.0, 2.0])(np.zeros(3))
 
 
 def test_constant_callable_broadcasts():

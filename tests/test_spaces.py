@@ -102,10 +102,12 @@ def test_geodesic_endpoints_are_exact():
             g = random_geodesic(space, rng)
             assert g.eval(0.0) is g.start
             assert g.eval(1.0) is g.end
-            if space == H:
-                # pinned, not the roundoff of the Moebius round trip
-                assert np.array_equal(g.eval_batch([0.0, 1.0]),
-                                      [g.start.coords, g.end.coords])
+            # pinned, not the roundoff of A + 1 * (B - A) or of the
+            # Moebius round trip
+            batch = g.eval_batch([0.0, 1.0])
+            for i, end in enumerate((g.start, g.end)):
+                assert (space._coords_json(space._single(batch, i))
+                        == space._coords_json(end.coords)), space.name
 
 
 def test_half_plane_vertical_midpoint():
