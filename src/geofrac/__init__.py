@@ -2,7 +2,7 @@
 
 from .errors import (AccuracyError, DomainError, ExpressionError,
                      SpaceMismatchError)
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, pointwise
+from .quadrature import integrate, pointwise
 from .fractional import (gamma_fn, hadamard_left, hadamard_right,
                          katugampola_left, katugampola_right, lq_norm_unit,
                          rl_left, rl_right, xcp_norm)

@@ -36,8 +36,7 @@ from .convexity import (HFunction, check_convex, check_h_convex, h_function,
                         distance_between_geodesics_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
 from .fractional import katugampola_left, katugampola_right, lq_norm_unit
-from .quadrature import (QuadratureConfig, as_array_function, integrate,
-                         power_kernel_integral)
+from .quadrature import as_array_function, integrate, power_kernel_integral
 from .spaces import Geodesic, Space, random_geodesic, random_point
 
 __all__ = ["TheoremParams", "InequalityReport", "CompositeOperand",
@@ -154,15 +153,14 @@ def _fname(f: Callable) -> str:
 
 
 def classic_hh(f: Callable, a: float, b: float, *,
-               tol: float = DEFAULT_CHAIN_TOL,
-               config: Optional[QuadratureConfig] = None) -> InequalityReport:
+               tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint <= mean <= endpoint average, for f convex on [a, b]."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("need a < b")
     arr = as_array_function(f)
     mid = float(arr(np.array([0.5 * (a + b)]))[0])
-    mean = integrate(arr, a, b, config) / (b - a)
+    mean = integrate(arr, a, b) / (b - a)
     ends = float(arr(np.array([a]))[0] + arr(np.array([b]))[0]) / 2.0
     instance = {"f": _fname(f), "a": a, "b": b}
     return _report("classic_hh",
@@ -171,8 +169,7 @@ def classic_hh(f: Callable, a: float, b: float, *,
 
 
 def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
-         *, tol: float = DEFAULT_CHAIN_TOL,
-         config: Optional[QuadratureConfig] = None) -> InequalityReport:
+         *, tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Weighted chain for h-convex f: the endpoint side carries Int h."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -183,8 +180,8 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
         raise DomainError("h(1/2) must be positive")
     arr = as_array_function(f)
     mid = float(arr(np.array([0.5 * (a + b)]))[0]) / (2.0 * h_half)
-    mean = integrate(arr, a, b, config) / (b - a)
-    h_mass = integrate(hf, 0.0, 1.0, config)
+    mean = integrate(arr, a, b) / (b - a)
+    h_mass = integrate(hf, 0.0, 1.0)
     ends = float(arr(np.array([a]))[0] + arr(np.array([b]))[0]) * h_mass
     instance = {"f": _fname(f), "h": hf.name, "a": a, "b": b}
     return _report("h_hh",
@@ -192,13 +189,13 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
                    tol, instance, {"h_mass": h_mass})
 
 
-def conde_hh(f: Callable, g: Geodesic, *, tol: float = DEFAULT_CHAIN_TOL,
-             config: Optional[QuadratureConfig] = None) -> InequalityReport:
+def conde_hh(f: Callable, g: Geodesic, *,
+             tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint/mean/endpoint chain of f along one geodesic."""
     fg = on_geodesic(f, g)
-    mid = float(fg(0.5)[0])
-    mean = integrate(fg, 0.0, 1.0, config)
-    ends = float(fg(0.0)[0] + fg(1.0)[0]) / 2.0
+    mid = float(fg(0.5))
+    mean = integrate(fg, 0.0, 1.0)
+    ends = float(fg(0.0) + fg(1.0)) / 2.0
     instance = {"f": _fname(f), "geodesic": _geodesic_json(g)}
     return _report("conde_hh",
                    [("midpoint", mid), ("mean", mean), ("endpoints", ends)],
@@ -221,27 +218,24 @@ def _den(p: TheoremParams) -> float:
     return (p.b ** p.rho - p.a ** p.rho) ** p.alpha
 
 
-def _exact_h_term(hf: HFunction, p: TheoremParams,
-                  config: Optional[QuadratureConfig]) -> float:
+def _exact_h_term(hf: HFunction, p: TheoremParams) -> float:
     # alpha rho Int_0^1 t^(alpha rho - 1) h(t^rho) dt; with v = t^rho it
     # is alpha Int_0^1 v^(alpha - 1) h(v) dv, free of the t^rho factor
-    return p.alpha * power_kernel_integral(hf, 1.0, p.alpha, config)
+    return p.alpha * power_kernel_integral(hf, 1.0, p.alpha)
 
 
-def _k0_term(hf: HFunction, p: TheoremParams,
-             config: Optional[QuadratureConfig]) -> float:
+def _k0_term(hf: HFunction, p: TheoremParams) -> float:
     # rho^alpha Gamma(alpha+1) times the left operator of h(x^rho) at 1
     operand = CompositeOperand(hf, p.rho)
-    k0 = katugampola_left(operand, p.alpha, p.rho, 0.0, 1.0, config)
+    k0 = katugampola_left(operand, p.alpha, p.rho, 0.0, 1.0)
     return p.rho ** p.alpha * math.gamma(p.alpha + 1.0) * k0
 
 
 def _operator_mean(F: CompositeOperand, p: TheoremParams, h_half: float,
-                   right_interval: Tuple[float, float],
-                   config: Optional[QuadratureConfig]) -> float:
+                   right_interval: Tuple[float, float]) -> float:
     lo, hi = right_interval
-    kl = katugampola_left(F, p.alpha, p.rho, p.a, p.b, config)
-    kr = katugampola_right(F, p.alpha, p.rho, lo, hi, config)
+    kl = katugampola_left(F, p.alpha, p.rho, p.a, p.b)
+    kr = katugampola_right(F, p.alpha, p.rho, lo, hi)
     pref = p.rho ** p.alpha * math.gamma(p.alpha + 1.0) / _den(p)
     return pref * h_half * (kl + kr)
 
@@ -253,8 +247,8 @@ def _instance(chain: str, f: Callable, g: Geodesic, hf: HFunction,
 
 
 def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
-            h: Union[str, HFunction, Callable], p: TheoremParams, tol: float,
-            config: Optional[QuadratureConfig]) -> InequalityReport:
+            h: Union[str, HFunction, Callable], p: TheoremParams,
+            tol: float) -> InequalityReport:
     # shared body of thm_cb1 (holder: the Hoelder bound of the h-integral)
     # and thm_cb2 (its exact value)
     if holder and p.q is None:
@@ -263,15 +257,15 @@ def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
     h_half = float(hf(0.5))
     fg = on_geodesic(f, g)
     F = CompositeOperand(fg, p.rho)
-    mid = float(fg(0.5 * (p.a ** p.rho + p.b ** p.rho))[0])
-    ops = _operator_mean(F, p, h_half, (p.a, p.b), config)
-    f_ends = float(fg(p.a ** p.rho)[0] + fg(p.b ** p.rho)[0])
+    mid = float(fg(0.5 * (p.a ** p.rho + p.b ** p.rho)))
+    ops = _operator_mean(F, p, h_half, (p.a, p.b))
+    f_ends = float(fg(p.a ** p.rho) + fg(p.b ** p.rho))
     if holder:
         term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
-                ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q, config))
+                ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q))
     else:
-        term = _exact_h_term(hf, p, config)
-    k0 = _k0_term(hf, p, config)
+        term = _exact_h_term(hf, p)
+    k0 = _k0_term(hf, p)
     ends = h_half * f_ends * (term + k0)
     if holder:
         extras = {"holder_bound": term, "k0_term": k0}
@@ -287,19 +281,19 @@ def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
 
 
 def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
-            params: TheoremParams, *, tol: float = DEFAULT_CHAIN_TOL,
-            config: Optional[QuadratureConfig] = None) -> InequalityReport:
+            params: TheoremParams, *,
+            tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Fractional chain whose right side bounds the h-integral via Hoelder.
 
     Needs params.q; requires nonnegative f, h-convex along g (asserted by
     the caller).
     """
-    return _thm_cb("thm_cb1", True, f, g, h, params, tol, config)
+    return _thm_cb("thm_cb1", True, f, g, h, params, tol)
 
 
 def thm_cb2(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
-            params: TheoremParams, *, tol: float = DEFAULT_CHAIN_TOL,
-            config: Optional[QuadratureConfig] = None) -> InequalityReport:
+            params: TheoremParams, *,
+            tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Variant of thm_cb1 with the Hoelder bound replaced by the exact
     h-integral; no integrability exponent needed.
 
@@ -307,23 +301,22 @@ def thm_cb2(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     the variant with an extra factor rho on that term is logged in extras
     as right_side_literal.
     """
-    return _thm_cb("thm_cb2", False, f, g, h, params, tol, config)
+    return _thm_cb("thm_cb2", False, f, g, h, params, tol)
 
 
 def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
-            params: TheoremParams, *, tol: float = DEFAULT_CHAIN_TOL,
-            config: Optional[QuadratureConfig] = None) -> InequalityReport:
+            params: TheoremParams, *,
+            tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Fractional chain pairing [a, b] with the reflected interval [s, c]."""
     p = params
     hf = h_function(h)
     h_half = float(hf(0.5))
     fg = on_geodesic(f, g)
     F = CompositeOperand(fg, p.rho)
-    mid = float(fg(0.5)[0])
-    ops = _operator_mean(F, p, h_half, _reflected(p), config)
-    ends = (float(fg(0.0)[0] + fg(1.0)[0])
-            * compute_E(hf, p.alpha, p.rho, p.a, p.b, config=config)
-            / _den(p))
+    mid = float(fg(0.5))
+    ops = _operator_mean(F, p, h_half, _reflected(p))
+    ends = (float(fg(0.0) + fg(1.0))
+            * compute_E(hf, p.alpha, p.rho, p.a, p.b) / _den(p))
     return _report("thm_ty1",
                    [("midpoint", mid), ("operators", ops),
                     ("endpoints", ends)],
@@ -335,32 +328,19 @@ def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
 # ---------------------------------------------------------------------------
 
 
-def compute_C(alpha: float, rho: float, a: float, b: float, *,
-              check: bool = False,
-              config: Optional[QuadratureConfig] = None) -> float:
-    """Closed-form kernel constant of the corollary's subtracted term.
-
-    With check=True the quadrature oracle is evaluated and disagreement
-    beyond 1e-8 raises AccuracyError.
-    """
+def compute_C(alpha: float, rho: float, a: float, b: float) -> float:
+    """Closed-form kernel constant of the corollary's subtracted term;
+    `compute_C_oracle` evaluates the same constant by quadrature."""
     p = TheoremParams(alpha, rho, a, b)
     ar = p.a ** p.rho
     br = p.b ** p.rho
     num = ((ar * p.alpha + br) * (2.0 * (p.alpha + 2.0) - 4.0 * br)
            - 2.0 * ar * ar * p.alpha * (p.alpha + 1.0))
     den = p.alpha * p.rho * (p.alpha + 1.0) * (p.alpha + 2.0)
-    value = num / den
-    if check:
-        oracle = compute_C_oracle(alpha, rho, a, b, config)
-        err = abs(value - oracle)
-        if err > 1e-8 * max(1.0, abs(value)):
-            raise AccuracyError("closed form disagrees with quadrature "
-                                "oracle", estimate=value, error=err)
-    return value
+    return num / den
 
 
-def compute_C_oracle(alpha: float, rho: float, a: float, b: float,
-                     config: Optional[QuadratureConfig] = None) -> float:
+def compute_C_oracle(alpha: float, rho: float, a: float, b: float) -> float:
     """Quadrature oracle: Int_0^1 2 u (1 - u) t^(alpha rho - 1) dt with
     u = t^rho a^rho + (1 - t^rho) b^rho.  Accepts a == b probes."""
     alpha, rho, a, b = map(float, (alpha, rho, a, b))
@@ -375,19 +355,18 @@ def compute_C_oracle(alpha: float, rho: float, a: float, b: float,
         u = br + np.power(t, rho) * (ar - br)
         return 2.0 * u * (1.0 - u)
 
-    return power_kernel_integral(g, 1.0, alpha * rho, config)
+    return power_kernel_integral(g, 1.0, alpha * rho)
 
 
 def compute_E(h: Union[str, HFunction, Callable], alpha: float, rho: float,
-              a: float, b: float, *,
-              config: Optional[QuadratureConfig] = None) -> float:
+              a: float, b: float) -> float:
     """Kernel constant of the reflected-interval chain's endpoint side."""
     p = TheoremParams(alpha, rho, a, b)
     hf = h_function(h)
     operand = CompositeOperand(hf, p.rho)
     s, c = _reflected(p)
-    kl = katugampola_left(operand, p.alpha, p.rho, p.a, p.b, config)
-    kr = katugampola_right(operand, p.alpha, p.rho, s, c, config)
+    kl = katugampola_left(operand, p.alpha, p.rho, p.a, p.b)
+    kr = katugampola_right(operand, p.alpha, p.rho, s, c)
     return (p.rho ** p.alpha * math.gamma(p.alpha + 1.0) * float(hf(0.5))
             * (kl + kr))
 
@@ -409,9 +388,7 @@ def _require_dominating_h(hf: HFunction) -> None:
 def corollary_distance(g1: Geodesic, g2: Geodesic,
                        h: Union[str, HFunction, Callable],
                        params: TheoremParams, *,
-                       tol: float = DEFAULT_CHAIN_TOL,
-                       config: Optional[QuadratureConfig] = None
-                       ) -> InequalityReport:
+                       tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Four-sided chain bounding the squared distance between geodesics.
 
     The third side subtracts alpha rho h(1/2) C (L2 - L1)^2 from the
@@ -429,10 +406,10 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     h_half = float(hf(0.5))
     gd = distance_between_geodesics_function(g1, g2)
     G = CompositeOperand(gd, p.rho)
-    mid = float(gd(0.5)[0])
-    ops = _operator_mean(G, p, h_half, _reflected(p), config)
-    sigma = float(gd(0.0)[0] + gd(1.0)[0])
-    e_val = compute_E(hf, p.alpha, p.rho, p.a, p.b, config=config)
+    mid = float(gd(0.5))
+    ops = _operator_mean(G, p, h_half, _reflected(p))
+    sigma = float(gd(0.0) + gd(1.0))
+    e_val = compute_E(hf, p.alpha, p.rho, p.a, p.b)
     c_val = compute_C(p.alpha, p.rho, p.a, p.b)
     delta = g2.length - g1.length
     den = _den(p)
@@ -460,9 +437,9 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
 class ChainSpec(NamedTuple):
     """How one chain is instantiated and evaluated.
 
-    evaluate(f, g, h, params, tol=..., config=...) returns the report.  f
-    is a space function and g a geodesic; for a two_geodesics chain g is a
-    pair of geodesics and f is unused.  h is None unless takes_h, and
+    evaluate(f, g, h, params, tol=...) returns the report.  f is a space
+    function and g a geodesic; for a two_geodesics chain g is a pair of
+    geodesics and f is unused.  h is None unless takes_h, and
     params.q is None unless needs_q.  The evaluators reach the chains
     through their module-level names, so rebinding a name takes effect.
     """
@@ -535,7 +512,6 @@ def _draw_params(spec: ChainSpec,
 
 def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
                    tol: float = DEFAULT_CHAIN_TOL, *,
-                   config: Optional[QuadratureConfig] = None,
                    product_c_term: bool = False) -> dict:
     """Randomized search for chain violations beyond tol.
 
@@ -579,7 +555,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
                 if not ok:
                     discarded += 1
                     continue
-            report = spec.evaluate(f, g, hf, p, tol=tol, config=config)
+            report = spec.evaluate(f, g, hf, p, tol=tol)
         except AccuracyError:
             failures += 1
             continue

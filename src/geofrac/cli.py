@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -565,8 +566,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (TypeError, ValueError):
             return 2
     try:
-        if args.tol <= 0:
-            raise DomainError("--tol must be > 0")
+        if not (args.tol > 0 and math.isfinite(args.tol)):
+            raise DomainError("--tol must be positive and finite")
         payload, code = _RUNNERS[args.command](args)
         _write(_render(payload, args.format), args.out)
         return code

@@ -129,25 +129,28 @@ def squared_distance_function(space: Space, y: Point,
 
 def distance_between_geodesics_function(g1: Geodesic,
                                         g2: Geodesic) -> Callable:
-    """t -> d(g1(t), g2(t))**2, vectorized over parameter arrays."""
+    """t -> d(g1(t), g2(t))**2, an array function of the parameter."""
     if g1.space != g2.space:
         raise SpaceMismatchError("geodesics live in different spaces")
     space = g1.space
 
     def fn(ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float).ravel()
-        return space._dist(g1.eval_batch(ts), g2.eval_batch(ts)) ** 2
+        ts = np.asarray(ts, dtype=float)
+        d = space._dist(g1.eval_batch(ts), g2.eval_batch(ts))
+        return (d ** 2).reshape(ts.shape)
 
     fn.__name__ = "squared_geodesic_distance"
     return fn
 
 
 def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
-    """Pull a space function back along a geodesic: t -> f(g(t))."""
+    """Pull a space function back along a geodesic: t -> f(g(t)), an
+    array function of the parameter (the result has the input's shape)."""
 
     def fn(ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float).ravel()
-        return _batch_values(f, geodesic.eval_batch(ts), ts.size)
+        ts = np.asarray(ts, dtype=float)
+        vals = _batch_values(f, geodesic.eval_batch(ts), ts.size)
+        return vals.reshape(ts.shape)
 
     return fn
 

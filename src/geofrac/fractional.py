@@ -15,7 +15,8 @@ integral becomes
 with g smooth whenever the operand is.  The quadrature layer integrates
 the power kernel exactly with a Gauss-Jacobi rule on the panel at w = 0
 and Gauss-Legendre elsewhere; an operand with its own power singularity
-at w = 0 falls back to the substitution v = w**alpha.
+at w = 0 falls back to the substitution v = w**alpha.  Every operator and
+norm runs at the quadrature layer's one fixed accuracy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureConfig, integrate, power_kernel_integral
+from .quadrature import integrate, power_kernel_integral
 
 __all__ = ["gamma_fn", "rl_left", "rl_right", "hadamard_left",
            "hadamard_right", "katugampola_left", "katugampola_right",
@@ -55,51 +56,47 @@ def _finish(kernel_out, prefactor: float, full_output: bool):
     return prefactor * value
 
 
-def rl_left(f: RealFunction, alpha: float, a: float, x: float,
-            config: QuadratureConfig | None = None,
+def rl_left(f: RealFunction, alpha: float, a: float, x: float, *,
             full_output: bool = False):
     """Left Riemann-Liouville integral of order alpha, from a, at x > a."""
     _check_order(alpha)
     if not (math.isfinite(a) and math.isfinite(x) and a < x):
         raise DomainError("rl_left requires a < x")
-    out = power_kernel_integral(lambda w: f(x - w), x - a, alpha, config,
+    out = power_kernel_integral(lambda w: f(x - w), x - a, alpha,
                                 full_output=True)
     return _finish(out, 1.0 / math.gamma(alpha), full_output)
 
 
-def rl_right(f: RealFunction, alpha: float, x: float, b: float,
-             config: QuadratureConfig | None = None,
+def rl_right(f: RealFunction, alpha: float, x: float, b: float, *,
              full_output: bool = False):
     """Right Riemann-Liouville integral of order alpha, at x, up to b > x."""
     _check_order(alpha)
     if not (math.isfinite(x) and math.isfinite(b) and x < b):
         raise DomainError("rl_right requires x < b")
-    out = power_kernel_integral(lambda w: f(x + w), b - x, alpha, config,
+    out = power_kernel_integral(lambda w: f(x + w), b - x, alpha,
                                 full_output=True)
     return _finish(out, 1.0 / math.gamma(alpha), full_output)
 
 
-def hadamard_left(f: RealFunction, alpha: float, a: float, x: float,
-                  config: QuadratureConfig | None = None,
+def hadamard_left(f: RealFunction, alpha: float, a: float, x: float, *,
                   full_output: bool = False):
     """Left Hadamard integral of order alpha on (a, x) with 0 < a < x."""
     _check_order(alpha)
     if not (math.isfinite(a) and math.isfinite(x) and 0.0 < a < x):
         raise DomainError("hadamard_left requires 0 < a < x")
     out = power_kernel_integral(lambda w: f(x * np.exp(-w)), math.log(x / a),
-                                alpha, config, full_output=True)
+                                alpha, full_output=True)
     return _finish(out, 1.0 / math.gamma(alpha), full_output)
 
 
-def hadamard_right(f: RealFunction, alpha: float, x: float, b: float,
-                   config: QuadratureConfig | None = None,
+def hadamard_right(f: RealFunction, alpha: float, x: float, b: float, *,
                    full_output: bool = False):
     """Right Hadamard integral of order alpha on (x, b) with 0 < x < b."""
     _check_order(alpha)
     if not (math.isfinite(x) and math.isfinite(b) and 0.0 < x < b):
         raise DomainError("hadamard_right requires 0 < x < b")
     out = power_kernel_integral(lambda w: f(x * np.exp(w)), math.log(b / x),
-                                alpha, config, full_output=True)
+                                alpha, full_output=True)
     return _finish(out, 1.0 / math.gamma(alpha), full_output)
 
 
@@ -109,8 +106,7 @@ def _check_rho(rho: float) -> None:
 
 
 def katugampola_left(f: RealFunction, alpha: float, rho: float, a: float,
-                     x: float, config: QuadratureConfig | None = None,
-                     full_output: bool = False):
+                     x: float, *, full_output: bool = False):
     """Left Katugampola integral of order alpha and parameter rho.
 
     Requires 0 <= a < x.  The substitution w = x**rho - t**rho folds the
@@ -127,14 +123,12 @@ def katugampola_left(f: RealFunction, alpha: float, rho: float, a: float,
     def g(w):
         return f(np.maximum(xr - w, 0.0) ** inv)
 
-    out = power_kernel_integral(g, xr - a ** rho, alpha, config,
-                                full_output=True)
+    out = power_kernel_integral(g, xr - a ** rho, alpha, full_output=True)
     return _finish(out, rho ** (-alpha) / math.gamma(alpha), full_output)
 
 
 def katugampola_right(f: RealFunction, alpha: float, rho: float, x: float,
-                      b: float, config: QuadratureConfig | None = None,
-                      full_output: bool = False):
+                      b: float, *, full_output: bool = False):
     """Right Katugampola integral of order alpha and parameter rho.
 
     Requires 0 <= x < b; the kernel substitution is w = t**rho - x**rho.
@@ -149,14 +143,12 @@ def katugampola_right(f: RealFunction, alpha: float, rho: float, x: float,
     def g(w):
         return f((xr + w) ** inv)
 
-    out = power_kernel_integral(g, b ** rho - xr, alpha, config,
-                                full_output=True)
+    out = power_kernel_integral(g, b ** rho - xr, alpha, full_output=True)
     return _finish(out, rho ** (-alpha) / math.gamma(alpha), full_output)
 
 
 def xcp_norm(f: RealFunction, c: float, p: float,
-             interval: tuple[float, float],
-             config: QuadratureConfig | None = None) -> float:
+             interval: tuple[float, float]) -> float:
     """Weighted norm (integral of |t**c f(t)|**p dt/t)**(1/p) on (a, b).
 
     Requires 0 < a < b and p >= 1.  p = inf takes the max of |t**c f(t)|
@@ -176,11 +168,10 @@ def xcp_norm(f: RealFunction, c: float, p: float,
     def integrand(t):
         return np.abs(t ** c * f(t)) ** p / t
 
-    return integrate(integrand, a, b, config) ** (1.0 / p)
+    return integrate(integrand, a, b) ** (1.0 / p)
 
 
-def lq_norm_unit(h: RealFunction, q: float,
-                 config: QuadratureConfig | None = None) -> float:
+def lq_norm_unit(h: RealFunction, q: float) -> float:
     """L^q norm of h on (0, 1) for q > 1.
 
     Quadrature nodes stay interior to the interval, so integrable endpoint
@@ -193,4 +184,4 @@ def lq_norm_unit(h: RealFunction, q: float,
     def integrand(t):
         return np.abs(h(t)) ** q
 
-    return integrate(integrand, 0.0, 1.0, config) ** (1.0 / q)
+    return integrate(integrand, 0.0, 1.0) ** (1.0 / q)

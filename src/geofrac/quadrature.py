@@ -18,6 +18,9 @@ engine.  An operand with a power singularity of its own at w = 0 defeats
 the Jacobi panel; for it the integral is re-run once through the
 substitution v = w**exponent, which folds the kernel into the measure.
 
+Every integral runs at one fixed accuracy, set by the module constants
+REL_TOL, ABS_TOL, NODES and MAX_PANELS.
+
 Operands are array functions: an array of nodes in, the same shape out
 (a 0-d result broadcasts).  They are never probed: a scalar-only function
 is wrapped in :func:`pointwise`, and an operand's exceptions propagate.
@@ -27,44 +30,26 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadratureConfig", "DEFAULT_CONFIG", "integrate",
-           "power_kernel_integral", "as_array_function", "pointwise"]
+__all__ = ["integrate", "power_kernel_integral", "as_array_function",
+           "pointwise"]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and refinement limits for the adaptive engine.
+# One fixed accuracy for every integral.  The budget of an integral is
+# max(ABS_TOL, REL_TOL * |integral|): REL_TOL scales with its magnitude and
+# ABS_TOL is the floor for integrals near zero.  A panel of NODES nodes is
+# accepted when its bisection error estimate falls under its share of the
+# budget; MAX_PANELS bounds the refinement work before AccuracyError.
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+NODES = 16
+MAX_PANELS = 4096
 
-    rel_tol scales with the magnitude of the whole integral, abs_tol is the
-    floor for integrals near zero.  A panel is accepted when the bisection
-    error estimate falls under its share of the budget; max_panels bounds
-    the total refinement work before AccuracyError is raised.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    nodes_per_panel: int = 16
-    max_panels: int = 4096
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise DomainError("rel_tol must be positive and finite")
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise DomainError("abs_tol must be positive and finite")
-        if self.nodes_per_panel < 2:
-            raise DomainError("nodes_per_panel must be at least 2")
-        if self.max_panels < 4:
-            raise DomainError("max_panels must be at least 4")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 @functools.lru_cache(maxsize=16)
 def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +121,7 @@ def _check_exponent(exponent: float) -> None:
         raise DomainError("kernel exponent must be positive and finite")
 
 
-def integrate(f: Callable, lo: float, hi: float,
-              config: QuadratureConfig | None = None,
+def integrate(f: Callable, lo: float, hi: float, *,
               full_output: bool = False, exponent: float = 1.0):
     """Integral of (x - lo)**(exponent - 1) * f(x) over [lo, hi].
 
@@ -146,7 +130,6 @@ def integrate(f: Callable, lo: float, hi: float,
     Raises AccuracyError when the panel budget is exhausted before the
     tolerance is met (divergent or unresolvable integrands).
     """
-    cfg = config or DEFAULT_CONFIG
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
     if hi < lo:
@@ -156,7 +139,7 @@ def integrate(f: Callable, lo: float, hi: float,
         return (0.0, 0.0) if full_output else 0.0
 
     g = as_array_function(f)
-    xs, ws = _rule(cfg.nodes_per_panel)
+    xs, ws = _rule(NODES)
     n = xs.size
     span = hi - lo
     beta = exponent - 1.0
@@ -185,11 +168,11 @@ def integrate(f: Callable, lo: float, hi: float,
         return s1 * float(w1 @ vals[:n]), s2 * float(w2 @ vals[n:])
 
     whole = one_panel(lo, hi)
-    budget = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
+    budget = max(ABS_TOL, REL_TOL * abs(whole))
     # a panel may take its width's share of the budget or an equal 1/max
     # share; the latter keeps deep refinements near a hard point from
     # demanding ever smaller absolute errors than the sum requires
-    share = budget / cfg.max_panels
+    share = budget / MAX_PANELS
 
     total = 0.0
     err_total = 0.0
@@ -206,7 +189,7 @@ def integrate(f: Callable, lo: float, hi: float,
         if err <= budget * (b - a) / span or err <= share:
             total += fine
             err_total += err
-        elif panels >= cfg.max_panels or (b - a) <= span * 2.0 ** -50:
+        elif panels >= MAX_PANELS or (b - a) <= span * 2.0 ** -50:
             # budget exhausted or interval unresolvable: flush the best
             # available estimates, then report failure
             failure = ("quadrature did not converge (%d panels, estimate "
@@ -226,8 +209,7 @@ def integrate(f: Callable, lo: float, hi: float,
     return (total, err_total) if full_output else total
 
 
-def power_kernel_integral(g: Callable, upper: float, exponent: float,
-                          config: QuadratureConfig | None = None,
+def power_kernel_integral(g: Callable, upper: float, exponent: float, *,
                           full_output: bool = False):
     """Integral of w**(exponent-1) * g(w) over (0, upper).
 
@@ -248,7 +230,8 @@ def power_kernel_integral(g: Callable, upper: float, exponent: float,
     if upper == 0.0:
         return (0.0, 0.0) if full_output else 0.0
     try:
-        return integrate(g, 0.0, upper, config, full_output, exponent)
+        return integrate(g, 0.0, upper, full_output=full_output,
+                         exponent=exponent)
     except AccuracyError:
         if exponent == 1.0:
             raise  # the substitution is the identity: nothing to retry
@@ -258,7 +241,7 @@ def power_kernel_integral(g: Callable, upper: float, exponent: float,
     def transformed(v):
         return g(v ** inv)
 
-    value, err = integrate(transformed, 0.0, upper ** exponent, config,
+    value, err = integrate(transformed, 0.0, upper ** exponent,
                            full_output=True)
     value, err = value / exponent, err / exponent
     return (value, err) if full_output else value

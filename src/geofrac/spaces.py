@@ -297,11 +297,11 @@ class SpiderSpace(Space):
         rays1, r1 = A
         rays2, r2 = B
         # signed radius s = r1 + slope t: while s >= 0 the point sits at
-        # radius s on the first ray (the second if the segment starts at
-        # the hub); a segment between two rays passes the hub where s turns
-        # negative and goes on along the second ray at radius -s
+        # radius s on the first ray; a segment between two rays passes the
+        # hub where s turns negative and goes on along the second ray at
+        # radius -s (from a hub start, s >= 0 holds only at t = 0)
         slope = np.where(rays1 == rays2, r2 - r1, -(r1 + r2))
-        return r1, slope, np.where(r1 > 0.0, rays1, rays2), rays2, r2
+        return r1, slope, rays1, rays2, r2
 
     def _along(self, ends, t):
         r1, slope, ray_a, ray_b, r2 = ends

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from geofrac import (CHAIN_NAMES, DEFAULT_CONFIG, Geodesic, TheoremParams,
+from geofrac import (CHAIN_NAMES, Geodesic, TheoremParams,
                      check_convex, check_h_convex, classic_hh, compute_C,
                      compute_C_oracle, corollary_distance, distance,
                      distance_between_geodesics_function, euclidean,
@@ -21,6 +21,7 @@ from geofrac import (CHAIN_NAMES, DEFAULT_CONFIG, Geodesic, TheoremParams,
                      rl_right, sample_points, scalar_pullback, spider,
                      squared_distance_function, thm_cb1, thm_cb2, thm_ty1)
 from geofrac.cli import main as cli_main
+from geofrac.quadrature import REL_TOL
 from geofrac.spaces import (busemann_gap_batch, cn_gap_batch,
                             comparison_gap_batch, four_point_gap_batch,
                             sturm_gap_batch)
@@ -96,7 +97,7 @@ def test_criterion_1_operator_oracles(capsys):
         # rho = 1 collapses to Riemann-Liouville within quadrature tolerance
         check("reduction a%.2f" % alpha,
               katugampola_left(_unit, alpha, 1.0, a, x),
-              rl_left(_unit, alpha, a, x), tol=DEFAULT_CONFIG.rel_tol)
+              rl_left(_unit, alpha, a, x), tol=REL_TOL)
         # rho -> 0 walks monotonically into the Hadamard value at x = e
         target = 1.0 / gam
         errs = [abs(katugampola_left(_unit, alpha, rho, 1.0, math.e) - target)

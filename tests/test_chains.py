@@ -10,12 +10,13 @@ from geofrac.chains import (CHAIN_NAMES, CompositeOperand, InequalityReport,
                             compute_C_oracle, compute_E, conde_hh,
                             corollary_distance, falsify_search, h_hh,
                             thm_cb1, thm_cb2, thm_ty1)
-from geofrac.convexity import (h_function, on_geodesic, scalar_pullback,
+from geofrac.convexity import (distance_between_geodesics_function,
+                               h_function, on_geodesic, scalar_pullback,
                                squared_distance_function)
 from geofrac.errors import AccuracyError, DomainError, SpaceMismatchError
 from geofrac.quadrature import integrate
-from geofrac.spaces import (Geodesic, euclidean, half_plane, random_geodesic,
-                            spider)
+from geofrac.spaces import (Geodesic, distance, euclidean, half_plane,
+                            random_geodesic, spider)
 
 
 def _values(report):
@@ -71,6 +72,25 @@ def test_composite_operand_powers():
     assert op(np.array([1.0 + 1e-12]))[0] == pytest.approx(1.0)
     with pytest.raises(DomainError):
         CompositeOperand(lambda t: t, 0.0)
+
+
+@pytest.mark.parametrize("space", [half_plane(), spider(3)],
+                         ids=lambda s: s.name)
+def test_pullbacks_keep_the_input_shape(space):
+    # the pullbacks are array functions, so they pass as operands as they are
+    rng = np.random.default_rng(3)
+    g1, g2 = random_geodesic(space, rng), random_geodesic(space, rng)
+    y = g2.eval(0.3)
+    x = np.full((2, 2), 0.5)
+    cases = [(on_geodesic(squared_distance_function(space, y), g1),
+              distance(g1.eval(0.5), y) ** 2),
+             (distance_between_geodesics_function(g1, g2),
+              distance(g1.eval(0.5), g2.eval(0.5)) ** 2)]
+    for pullback, want in cases:
+        out = CompositeOperand(pullback, 1.0)(x)
+        assert out.shape == (2, 2)
+        assert np.all(out == pytest.approx(want, rel=1e-14))
+        assert pullback(0.5).shape == ()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +211,7 @@ def test_cb1_holder_step_bound():
     from geofrac.chains import _exact_h_term
     from geofrac.fractional import lq_norm_unit
     hf = h_function("identity")
-    exact = _exact_h_term(hf, UNIT_PARAMS, None)
+    exact = _exact_h_term(hf, UNIT_PARAMS)
     bound = 1.0 * (1.0 / 1.0) ** 0.5 * lq_norm_unit(hf, 2.0)
     assert exact == pytest.approx(0.5, rel=1e-10)
     assert bound == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-10)
@@ -209,7 +229,7 @@ def test_exact_h_term_closed_forms(alpha, rho):
     cases += [("power(%r)" % k, alpha / (alpha + k))
               for k in (0.25, 0.6, 2.0)]
     for name, want in cases:
-        got = _exact_h_term(h_function(name), p, None)
+        got = _exact_h_term(h_function(name), p)
         assert got == pytest.approx(want, rel=1e-10), name
 
 
@@ -283,7 +303,7 @@ def test_compute_c_oracle_agrees_on_grid():
     for alpha in (0.5, 1.0, 2.0, 3.0):
         for rho in (0.5, 1.0, 2.0):
             for a, b in ((0.0, 1.0), (0.25, 0.75), (0.5, 1.0)):
-                closed = compute_C(alpha, rho, a, b, check=True)
+                closed = compute_C(alpha, rho, a, b)
                 oracle = compute_C_oracle(alpha, rho, a, b)
                 assert closed == pytest.approx(oracle, abs=1e-8)
                 assert closed >= 0.0

@@ -118,6 +118,10 @@ def test_fracint_csv_row():
      "--a", "0", "--x", "1"],
     ["fracint", "--op", "rl-left", "--alpha", "1", "--f", "t",
      "--a", "0", "--x", "1", "--tol", "0"],
+    ["fracint", "--op", "rl-left", "--alpha", "1", "--f", "t",
+     "--a", "0", "--x", "1", "--tol", "nan"],
+    ["fracint", "--op", "rl-left", "--alpha", "1", "--f", "t",
+     "--a", "0", "--x", "1", "--tol", "inf"],
 ])
 def test_fracint_usage_errors(argv):
     code, _, _ = _run(argv)

@@ -7,9 +7,8 @@ import pytest
 
 from geofrac.errors import AccuracyError, DomainError
 from geofrac.fractional import rl_left
-from geofrac.quadrature import (QuadratureConfig, _jacobi_rule,
-                                as_array_function, integrate, pointwise,
-                                power_kernel_integral)
+from geofrac.quadrature import (_jacobi_rule, as_array_function, integrate,
+                                pointwise, power_kernel_integral)
 
 
 def test_polynomial_is_exact():
@@ -85,15 +84,17 @@ def test_divergent_integrand_raises_accuracy_error():
     assert math.isfinite(info.value.error)
 
 
-def test_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(nodes_per_panel=1)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_panels=2)
+def test_options_are_keyword_only():
+    # accuracy is fixed: a fourth positional argument (once a config) is
+    # rejected instead of binding to full_output
+    with pytest.raises(TypeError):
+        integrate(np.exp, 0.0, 1.0, None)
+    with pytest.raises(TypeError):
+        integrate(np.exp, 0.0, 1.0, True)
+    with pytest.raises(TypeError):
+        power_kernel_integral(np.exp, 1.0, 0.5, True)
+    with pytest.raises(TypeError):
+        rl_left(np.exp, 0.5, 0.0, 1.0, None)
 
 
 EXPONENTS = [0.05, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]

@@ -96,18 +96,26 @@ def test_euclidean_geodesic_is_affine():
 
 
 def test_geodesic_endpoints_are_exact():
+    geodesics = []
     for space in ALL_SPACES:
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            g = random_geodesic(space, rng)
-            assert g.eval(0.0) is g.start
-            assert g.eval(1.0) is g.end
-            # pinned, not the roundoff of A + 1 * (B - A) or of the
-            # Moebius round trip
-            batch = g.eval_batch([0.0, 1.0])
-            for i, end in enumerate((g.start, g.end)):
-                assert (space._coords_json(space._single(batch, i))
-                        == space._coords_json(end.coords)), space.name
+        geodesics += [random_geodesic(space, rng) for _ in range(5)]
+    # a spider geodesic from the hub keeps the start's ray label at t = 0,
+    # alone and as a product factor
+    s3e2 = product(S3, E2)
+    geodesics += [Geodesic(S3.point(0, 0.0), S3.point(1, 1.0)),
+                  Geodesic(s3e2.point(((0, 0.0), (0.0, 0.0))),
+                           s3e2.point(((2, 1.5), (1.0, 0.0))))]
+    for g in geodesics:
+        space = g.space
+        assert g.eval(0.0) is g.start
+        assert g.eval(1.0) is g.end
+        # pinned, not the roundoff of A + 1 * (B - A) or of the
+        # Moebius round trip
+        batch = g.eval_batch([0.0, 1.0])
+        for i, end in enumerate((g.start, g.end)):
+            assert (space._coords_json(space._single(batch, i))
+                    == space._coords_json(end.coords)), space.name
 
 
 def test_half_plane_vertical_midpoint():
