@@ -518,7 +518,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     Instances whose convexity precondition fails on the sampled grid are
     discarded (counted, not treated as violations); quadrature failures
     are likewise counted and skipped.  Identical (chain, space, trials,
-    seed, tol) inputs give identical summaries.
+    seed, tol) inputs give identical summaries; seed must be >= 0.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that
@@ -532,6 +532,8 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     trials = int(trials)
     if trials < 0:
         raise DomainError("trials must be >= 0")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     evaluated = discarded = failures = violations = 0
     worst_margin = None

@@ -78,14 +78,14 @@ def parse_space(text: str) -> Space:
             raise DomainError("product takes two comma-separated factors,"
                               " got %r" % text)
         return product(parse_space(parts[0]), parse_space(parts[1]))
-    m = re.fullmatch(r"euclidean\(?([0-9]+)\)?", s)
+    m = re.fullmatch(r"euclidean([0-9]+|\([0-9]+\))", s)
     if m is not None:
-        return euclidean(int(m.group(1)))
+        return euclidean(int(m.group(1).strip("()")))
     if s in ("halfplane", "half_plane", "half-plane"):
         return half_plane()
-    m = re.fullmatch(r"spider\(?([0-9]+)\)?", s)
+    m = re.fullmatch(r"spider([0-9]+|\([0-9]+\))", s)
     if m is not None:
-        return spider(int(m.group(1)))
+        return spider(int(m.group(1).strip("()")))
     raise DomainError("unknown space %r (try euclidean2, halfplane,"
                       " spider3, or product(...,...))" % text)
 
@@ -507,7 +507,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the report to PATH instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=1e-8)
+
+    def checked(p):
+        # fracint reports check nothing, so only the other commands take
+        # a tolerance
+        common(p)
+        p.add_argument("--tol", type=float, default=1e-8,
+                       help="tolerance of the report's checks")
 
     v = sub.add_parser("verify", help="falsification and regression suites")
     v.add_argument("--suite", default="all",
@@ -515,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--space", default="euclidean2")
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--seed", type=int, default=0)
-    common(v)
+    checked(v)
 
     s = sub.add_parser("sweep", help="one chain over a parameter grid")
     s.add_argument("chain", help="chain name, e.g. thm_ty1")
@@ -527,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--h", default="identity")
     s.add_argument("--q", type=float, default=2.0,
                    help="Holder exponent (thm_cb1 only)")
-    common(s)
+    checked(s)
 
     c = sub.add_parser("constants", help="C and E constants over a grid")
     c.add_argument("--which", choices=("C", "E", "both"), default="both")
@@ -537,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--b-values", dest="b_values", default="0.75,1")
     c.add_argument("--h", default="constant_one",
                    help="weight for E (constant_one enables its oracle)")
-    common(c)
+    checked(c)
 
     f = sub.add_parser("fracint", help="evaluate one fractional integral")
     f.add_argument("--op", required=True, choices=sorted(_OPS))
@@ -566,7 +572,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (TypeError, ValueError):
             return 2
     try:
-        if not (args.tol > 0 and math.isfinite(args.tol)):
+        if "tol" in args and not (args.tol > 0 and math.isfinite(args.tol)):
             raise DomainError("--tol must be positive and finite")
         payload, code = _RUNNERS[args.command](args)
         _write(_render(payload, args.format), args.out)

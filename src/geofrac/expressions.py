@@ -1,10 +1,11 @@
 """Tiny formula language for real functions of one variable t.
 
-Grammar (whitespace insensitive; the unicode minus and middle dot are
-accepted as aliases of '-' and '*'):
+Grammar (whitespace insensitive; the unicode minus '−' and middle dot
+'·' are accepted as aliases of '-' and '*'; a plain '.' is not an
+operator):
 
     expr     := term (('+' | '-') term)*
-    term     := factor (('*' | '.') factor)*
+    term     := factor ('*' factor)*
     factor   := '-' factor | power
     power    := atom ('^' exponent)?
     atom     := NUMBER | 't' | '(' expr ')'

@@ -5,11 +5,14 @@ spider trees (k rays glued at a hub, k <= 16), and l2 products of any two
 spaces.  Every space provides an exact distance and exact constant-speed
 geodesics; no geodesic is obtained by numerical optimization.
 
-Half-plane geodesics are computed by conjugating with the Moebius map that
-sends the geodesic's ideal endpoints to 0 and infinity, interpolating
-exponentially on the resulting vertical line, and mapping back.  Spider
-geodesics run piecewise through the hub.  Product geodesics interpolate
-coordinatewise.
+Half-plane geodesics come from the hyperboloid model (Bridson & Haefliger,
+Metric Spaces of Non-Positive Curvature, 1999, I.2), where the geodesic
+from P to Q at distance d is (sinh((1-t)d) P + sinh(td) Q) / sinh d.  Both
+1/y and x/y are linear in hyperboloid coordinates, so the point at t is
+y = 1/(c1 + c2), x = (c1 x1 + c2 x2) y with weights
+c1 = sinh((1-t)d) / (y1 sinh d) and c2 = sinh(td) / (y2 sinh d): one
+formula for every pair, vertical or not.  Spider geodesics run piecewise
+through the hub.  Product geodesics interpolate coordinatewise.
 
 On top of the spaces the module exposes comparison quantities, each
 returned as (bound) - (value) so nonnegative results certify the defining
@@ -44,9 +47,6 @@ __all__ = ["Space", "Point", "Geodesic", "euclidean", "half_plane", "spider",
            "sturm_gap", "cn_gap_batch", "busemann_gap_batch",
            "comparison_gap_batch", "four_point_gap_batch", "sturm_gap_batch",
            "sample_points", "random_point", "random_geodesic"]
-
-_VERTICAL_RTOL = 1e-13
-
 
 class Point:
     """A point of a model space; coords layout is space-specific."""
@@ -198,53 +198,26 @@ class HalfPlaneSpace(Space):
     def _dist(self, A, B):
         dx = A[:, 0] - B[:, 0]
         dy = A[:, 1] - B[:, 1]
-        arg = 1.0 + (dx * dx + dy * dy) / (2.0 * A[:, 1] * B[:, 1])
-        return np.arccosh(np.maximum(arg, 1.0))
-
-    @staticmethod
-    def _mobius(x1, y1, x2, y2):
-        # circle through both points orthogonal to the real axis; the map
-        # z -> (z - p) / (q - z) sends its ideal endpoints p, q to 0, inf
-        c = (x2 * x2 + y2 * y2 - x1 * x1 - y1 * y1) / (2.0 * (x2 - x1))
-        r = np.hypot(x1 - c, y1)
-        p = c - r
-        q = c + r
-        z1 = x1 + 1j * y1
-        z2 = x2 + 1j * y2
-        u1 = ((z1 - p) / (q - z1)).imag
-        u2 = ((z2 - p) / (q - z2)).imag
-        return p, q, u1, u2
+        # 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) keeps the digits of close
+        # pairs that arccosh(1 + ...) rounds away
+        return 2.0 * np.arcsinh(np.sqrt((dx * dx + dy * dy)
+                                        / (4.0 * A[:, 1] * B[:, 1])))
 
     def _ends(self, A, B):
-        x1, y1 = A[:, 0], A[:, 1]
-        x2, y2 = B[:, 0], B[:, 1]
-        scale = np.maximum(1.0, np.maximum(np.abs(x1), np.abs(x2)))
-        vert = np.abs(x2 - x1) <= _VERTICAL_RTOL * scale
-        if not vert.any():
-            p, q, u1, u2 = self._mobius(x1, y1, x2, y2)
-            return A, B, None, p, q, u1, np.log(u2 / u1)
-        # vertical rows move exponentially in y at their mean x; p = q = 0
-        # keeps their unused Moebius branch finite
-        gen = ~vert
-        p, q = np.zeros_like(x1), np.zeros_like(x1)
-        u1, u2 = y1.copy(), y2.copy()
-        p[gen], q[gen], u1[gen], u2[gen] = self._mobius(x1[gen], y1[gen],
-                                                        x2[gen], y2[gen])
-        return (A, B, (vert, 0.5 * (x1 + x2)), p, q, u1,
-                np.log(u2 / u1))
+        # below the floor sinh(s d) / sinh d equals s to double precision,
+        # and a zero-length geodesic keeps finite weights
+        d = np.maximum(self._dist(A, B), 1e-8)
+        s = np.sinh(d)
+        return A, B, d, 1.0 / (A[:, 1] * s), 1.0 / (B[:, 1] * s)
 
     def _along(self, ends, t):
-        A, B, vertical, p, q, u1, lam = ends
+        A, B, d, w1, w2 = ends
         t = np.asarray(t, dtype=float)
-        u = u1 * np.exp(t * lam)
-        z = (q * 1j * u + p) / (1j * u + 1.0)
-        x, y = z.real, z.imag
-        if vertical is not None:
-            vert, xm = vertical
-            x = np.where(vert, xm, x)
-            y = np.where(vert, u, y)
-        out = np.stack((x, y), axis=-1)
-        # the ends are exact, not the roundoff of the Moebius round trip
+        c1 = np.sinh((1.0 - t) * d) * w1
+        c2 = np.sinh(t * d) * w2
+        y = 1.0 / (c1 + c2)
+        out = np.stack(((c1 * A[:, 0] + c2 * B[:, 0]) * y, y), axis=-1)
+        # the ends are exact, not the roundoff of the weights
         for at, P in ((t == 0.0, A), (t == 1.0, B)):
             if np.count_nonzero(at):
                 out = np.where(at[..., None], P, out)

@@ -486,6 +486,11 @@ def test_falsify_unknown_chain():
     assert "thm_cb1" in CHAIN_NAMES
 
 
+def test_falsify_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError, match="seed"):
+        falsify_search("classic_hh", euclidean(2), 1, seed=-1)
+
+
 def test_falsify_is_deterministic():
     a = falsify_search("thm_ty1", euclidean(2), 10, seed=7)
     b = falsify_search("thm_ty1", euclidean(2), 10, seed=7)

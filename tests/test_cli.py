@@ -48,7 +48,7 @@ def test_parse_space_forms():
 @pytest.mark.parametrize("bad", [
     "klein", "euclidean", "euclidean0", "euclidean99", "spider1",
     "product(euclidean2)", "product(euclidean2,spider3,spider4)",
-    "product(euclidean2", "hyperbolic3",
+    "product(euclidean2", "hyperbolic3", "euclidean(2", "spider3)",
 ])
 def test_parse_space_rejects(bad):
     with pytest.raises(DomainError):
@@ -122,6 +122,9 @@ def test_fracint_csv_row():
      "--a", "0", "--x", "1", "--tol", "nan"],
     ["fracint", "--op", "rl-left", "--alpha", "1", "--f", "t",
      "--a", "0", "--x", "1", "--tol", "inf"],
+    # fracint checks nothing, so it takes no tolerance at all
+    ["fracint", "--op", "rl-left", "--alpha", "1", "--f", "t",
+     "--a", "0", "--x", "1", "--tol", "1e-3"],
 ])
 def test_fracint_usage_errors(argv):
     code, _, _ = _run(argv)
@@ -147,6 +150,22 @@ def test_verify_unknown_suite_is_usage_error():
 def test_verify_negative_trials_is_usage_error():
     code, _, _ = _run(["verify", "--suite", "regression", "--trials", "-1"])
     assert code == 2
+
+
+def test_verify_negative_seed_is_usage_error():
+    code, out, err = _run(["verify", "--suite", "classic_hh", "--trials",
+                           "1", "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "seed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+def test_verify_tol_must_be_positive_and_finite(tol):
+    code, out, err = _run(["verify", "--suite", "regression", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
 
 
 def test_verify_corollary_zero_trials_empty_summary():

@@ -48,6 +48,22 @@ def test_half_plane_symmetric_arc_distance():
     assert d == pytest.approx(math.acosh(3.0), rel=1e-14)
 
 
+def test_half_plane_distance_keeps_close_pairs():
+    # arccosh(1 + delta) rounds separations below about 1e-8 to 0
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    for sep in np.logspace(-12.0, 0.0, 25):
+        x1, y1 = rng.normal(), 1.0 + rng.lognormal(0.0, 0.5)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        x2, y2 = x1 + sep * math.cos(theta), y1 + sep * math.sin(theta)
+        got = distance(H.point(x1, y1), H.point(x2, y2))
+        with mp.workdps(50):
+            X1, Y1, X2, Y2 = (mp.mpf(v) for v in (x1, y1, x2, y2))
+            exact = mp.acosh(1 + ((X1 - X2) ** 2 + (Y1 - Y2) ** 2)
+                             / (2 * Y1 * Y2))
+            assert abs(got - exact) <= 1e-14 * exact, sep
+
+
 def test_spider_distances():
     assert distance(S3.point(0, 1.0), S3.point(0, 3.0)) == 2.0
     assert distance(S3.point(0, 1.0), S3.point(1, 2.0)) == 3.0
@@ -143,6 +159,64 @@ def test_near_vertical_pair_uses_stable_branch():
     mid = g.eval(0.5)
     assert abs(mid.coords[0]) < 1e-15
     assert mid.coords[1] == pytest.approx(math.sqrt(2.0), rel=1e-13)
+
+
+def _mobius_oracle(mp, x1, y1, x2, y2, t):
+    # the geodesic through the Moebius map sending its ideal endpoints to
+    # 0 and infinity, where it is the exponential on the imaginary axis
+    x1, y1, x2, y2, t = (mp.mpf(v) for v in (x1, y1, x2, y2, t))
+    if x1 == x2:
+        return x1, y1 * (y2 / y1) ** t
+    c = (x2 * x2 + y2 * y2 - x1 * x1 - y1 * y1) / (2 * (x2 - x1))
+    r = mp.sqrt((x1 - c) ** 2 + y1 * y1)
+    p, q = c - r, c + r
+    u1 = ((mp.mpc(x1, y1) - p) / (q - mp.mpc(x1, y1))).imag
+    u2 = ((mp.mpc(x2, y2) - p) / (q - mp.mpc(x2, y2))).imag
+    w = mp.mpc(0, u1 * (u2 / u1) ** t)
+    z = (q * w + p) / (w + 1)
+    return z.real, z.imag
+
+
+def test_half_plane_geodesic_matches_mobius_oracle():
+    mp = pytest.importorskip("mpmath")
+    pairs = [(0.3, 1.0, 0.3 + dx, 3.0)
+             for dx in (0.0, 1e-13, 2e-13, 1e-12, 1e-9, 1e-6, 1e-3)]
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        pairs.append((rng.normal(), rng.lognormal(0.0, 0.5),
+                      rng.normal(), rng.lognormal(0.0, 0.5)))
+    ts = np.linspace(0.0, 1.0, 17)
+    for x1, y1, x2, y2 in pairs:
+        got = Geodesic(H.point(x1, y1), H.point(x2, y2)).eval_batch(ts)
+        bound = 1e-14 * max(abs(x1), abs(x2), y1, y2)
+        for t, (x, y) in zip(ts, got):
+            with mp.workdps(40):
+                ox, oy = _mobius_oracle(mp, x1, y1, x2, y2, t)
+                assert abs(x - ox) <= bound, (x1, y1, x2, y2, t)
+                assert abs(y - oy) <= bound, (x1, y1, x2, y2, t)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.name)
+def test_zero_length_geodesic_stays_at_its_point(space):
+    rng = np.random.default_rng(13)
+    ts = np.linspace(0.0, 1.0, 9)
+    for _ in range(20):
+        p = space.random_point(rng)
+        g = Geodesic(p, p)
+        assert g.length == 0.0
+        want = _flat(space._stack([p.coords] * ts.size))
+        got = _flat(g.eval_batch(ts))
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+        for t in ts:
+            one = _flat(space._stack([g.eval(t).coords]))
+            assert np.allclose(one, want[:1], rtol=1e-15, atol=0.0)
+
+
+def _flat(batch):
+    # a coordinate batch as one float array (rays become floats)
+    if isinstance(batch, tuple):
+        return np.column_stack([_flat(b) for b in batch])
+    return np.asarray(batch, dtype=float).reshape(len(batch), -1)
 
 
 def test_spider_geodesic_passes_through_hub():
