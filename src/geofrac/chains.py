@@ -6,6 +6,15 @@ from Katugampola integrals of composite operands x -> f(gamma(x^rho)).
 Each evaluator returns an InequalityReport: labeled side values, the
 consecutive margins, and a pass flag (every margin >= -tol).
 
+The endpoint sides of the fractional chains carry constants of h alone
+(`_exact_h_term`, `_k0_term`, `compute_E`).  The Katugampola integral of
+phi(x^rho) is rho^(-alpha) times a Riemann-Liouville integral of phi in
+u = x^rho (Katugampola, AMC 218, 2011), so after the chains'
+rho^alpha Gamma(alpha+1) normalisation each such constant is
+alpha Int w^(alpha-1) h(.) dw, one power-kernel integral in which rho
+enters only through a^rho and b^rho.  Only the geodesic operand goes
+through the Katugampola operators.
+
 Two printed formula variants with a suspected normalization problem are
 computed alongside the asserted forms and stored in report extras rather
 than asserted:
@@ -225,14 +234,17 @@ def _exact_h_term(hf: HFunction, p: TheoremParams) -> float:
 
 
 def _k0_term(hf: HFunction, p: TheoremParams) -> float:
-    # rho^alpha Gamma(alpha+1) times the left operator of h(x^rho) at 1
-    operand = CompositeOperand(hf, p.rho)
-    k0 = katugampola_left(operand, p.alpha, p.rho, 0.0, 1.0)
-    return p.rho ** p.alpha * math.gamma(p.alpha + 1.0) * k0
+    # the normalised left operator of h(x^rho) on (0, 1):
+    # alpha Int_0^1 w^(alpha - 1) h(1 - w) dw
+    return p.alpha * power_kernel_integral(lambda w: hf(1.0 - w), 1.0,
+                                           p.alpha)
 
 
-def _operator_mean(F: CompositeOperand, p: TheoremParams, h_half: float,
+def _operator_mean(fg: Callable, p: TheoremParams, h_half: float,
                    right_interval: Tuple[float, float]) -> float:
+    # the normalised operator side of the pullback fg on [a, b] and on
+    # right_interval, both through the operand x -> fg(x^rho)
+    F = CompositeOperand(fg, p.rho)
     lo, hi = right_interval
     kl = katugampola_left(F, p.alpha, p.rho, p.a, p.b)
     kr = katugampola_right(F, p.alpha, p.rho, lo, hi)
@@ -256,9 +268,8 @@ def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
     hf = h_function(h)
     h_half = float(hf(0.5))
     fg = on_geodesic(f, g)
-    F = CompositeOperand(fg, p.rho)
     mid = float(fg(0.5 * (p.a ** p.rho + p.b ** p.rho)))
-    ops = _operator_mean(F, p, h_half, (p.a, p.b))
+    ops = _operator_mean(fg, p, h_half, (p.a, p.b))
     f_ends = float(fg(p.a ** p.rho) + fg(p.b ** p.rho))
     if holder:
         term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
@@ -312,9 +323,8 @@ def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     hf = h_function(h)
     h_half = float(hf(0.5))
     fg = on_geodesic(f, g)
-    F = CompositeOperand(fg, p.rho)
     mid = float(fg(0.5))
-    ops = _operator_mean(F, p, h_half, _reflected(p))
+    ops = _operator_mean(fg, p, h_half, _reflected(p))
     ends = (float(fg(0.0) + fg(1.0))
             * compute_E(hf, p.alpha, p.rho, p.a, p.b) / _den(p))
     return _report("thm_ty1",
@@ -360,15 +370,25 @@ def compute_C_oracle(alpha: float, rho: float, a: float, b: float) -> float:
 
 def compute_E(h: Union[str, HFunction, Callable], alpha: float, rho: float,
               a: float, b: float) -> float:
-    """Kernel constant of the reflected-interval chain's endpoint side."""
+    """Kernel constant of the reflected-interval chain's endpoint side.
+
+    h(1/2) times the normalised left operator of h(x^rho) on [a, b] plus
+    the right one on the reflected interval.  Both kernels run over
+    (0, b^rho - a^rho), so the constant is one integral:
+
+        alpha h(1/2) Int w^(alpha-1) [h(b^rho - w) + h(1 - b^rho + w)] dw.
+    """
     p = TheoremParams(alpha, rho, a, b)
     hf = h_function(h)
-    operand = CompositeOperand(hf, p.rho)
-    s, c = _reflected(p)
-    kl = katugampola_left(operand, p.alpha, p.rho, p.a, p.b)
-    kr = katugampola_right(operand, p.alpha, p.rho, s, c)
-    return (p.rho ** p.alpha * math.gamma(p.alpha + 1.0) * float(hf(0.5))
-            * (kl + kr))
+    br = p.b ** p.rho
+
+    def both(w):
+        # arguments clipped to [0, 1] to absorb roundoff at the kernel end
+        return (hf(np.clip(br - w, 0.0, 1.0))
+                + hf(np.clip(1.0 - br + w, 0.0, 1.0)))
+
+    return (p.alpha * float(hf(0.5))
+            * power_kernel_integral(both, br - p.a ** p.rho, p.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +425,8 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     _require_dominating_h(hf)
     h_half = float(hf(0.5))
     gd = distance_between_geodesics_function(g1, g2)
-    G = CompositeOperand(gd, p.rho)
     mid = float(gd(0.5))
-    ops = _operator_mean(G, p, h_half, _reflected(p))
+    ops = _operator_mean(gd, p, h_half, _reflected(p))
     sigma = float(gd(0.0) + gd(1.0))
     e_val = compute_E(hf, p.alpha, p.rho, p.a, p.b)
     c_val = compute_C(p.alpha, p.rho, p.a, p.b)

@@ -10,7 +10,8 @@ Four subcommands:
 Reports are deterministic: the same flags and seed produce byte-identical
 output.  JSON is written with sorted keys, two-space indentation, and a
 schema field; CSV headers are fixed per command.  Exit codes: 0 clean,
-1 a violated inequality or lost accuracy, 2 usage or parse errors.
+1 a violated inequality or lost accuracy, 2 usage or parse errors,
+including an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import re
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .chains import (CHAIN_NAMES, TheoremParams, chain_spec, classic_hh,
                      compute_C, compute_C_oracle, compute_E, conde_hh,
@@ -103,6 +105,14 @@ def _parse_grid(text: str, flag: str) -> List[float]:
     if not vals:
         raise DomainError("%s: empty grid" % flag)
     return vals
+
+
+def _grid(args) -> Iterator[Tuple[float, float, float, float]]:
+    """(alpha, rho, a, b) over the four grid flags, alpha slowest."""
+    return itertools.product(_parse_grid(args.alphas, "--alphas"),
+                             _parse_grid(args.rhos, "--rhos"),
+                             _parse_grid(args.a_values, "--a-values"),
+                             _parse_grid(args.b_values, "--b-values"))
 
 
 def _suite_chains(suite: str) -> List[str]:
@@ -269,10 +279,7 @@ def _run_sweep(args) -> Tuple[dict, int]:
     chain = _SUITE_ALIASES.get(args.chain, args.chain)
     spec = chain_spec(chain)
     space = parse_space(args.space)
-    alphas = _parse_grid(args.alphas, "--alphas")
-    rhos = _parse_grid(args.rhos, "--rhos")
-    avals = _parse_grid(args.a_values, "--a-values")
-    bvals = _parse_grid(args.b_values, "--b-values")
+    grid = _grid(args)
     g, y = _fixed_instance(space)
     f = squared_distance_function(space, y)
     if spec.two_geodesics:
@@ -281,19 +288,14 @@ def _run_sweep(args) -> Tuple[dict, int]:
     q = args.q if spec.needs_q else None
     rows = []
     violations = 0
-    for alpha in alphas:
-        for rho in rhos:
-            for a in avals:
-                for b in bvals:
-                    p = TheoremParams(alpha, rho, a, b, q)
-                    report = spec.evaluate(f, g, hname, p, tol=args.tol)
-                    d = report.to_dict()
-                    rows.append({"alpha": alpha, "rho": rho, "a": a, "b": b,
-                                 "q": q, "sides": d["sides"],
-                                 "margins": d["margins"],
-                                 "pass": d["pass"]})
-                    if not d["pass"]:
-                        violations += 1
+    for alpha, rho, a, b in grid:
+        p = TheoremParams(alpha, rho, a, b, q)
+        d = spec.evaluate(f, g, hname, p, tol=args.tol).to_dict()
+        rows.append({"alpha": alpha, "rho": rho, "a": a, "b": b, "q": q,
+                     "sides": d["sides"], "margins": d["margins"],
+                     "pass": d["pass"]})
+        if not d["pass"]:
+            violations += 1
     payload = {"schema": SCHEMA_VERSION, "command": "sweep", "chain": chain,
                "space": space.name, "h": hname, "tol": float(args.tol),
                "rows": rows, "violations": violations,
@@ -302,46 +304,34 @@ def _run_sweep(args) -> Tuple[dict, int]:
 
 
 def _run_constants(args) -> Tuple[dict, int]:
-    alphas = _parse_grid(args.alphas, "--alphas")
-    rhos = _parse_grid(args.rhos, "--rhos")
-    avals = _parse_grid(args.a_values, "--a-values")
-    bvals = _parse_grid(args.b_values, "--b-values")
     rows = []
     failures = 0
-    for alpha in alphas:
-        for rho in rhos:
-            for a in avals:
-                for b in bvals:
-                    if a >= b:
-                        raise DomainError(
-                            "constants grid needs a < b, got a=%g b=%g"
-                            % (a, b))
-                    if args.which in ("C", "both"):
-                        val = compute_C(alpha, rho, a, b)
-                        oracle = compute_C_oracle(alpha, rho, a, b)
-                        err = abs(val - oracle)
-                        ok = val >= 0.0 and err <= args.tol
-                        rows.append({"constant": "C", "h": None,
-                                     "alpha": alpha, "rho": rho,
-                                     "a": a, "b": b, "value": val,
-                                     "oracle": oracle, "abs_error": err,
-                                     "pass": ok})
-                        failures += 0 if ok else 1
-                    if args.which in ("E", "both"):
-                        val = compute_E(args.h, alpha, rho, a, b)
-                        oracle = None
-                        err = None
-                        ok = True
-                        if args.h == "constant_one":
-                            oracle = 2.0 * (b ** rho - a ** rho) ** alpha
-                            err = abs(val - oracle)
-                            ok = err <= args.tol
-                        rows.append({"constant": "E", "h": args.h,
-                                     "alpha": alpha, "rho": rho,
-                                     "a": a, "b": b, "value": val,
-                                     "oracle": oracle, "abs_error": err,
-                                     "pass": ok})
-                        failures += 0 if ok else 1
+    for alpha, rho, a, b in _grid(args):
+        if a >= b:
+            raise DomainError("constants grid needs a < b, got a=%g b=%g"
+                              % (a, b))
+        if args.which in ("C", "both"):
+            val = compute_C(alpha, rho, a, b)
+            oracle = compute_C_oracle(alpha, rho, a, b)
+            err = abs(val - oracle)
+            ok = val >= 0.0 and err <= args.tol
+            rows.append({"constant": "C", "h": None, "alpha": alpha,
+                         "rho": rho, "a": a, "b": b, "value": val,
+                         "oracle": oracle, "abs_error": err, "pass": ok})
+            failures += 0 if ok else 1
+        if args.which in ("E", "both"):
+            val = compute_E(args.h, alpha, rho, a, b)
+            oracle = None
+            err = None
+            ok = True
+            if args.h == "constant_one":
+                oracle = 2.0 * (b ** rho - a ** rho) ** alpha
+                err = abs(val - oracle)
+                ok = err <= args.tol
+            rows.append({"constant": "E", "h": args.h, "alpha": alpha,
+                         "rho": rho, "a": a, "b": b, "value": val,
+                         "oracle": oracle, "abs_error": err, "pass": ok})
+            failures += 0 if ok else 1
     payload = {"schema": SCHEMA_VERSION, "command": "constants",
                "which": args.which, "h": args.h, "tol": float(args.tol),
                "rows": rows, "failures": failures, "pass": failures == 0}
@@ -583,6 +573,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AccuracyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except OSError as exc:
+        # only _write touches the file system: --out cannot be written
+        print("error: cannot write %s: %s" % (args.out, exc.strerror or exc),
+              file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

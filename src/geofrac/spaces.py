@@ -11,8 +11,13 @@ from P to Q at distance d is (sinh((1-t)d) P + sinh(td) Q) / sinh d.  Both
 1/y and x/y are linear in hyperboloid coordinates, so the point at t is
 y = 1/(c1 + c2), x = (c1 x1 + c2 x2) y with weights
 c1 = sinh((1-t)d) / (y1 sinh d) and c2 = sinh(td) / (y2 sinh d): one
-formula for every pair, vertical or not.  Spider geodesics run piecewise
-through the hub.  Product geodesics interpolate coordinatewise.
+formula for every pair, vertical or not.  The half-plane distance is
+2 asinh(|z1 - z2| / (2 sqrt(y1 y2))); a pair for which that comes out
+nan or inf, because its squares under- or overflow, is rescaled by a
+power of two, exactly, since the metric is invariant under z -> lam z.
+A geodesic whose weights are not finite normal doubles raises
+DomainError.  Spider geodesics run piecewise through the hub.  Product
+geodesics interpolate coordinatewise.
 
 On top of the spaces the module exposes comparison quantities, each
 returned as (bound) - (value) so nonnegative results certify the defining
@@ -89,9 +94,6 @@ class Space:
         _require_space(self, p, q)
         return float(self._dist(self._stack([p.coords]),
                                 self._stack([q.coords]))[0])
-
-    def geodesic(self, p: Point, q: Point) -> "Geodesic":
-        return Geodesic(p, q)
 
     def random_point(self, rng: np.random.Generator) -> Point:
         return Point(self, self._single(self._sample(1, rng), 0))
@@ -184,6 +186,20 @@ class EuclideanSpace(Space):
         return [float(v) for v in coords]
 
 
+# smallest normal and largest finite double, the range of a geodesic weight
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
+
+def _half_plane_dist(A, B):
+    # 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) keeps the digits of close pairs
+    # that arccosh(1 + ...) rounds away
+    sq = A - B
+    sq *= sq
+    return 2.0 * np.arcsinh(np.sqrt((sq[:, 0] + sq[:, 1])
+                                    / (4.0 * A[:, 1] * B[:, 1])))
+
+
 class HalfPlaneSpace(Space):
     """Poincare upper half-plane, curvature -1."""
 
@@ -196,19 +212,30 @@ class HalfPlaneSpace(Space):
         return arr
 
     def _dist(self, A, B):
-        dx = A[:, 0] - B[:, 0]
-        dy = A[:, 1] - B[:, 1]
-        # 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) keeps the digits of close
-        # pairs that arccosh(1 + ...) rounds away
-        return 2.0 * np.arcsinh(np.sqrt((dx * dx + dy * dy)
-                                        / (4.0 * A[:, 1] * B[:, 1])))
+        d = _half_plane_dist(A, B)
+        if math.isfinite(np.add.reduce(d)):
+            return d
+        # a row far from y = 1 whose squares or 4 y1 y2 under- or
+        # overflowed: the metric is invariant under z -> lam z, so rescale
+        # it by the power of two that brings y1 y2 near 1, which is exact
+        bad = ~np.isfinite(d)
+        A, B = (X[bad] for X in np.broadcast_arrays(A, B))
+        e = (np.frexp(A[:, 1])[1] + np.frexp(B[:, 1])[1]) // 2
+        d[bad] = _half_plane_dist(np.ldexp(A, -e[:, None]),
+                                  np.ldexp(B, -e[:, None]))
+        return d
 
     def _ends(self, A, B):
         # below the floor sinh(s d) / sinh d equals s to double precision,
         # and a zero-length geodesic keeps finite weights
         d = np.maximum(self._dist(A, B), 1e-8)
         s = np.sinh(d)
-        return A, B, d, 1.0 / (A[:, 1] * s), 1.0 / (B[:, 1] * s)
+        w1, w2 = 1.0 / (A[:, 1] * s), 1.0 / (B[:, 1] * s)
+        if not (_TINY <= min(w1.min(initial=_HUGE), w2.min(initial=_HUGE))
+                and max(w1.max(initial=0.0), w2.max(initial=0.0)) <= _HUGE):
+            raise DomainError("half-plane geodesic weights 1/(y sinh d) "
+                              "leave the double-precision range")
+        return A, B, d, w1, w2
 
     def _along(self, ends, t):
         A, B, d, w1, w2 = ends
@@ -368,10 +395,10 @@ def product(left: Space, right: Space) -> ProductSpace:
 # ---------------------------------------------------------------------------
 
 
-def _check_unit(t: float, what: str = "t") -> float:
+def _check_unit(t: float) -> float:
     t = float(t)
     if not (0.0 <= t <= 1.0):
-        raise DomainError("%s must lie in [0, 1]" % what)
+        raise DomainError("t must lie in [0, 1]")
     return t
 
 

@@ -338,6 +338,34 @@ def test_compute_e_quadratic_scaling():
     assert scaled == pytest.approx(9.0 * base, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.5])
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+def test_h_constants_match_closed_forms_for_power_h(alpha, rho):
+    # for h = t^k: k0 = alpha Int_0^1 w^(alpha-1) (1-w)^k dw
+    # = alpha B(alpha, k+1), and with W = b^rho - a^rho, B = b^rho,
+    # C = 1 - B and F(z) = 2F1(-k, alpha; alpha+1; z),
+    # E = h(1/2) W^alpha [B^k F(W/B) + C^k F(-W/C)]
+    mp = pytest.importorskip("mpmath")
+    from geofrac.chains import _k0_term
+    for k in (1.0, 0.5, 0.25):
+        name = "power(%r)" % k
+        for a, b in ((0.0, 0.8), (0.3, 0.9)):
+            with mp.workdps(30):
+                al = mp.mpf(alpha)
+                k0 = al * mp.beta(al, k + 1)
+                B = mp.mpf(b) ** rho
+                C = 1 - B
+                W = B - mp.mpf(a) ** rho
+                E = (mp.mpf(0.5) ** k * W ** al
+                     * (B ** k * mp.hyp2f1(-k, al, al + 1, W / B)
+                        + C ** k * mp.hyp2f1(-k, al, al + 1, -W / C)))
+            p = TheoremParams(alpha, rho, a, b)
+            assert _k0_term(h_function(name), p) == pytest.approx(
+                float(k0), rel=1e-12), (name, a, b)
+            assert compute_E(name, alpha, rho, a, b) == pytest.approx(
+                float(E), rel=1e-12), (name, a, b)
+
+
 def test_compute_e_rejects_bad_interval():
     with pytest.raises(DomainError):
         compute_E("identity", 1.0, 1.0, 0.9, 0.2)

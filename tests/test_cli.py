@@ -235,6 +235,16 @@ def test_verify_out_file_keeps_stdout_clean(tmp_path):
     assert payload["schema"] == 1
 
 
+def test_verify_unwritable_out_is_usage_error(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = _run(["verify", "--suite", "regression", "--out",
+                           str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_verify_csv_sections():
     code, out, _ = _run(["verify", "--suite", "all", "--trials", "5",
                          "--format", "csv"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geofrac.convexity import on_geodesic, squared_distance_function
 from geofrac.errors import DomainError, SpaceMismatchError
 from geofrac.spaces import (busemann_gap, busemann_gap_batch, cn_gap,
                             cn_gap_batch, comparison_gap,
@@ -62,6 +63,36 @@ def test_half_plane_distance_keeps_close_pairs():
             exact = mp.acosh(1 + ((X1 - X2) ** 2 + (Y1 - Y2) ** 2)
                              / (2 * Y1 * Y2))
             assert abs(got - exact) <= 1e-14 * exact, sep
+
+
+# the first pass of such a batch under- or overflows before the rows are
+# rescaled
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_half_plane_works_far_from_unit_height():
+    # valid points whose y1 y2 or |z1 - z2|^2 leaves the double range
+    p = H.point(0.0, 1e-200)
+    assert distance(p, p) == 0.0
+    assert distance(p, H.point(1e-200, 1e-200)) == pytest.approx(
+        2.0 * math.asinh(0.5), rel=1e-14)
+    assert distance(H.point(0.0, 1.0), H.point(0.0, 1e300)) == pytest.approx(
+        300.0 * math.log(10.0), rel=1e-14)
+    # the metric is invariant under z -> lam z
+    unit = distance(H.point(0.0, 1.0), H.point(0.3, 1.7))
+    for lam in (1e-300, 1e-200, 1e160, 1e300):
+        got = distance(H.point(0.0, lam), H.point(0.3 * lam, 1.7 * lam))
+        assert got == pytest.approx(unit, rel=1e-14), lam
+    # a batch against one reference point broadcasts, also when rescaled
+    g, y = (Geodesic(H.point(0.0, 1e-200), H.point(1e-200, 1e-200)),
+            H.point(0.0, 2e-200))
+    g1, y1 = Geodesic(H.point(0.0, 1.0), H.point(1.0, 1.0)), H.point(0.0, 2.0)
+    ts = np.linspace(0.0, 1.0, 5)
+    got = on_geodesic(squared_distance_function(H, y), g)(ts)
+    want = on_geodesic(squared_distance_function(H, y1), g1)(ts)
+    assert np.all(got == pytest.approx(want, rel=1e-13))
+    # the geodesic weights 1/(y sinh d) underflow: the error says so and
+    # does not blame the input points
+    with pytest.raises(DomainError, match="double-precision range"):
+        Geodesic(H.point(0.0, 1e-200), H.point(0.0, 1e120))
 
 
 def test_spider_distances():
