@@ -12,8 +12,32 @@ phi(x^rho) is rho^(-alpha) times a Riemann-Liouville integral of phi in
 u = x^rho (Katugampola, AMC 218, 2011), so after the chains'
 rho^alpha Gamma(alpha+1) normalisation each such constant is
 alpha Int w^(alpha-1) h(.) dw, one power-kernel integral in which rho
-enters only through a^rho and b^rho.  Only the geodesic operand goes
-through the Katugampola operators.
+enters only through a^rho and b^rho.  For h = t^k (`HFunction.k` set)
+these are Beta values B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y):
+
+    exact h-term  alpha B(alpha + k, 1) = alpha / (alpha + k)
+    k0 term       alpha B(alpha, k + 1)
+    h_hh's mass   B(k + 1, 1) = 1 / (k + 1)
+    ||h||_q       B(kq + 1, 1)^(1/q)   (in `fractional.lq_norm_unit`)
+
+and a Beta argument <= 0 (a divergent integral) raises AccuracyError.
+`compute_E` keeps quadrature: its closed form needs 2F1.  An h without
+an exponent is integrated.
+
+Only the geodesic operand goes through the Katugampola operators, and
+each operator side is one `katugampola_left` integral.  With
+u = x^rho, the right operator of fg(u) on [a, b] runs over the same
+kernel range W = b^rho - a^rho as the left one, and its integrand at
+kernel variable w is fg(a^rho + w) = fg(sigma - (b^rho - w)) with
+sigma = a^rho + b^rho; on the reflected interval [s, c] of thm_ty1 and
+the corollary (s^rho = 1 - b^rho, c^rho = 1 - a^rho) it is
+fg(s^rho + w) = fg(1 - (b^rho - w)), sigma = 1.  So
+
+    J_left fg(u) + J_right fg(u) = J_left [fg(u) + fg(sigma - u)],
+
+the fractional Hermite-Hadamard reflection identity (Sarikaya, Set,
+Yaldiz, Basak, Math. Comput. Modelling 57, 2013), and both arguments
+go through the pullback in one batch.
 
 Two printed formula variants with a suspected normalization problem are
 computed alongside the asserted forms and stored in report extras rather
@@ -44,7 +68,7 @@ from .convexity import (HFunction, check_convex, check_h_convex, h_function,
                         on_geodesic, squared_distance_function,
                         distance_between_geodesics_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
-from .fractional import katugampola_left, katugampola_right, lq_norm_unit
+from .fractional import _beta, katugampola_left, lq_norm_unit
 from .quadrature import as_array_function, integrate, power_kernel_integral
 from .spaces import Geodesic, Space, random_geodesic, random_point
 
@@ -190,7 +214,10 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
     arr = as_array_function(f)
     mid = float(arr(np.array([0.5 * (a + b)]))[0]) / (2.0 * h_half)
     mean = integrate(arr, a, b) / (b - a)
-    h_mass = integrate(hf, 0.0, 1.0)
+    if hf.k is None:
+        h_mass = integrate(hf, 0.0, 1.0)
+    else:
+        h_mass = _beta(hf.k + 1.0, 1.0)
     ends = float(arr(np.array([a]))[0] + arr(np.array([b]))[0]) * h_mass
     instance = {"f": _fname(f), "h": hf.name, "a": a, "b": b}
     return _report("h_hh",
@@ -216,13 +243,6 @@ def conde_hh(f: Callable, g: Geodesic, *,
 # ---------------------------------------------------------------------------
 
 
-def _reflected(p: TheoremParams) -> Tuple[float, float]:
-    # s, c with s^rho = 1 - b^rho and c^rho = 1 - a^rho
-    s = max(0.0, 1.0 - p.b ** p.rho) ** (1.0 / p.rho)
-    c = (1.0 - p.a ** p.rho) ** (1.0 / p.rho)
-    return s, c
-
-
 def _den(p: TheoremParams) -> float:
     return (p.b ** p.rho - p.a ** p.rho) ** p.alpha
 
@@ -230,26 +250,34 @@ def _den(p: TheoremParams) -> float:
 def _exact_h_term(hf: HFunction, p: TheoremParams) -> float:
     # alpha rho Int_0^1 t^(alpha rho - 1) h(t^rho) dt; with v = t^rho it
     # is alpha Int_0^1 v^(alpha - 1) h(v) dv, free of the t^rho factor
+    if hf.k is not None:
+        return p.alpha * _beta(p.alpha + hf.k, 1.0)
     return p.alpha * power_kernel_integral(hf, 1.0, p.alpha)
 
 
 def _k0_term(hf: HFunction, p: TheoremParams) -> float:
     # the normalised left operator of h(x^rho) on (0, 1):
     # alpha Int_0^1 w^(alpha - 1) h(1 - w) dw
+    if hf.k is not None:
+        return p.alpha * _beta(p.alpha, hf.k + 1.0)
     return p.alpha * power_kernel_integral(lambda w: hf(1.0 - w), 1.0,
                                            p.alpha)
 
 
 def _operator_mean(fg: Callable, p: TheoremParams, h_half: float,
-                   right_interval: Tuple[float, float]) -> float:
-    # the normalised operator side of the pullback fg on [a, b] and on
-    # right_interval, both through the operand x -> fg(x^rho)
-    F = CompositeOperand(fg, p.rho)
-    lo, hi = right_interval
-    kl = katugampola_left(F, p.alpha, p.rho, p.a, p.b)
-    kr = katugampola_right(F, p.alpha, p.rho, lo, hi)
+                   shift: float) -> float:
+    # the normalised operator side of the pullback fg: the left operator
+    # on [a, b] plus the right one on [a, b] (shift = a^rho + b^rho) or on
+    # the reflected interval (shift = 1), whose integrand at kernel
+    # variable w is fg(shift - (b^rho - w)); so one left integral of
+    # u -> fg(u) + fg(shift - u), both halves in one batch
+    def sym(u):
+        both = fg(np.stack((u, np.clip(shift - u, 0.0, 1.0))))
+        return both[0] + both[1]
+
+    F = CompositeOperand(sym, p.rho)
     pref = p.rho ** p.alpha * math.gamma(p.alpha + 1.0) / _den(p)
-    return pref * h_half * (kl + kr)
+    return pref * h_half * katugampola_left(F, p.alpha, p.rho, p.a, p.b)
 
 
 def _instance(chain: str, f: Callable, g: Geodesic, hf: HFunction,
@@ -269,7 +297,7 @@ def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
     h_half = float(hf(0.5))
     fg = on_geodesic(f, g)
     mid = float(fg(0.5 * (p.a ** p.rho + p.b ** p.rho)))
-    ops = _operator_mean(fg, p, h_half, (p.a, p.b))
+    ops = _operator_mean(fg, p, h_half, p.a ** p.rho + p.b ** p.rho)
     f_ends = float(fg(p.a ** p.rho) + fg(p.b ** p.rho))
     if holder:
         term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
@@ -324,7 +352,7 @@ def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     h_half = float(hf(0.5))
     fg = on_geodesic(f, g)
     mid = float(fg(0.5))
-    ops = _operator_mean(fg, p, h_half, _reflected(p))
+    ops = _operator_mean(fg, p, h_half, 1.0)
     ends = (float(fg(0.0) + fg(1.0))
             * compute_E(hf, p.alpha, p.rho, p.a, p.b) / _den(p))
     return _report("thm_ty1",
@@ -426,7 +454,7 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     h_half = float(hf(0.5))
     gd = distance_between_geodesics_function(g1, g2)
     mid = float(gd(0.5))
-    ops = _operator_mean(gd, p, h_half, _reflected(p))
+    ops = _operator_mean(gd, p, h_half, 1.0)
     sigma = float(gd(0.0) + gd(1.0))
     e_val = compute_E(hf, p.alpha, p.rho, p.a, p.b)
     c_val = compute_C(p.alpha, p.rho, p.a, p.b)

@@ -303,6 +303,11 @@ def _run_sweep(args) -> Tuple[dict, int]:
     return payload, (0 if violations == 0 else 1)
 
 
+# h whose two kernel terms h(b^rho - w) + h(1 - b^rho + w) add up to a
+# constant m: E = h(1/2) m W^alpha with W = b^rho - a^rho
+_E_ORACLE = {"constant_one": 2.0, "identity": 0.5}
+
+
 def _run_constants(args) -> Tuple[dict, int]:
     rows = []
     failures = 0
@@ -324,8 +329,8 @@ def _run_constants(args) -> Tuple[dict, int]:
             oracle = None
             err = None
             ok = True
-            if args.h == "constant_one":
-                oracle = 2.0 * (b ** rho - a ** rho) ** alpha
+            if args.h in _E_ORACLE:
+                oracle = _E_ORACLE[args.h] * (b ** rho - a ** rho) ** alpha
                 err = abs(val - oracle)
                 ok = err <= args.tol
             rows.append({"constant": "E", "h": args.h, "alpha": alpha,
@@ -532,7 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--a-values", dest="a_values", default="0,0.25,0.5")
     c.add_argument("--b-values", dest="b_values", default="0.75,1")
     c.add_argument("--h", default="constant_one",
-                   help="weight for E (constant_one enables its oracle)")
+                   help="weight for E (constant_one and identity have an"
+                   " oracle)")
     checked(c)
 
     f = sub.add_parser("fracint", help="evaluate one fractional integral")

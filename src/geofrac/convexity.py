@@ -40,10 +40,17 @@ __all__ = ["HFunction", "h_function", "H_CATALOG", "ConvexityVerdict",
 
 @dataclass(frozen=True)
 class HFunction:
-    """Multiplier function on (0, 1); h(0) and h(1) may be infinite."""
+    """Multiplier function on (0, 1); h(0) and h(1) may be infinite.
+
+    k is the exponent when h(t) = t**k (the catalog sets it: identity 1,
+    constant_one 0, godunova_levin -1, power(k) k) and None otherwise.
+    The chains' constants of h use their Beta closed forms when k is set,
+    so k must describe fn; a bare callable keeps None and quadrature.
+    """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    k: Optional[float] = None
 
     def __call__(self, t) -> np.ndarray:
         tt = np.asarray(t, dtype=float)
@@ -64,7 +71,7 @@ def _power_h(k: float) -> HFunction:
     text = repr(float(k))
     if text.endswith(".0"):
         text = text[:-2]
-    return HFunction("power(%s)" % text, lambda t: np.power(t, k))
+    return HFunction("power(%s)" % text, lambda t: np.power(t, k), k)
 
 
 def h_function(spec: Union[str, HFunction, Callable]) -> HFunction:
@@ -76,11 +83,11 @@ def h_function(spec: Union[str, HFunction, Callable]) -> HFunction:
                          as_array_function(spec))
     name = str(spec).strip()
     if name == "identity":
-        return HFunction("identity", lambda t: t)
+        return HFunction("identity", lambda t: t, 1.0)
     if name == "constant_one":
-        return HFunction("constant_one", lambda t: np.ones_like(t))
+        return HFunction("constant_one", lambda t: np.ones_like(t), 0.0)
     if name == "godunova_levin":
-        return HFunction("godunova_levin", lambda t: 1.0 / t)
+        return HFunction("godunova_levin", lambda t: 1.0 / t, -1.0)
     m = _POWER_RE.match(name)
     if m:
         try:

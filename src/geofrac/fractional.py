@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .quadrature import integrate, power_kernel_integral
 
 __all__ = ["gamma_fn", "rl_left", "rl_right", "hadamard_left",
@@ -42,6 +42,20 @@ def gamma_fn(x: float) -> float:
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
         raise DomainError("gamma_fn requires a finite x > 0")
     return math.gamma(x)
+
+
+def _beta(x: float, y: float) -> float:
+    """Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y).
+
+    It is Int_0^1 t^(x-1) (1-t)^(y-1) dt, which diverges unless x, y > 0;
+    a divergent integral raises AccuracyError, as its quadrature would.
+    """
+    if not (x > 0.0 and y > 0.0):
+        raise AccuracyError("Beta integral B(%r, %r) diverges" % (x, y))
+    if x + y < 171.0:
+        return math.gamma(x) / math.gamma(x + y) * math.gamma(y)
+    # Gamma overflows past 171.6; there the log form keeps about 13 digits
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def _check_order(alpha: float) -> None:
@@ -174,12 +188,18 @@ def xcp_norm(f: RealFunction, c: float, p: float,
 def lq_norm_unit(h: RealFunction, q: float) -> float:
     """L^q norm of h on (0, 1) for q > 1.
 
-    Quadrature nodes stay interior to the interval, so integrable endpoint
-    behaviour is tolerated; genuinely divergent integrands surface as
-    AccuracyError.
+    An h with an exponent attribute k that is not None is t**k (an
+    `HFunction` of the power family); its norm is the closed form
+    B(kq + 1, 1)**(1/q) = (kq + 1)**(-1/q).  Any other h is integrated:
+    quadrature nodes stay interior to the interval, so integrable endpoint
+    behaviour is tolerated.  Divergent integrals (kq <= -1) surface as
+    AccuracyError on both paths.
     """
     if not (math.isfinite(q) and q > 1.0):
         raise DomainError("lq_norm_unit requires q > 1")
+    k = getattr(h, "k", None)
+    if k is not None:
+        return _beta(k * q + 1.0, 1.0) ** (1.0 / q)
 
     def integrand(t):
         return np.abs(h(t)) ** q

@@ -217,12 +217,16 @@ class HalfPlaneSpace(Space):
             return d
         # a row far from y = 1 whose squares or 4 y1 y2 under- or
         # overflowed: the metric is invariant under z -> lam z, so rescale
-        # it by the power of two that brings y1 y2 near 1, which is exact
+        # it by the power of two that brings y1 y2 near 1, which is exact,
+        # and take |z1 - z2| by hypot and the root of y1 y2 factor by
+        # factor, so that no square is formed (pairs beyond d ~ 709)
         bad = ~np.isfinite(d)
         A, B = (X[bad] for X in np.broadcast_arrays(A, B))
         e = (np.frexp(A[:, 1])[1] + np.frexp(B[:, 1])[1]) // 2
-        d[bad] = _half_plane_dist(np.ldexp(A, -e[:, None]),
-                                  np.ldexp(B, -e[:, None]))
+        A, B = np.ldexp(A, -e[:, None]), np.ldexp(B, -e[:, None])
+        d[bad] = 2.0 * np.arcsinh(
+            np.hypot(A[:, 0] - B[:, 0], A[:, 1] - B[:, 1])
+            / (2.0 * np.sqrt(A[:, 1]) * np.sqrt(B[:, 1])))
         return d
 
     def _ends(self, A, B):

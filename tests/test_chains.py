@@ -16,7 +16,7 @@ from geofrac.convexity import (distance_between_geodesics_function,
 from geofrac.errors import AccuracyError, DomainError, SpaceMismatchError
 from geofrac.quadrature import integrate
 from geofrac.spaces import (Geodesic, distance, euclidean, half_plane,
-                            random_geodesic, spider)
+                            product, random_geodesic, random_point, spider)
 
 
 def _values(report):
@@ -364,6 +364,191 @@ def test_h_constants_match_closed_forms_for_power_h(alpha, rho):
                 float(k0), rel=1e-12), (name, a, b)
             assert compute_E(name, alpha, rho, a, b) == pytest.approx(
                 float(E), rel=1e-12), (name, a, b)
+
+
+def _h_constants(hf, alpha, q):
+    # the four h-only constants: exact h-term, k0 term, h_hh's h_mass and
+    # the L^q norm on (0, 1)
+    from geofrac.chains import _exact_h_term, _k0_term
+    from geofrac.fractional import lq_norm_unit
+    p = TheoremParams(alpha, 1.3, 0.1, 0.9)
+    mass = h_hh(lambda t: t * t, hf, 0.0, 1.0).extras["h_mass"]
+    return (_exact_h_term(hf, p), _k0_term(hf, p), mass,
+            lq_norm_unit(hf, q))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.5])
+@pytest.mark.parametrize("k", [0.0, 0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q", [1.5, 4.0])
+def test_power_h_closed_forms_match_quadrature_and_mpmath(alpha, k, q):
+    # for h = t^k: alpha/(alpha+k), alpha B(alpha, k+1), 1/(k+1) and
+    # (kq+1)^(-1/q).  A bare callable has no exponent and is integrated;
+    # that path carries its own quadrature error, up to 1.5e-13 relative
+    # on this grid (REL_TOL is 1e-10), so it is held to 1e-12
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        al, kk, qq = mp.mpf(alpha), mp.mpf(k), mp.mpf(q)
+        want = [float(v) for v in (al / (al + kk), al * mp.beta(al, kk + 1),
+                                   1 / (kk + 1),
+                                   (kk * qq + 1) ** (-1 / qq))]
+    hf = h_function("power(%r)" % k)
+    assert hf.k == k
+    closed = _h_constants(hf, alpha, q)
+    quad = _h_constants(h_function(lambda t: t ** k), alpha, q)
+    for name, c, qd, w in zip(("exact", "k0", "h_mass", "lq_norm"),
+                              closed, quad, want):
+        assert c == pytest.approx(w, rel=1e-13), name
+        assert qd == pytest.approx(c, rel=1e-12), name
+
+
+def test_power_h_closed_forms_past_gamma_overflow():
+    # Gamma(x) overflows for x > 171.6, the Beta values do not
+    mp = pytest.importorskip("mpmath")
+    from geofrac.chains import _exact_h_term, _k0_term
+    from geofrac.fractional import lq_norm_unit
+    hf = h_function("power(200)")
+    p = TheoremParams(2.5, 1.0, 0.0, 1.0)
+    assert _exact_h_term(hf, p) == pytest.approx(2.5 / 202.5, rel=1e-12)
+    assert lq_norm_unit(hf, 4.0) == pytest.approx(801.0 ** -0.25,
+                                                  rel=1e-12)
+    with mp.workdps(30):
+        want = float(mp.mpf(2.5) * mp.beta(mp.mpf(2.5), 201))
+    assert _k0_term(hf, p) == pytest.approx(want, rel=1e-12)
+
+
+def test_catalog_h_exponents():
+    assert h_function("identity").k == 1.0
+    assert h_function("constant_one").k == 0.0
+    assert h_function("godunova_levin").k == -1.0
+    assert h_function("power(0.3)").k == 0.3
+    assert h_function(lambda t: t).k is None
+
+
+def test_divergent_h_constants_raise_accuracy_error():
+    from geofrac.chains import _exact_h_term, _k0_term
+    from geofrac.fractional import lq_norm_unit
+    gl = h_function("godunova_levin")
+    for alpha in (0.5, 2.5):
+        with pytest.raises(AccuracyError):
+            _k0_term(gl, TheoremParams(alpha, 1.0, 0.0, 1.0))
+    for alpha in (0.5, 1.0):
+        with pytest.raises(AccuracyError):
+            _exact_h_term(gl, TheoremParams(alpha, 1.0, 0.0, 1.0))
+    with pytest.raises(AccuracyError):
+        h_hh(lambda t: t * t, gl, 0.0, 1.0)
+    for q in (1.5, 2.0, 4.0):
+        with pytest.raises(AccuracyError):
+            lq_norm_unit(gl, q)
+    with pytest.raises(AccuracyError):
+        lq_norm_unit(h_function("power(-0.5)"), 2.0)
+    # convergent for alpha > 1: alpha/(alpha - 1)
+    assert _exact_h_term(gl, TheoremParams(2.5, 1.0, 0.0, 1.0)) == (
+        pytest.approx(2.5 / 1.5, rel=1e-12))
+
+
+def test_singular_convergent_h_constants_take_beta_values():
+    # h = t^(-1/2) is singular at 0 but these integrals converge; their
+    # quadrature raised AccuracyError, the closed forms give the value
+    mp = pytest.importorskip("mpmath")
+    from geofrac.chains import _exact_h_term, _k0_term
+    from geofrac.fractional import lq_norm_unit
+    hf = h_function("power(-0.5)")
+    with mp.workdps(30):
+        half = mp.mpf(1) / 2
+        for alpha in (0.5, 1.0, 2.5):
+            al = mp.mpf(alpha)
+            got = _k0_term(hf, TheoremParams(alpha, 1.0, 0.0, 1.0))
+            assert got == pytest.approx(float(al * mp.beta(al, half)),
+                                        rel=1e-14), alpha
+        # alpha Int_0^1 v^(alpha - 3/2) dv converges for alpha > 1/2
+        assert _exact_h_term(hf, TheoremParams(1.0, 1.0, 0.0, 1.0)) == (
+            pytest.approx(float(mp.beta(half, 1)), rel=1e-14))
+        mass = h_hh(lambda t: t * t, hf, 0.0, 1.0).extras["h_mass"]
+        assert mass == pytest.approx(float(mp.beta(half, 1)), rel=1e-14)
+        # Int_0^1 t^(-3/4) dt = B(1/4, 1)
+        q = mp.mpf(3) / 2
+        assert lq_norm_unit(hf, 1.5) == pytest.approx(
+            float(mp.beta(1 - half * q, 1) ** (1 / q)), rel=1e-14)
+
+
+def _operator_sides(fg, reflected):
+    # (folded, separate, error bar) per parameter set: J_left of fg(x^rho)
+    # on [a, b] plus J_right of it on [a, b] (thm_cb1, thm_cb2) or on the
+    # reflected interval [s, c], s^rho = 1 - b^rho and c^rho = 1 - a^rho
+    # (thm_ty1, corollary), against `_operator_mean`'s one left integral
+    # of fg(u) + fg(shift - u), shift = a^rho + b^rho or 1
+    from geofrac.chains import _operator_mean
+    from geofrac.fractional import katugampola_left, katugampola_right
+    out = []
+    for alpha, rho, a, b in ((0.3, 0.7, 0.0, 1.0), (1.0, 1.0, 0.2, 0.8),
+                             (2.5, 2.2, 0.45, 0.9)):
+        F = CompositeOperand(fg, rho)
+        kl, el = katugampola_left(F, alpha, rho, a, b, full_output=True)
+        if reflected:
+            shift = 1.0
+            lo = max(0.0, 1.0 - b ** rho) ** (1.0 / rho)
+            hi = (1.0 - a ** rho) ** (1.0 / rho)
+        else:
+            shift = a ** rho + b ** rho
+            lo, hi = a, b
+        kr, er = katugampola_right(F, alpha, rho, lo, hi, full_output=True)
+        pref = (rho ** alpha * math.gamma(alpha + 1.0)
+                / (b ** rho - a ** rho) ** alpha)
+        merged = _operator_mean(fg, TheoremParams(alpha, rho, a, b), 0.5,
+                                shift)
+        out.append((merged, pref * 0.5 * (kl + kr), pref * 0.5 * (el + er)))
+    return out
+
+
+@pytest.mark.parametrize("space", [euclidean(2), half_plane(), spider(3),
+                                   product(euclidean(2), spider(3))],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("reflected", [False, True])
+def test_merged_operator_side_matches_two_operators(space, reflected):
+    rng = np.random.default_rng(11)
+    f = squared_distance_function(space, random_point(space, rng))
+    fg = on_geodesic(f, random_geodesic(space, rng, min_length=0.05))
+    for merged, want, bar in _operator_sides(fg, reflected):
+        # plus roundoff: a panel that is exact for the operand reports 0
+        assert abs(merged - want) <= bar + 1e-15 * abs(want)
+
+
+def test_merged_operator_side_is_one_batch_per_operand_call():
+    # fg(u) and fg(shift - u) go through the pullback in one call
+    from geofrac.chains import _operator_mean
+    f, g = _pullback(lambda t: np.exp(t))
+    fg = on_geodesic(f, g)
+    shapes = []
+
+    def recorded(u):
+        shapes.append(np.shape(u))
+        return fg(u)
+
+    _operator_mean(recorded, TheoremParams(0.7, 1.5, 0.1, 0.9), 0.5, 1.0)
+    assert shapes and all(len(s) == 2 and s[0] == 2 for s in shapes)
+
+
+@pytest.mark.parametrize("space", [spider(3), product(euclidean(2),
+                                                      spider(3))],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("reflected", [False, True])
+def test_merged_operator_side_across_the_spider_hub(space, reflected):
+    # g crosses the hub at t = 7/11 and y lies on the third ray, so f along
+    # g has a kink that the quadrature refines.  There the bisection error
+    # bars are not a bound: at (alpha, rho) = (2.5, 2.2) the folded value
+    # is 6.8e-14 off a 30-digit reference while the bars sum to about
+    # 1e-14, so the two sides are held to the quadrature's REL_TOL
+    from geofrac.quadrature import REL_TOL
+    if space.name.startswith("product"):
+        g = Geodesic(space.point(((0.0, 0.0), (0, 0.7))),
+                     space.point(((1.0, 0.5), (1, 0.4))))
+        y = space.point(((0.2, 0.1), (2, 0.3)))
+    else:
+        g = Geodesic(space.point(0, 0.7), space.point(1, 0.4))
+        y = space.point(2, 0.3)
+    fg = on_geodesic(squared_distance_function(space, y), g)
+    for merged, want, _bar in _operator_sides(fg, reflected):
+        assert abs(merged - want) <= REL_TOL * abs(want)
 
 
 def test_compute_e_rejects_bad_interval():

@@ -371,6 +371,24 @@ def test_constants_default_grid_green():
     assert all(r["abs_error"] <= 1e-8 for r in e_rows)
 
 
+def test_constants_identity_e_rows_are_checked():
+    # h = identity: h(b^rho - w) + h(1 - b^rho + w) = 1, so E = W^alpha / 2
+    code, payload = _json(["constants", "--which", "E", "--h", "identity"])
+    assert code == 0 and payload["pass"] and payload["failures"] == 0
+    assert len(payload["rows"]) == 72
+    for r in payload["rows"]:
+        want = 0.5 * (r["b"] ** r["rho"] - r["a"] ** r["rho"]) ** r["alpha"]
+        assert r["oracle"] == want
+        assert r["abs_error"] == abs(r["value"] - want) <= 1e-14
+        assert r["pass"] is True
+    # a weight without a closed form still reports no oracle
+    code, payload = _json(["constants", "--which", "E", "--h", "power(0.5)",
+                           "--alphas", "1", "--rhos", "1"])
+    assert code == 0
+    assert all(r["oracle"] is None and r["abs_error"] is None
+               for r in payload["rows"])
+
+
 def test_constants_spot_values():
     code, payload = _json(["constants", "--which", "C", "--alphas", "1,2",
                            "--rhos", "1", "--a-values", "0",

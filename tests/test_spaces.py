@@ -95,6 +95,24 @@ def test_half_plane_works_far_from_unit_height():
         Geodesic(H.point(0.0, 1e-200), H.point(0.0, 1e120))
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_half_plane_distance_beyond_709():
+    # |z1 - z2|^2 / (4 y1 y2) overflows for pairs farther apart than about
+    # 709, even after the rows are rescaled to y1 y2 near 1
+    mp = pytest.importorskip("mpmath")
+    pairs = [((0.0, 1e-200), (0.0, 1e120)), ((0.0, 1.0), (1e200, 1.0)),
+             ((-1e150, 1e-150), (1e150, 1e-150)),
+             ((0.0, 1e-300), (0.0, 1e300)), ((3.0, 2.0), (-1e300, 5.0))]
+    for (x1, y1), (x2, y2) in pairs:
+        got = distance(H.point(x1, y1), H.point(x2, y2))
+        with mp.workdps(50):
+            X1, Y1, X2, Y2 = (mp.mpf(v) for v in (x1, y1, x2, y2))
+            exact = 2 * mp.asinh(mp.sqrt((X1 - X2) ** 2 + (Y1 - Y2) ** 2)
+                                 / (2 * mp.sqrt(Y1 * Y2)))
+            assert exact > 709
+            assert abs(got - exact) <= 1e-14 * exact, (x1, y1, x2, y2)
+
+
 def test_spider_distances():
     assert distance(S3.point(0, 1.0), S3.point(0, 3.0)) == 2.0
     assert distance(S3.point(0, 1.0), S3.point(1, 2.0)) == 3.0
