@@ -53,24 +53,40 @@ than asserted:
     product variants are logged in extras.
 
 `falsify_search` hammers one chain with random admissible instances and
-reports the worst margin and any violations beyond tolerance.
+reports the worst margin and any violations beyond tolerance.  Each
+chain writes its sides once (`_mean_sides`, `_h_hh_sides`,
+`_thm_cb_sides`, `_thm_ty1_sides`, `_corollary_sides`), as a function of
+the pullback at its midpoint and ends, its integrals and the constants
+of h.  The per-trial chain feeds them one instance; the falsifier
+(`ChainSpec.rows`, `_Rows`) feeds them chunks of up to CHUNK trials at
+once: one pullback call for every row's points, one first-level
+quadrature over a (rows x 3 NODES) node array per integral, and one
+stacked Jacobi build.  Rows whose first level misses the bisection test
+(a kink or cusp inside a panel, such as the spider hub), rows where a
+constant raises AccuracyError, and the worst row go back through the
+per-trial chain by its module-level name, so every count, tie and
+report is the one trial-by-trial evaluation gives.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .convexity import (HFunction, check_convex, check_h_convex, h_function,
-                        on_geodesic, squared_distance_function,
-                        distance_between_geodesics_function)
+from .convexity import (HFunction, _distance_pullback_rows,
+                        _geodesic_distance_rows, check_convex, check_h_convex,
+                        distance_between_geodesics_function, h_function,
+                        on_geodesic, squared_distance_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
-from .fractional import _beta, katugampola_left, lq_norm_unit
-from .quadrature import as_array_function, integrate, power_kernel_integral
-from .spaces import Geodesic, Space, random_geodesic, random_point
+from .fractional import (_beta, _katugampola_left_kernel, katugampola_left,
+                         lq_norm_unit)
+from .quadrature import (_integrate_rows, as_array_function, integrate,
+                         power_kernel_integral)
+from .spaces import Geodesic, Point, Space, random_geodesic, random_point
 
 __all__ = ["TheoremParams", "InequalityReport", "CompositeOperand",
            "classic_hh", "h_hh", "conde_hh", "thm_cb1", "thm_cb2", "thm_ty1",
@@ -166,8 +182,12 @@ class CompositeOperand:
         self.name = getattr(base, "__name__", "f")
 
     def __call__(self, x) -> np.ndarray:
-        xx = np.asarray(x, dtype=float)
-        return self._fn(np.clip(xx ** self.rho, 0.0, 1.0))
+        return self._fn(_unit_power(np.asarray(x, dtype=float), self.rho))
+
+
+def _unit_power(x: np.ndarray, rho: float) -> np.ndarray:
+    # the composite operand's argument x^rho, clipped to [0, 1]
+    return np.clip(x ** rho, 0.0, 1.0)
 
 
 def _geodesic_json(g: Geodesic) -> dict:
@@ -185,6 +205,33 @@ def _fname(f: Callable) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _mean_sides(mid: float, integral: float, f_a, f_b, a: float,
+                b: float) -> list:
+    # midpoint, mean and endpoint average of f on [a, b]
+    return [("midpoint", mid), ("mean", integral / (b - a)),
+            ("endpoints", float(f_a + f_b) / 2.0)]
+
+
+def _h_half(hf: HFunction) -> float:
+    h_half = float(hf(0.5))
+    if not (math.isfinite(h_half) and h_half > 0.0):
+        raise DomainError("h(1/2) must be positive")
+    return h_half
+
+
+def _h_hh_sides(hf: HFunction, h_half: float, mid: float, integral: float,
+                f_a, f_b, a: float, b: float):
+    # the endpoint side carries Int_0^1 h, 1/(k + 1) for h = t^k
+    if hf.k is None:
+        h_mass = integrate(hf, 0.0, 1.0)
+    else:
+        h_mass = _beta(hf.k + 1.0, 1.0)
+    sides = [("midpoint", mid / (2.0 * h_half)),
+             ("mean", integral / (b - a)),
+             ("endpoints", float(f_a + f_b) * h_mass)]
+    return sides, {"h_mass": h_mass}
+
+
 def classic_hh(f: Callable, a: float, b: float, *,
                tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint <= mean <= endpoint average, for f convex on [a, b]."""
@@ -193,12 +240,9 @@ def classic_hh(f: Callable, a: float, b: float, *,
         raise DomainError("need a < b")
     arr = as_array_function(f)
     mid = float(arr(np.array([0.5 * (a + b)]))[0])
-    mean = integrate(arr, a, b) / (b - a)
-    ends = float(arr(np.array([a]))[0] + arr(np.array([b]))[0]) / 2.0
-    instance = {"f": _fname(f), "a": a, "b": b}
-    return _report("classic_hh",
-                   [("midpoint", mid), ("mean", mean), ("endpoints", ends)],
-                   tol, instance)
+    sides = _mean_sides(mid, integrate(arr, a, b), arr(np.array([a]))[0],
+                        arr(np.array([b]))[0], a, b)
+    return _report("classic_hh", sides, tol, {"f": _fname(f), "a": a, "b": b})
 
 
 def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
@@ -208,34 +252,24 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("need a < b")
     hf = h_function(h)
-    h_half = float(hf(0.5))
-    if not (math.isfinite(h_half) and h_half > 0.0):
-        raise DomainError("h(1/2) must be positive")
+    h_half = _h_half(hf)
     arr = as_array_function(f)
-    mid = float(arr(np.array([0.5 * (a + b)]))[0]) / (2.0 * h_half)
-    mean = integrate(arr, a, b) / (b - a)
-    if hf.k is None:
-        h_mass = integrate(hf, 0.0, 1.0)
-    else:
-        h_mass = _beta(hf.k + 1.0, 1.0)
-    ends = float(arr(np.array([a]))[0] + arr(np.array([b]))[0]) * h_mass
+    mid = float(arr(np.array([0.5 * (a + b)]))[0])
+    sides, extras = _h_hh_sides(hf, h_half, mid, integrate(arr, a, b),
+                                arr(np.array([a]))[0], arr(np.array([b]))[0],
+                                a, b)
     instance = {"f": _fname(f), "h": hf.name, "a": a, "b": b}
-    return _report("h_hh",
-                   [("midpoint", mid), ("mean", mean), ("endpoints", ends)],
-                   tol, instance, {"h_mass": h_mass})
+    return _report("h_hh", sides, tol, instance, extras)
 
 
 def conde_hh(f: Callable, g: Geodesic, *,
              tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint/mean/endpoint chain of f along one geodesic."""
     fg = on_geodesic(f, g)
-    mid = float(fg(0.5))
-    mean = integrate(fg, 0.0, 1.0)
-    ends = float(fg(0.0) + fg(1.0)) / 2.0
+    sides = _mean_sides(float(fg(0.5)), integrate(fg, 0.0, 1.0), fg(0.0),
+                        fg(1.0), 0.0, 1.0)
     instance = {"f": _fname(f), "geodesic": _geodesic_json(g)}
-    return _report("conde_hh",
-                   [("midpoint", mid), ("mean", mean), ("endpoints", ends)],
-                   tol, instance)
+    return _report("conde_hh", sides, tol, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +298,29 @@ def _k0_term(hf: HFunction, p: TheoremParams) -> float:
                                            p.alpha)
 
 
+def _folded(fg: Callable, u: np.ndarray, shift) -> np.ndarray:
+    # fg(u) + fg(shift - u), both halves through the pullback in one batch
+    both = fg(np.stack((u, np.clip(shift - u, 0.0, 1.0))))
+    return both[0] + both[1]
+
+
+def _operator_side(kl: float, p: TheoremParams, h_half: float) -> float:
+    # normalised operator side from the Katugampola integral kl of the
+    # folded pullback (see `_operator_mean`)
+    pref = p.rho ** p.alpha * math.gamma(p.alpha + 1.0) / _den(p)
+    return pref * h_half * kl
+
+
 def _operator_mean(fg: Callable, p: TheoremParams, h_half: float,
                    shift: float) -> float:
     # the normalised operator side of the pullback fg: the left operator
     # on [a, b] plus the right one on [a, b] (shift = a^rho + b^rho) or on
     # the reflected interval (shift = 1), whose integrand at kernel
     # variable w is fg(shift - (b^rho - w)); so one left integral of
-    # u -> fg(u) + fg(shift - u), both halves in one batch
-    def sym(u):
-        both = fg(np.stack((u, np.clip(shift - u, 0.0, 1.0))))
-        return both[0] + both[1]
-
-    F = CompositeOperand(sym, p.rho)
-    pref = p.rho ** p.alpha * math.gamma(p.alpha + 1.0) / _den(p)
-    return pref * h_half * katugampola_left(F, p.alpha, p.rho, p.a, p.b)
+    # u -> fg(u) + fg(shift - u)
+    F = CompositeOperand(lambda u: _folded(fg, u, shift), p.rho)
+    return _operator_side(katugampola_left(F, p.alpha, p.rho, p.a, p.b), p,
+                          h_half)
 
 
 def _instance(chain: str, f: Callable, g: Geodesic, hf: HFunction,
@@ -286,19 +329,10 @@ def _instance(chain: str, f: Callable, g: Geodesic, hf: HFunction,
             "geodesic": _geodesic_json(g)}
 
 
-def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
-            h: Union[str, HFunction, Callable], p: TheoremParams,
-            tol: float) -> InequalityReport:
-    # shared body of thm_cb1 (holder: the Hoelder bound of the h-integral)
-    # and thm_cb2 (its exact value)
-    if holder and p.q is None:
-        raise DomainError("thm_cb1 needs the Hoelder exponent q")
-    hf = h_function(h)
-    h_half = float(hf(0.5))
-    fg = on_geodesic(f, g)
-    mid = float(fg(0.5 * (p.a ** p.rho + p.b ** p.rho)))
-    ops = _operator_mean(fg, p, h_half, p.a ** p.rho + p.b ** p.rho)
-    f_ends = float(fg(p.a ** p.rho) + fg(p.b ** p.rho))
+def _thm_cb_sides(holder: bool, hf: HFunction, p: TheoremParams,
+                  h_half: float, mid: float, ops: float, f_ends: float):
+    # thm_cb1 (holder: the Hoelder bound of the h-integral) and thm_cb2
+    # (its exact value) from the pullback at the midpoint and the ends
     if holder:
         term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
                 ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q))
@@ -313,10 +347,25 @@ def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
         extras = {"exact_h_term": term, "k0_term": k0,
                   "right_side_literal": literal,
                   "literal_minus_canonical": literal - ends}
-    return _report(chain,
-                   [("midpoint", mid), ("operators", ops),
-                    ("endpoints", ends)],
-                   tol, _instance(chain, f, g, hf, p), extras)
+    sides = [("midpoint", mid), ("operators", ops), ("endpoints", ends)]
+    return sides, extras
+
+
+def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
+            h: Union[str, HFunction, Callable], p: TheoremParams,
+            tol: float) -> InequalityReport:
+    # shared body of thm_cb1 and thm_cb2
+    if holder and p.q is None:
+        raise DomainError("thm_cb1 needs the Hoelder exponent q")
+    hf = h_function(h)
+    h_half = float(hf(0.5))
+    fg = on_geodesic(f, g)
+    ar, br = p.a ** p.rho, p.b ** p.rho
+    mid = float(fg(0.5 * (ar + br)))
+    ops = _operator_mean(fg, p, h_half, ar + br)
+    sides, extras = _thm_cb_sides(holder, hf, p, h_half, mid, ops,
+                                  float(fg(ar) + fg(br)))
+    return _report(chain, sides, tol, _instance(chain, f, g, hf, p), extras)
 
 
 def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
@@ -343,6 +392,12 @@ def thm_cb2(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     return _thm_cb("thm_cb2", False, f, g, h, params, tol)
 
 
+def _thm_ty1_sides(p: TheoremParams, mid: float, ops: float, f_ends: float,
+                   e_val: float) -> list:
+    return [("midpoint", mid), ("operators", ops),
+            ("endpoints", f_ends * e_val / _den(p))]
+
+
 def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
             params: TheoremParams, *,
             tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
@@ -351,14 +406,11 @@ def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     hf = h_function(h)
     h_half = float(hf(0.5))
     fg = on_geodesic(f, g)
-    mid = float(fg(0.5))
-    ops = _operator_mean(fg, p, h_half, 1.0)
-    ends = (float(fg(0.0) + fg(1.0))
-            * compute_E(hf, p.alpha, p.rho, p.a, p.b) / _den(p))
-    return _report("thm_ty1",
-                   [("midpoint", mid), ("operators", ops),
-                    ("endpoints", ends)],
-                   tol, _instance("thm_ty1", f, g, hf, p))
+    sides = _thm_ty1_sides(p, float(fg(0.5)),
+                           _operator_mean(fg, p, h_half, 1.0),
+                           float(fg(0.0) + fg(1.0)),
+                           compute_E(hf, p.alpha, p.rho, p.a, p.b))
+    return _report("thm_ty1", sides, tol, _instance("thm_ty1", f, g, hf, p))
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +461,21 @@ def compute_E(h: Union[str, HFunction, Callable], alpha: float, rho: float,
     p = TheoremParams(alpha, rho, a, b)
     hf = h_function(h)
     br = p.b ** p.rho
+    return _e_value(hf, p, power_kernel_integral(_e_operand(hf, br),
+                                                 br - p.a ** p.rho, p.alpha))
 
+
+def _e_operand(hf: HFunction, br: float) -> Callable:
     def both(w):
         # arguments clipped to [0, 1] to absorb roundoff at the kernel end
         return (hf(np.clip(br - w, 0.0, 1.0))
                 + hf(np.clip(1.0 - br + w, 0.0, 1.0)))
 
-    return (p.alpha * float(hf(0.5))
-            * power_kernel_integral(both, br - p.a ** p.rho, p.alpha))
+    return both
+
+
+def _e_value(hf: HFunction, p: TheoremParams, integral: float) -> float:
+    return p.alpha * float(hf(0.5)) * integral
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +514,20 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     gd = distance_between_geodesics_function(g1, g2)
     mid = float(gd(0.5))
     ops = _operator_mean(gd, p, h_half, 1.0)
-    sigma = float(gd(0.0) + gd(1.0))
-    e_val = compute_E(hf, p.alpha, p.rho, p.a, p.b)
+    sides, extras = _corollary_sides(
+        g1, g2, p, h_half, mid, ops, float(gd(0.0) + gd(1.0)),
+        compute_E(hf, p.alpha, p.rho, p.a, p.b))
+    instance = {"h": hf.name, "params": p.to_dict(),
+                "g1": _geodesic_json(g1), "g2": _geodesic_json(g2)}
+    return _report("corollary_distance", sides, tol, instance, extras)
+
+
+def _corollary_sides(g1: Geodesic, g2: Geodesic, p: TheoremParams,
+                     h_half: float, mid: float, ops: float, sigma: float,
+                     e_val: float):
     c_val = compute_C(p.alpha, p.rho, p.a, p.b)
     delta = g2.length - g1.length
-    den = _den(p)
-    bound = sigma * e_val / den
+    bound = sigma * e_val / _den(p)
     coef = p.alpha * p.rho * h_half
     ends_minus = bound - coef * c_val * delta * delta
     extras = {"c_value": c_val, "e_value": e_val,
@@ -468,12 +535,178 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
               "right_difference_bare_c": bound - c_val * delta * delta,
               "right_product_bare_c":
                   bound - c_val * (g1.length * g2.length) ** 2}
-    instance = {"h": hf.name, "params": p.to_dict(),
-                "g1": _geodesic_json(g1), "g2": _geodesic_json(g2)}
-    return _report("corollary_distance",
-                   [("midpoint", mid), ("operators", ops),
-                    ("endpoints_minus_c", ends_minus), ("endpoints", bound)],
-                   tol, instance, extras)
+    sides = [("midpoint", mid), ("operators", ops),
+             ("endpoints_minus_c", ends_minus), ("endpoints", bound)]
+    return sides, extras
+
+
+# ---------------------------------------------------------------------------
+# trial batches
+# ---------------------------------------------------------------------------
+
+
+class _Trial(NamedTuple):
+    """A drawn falsifier instance: ChainSpec.evaluate's f, g, h, params,
+    and the reference point y of f = d(., y)^2 (None for two geodesics)."""
+
+    f: Optional[Callable]
+    g: Union[Geodesic, Tuple[Geodesic, Geodesic]]
+    h: Optional[HFunction]
+    params: TheoremParams
+    y: Optional[Point]
+
+
+class _Rows:
+    """R falsifier trials of one chain, evaluated together.
+
+    `pull` is every trial's pullback in one call: row r of a parameter
+    array of shape (..., R, m) goes to trial r.  The integrals come from
+    `_integrate_rows`, one operand call each for all R rows, and are None
+    for a row that its first level does not resolve.
+    """
+
+    def __init__(self, trials, two_geodesics: bool):
+        self.trials = trials
+        self.params = [t.params for t in trials]
+        self.hs = [t.h for t in trials]
+        if two_geodesics:
+            self.pull = _geodesic_distance_rows([t.g[0] for t in trials],
+                                                [t.g[1] for t in trials])
+        else:
+            self.pull = _distance_pullback_rows([t.g for t in trials],
+                                                [t.y for t in trials], 2.0)
+
+    def at(self, ts) -> np.ndarray:
+        """The pullbacks at ts, R rows of parameters."""
+        return self.pull(np.array(ts, dtype=float))
+
+    def means(self, ab) -> list:
+        """Int_a^b of the pullback, per row (a, b)."""
+        lo, hi = zip(*ab)
+        return _integrate_rows(self.pull, lo, hi, [1.0] * len(lo))
+
+    def operators(self, shifts) -> list:
+        """`katugampola_left` on [a, b] of the folded composite operand
+        u -> fg(u) + fg(shift - u), u = x^rho, of `_operator_mean`."""
+        uppers, maps, prefactors = zip(*(
+            _katugampola_left_kernel(p.alpha, p.rho, p.a, p.b)
+            for p in self.params))
+        shift = np.array(shifts, dtype=float)[:, None]
+
+        def operand(w):
+            # the kernel's node map and x^rho row by row, each with its
+            # row's own Python-float exponent, as on a lone trial
+            u = np.stack([_unit_power(t(row), p.rho)
+                          for row, t, p in zip(w, maps, self.params)])
+            return _folded(self.pull, u, shift)
+
+        values = _integrate_rows(operand, [0.0] * len(uppers), uppers,
+                                 [p.alpha for p in self.params])
+        return [None if v is None else c * v
+                for v, c in zip(values, prefactors)]
+
+    def e_values(self) -> list:
+        """`compute_E` of each row's h and params."""
+        brs = [p.b ** p.rho for p in self.params]
+        operands = [_e_operand(hf, br) for hf, br in zip(self.hs, brs)]
+
+        def operand(w):
+            return np.stack([e(row) for e, row in zip(operands, w)])
+
+        values = _integrate_rows(operand, [0.0] * len(brs),
+                                 [br - p.a ** p.rho
+                                  for br, p in zip(brs, self.params)],
+                                 [p.alpha for p in self.params])
+        return [None if v is None else _e_value(hf, p, v)
+                for v, hf, p in zip(values, self.hs, self.params)]
+
+
+def _row_reports(chain: str, tol: float, sides_of: Callable,
+                 *columns) -> list:
+    # a report per row from sides_of(*row) -> (sides, extras); None for a
+    # row with an unresolved integral or a constant that raises
+    # AccuracyError, so that it goes through the per-trial chain
+    out = []
+    for row in zip(*columns):
+        if any(v is None for v in row):
+            out.append(None)
+            continue
+        try:
+            sides, extras = sides_of(*row)
+        except AccuracyError:
+            out.append(None)
+            continue
+        out.append(_report(chain, sides, tol, {}, extras))
+    return out
+
+
+def _mean_rows(chain: str, unit: bool, rows: _Rows, tol: float) -> list:
+    # classic_hh on [a, b] and conde_hh on [0, 1]
+    ab = [(0.0, 1.0) if unit else (p.a, p.b) for p in rows.params]
+
+    def sides(ends, v, integral):
+        return _mean_sides(float(v[0]), integral, v[1], v[2], *ends), None
+
+    return _row_reports(chain, tol, sides, ab,
+                        rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
+                        rows.means(ab))
+
+
+def _h_hh_rows(rows: _Rows, tol: float) -> list:
+    ab = [(p.a, p.b) for p in rows.params]
+
+    def sides(hf, ends, v, integral):
+        return _h_hh_sides(hf, _h_half(hf), float(v[0]), integral, v[1],
+                           v[2], *ends)
+
+    return _row_reports("h_hh", tol, sides, rows.hs, ab,
+                        rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
+                        rows.means(ab))
+
+
+def _thm_cb_rows(chain: str, holder: bool, rows: _Rows, tol: float) -> list:
+    ends = [(p.a ** p.rho, p.b ** p.rho) for p in rows.params]
+
+    def sides(hf, p, v, kl):
+        h_half = float(hf(0.5))
+        return _thm_cb_sides(holder, hf, p, h_half, float(v[0]),
+                             _operator_side(kl, p, h_half),
+                             float(v[1] + v[2]))
+
+    return _row_reports(chain, tol, sides, rows.hs, rows.params,
+                        rows.at([[0.5 * (a + b), a, b] for a, b in ends]),
+                        rows.operators([a + b for a, b in ends]))
+
+
+def _reflected_rows(rows: _Rows):
+    # the pullback at 1/2, 0 and 1, the operator side on the reflected
+    # interval and E: the inputs of thm_ty1 and the corollary
+    n = len(rows.params)
+    return (rows.at([[0.5, 0.0, 1.0]] * n), rows.operators([1.0] * n),
+            rows.e_values())
+
+
+def _thm_ty1_rows(rows: _Rows, tol: float) -> list:
+    def sides(hf, p, v, kl, e_val):
+        ops = _operator_side(kl, p, float(hf(0.5)))
+        return _thm_ty1_sides(p, float(v[0]), ops, float(v[1] + v[2]),
+                              e_val), None
+
+    return _row_reports("thm_ty1", tol, sides, rows.hs, rows.params,
+                        *_reflected_rows(rows))
+
+
+def _corollary_rows(rows: _Rows, tol: float) -> list:
+    def sides(trial, v, kl, e_val):
+        hf, p = trial.h, trial.params
+        _require_dominating_h(hf)
+        h_half = float(hf(0.5))
+        return _corollary_sides(*trial.g, p, h_half, float(v[0]),
+                                _operator_side(kl, p, h_half),
+                                float(v[1] + v[2]), e_val)
+
+    return _row_reports("corollary_distance", tol, sides, rows.trials,
+                        *_reflected_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +722,14 @@ class ChainSpec(NamedTuple):
     geodesics and f is unused.  h is None unless takes_h, and
     params.q is None unless needs_q.  The evaluators reach the chains
     through their module-level names, so rebinding a name takes effect.
+
+    rows(rows, tol) evaluates a `_Rows` batch of falsifier trials with the
+    chain's own side formulas: one report per row (with an empty
+    instance), or None for a row that `evaluate` must take.
     """
 
     evaluate: Callable[..., InequalityReport]
+    rows: Callable[[_Rows, float], list]
     takes_h: bool = True
     needs_q: bool = False
     two_geodesics: bool = False
@@ -501,18 +739,23 @@ CHAINS = {
     "classic_hh": ChainSpec(
         lambda f, g, h, p, **kw: classic_hh(on_geodesic(f, g), p.a, p.b,
                                             **kw),
-        takes_h=False),
+        functools.partial(_mean_rows, "classic_hh", False), takes_h=False),
     "h_hh": ChainSpec(
-        lambda f, g, h, p, **kw: h_hh(on_geodesic(f, g), h, p.a, p.b, **kw)),
+        lambda f, g, h, p, **kw: h_hh(on_geodesic(f, g), h, p.a, p.b, **kw),
+        _h_hh_rows),
     "conde_hh": ChainSpec(lambda f, g, h, p, **kw: conde_hh(f, g, **kw),
+                          functools.partial(_mean_rows, "conde_hh", True),
                           takes_h=False),
     "thm_cb1": ChainSpec(lambda f, g, h, p, **kw: thm_cb1(f, g, h, p, **kw),
+                         functools.partial(_thm_cb_rows, "thm_cb1", True),
                          needs_q=True),
-    "thm_cb2": ChainSpec(lambda f, g, h, p, **kw: thm_cb2(f, g, h, p, **kw)),
-    "thm_ty1": ChainSpec(lambda f, g, h, p, **kw: thm_ty1(f, g, h, p, **kw)),
+    "thm_cb2": ChainSpec(lambda f, g, h, p, **kw: thm_cb2(f, g, h, p, **kw),
+                         functools.partial(_thm_cb_rows, "thm_cb2", False)),
+    "thm_ty1": ChainSpec(lambda f, g, h, p, **kw: thm_ty1(f, g, h, p, **kw),
+                         _thm_ty1_rows),
     "corollary_distance": ChainSpec(
         lambda f, g, h, p, **kw: corollary_distance(*g, h, p, **kw),
-        two_geodesics=True),
+        _corollary_rows, two_geodesics=True),
 }
 
 CHAIN_NAMES = tuple(CHAINS)
@@ -531,6 +774,10 @@ def chain_spec(chain: str) -> ChainSpec:
 # ---------------------------------------------------------------------------
 
 _H_DOMINATING = ("identity", "constant_one", "power")
+
+#: falsifier draws per chunk; a chunk's surviving trials are evaluated as
+#: one batch, whose arrays grow with it
+CHUNK = 64
 
 
 def _draw_h(rng: np.random.Generator) -> HFunction:
@@ -557,6 +804,31 @@ def _draw_params(spec: ChainSpec,
     return TheoremParams(alpha, rho, a, b, q)
 
 
+def _draw_trials(spec: ChainSpec, space: Space, trials: int,
+                 rng: np.random.Generator) -> list:
+    # the next `trials` draws of falsify_search that pass the convexity
+    # precheck, in draw order; each takes params, h, then its geometry
+    drawn = []
+    for _ in range(trials):
+        p = _draw_params(spec, rng)
+        hf = _draw_h(rng) if spec.takes_h else None
+        if spec.two_geodesics:
+            g = (random_geodesic(space, rng, min_length=0.05),
+                 random_geodesic(space, rng, min_length=0.05))
+            drawn.append(_Trial(None, g, hf, p, None))
+            continue
+        y = random_point(space, rng)
+        f = squared_distance_function(space, y, 2.0)
+        g = random_geodesic(space, rng, min_length=0.05)
+        if hf is None:
+            ok = check_convex(f, g, seed=0).holds
+        else:
+            ok = check_h_convex(f, g, hf, seed=0).holds
+        if ok:
+            drawn.append(_Trial(f, g, hf, p, y))
+    return drawn
+
+
 def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
                    tol: float = DEFAULT_CHAIN_TOL, *,
                    product_c_term: bool = False) -> dict:
@@ -566,6 +838,19 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     discarded (counted, not treated as violations); quadrature failures
     are likewise counted and skipped.  Identical (chain, space, trials,
     seed, tol) inputs give identical summaries; seed must be >= 0.
+
+    Instances are drawn, and prechecked, one trial at a time from one
+    random stream, in chunks of CHUNK draws; the trials of a chunk that
+    pass the precheck are then evaluated together (`ChainSpec.rows`):
+    one pullback call for every row's midpoint and end values, and one
+    first-level quadrature over a (rows x 3 NODES) node array per
+    integral of the chain, with one stacked Jacobi build.  A row goes
+    back through the per-trial chain, called by its module-level name,
+    when its first level misses the bisection test (a kink or cusp
+    inside a panel, such as the spider hub) or a constant of h raises
+    AccuracyError.  The worst row is replayed there too, and its report
+    becomes worst_instance; ties go to the first trial.  A batch row's
+    sides are the per-trial chain's, bit for bit.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that
@@ -582,47 +867,34 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     if seed < 0:
         raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
-    evaluated = discarded = failures = violations = 0
+    discarded = evaluated = failures = violations = 0
     worst_margin = None
-    worst_instance = None
-    for _ in range(trials):
-        p = _draw_params(spec, rng)
-        hf = _draw_h(rng) if spec.takes_h else None
-        try:
-            if spec.two_geodesics:
-                f = None
-                g = (random_geodesic(space, rng, min_length=0.05),
-                     random_geodesic(space, rng, min_length=0.05))
-            else:
-                y = random_point(space, rng)
-                f = squared_distance_function(space, y, 2.0)
-                g = random_geodesic(space, rng, min_length=0.05)
-                if hf is None:
-                    ok = check_convex(f, g, seed=0).holds
-                else:
-                    ok = check_h_convex(f, g, hf, seed=0).holds
-                if not ok:
-                    discarded += 1
-                    continue
-            report = spec.evaluate(f, g, hf, p, tol=tol)
-        except AccuracyError:
-            failures += 1
+    worst = None
+    for start in range(0, trials, CHUNK):
+        draws = min(CHUNK, trials - start)
+        chunk = _draw_trials(spec, space, draws, rng)
+        discarded += draws - len(chunk)
+        if not chunk:
             continue
-        evaluated += 1
-        if product_c_term:
-            vals = [v for _, v in report.sides]
-            vals[2] = report.extras["right_product_bare_c"]
-            margins = [b - a for a, b in zip(vals, vals[1:])]
-            margin = min(margins)
-            if margin < -tol:
-                violations += 1
-        else:
-            margin = min(report.margins)
-            if not report.passed:
-                violations += 1
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
-            worst_instance = report.to_dict()
+        reports = spec.rows(_Rows(chunk, spec.two_geodesics), tol)
+        for trial, report in zip(chunk, reports):
+            if report is None:
+                try:
+                    report = spec.evaluate(trial.f, trial.g, trial.h,
+                                           trial.params, tol=tol)
+                except AccuracyError:
+                    failures += 1
+                    continue
+            evaluated += 1
+            margin, violated = _margin(report, tol, product_c_term)
+            violations += violated
+            if worst_margin is None or margin < worst_margin:
+                worst_margin = margin
+                worst = trial
+    worst_instance = None
+    if worst is not None:
+        worst_instance = spec.evaluate(worst.f, worst.g, worst.h,
+                                       worst.params, tol=tol).to_dict()
     summary = {"chain": chain, "space": space.name, "trials": trials,
                "seed": int(seed), "tol": float(tol), "evaluated": evaluated,
                "discarded": discarded, "quadrature_failures": failures,
@@ -631,3 +903,14 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     if chain == "corollary_distance":
         summary["c_term"] = "product" if product_c_term else "difference"
     return summary
+
+
+def _margin(report: InequalityReport, tol: float,
+            product_c_term: bool) -> Tuple[float, bool]:
+    # the smallest margin and whether it is a violation
+    if product_c_term:
+        vals = [v for _, v in report.sides]
+        vals[2] = report.extras["right_product_bare_c"]
+        margin = min(b - a for a, b in zip(vals, vals[1:]))
+        return margin, margin < -tol
+    return min(report.margins), not report.passed

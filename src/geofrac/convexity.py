@@ -22,9 +22,10 @@ the sampled grid only, while a failed verdict carries a concrete witness.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,7 +129,7 @@ def squared_distance_function(space: Space, y: Point,
     ystack = space._stack([y.coords])
 
     def f(batch) -> np.ndarray:
-        return space._dist(batch, ystack) ** k
+        return _dist_pow(space, batch, ystack, k)
 
     f.__name__ = "dist_to_point_pow_%g" % k
     return f
@@ -143,11 +144,16 @@ def distance_between_geodesics_function(g1: Geodesic,
 
     def fn(ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        d = space._dist(g1.eval_batch(ts), g2.eval_batch(ts))
-        return (d ** 2).reshape(ts.shape)
+        return _dist_pow(space, g1.eval_batch(ts), g2.eval_batch(ts),
+                         2).reshape(ts.shape)
 
     fn.__name__ = "squared_geodesic_distance"
     return fn
+
+
+def _dist_pow(space: Space, P, Q, k: float) -> np.ndarray:
+    # the one formula of the distance pullbacks, per trial and stacked
+    return space._dist(P, Q) ** k
 
 
 def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
@@ -158,6 +164,77 @@ def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
         ts = np.asarray(ts, dtype=float)
         vals = _batch_values(f, geodesic.eval_batch(ts), ts.size)
         return vals.reshape(ts.shape)
+
+    return fn
+
+
+# ---------------------------------------------------------------------------
+# the same pullbacks for R geodesics at once
+# ---------------------------------------------------------------------------
+#
+# Row r of a parameter array of shape (..., R, m) goes to geodesic r.  The
+# geodesics' endpoint constants are stacked into one batch once, and each
+# call takes the rows it needs from it, so every point comes from the
+# same arithmetic as on its own geodesic.
+
+
+def _stack_rows(batches):
+    # arrays are joined along their leading (row) axis, tuples memberwise
+    if isinstance(batches[0], tuple):
+        return tuple(_stack_rows([b[i] for b in batches])
+                     for i in range(len(batches[0])))
+    return np.concatenate(batches)
+
+
+def _take_rows(batch, rows: np.ndarray):
+    if isinstance(batch, tuple):
+        return tuple(_take_rows(b, rows) for b in batch)
+    return batch[rows]
+
+
+def _along_rows(geodesics: Sequence[Geodesic]) -> Callable:
+    # ts -> (points of ts as one batch, the row of each point)
+    space = geodesics[0].space
+    ends = _stack_rows([g._ends for g in geodesics])
+    index = np.arange(len(geodesics))[:, None]
+
+    def along(ts: np.ndarray):
+        rows = np.broadcast_to(index, ts.shape).ravel()
+        return space._along(_take_rows(ends, rows), ts.ravel()), rows
+
+    return along
+
+
+def _distance_pullback_rows(geodesics: Sequence[Geodesic],
+                            ys: Sequence[Point], k: float) -> Callable:
+    """Row r: t -> d(g_r(t), y_r)**k, the pullback along g_r of
+    `squared_distance_function(space, y_r, k)`, for parameter arrays of
+    shape (..., R, m); the result has their shape."""
+    space = geodesics[0].space
+    along = _along_rows(geodesics)
+    ystack = space._stack([y.coords for y in ys])
+
+    def fn(ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        pts, rows = along(ts)
+        return _dist_pow(space, pts, _take_rows(ystack, rows),
+                         k).reshape(ts.shape)
+
+    return fn
+
+
+def _geodesic_distance_rows(firsts: Sequence[Geodesic],
+                            seconds: Sequence[Geodesic]) -> Callable:
+    """Row r: t -> d(g1_r(t), g2_r(t))**2, the
+    `distance_between_geodesics_function` of the pair r, for parameter
+    arrays of shape (..., R, m)."""
+    space = firsts[0].space
+    along1, along2 = _along_rows(firsts), _along_rows(seconds)
+
+    def fn(ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return _dist_pow(space, along1(ts)[0], along2(ts)[0],
+                         2).reshape(ts.shape)
 
     return fn
 
@@ -190,10 +267,10 @@ class ConvexityVerdict:
     samples: int
 
 
-def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
-                        pairs: int, seed: int):
-    if samples < 1 or pairs < 0:
-        raise DomainError("need samples >= 1 and pairs >= 0")
+@functools.lru_cache(maxsize=16, typed=True)
+def _restriction_grid(samples: int, pairs: int, seed: int):
+    # the restrictions [t1, t2] (the whole geodesic first, then `pairs`
+    # random ones), the lam grid and the geodesic parameter of each sample
     rng = np.random.default_rng(seed)
     draws = rng.uniform(0.0, 1.0, (pairs, 2))
     t1 = np.concatenate(([0.0], draws.min(axis=1)))
@@ -203,6 +280,21 @@ def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
     t2 = np.where(degenerate, 0.75, t2)
     lam = np.linspace(0.0, 1.0, samples + 2)
     params = t1[:, None] * (1.0 - lam)[None, :] + t2[:, None] * lam[None, :]
+    for arr in (t1, t2, lam, params):
+        arr.flags.writeable = False
+    return t1, t2, lam, params
+
+
+def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
+                        pairs: int, seed: int):
+    if samples < 1 or pairs < 0:
+        raise DomainError("need samples >= 1 and pairs >= 0")
+    if isinstance(seed, (int, np.integer)):
+        # the grid depends on (samples, pairs, seed) alone: cached
+        grid = _restriction_grid(samples, pairs, seed)
+    else:
+        grid = _restriction_grid.__wrapped__(samples, pairs, seed)
+    t1, t2, lam, params = grid
     values = _batch_values(f, geodesic.eval_batch(params.ravel()),
                            params.size).reshape(params.shape)
     return t1, t2, lam, values

@@ -13,6 +13,19 @@ built by the Golub-Welsch method, so the endpoint kernel is integrated
 exactly and smooth f needs no refinement there; every other panel uses
 Gauss-Legendre on the weighted integrand, which is smooth away from lo.
 
+The first level, the whole interval and its two halves, is written once
+for R integrals at a time (`_first_level`): their 3 NODES nodes per row
+go to the operand as one (R, 3 NODES) array, their Jacobi rules come
+from one stacked Golub-Welsch `eigh` (`_jacobi_rules`; `_jacobi_rule` is
+its cached one-row case), and the panel sums are one stacked product.
+`integrate` is its one-row case, so a smooth operand costs one operand
+call, followed by the bisection stack for the halves that miss.
+`_integrate_rows` applies integrate's own bisection test to each of R
+rows and returns the values of those that pass, bit for bit the values
+`integrate` returns; the falsifier evaluates trials that way
+(`chains.falsify_search`).  Per-row powers stay Python-float powers, as
+in a lone integral, so stacking never changes a number.
+
 :func:`power_kernel_integral` puts the kernel w**(exponent-1) through this
 engine.  An operand with a power singularity of its own at w = 0 defeats
 the Jacobi panel; for it the integral is re-run once through the
@@ -60,24 +73,37 @@ def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-@functools.lru_cache(maxsize=16)
-def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss rule for the weight u**beta on (0, 1), beta > -1.
+def _jacobi_rules(n: int, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked n-node Gauss rules for the weights u**beta on (0, 1).
 
+    Row i of the (R, n) nodes and weights is the rule of betas[i] > -1.
     Golub-Welsch: the three-term recurrence of the Jacobi polynomials for
     (1 + x)**beta on (-1, 1), mapped by u = (1 + x)/2, gives a symmetric
     tridiagonal matrix whose eigenvalues are the nodes; the weights are
     the squared first eigenvector components times the mass 1/(beta + 1).
+    One `eigh` call on the (R, n, n) stack solves every matrix, each as
+    it would be solved alone.
     """
+    beta = np.asarray(betas, dtype=float).reshape(-1, 1)
     k = np.arange(1, n, dtype=float)
     s = 2.0 * k + beta
-    diag = np.empty(n)
-    diag[0] = beta / (beta + 2.0)
-    diag[1:] = beta * beta / (s * (s + 2.0))
+    jac = np.zeros((beta.shape[0], n, n))
+    diag = np.empty((beta.shape[0], n))
+    diag[:, 0] = beta[:, 0] / (beta[:, 0] + 2.0)
+    diag[:, 1:] = beta * beta / (s * (s + 2.0))
     off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
-    jac = np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1)
+    i = np.arange(n)
+    jac[:, i, i] = 0.5 * (1.0 + diag)
+    jac[:, i[:-1], i[1:]] = 0.5 * off
     nodes, vecs = np.linalg.eigh(jac, UPLO="U")
-    weights = vecs[0] ** 2 / (beta + 1.0)
+    return nodes, vecs[:, 0, :] ** 2 / (beta + 1.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule for the weight u**beta on (0, 1), beta > -1: the
+    one-row case of `_jacobi_rules`, cached."""
+    nodes, weights = (v[0] for v in _jacobi_rules(n, [beta]))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -121,6 +147,92 @@ def _check_exponent(exponent: float) -> None:
         raise DomainError("kernel exponent must be positive and finite")
 
 
+def _accepted(err: float, budget: float, width: float, span: float) -> bool:
+    # a panel may take its width's share of the budget or an equal 1/max
+    # share; the latter keeps deep refinements near a hard point from
+    # demanding ever smaller absolute errors than the sum requires
+    return err <= budget * width / span or err <= budget / MAX_PANELS
+
+
+def _rules(exponent: list) -> list:
+    """The Jacobi rule of each of R integrals' weights, None for a row
+    without one (exponent 1): one stacked build for R > 1 rows."""
+    betas = [e - 1.0 for e in exponent]
+    weighted = [i for i, beta in enumerate(betas) if beta != 0.0]
+    rules = [None] * len(betas)
+    if len(betas) == 1 and weighted:
+        rules[0] = _jacobi_rule(NODES, betas[0])
+    elif weighted:
+        nodes, weights = _jacobi_rules(NODES, [betas[i] for i in weighted])
+        for i, us, lams in zip(weighted, nodes, weights):
+            rules[i] = (us, lams)
+    return rules
+
+
+def _panel(a: float, b: float, lo: float, exponent: float, rule):
+    """Nodes, weights and scale of the rule on the panel [a, b] of an
+    integral from lo: the Jacobi rule (us, lams) of its weight at lo,
+    Gauss-Legendre on the weighted integrand elsewhere."""
+    beta = exponent - 1.0
+    if beta != 0.0 and a == lo:
+        width = b - a
+        us, lams = rule
+        return a + width * us, lams, width ** exponent
+    xs, ws = _rule(NODES)
+    half = 0.5 * (b - a)
+    pts = 0.5 * (a + b) + half * xs
+    return pts, ws if beta == 0.0 else ws * (pts - lo) ** beta, half
+
+
+def _first_level(g: Callable, lo, hi, exponent) -> list:
+    """Whole panel and both halves of R integrals in one operand call.
+
+    Row r integrates (x - lo[r])**(exponent[r] - 1) f_r(x) over
+    [lo[r], hi[r]], lo < hi.  g takes the (R, 3 NODES) node array whose
+    row r holds the nodes of [lo, hi], [lo, m] and [m, hi] (m the
+    midpoint) and returns f_r there, same shape.  The panel sums are one
+    stacked product, (3R, 1, n) @ (3R, n, 1), which takes each panel's
+    dot as the 1-D `w @ v` does (einsum and gemv do not).  Returns R
+    lists [coarse, left, right].
+    """
+    lo, hi, exponent = ([float(v) for v in x] for x in (lo, hi, exponent))
+    panels = []
+    for a, b, e, rule in zip(lo, hi, exponent, _rules(exponent)):
+        m = 0.5 * (a + b)
+        panels += [_panel(a, b, a, e, rule), _panel(a, m, a, e, rule),
+                   _panel(m, b, a, e, rule)]
+    pts, w, scale = zip(*panels)
+    vals = np.asarray(g(np.concatenate(pts).reshape(len(lo), 3 * NODES)),
+                      dtype=float).reshape(len(pts), NODES, 1)
+    w = np.concatenate(w).reshape(len(pts), 1, NODES)
+    dots = (w @ vals)[:, 0, 0].tolist()
+    sums = [s * d for s, d in zip(scale, dots)]
+    return [sums[i:i + 3] for i in range(0, len(sums), 3)]
+
+
+def _integrate_rows(g: Callable, lo, hi, exponent) -> list:
+    """R integrals that the first level resolves; None for the others.
+
+    The integrals and g are those of `_first_level`.  A row is accepted
+    by `integrate`'s own bisection test on its whole panel and halves,
+    and its value is then `integrate`'s, bit for bit.  A row that misses
+    the test, or whose sums are not finite, is None: it needs the
+    bisection stack of `integrate`.
+    """
+    lo, hi = list(map(float, lo)), list(map(float, hi))
+    out = []
+    for (coarse, left, right), a, b in zip(_first_level(g, lo, hi, exponent),
+                                           lo, hi):
+        fine = left + right
+        budget = max(ABS_TOL, REL_TOL * abs(coarse))
+        if (math.isfinite(fine) and math.isfinite(coarse)
+                and _accepted(abs(fine - coarse), budget, b - a, b - a)):
+            out.append(0.0 + fine)
+        else:
+            out.append(None)
+    return out
+
+
 def integrate(f: Callable, lo: float, hi: float, *,
               full_output: bool = False, exponent: float = 1.0):
     """Integral of (x - lo)**(exponent - 1) * f(x) over [lo, hi].
@@ -139,54 +251,32 @@ def integrate(f: Callable, lo: float, hi: float, *,
         return (0.0, 0.0) if full_output else 0.0
 
     g = as_array_function(f)
-    xs, ws = _rule(NODES)
-    n = xs.size
+
+    def flat(x):
+        # the operand sees one flat array of nodes
+        return g(x.reshape(-1)).reshape(x.shape)
+
+    [[coarse, left, right]] = _first_level(flat, [lo], [hi], [exponent])
     span = hi - lo
-    beta = exponent - 1.0
-
-    if beta != 0.0:
-        us, lams = _jacobi_rule(n, beta)
-
-    def panel(a: float, b: float):
-        # nodes, weights and scale of the rule on [a, b]: Jacobi at lo for
-        # a weighted integral, Legendre on the weighted integrand elsewhere
-        if beta != 0.0 and a == lo:
-            width = b - a
-            return a + width * us, lams, width ** exponent
-        half = 0.5 * (b - a)
-        pts = 0.5 * (a + b) + half * xs
-        return pts, ws if beta == 0.0 else ws * (pts - lo) ** beta, half
-
-    def one_panel(a: float, b: float) -> float:
-        pts, w, scale = panel(a, b)
-        return scale * float(w @ g(pts))
+    budget = max(ABS_TOL, REL_TOL * abs(coarse))
+    [rule] = _rules([exponent])
 
     def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
-        p1, w1, s1 = panel(a, m)
-        p2, w2, s2 = panel(m, b)
+        p1, w1, s1 = _panel(a, m, lo, exponent, rule)
+        p2, w2, s2 = _panel(m, b, lo, exponent, rule)
         vals = g(np.concatenate((p1, p2)))
-        return s1 * float(w1 @ vals[:n]), s2 * float(w2 @ vals[n:])
-
-    whole = one_panel(lo, hi)
-    budget = max(ABS_TOL, REL_TOL * abs(whole))
-    # a panel may take its width's share of the budget or an equal 1/max
-    # share; the latter keeps deep refinements near a hard point from
-    # demanding ever smaller absolute errors than the sum requires
-    share = budget / MAX_PANELS
+        return s1 * float(w1 @ vals[:NODES]), s2 * float(w2 @ vals[NODES:])
 
     total = 0.0
     err_total = 0.0
-    panels = 1
-    stack = [(lo, hi, whole)]
+    panels = 3
+    stack = []
+    a, m, b = lo, 0.5 * (lo + hi), hi
     failure = None
-    while stack:
-        a, b, coarse = stack.pop()
-        m = 0.5 * (a + b)
-        left, right = two_panels(a, m, b)
-        panels += 2
+    while True:
         fine = left + right
         err = abs(fine - coarse)
-        if err <= budget * (b - a) / span or err <= share:
+        if _accepted(err, budget, b - a, span):
             total += fine
             err_total += err
         elif panels >= MAX_PANELS or (b - a) <= span * 2.0 ** -50:
@@ -203,6 +293,12 @@ def integrate(f: Callable, lo: float, hi: float, *,
         else:
             stack.append((m, b, right))
             stack.append((a, m, left))
+        if not stack:
+            break
+        a, b, coarse = stack.pop()
+        m = 0.5 * (a + b)
+        left, right = two_panels(a, m, b)
+        panels += 2
     if failure is not None:
         raise AccuracyError(failure % (total, err_total),
                             estimate=total, error=err_total)

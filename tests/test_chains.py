@@ -735,3 +735,169 @@ def test_chain_table_flags():
         "classic_hh", "conde_hh"]
     assert [c for c in CHAIN_NAMES if CHAINS[c].two_geodesics] == [
         "corollary_distance"]
+
+
+# ---------------------------------------------------------------------------
+# trial-batched falsification against the per-trial chains
+# ---------------------------------------------------------------------------
+
+BATCH_SPACES = [euclidean(2), half_plane(), spider(3),
+                product(euclidean(2), half_plane()),
+                product(euclidean(2), spider(3))]
+
+
+def _per_trial_search(chain, space, trials, seed, tol=1e-8,
+                      product_c_term=False):
+    # the falsifier's loop before trials were batched: each trial drawn,
+    # prechecked and evaluated by the chain itself, one after another
+    import geofrac.chains as chains
+    from geofrac.convexity import check_convex, check_h_convex
+
+    spec = chains.chain_spec(chain)
+    rng = np.random.default_rng(seed)
+    evaluated = discarded = failures = violations = 0
+    worst_margin = None
+    worst_instance = None
+    for _ in range(trials):
+        p = chains._draw_params(spec, rng)
+        hf = chains._draw_h(rng) if spec.takes_h else None
+        try:
+            if spec.two_geodesics:
+                f = None
+                g = (random_geodesic(space, rng, min_length=0.05),
+                     random_geodesic(space, rng, min_length=0.05))
+            else:
+                y = random_point(space, rng)
+                f = squared_distance_function(space, y, 2.0)
+                g = random_geodesic(space, rng, min_length=0.05)
+                if hf is None:
+                    ok = check_convex(f, g, seed=0).holds
+                else:
+                    ok = check_h_convex(f, g, hf, seed=0).holds
+                if not ok:
+                    discarded += 1
+                    continue
+            report = spec.evaluate(f, g, hf, p, tol=tol)
+        except AccuracyError:
+            failures += 1
+            continue
+        evaluated += 1
+        if product_c_term:
+            vals = [v for _, v in report.sides]
+            vals[2] = report.extras["right_product_bare_c"]
+            margin = min(b - a for a, b in zip(vals, vals[1:]))
+            if margin < -tol:
+                violations += 1
+        else:
+            margin = min(report.margins)
+            if not report.passed:
+                violations += 1
+        if worst_margin is None or margin < worst_margin:
+            worst_margin = margin
+            worst_instance = report.to_dict()
+    summary = {"chain": chain, "space": space.name, "trials": trials,
+               "seed": int(seed), "tol": float(tol), "evaluated": evaluated,
+               "discarded": discarded, "quadrature_failures": failures,
+               "violations": violations, "worst_margin": worst_margin,
+               "worst_instance": worst_instance}
+    if chain == "corollary_distance":
+        summary["c_term"] = "product" if product_c_term else "difference"
+    return summary
+
+
+@pytest.mark.parametrize("chain", CHAIN_NAMES)
+def test_batched_falsifier_matches_per_trial_oracle(chain):
+    for space in BATCH_SPACES:
+        for seed in (1, 2, 3):
+            assert (falsify_search(chain, space, 40, seed=seed)
+                    == _per_trial_search(chain, space, 40, seed))
+
+
+def test_batched_falsifier_across_chunk_boundaries(monkeypatch):
+    # 40 trials in chunks of 7 draws: the last chunk is short, and the
+    # worst row and the ties span chunks
+    import geofrac.chains as chains
+
+    monkeypatch.setattr(chains, "CHUNK", 7)
+    for chain in CHAIN_NAMES:
+        for space in (spider(3), product(euclidean(2), half_plane())):
+            assert (falsify_search(chain, space, 40, seed=4)
+                    == _per_trial_search(chain, space, 40, 4))
+
+
+def test_batched_product_probe_matches_per_trial_oracle():
+    for space in BATCH_SPACES:
+        for seed in (1, 2, 3):
+            assert (falsify_search("corollary_distance", space, 40, seed=seed,
+                                   product_c_term=True)
+                    == _per_trial_search("corollary_distance", space, 40,
+                                         seed, product_c_term=True))
+
+
+def _hub_trial(spec):
+    # a spider3 instance whose geodesic crosses the hub at t = 7/11 with
+    # the reference point on the third ray: f along g has a kink there
+    from geofrac.chains import TheoremParams, _Trial
+    sp = spider(3)
+    g = Geodesic(sp.point(0, 0.7), sp.point(1, 0.4))
+    y = sp.point(2, 0.3)
+    p = TheoremParams(2.5, 2.2, 0.45, 0.9, 2.0 if spec.needs_q else None)
+    h = h_function("identity") if spec.takes_h else None
+    if spec.two_geodesics:
+        # the distance to a geodesic on the third ray has the same kink
+        return _Trial(None, (g, Geodesic(sp.point(2, 0.3), sp.point(2, 0.5))),
+                      h, p, None)
+    return _Trial(squared_distance_function(sp, y), g, h, p, y)
+
+
+@pytest.mark.parametrize("chain", CHAIN_NAMES)
+def test_batch_rows_equal_the_per_trial_chain(chain):
+    # every row the batch resolves carries the chain's own report bit for
+    # bit, instance aside; the hub-crossing row is left to the chain
+    import geofrac.chains as chains
+
+    spec = chains.chain_spec(chain)
+    for space in BATCH_SPACES:
+        trials = chains._draw_trials(spec, space, 40,
+                                      np.random.default_rng(1))
+        if space.name == "spider(3)":
+            trials.insert(5, _hub_trial(spec))
+        rows = spec.rows(chains._Rows(trials, spec.two_geodesics), 1e-8)
+        assert len(rows) == len(trials)
+        for i, (trial, got) in enumerate(zip(trials, rows)):
+            want = spec.evaluate(trial.f, trial.g, trial.h, trial.params,
+                                 tol=1e-8)
+            if space.name == "spider(3)" and i == 5:
+                assert got is None
+                continue
+            if got is None:
+                continue
+            assert got.sides == want.sides
+            assert got.margins == want.margins
+            assert got.passed == want.passed
+            assert got.extras == want.extras
+        resolved = sum(r is not None for r in rows)
+        assert resolved >= len(rows) // 2
+
+
+def test_rows_that_miss_reach_the_per_trial_chain(monkeypatch):
+    # each unresolved row, and the worst row's replay, is one call of the
+    # chain's module-level name
+    import geofrac.chains as chains
+
+    spec = chains.chain_spec("conde_hh")
+    trials = chains._draw_trials(spec, spider(3), 40,
+                                  np.random.default_rng(1))
+    missed = sum(r is None
+                 for r in spec.rows(chains._Rows(trials, False), 1e-8))
+    assert missed > 0
+    calls = []
+
+    def counted(*args, _fn=chains.conde_hh, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "conde_hh", counted)
+    summary = falsify_search("conde_hh", spider(3), 40, seed=1)
+    assert summary["evaluated"] == 40
+    assert len(calls) == missed + 1

@@ -273,3 +273,22 @@ def test_scalar_pullback_validation():
         scalar_pullback(lambda t: t, lo=1.0, hi=1.0)
     with pytest.raises(DomainError):
         scalar_pullback(lambda t: t, lo=math.inf, hi=1.0)
+
+
+def test_precheck_grid_is_cached_read_only_and_unchanged():
+    # the restriction grid depends on (samples, pairs, seed) alone
+    from geofrac.convexity import _restriction_grid, _restriction_values
+    grid = _restriction_grid(64, 8, 0)
+    assert _restriction_grid(64, 8, 0) is grid
+    for cached, fresh in zip(grid, _restriction_grid.__wrapped__(64, 8, 0)):
+        assert not cached.flags.writeable
+        assert np.array_equal(cached, fresh)
+    # a generator is a stream, not a key: it is drawn from on every call
+    e2 = euclidean(2)
+    f = squared_distance_function(e2, e2.point(0.3, -0.2))
+    g = Geodesic(e2.point(-1.0, 0.5), e2.point(1.0, 1.5))
+    rng = np.random.default_rng(5)
+    first = _restriction_values(f, g, 64, 8, rng)[0]
+    assert np.array_equal(first, _restriction_values(f, g, 64, 8, 5)[0])
+    assert not np.array_equal(_restriction_values(f, g, 64, 8, rng)[0],
+                              first)

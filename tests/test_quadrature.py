@@ -7,7 +7,8 @@ import pytest
 
 from geofrac.errors import AccuracyError, DomainError
 from geofrac.fractional import rl_left
-from geofrac.quadrature import (_jacobi_rule, as_array_function, integrate,
+from geofrac.quadrature import (NODES, _integrate_rows, _jacobi_rule,
+                                _jacobi_rules, as_array_function, integrate,
                                 pointwise, power_kernel_integral)
 
 
@@ -189,3 +190,82 @@ def test_as_array_function_shapes():
     g = as_array_function(lambda x: x ** 2)
     out = g(np.array([1.0, 2.0]))
     assert out.tolist() == [1.0, 4.0]
+
+
+# ---------------------------------------------------------------------------
+# first level for R rows and the stacked Jacobi rules
+# ---------------------------------------------------------------------------
+
+
+def _golub_welsch_alone(n, beta):
+    # one Jacobi matrix built with np.diag and solved on its own
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    jac = np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, 1)
+    nodes, vecs = np.linalg.eigh(jac, UPLO="U")
+    return nodes, vecs[0] ** 2 / (beta + 1.0)
+
+
+def test_jacobi_rule_is_a_row_of_the_stacked_build():
+    betas = np.random.default_rng(9).uniform(-0.75, 2.0, 64)
+    nodes, weights = _jacobi_rules(16, betas)
+    for i, beta in enumerate(betas.tolist()):
+        us, lams = _jacobi_rule(16, beta)
+        assert np.array_equal(us, nodes[i])
+        assert np.array_equal(lams, weights[i])
+        alone = _golub_welsch_alone(16, beta)
+        assert np.array_equal(alone[0], nodes[i])
+        assert np.array_equal(alone[1], weights[i])
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.3, 1.7])
+def test_smooth_operand_is_one_operand_call(exponent):
+    # the whole first panel and its two halves go out as one call
+    shapes = []
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return np.exp(x)
+
+    integrate(f, 0.0, 1.0, exponent=exponent)
+    assert shapes == [(3 * NODES,)]
+    shapes.clear()
+    power_kernel_integral(f, 0.8, exponent)
+    assert shapes == [(3 * NODES,)]
+
+
+def test_integrate_rows_equal_integrate_bit_for_bit():
+    # R integrands of their own, with and without a kernel weight, as one
+    # stacked operand; the kinked row is left to integrate's bisection
+    lo = [0.0, 0.2, -1.0, 0.0, 0.0]
+    hi = [1.0, 0.9, 2.0, 0.6, 1.0]
+    exponent = [1.0, 0.3, 1.0, 2.5, 1.7]
+    scales = np.array([[1.0], [-2.0], [0.5], [3.0], [1.0]])
+    kink = 0.3137
+
+    def row(r):
+        if r == 4:
+            return lambda x: np.abs(x - kink)
+        return lambda x: np.exp(scales[r, 0] * x) * np.cos(x)
+
+    def stacked(x):
+        out = np.exp(scales * x) * np.cos(x)
+        out[4] = np.abs(x[4] - kink)
+        return out
+
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return stacked(x)
+
+    values = _integrate_rows(counted, lo, hi, exponent)
+    assert calls == [(5, 3 * NODES)]
+    assert values[4] is None
+    for r in range(4):
+        assert values[r] == integrate(row(r), lo[r], hi[r],
+                                      exponent=exponent[r])
