@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -492,7 +493,10 @@ def _write(text: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and shared by
+    every later one: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="geofrac",
         description="verify Hermite-Hadamard chains on geodesic spaces")

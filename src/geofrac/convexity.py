@@ -126,10 +126,9 @@ def squared_distance_function(space: Space, y: Point,
     k = float(k)
     if not (np.isfinite(k) and k >= 1.0):
         raise DomainError("exponent k must be >= 1")
-    ystack = space._stack([y.coords])
 
     def f(batch) -> np.ndarray:
-        return _dist_pow(space, batch, ystack, k)
+        return _dist_pow(space, batch, y.row, k)
 
     f.__name__ = "dist_to_point_pow_%g" % k
     return f
@@ -212,7 +211,7 @@ def _distance_pullback_rows(geodesics: Sequence[Geodesic],
     shape (..., R, m); the result has their shape."""
     space = geodesics[0].space
     along = _along_rows(geodesics)
-    ystack = space._stack([y.coords for y in ys])
+    ystack = _stack_rows([y.row for y in ys])
 
     def fn(ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

@@ -13,11 +13,11 @@ y = 1/(c1 + c2), x = (c1 x1 + c2 x2) y with weights
 c1 = sinh((1-t)d) / (y1 sinh d) and c2 = sinh(td) / (y2 sinh d): one
 formula for every pair, vertical or not.  The half-plane distance is
 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))); a pair for which that comes out
-nan or inf, because its squares under- or overflow, is rescaled by a
-power of two, exactly, since the metric is invariant under z -> lam z.
-A geodesic whose weights are not finite normal doubles raises
-DomainError.  Spider geodesics run piecewise through the hub.  Product
-geodesics interpolate coordinatewise.
+nan or inf, because its squares under- or overflow, or whose 4 y1 y2 is
+subnormal or overflows, is rescaled by a power of two, exactly, since the
+metric is invariant under z -> lam z.  A geodesic whose weights are not
+finite normal doubles raises DomainError.  Spider geodesics run piecewise
+through the hub.  Product geodesics interpolate coordinatewise.
 
 On top of the spaces the module exposes comparison quantities, each
 returned as (bound) - (value) so nonnegative results certify the defining
@@ -28,13 +28,16 @@ comparison bound for the distance between two geodesics, with the squared
 difference of endpoint distances subtracted).
 
 Internally every space operates on coordinate batches (vectorized over a
-leading axis) so that bulk randomized checks stay cheap; the public Point
-and Geodesic layer wraps batches of size one.  Each space writes its
-geodesic formula once, in two stages: an endpoint stage (`_ends`) turns
-two endpoint batches into per-row constants, and a parameter stage
-(`_along`) broadcasts those constants against the parameters t.  The batch
-primitive `_interp` is their composition; a Geodesic runs the endpoint
-stage once and every evaluation only the parameter stage.
+leading axis) so that bulk randomized checks stay cheap.  A Point is
+validated once, when it is made, and holds its validated one-row batch,
+`row`; its `coords` are read back from that row.  Both are read-only.
+Distances, geodesics and the scalar gaps hand the rows to the batch layer
+as they are.  Each space writes its geodesic formula once, in two stages:
+an endpoint stage (`_ends`) turns two endpoint batches into per-row
+constants, and a parameter stage (`_along`) broadcasts those constants
+against the parameters t.  The batch primitive `_interp` is their
+composition; a Geodesic runs the endpoint stage once and every evaluation
+only the parameter stage.
 """
 
 from __future__ import annotations
@@ -54,13 +57,25 @@ __all__ = ["Space", "Point", "Geodesic", "euclidean", "half_plane", "spider",
            "sample_points", "random_point", "random_geodesic"]
 
 class Point:
-    """A point of a model space; coords layout is space-specific."""
+    """A point of a model space, validated once, when it is made.
 
-    __slots__ = ("space", "coords")
+    `row` is the point as a one-row coordinate batch, the form the batch
+    layer takes, built from the validated coordinates; `coords` (the layout
+    is space-specific) is read back from it.  Both are read-only and share
+    no memory with the caller's input, so they cannot come to disagree.
+    """
+
+    __slots__ = ("space", "coords", "row")
 
     def __init__(self, space: "Space", coords: Any):
+        self._hold(space, space._stack([space._validate(coords)]))
+
+    def _hold(self, space: "Space", row) -> "Point":
         self.space = space
-        self.coords = space._validate(coords)
+        self.row = _read_only(row)
+        # a view of the read-only row where the layout is an array
+        self.coords = space._single(row, 0)
+        return self
 
     def to_dict(self) -> dict:
         return {"space": self.space.name,
@@ -69,6 +84,24 @@ class Point:
     def __repr__(self) -> str:
         return "Point(%s, %s)" % (self.space.name,
                                   self.space._coords_json(self.coords))
+
+
+def _read_only(batch):
+    # a coordinate batch is an array or a (nested) tuple of arrays
+    if isinstance(batch, tuple):
+        for item in batch:
+            _read_only(item)
+    else:
+        batch.setflags(write=False)
+    return batch
+
+
+def _point_of_row(space: "Space", row) -> Point:
+    """The point of a freshly computed one-row batch, validated like any
+    other point; the batch itself becomes its row."""
+    p = Point.__new__(Point)._hold(space, row)
+    space._validate(p.coords)
+    return p
 
 
 class Space:
@@ -92,17 +125,17 @@ class Space:
 
     def distance(self, p: Point, q: Point) -> float:
         _require_space(self, p, q)
-        return float(self._dist(self._stack([p.coords]),
-                                self._stack([q.coords]))[0])
+        return float(self._dist(p.row, q.row)[0])
 
     def random_point(self, rng: np.random.Generator) -> Point:
-        return Point(self, self._single(self._sample(1, rng), 0))
+        return _point_of_row(self, self._sample(1, rng))
 
     def __repr__(self) -> str:
         return self.name
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._key() == other._key()
+        return self is other or (type(self) is type(other)
+                                 and self._key() == other._key())
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._key()))
@@ -177,7 +210,7 @@ class EuclideanSpace(Space):
                                                             self.n)
 
     def _single(self, batch, i):
-        return np.array(batch[i], dtype=float)
+        return batch[i]
 
     def _sample(self, m, rng):
         return rng.normal(0.0, 1.0, (m, self.n))
@@ -186,18 +219,22 @@ class EuclideanSpace(Space):
         return [float(v) for v in coords]
 
 
-# smallest normal and largest finite double, the range of a geodesic weight
+# smallest normal and largest finite double: the range that 4 y1 y2 and the
+# geodesic weights must stay in
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
+# 4 - 2**-51, exactly: for x > 0, _RANGE / x is finite if and only if
+# x >= _TINY
+_RANGE = _TINY * _HUGE
 
 
 def _half_plane_dist(A, B):
     # 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) keeps the digits of close pairs
-    # that arccosh(1 + ...) rounds away
+    # that arccosh(1 + ...) rounds away; returns the distances and 4 y1 y2
     sq = A - B
     sq *= sq
-    return 2.0 * np.arcsinh(np.sqrt((sq[:, 0] + sq[:, 1])
-                                    / (4.0 * A[:, 1] * B[:, 1])))
+    den = 4.0 * A[:, 1] * B[:, 1]
+    return 2.0 * np.arcsinh(np.sqrt((sq[:, 0] + sq[:, 1]) / den)), den
 
 
 class HalfPlaneSpace(Space):
@@ -212,15 +249,19 @@ class HalfPlaneSpace(Space):
         return arr
 
     def _dist(self, A, B):
-        d = _half_plane_dist(A, B)
-        if math.isfinite(np.add.reduce(d)):
+        d, den = _half_plane_dist(A, B)
+        # den (_RANGE / den) is near 4 where den = 4 y1 y2 is a normal
+        # double, and inf or nan where it is subnormal, 0 or inf, so one
+        # sum finds the rows whose distance or denominator left the range
+        check = d + den * (_RANGE / den)
+        if math.isfinite(np.add.reduce(check)):
             return d
         # a row far from y = 1 whose squares or 4 y1 y2 under- or
         # overflowed: the metric is invariant under z -> lam z, so rescale
         # it by the power of two that brings y1 y2 near 1, which is exact,
         # and take |z1 - z2| by hypot and the root of y1 y2 factor by
         # factor, so that no square is formed (pairs beyond d ~ 709)
-        bad = ~np.isfinite(d)
+        bad = ~np.isfinite(check)
         A, B = (X[bad] for X in np.broadcast_arrays(A, B))
         e = (np.frexp(A[:, 1])[1] + np.frexp(B[:, 1])[1]) // 2
         A, B = np.ldexp(A, -e[:, None]), np.ldexp(B, -e[:, None])
@@ -258,7 +299,7 @@ class HalfPlaneSpace(Space):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list), 2)
 
     def _single(self, batch, i):
-        return np.array(batch[i], dtype=float)
+        return batch[i]
 
     def _sample(self, m, rng):
         x = rng.normal(0.0, 1.0, m)
@@ -418,10 +459,8 @@ class Geodesic:
         space = self.space = start.space
         self.start = start
         self.end = end
-        A = space._stack([start.coords])
-        B = space._stack([end.coords])
-        self.length = float(space._dist(A, B)[0])
-        self._ends = space._ends(A, B)
+        self.length = float(space._dist(start.row, end.row)[0])
+        self._ends = space._ends(start.row, end.row)
 
     def eval(self, t: float) -> Point:
         t = _check_unit(t)
@@ -429,8 +468,8 @@ class Geodesic:
             return self.start
         if t == 1.0:
             return self.end
-        batch = self.space._along(self._ends, np.array([t]))
-        return Point(self.space, self.space._single(batch, 0))
+        return _point_of_row(self.space,
+                             self.space._along(self._ends, np.array([t])))
 
     def eval_batch(self, ts) -> Any:
         ts = np.asarray(ts, dtype=float).ravel()
@@ -452,7 +491,6 @@ class Geodesic:
 
 def distance(p: Point, q: Point) -> float:
     """Distance between two points of the same space."""
-    _require_space(p.space, p, q)
     return p.space.distance(p, q)
 
 
@@ -468,7 +506,7 @@ def geodesic_restrict(g: Geodesic, t1: float, t2: float) -> Geodesic:
 
 def _require_space(space: Space, *points: Point) -> None:
     for p in points:
-        if p.space != space:
+        if p.space is not space and p.space != space:
             raise SpaceMismatchError("points belong to different spaces")
 
 
@@ -529,8 +567,7 @@ def sturm_gap_batch(space: Space, X0, X1, Y0, Y1, t) -> np.ndarray:
 def _scalar_gap(batch_fn, space: Space, points: Sequence[Point],
                 *extra) -> float:
     _require_space(space, *points)
-    stacks = [space._stack([p.coords]) for p in points]
-    return float(batch_fn(space, *stacks, *extra)[0])
+    return float(batch_fn(space, *(p.row for p in points), *extra)[0])
 
 
 def cn_gap(p: Point, x: Point, y: Point) -> float:

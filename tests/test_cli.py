@@ -448,3 +448,24 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_main_calls_in_one_process_match_fresh_processes():
+    # main builds its parser once per process: a sequence of calls in this
+    # one, a usage error among them, gives every call the exit code and
+    # the bytes of a fresh process
+    verify = ["verify", "--suite", "thm_cb2", "--space", "halfplane",
+              "--trials", "4", "--seed", "3"]
+    calls = [verify, ["verify", "--trials", "many"],
+             ["fracint", "--op", "rl-left", "--f", "t^2", "--alpha", "0.5",
+              "--a", "0", "--x", "1"], verify]
+    in_process = [_run(argv) for argv in calls]
+    assert [r[0] for r in in_process] == [0, 2, 0, 0]
+    fresh = {}
+    for argv in calls:
+        if tuple(argv) not in fresh:
+            proc = subprocess.run([sys.executable, "-m", "geofrac.cli",
+                                   *argv], capture_output=True, text=True)
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    for argv, got in zip(calls, in_process):
+        assert got == fresh[tuple(argv)], argv

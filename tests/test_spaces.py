@@ -14,7 +14,7 @@ from geofrac.spaces import (busemann_gap, busemann_gap_batch, cn_gap,
                             comparison_gap_batch, distance, euclidean,
                             four_point_gap, four_point_gap_batch,
                             geodesic_point, geodesic_restrict, Geodesic,
-                            half_plane, product, random_geodesic,
+                            half_plane, Point, product, random_geodesic,
                             random_point, sample_points, spider, sturm_gap,
                             sturm_gap_batch)
 
@@ -111,6 +111,32 @@ def test_half_plane_distance_beyond_709():
                                  / (2 * mp.sqrt(Y1 * Y2)))
             assert exact > 709
             assert abs(got - exact) <= 1e-14 * exact, (x1, y1, x2, y2)
+
+
+# the first pass over such a pair under- or overflows before the row is
+# rescaled
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_half_plane_distance_rescales_out_of_range_denominator():
+    # 4 y1 y2 is subnormal or overflows while |z1 - z2|^2 / (4 y1 y2) stays
+    # finite; the unrescaled formula reads 0.0, 0.0 and 0.576126 here
+    mp = pytest.importorskip("mpmath")
+    pairs = [((0.0, 1e-162), (1e-162, 1e-162)),
+             ((0.0, 1e160), (1e150, 1e160)),
+             ((0.0, 1e-160), (0.3e-160, 1.7e-160))]
+    normal = (H.point(0.3, 1.2), H.point(-1.1, 0.7))
+    for (x1, y1), (x2, y2) in pairs:
+        got = distance(H.point(x1, y1), H.point(x2, y2))
+        with mp.workdps(40):
+            X1, Y1, X2, Y2 = (mp.mpf(v) for v in (x1, y1, x2, y2))
+            exact = 2 * mp.asinh(mp.sqrt((X1 - X2) ** 2 + (Y1 - Y2) ** 2)
+                                 / (2 * mp.sqrt(Y1 * Y2)))
+        assert abs(got - exact) <= 1e-14 * exact, (x1, y1, x2, y2)
+        # in a batch the pair is rescaled alone: a normal row keeps the
+        # bits of its own one-row call
+        both = H._dist(H._stack([(x1, y1), normal[0].coords]),
+                       H._stack([(x2, y2), normal[1].coords]))
+        assert both[0] == got
+        assert both[1] == distance(*normal)
 
 
 def test_spider_distances():
@@ -464,6 +490,117 @@ def test_sampling_is_deterministic_per_seed():
         pa = space._single(a, 3)
         pb = space._single(b, 3)
         assert distance(space.point(pa), space.point(pb)) == 0.0
+
+
+ROW_SPACES = [E2, H, S3, product(euclidean(2), spider(3)),
+              product(product(euclidean(1), half_plane()), spider(3))]
+
+
+def _leaves(obj):
+    # the arrays or scalars of coordinates or a batch, depth first
+    if isinstance(obj, tuple):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    return [obj]
+
+
+def _same_bits(a, b) -> bool:
+    la, lb = ([np.asarray(v) for v in _leaves(x)] for x in (a, b))
+    return len(la) == len(lb) and all(
+        x.dtype == y.dtype and x.shape == y.shape
+        and x.tobytes() == y.tobytes() for x, y in zip(la, lb))
+
+
+def _as_arrays(coords_json):
+    # fresh caller-owned arrays holding a point's coordinates
+    if isinstance(coords_json[0], list):
+        return tuple(_as_arrays(c) for c in coords_json)
+    return np.array(coords_json, dtype=float)
+
+
+def _made_points(space, rng):
+    """One point from each way of making a point."""
+    g = random_geodesic(space, rng, min_length=0.1)
+    sub = g.restrict(0.2, 0.7)
+    coords = space._single(space._sample(1, rng), 0)
+    return {"space.point": space.point(coords),
+            "Point": Point(space, coords),
+            "random_point": random_point(space, rng),
+            "eval": g.eval(0.3),
+            "restrict start": sub.start, "restrict end": sub.end}
+
+
+def test_point_row_is_its_one_row_batch():
+    rng = np.random.default_rng(61)
+    for space in ROW_SPACES:
+        for how, p in _made_points(space, rng).items():
+            assert _same_bits(p.row, space._stack([p.coords])), (space, how)
+
+
+def test_point_coords_and_row_are_read_only():
+    rng = np.random.default_rng(62)
+    for space in ROW_SPACES:
+        for how, p in _made_points(space, rng).items():
+            for part in (p.coords, p.row):
+                if isinstance(part, tuple):
+                    with pytest.raises(TypeError):
+                        part[0] = part[1]
+                for leaf in _leaves(part):
+                    if isinstance(leaf, np.ndarray):
+                        with pytest.raises(ValueError):
+                            leaf[...] = 0.0
+            assert _same_bits(p.row, space._stack([p.coords])), (space, how)
+
+
+def test_point_keeps_no_view_of_its_input():
+    # a write into the caller's array must not reach the point: for the
+    # half-plane it would give y < 0 past validation
+    rng = np.random.default_rng(63)
+    for space in ROW_SPACES:
+        want = space._coords_json(space._single(space._sample(1, rng), 0))
+        for make in (space.point, lambda c: Point(space, c)):
+            arrays = _as_arrays(want)
+            p = make(arrays)
+            row = space._stack([p.coords])
+            for leaf in _leaves(arrays):
+                leaf[...] = -3.0
+            assert space._coords_json(p.coords) == want, space
+            assert _same_bits(p.row, row), space
+
+
+def test_point_rows_give_the_batch_formulas_bits():
+    # distance, length and the scalar gaps against the batch formulas on
+    # freshly stacked coordinates
+    rng = np.random.default_rng(64)
+    for space in ROW_SPACES:
+        pts = list(_made_points(space, rng).values())
+        stacks = [space._stack([p.coords]) for p in pts]
+        for i in range(len(pts) - 1):
+            want = float(space._dist(stacks[i], stacks[i + 1])[0])
+            assert distance(pts[i], pts[i + 1]) == want, space
+            assert Geodesic(pts[i], pts[i + 1]).length == want, space
+        a, b, c, d = pts[:4]
+        A, B, C, D = stacks[:4]
+        t = 0.35
+        for got, want in (
+                (cn_gap(a, b, c), cn_gap_batch(space, A, B, C)),
+                (busemann_gap(a, b, c), busemann_gap_batch(space, A, B, C)),
+                (comparison_gap(a, b, c, t),
+                 comparison_gap_batch(space, A, B, C, t)),
+                (four_point_gap(a, b, c, d, t),
+                 four_point_gap_batch(space, A, B, C, D, t)),
+                (sturm_gap(Geodesic(a, b), Geodesic(c, d), t),
+                 sturm_gap_batch(space, A, B, C, D, t))):
+            assert got == float(want[0]), space
+
+
+def test_random_point_draws_as_before():
+    # the same draws from the generator, in the same order
+    for space in ROW_SPACES:
+        p = random_point(space, np.random.default_rng(65))
+        batch = space._sample(1, np.random.default_rng(65))
+        assert _same_bits(p.row, batch), space
+        assert (space._coords_json(p.coords)
+                == space._coords_json(space._single(batch, 0)))
 
 
 def test_point_serialization_round_trip():
