@@ -54,18 +54,8 @@ than asserted:
 
 `falsify_search` hammers one chain with random admissible instances and
 reports the worst margin and any violations beyond tolerance.  Each
-chain writes its sides once (`_mean_sides`, `_h_hh_sides`,
-`_thm_cb_sides`, `_thm_ty1_sides`, `_corollary_sides`), as a function of
-the pullback at its midpoint and ends, its integrals and the constants
-of h.  The per-trial chain feeds them one instance; the falsifier
-(`ChainSpec.rows`, `_Rows`) feeds them chunks of up to CHUNK trials at
-once: one pullback call for every row's points, one first-level
-quadrature over a (rows x 3 NODES) node array per integral, and one
-stacked Jacobi build.  Rows whose first level misses the bisection test
-(a kink or cusp inside a panel, such as the spider hub), rows where a
-constant raises AccuracyError, and the worst row go back through the
-per-trial chain by its module-level name, so every count, tie and
-report is the one trial-by-trial evaluation gives.
+chain writes its sides and instance dict once, for the per-trial chain
+and for the falsifier's row batches (`ChainSpec.rows`, `_Rows`).
 """
 
 from __future__ import annotations
@@ -84,8 +74,8 @@ from .convexity import (HFunction, _distance_pullback_rows,
 from .errors import AccuracyError, DomainError, SpaceMismatchError
 from .fractional import (_beta, _katugampola_left_kernel, katugampola_left,
                          lq_norm_unit)
-from .quadrature import (_integrate_rows, as_array_function, integrate,
-                         power_kernel_integral)
+from .quadrature import (_by_row, _integrate_rows, _power_kernel_rows,
+                         as_array_function, integrate, power_kernel_integral)
 from .spaces import Geodesic, Point, Space, random_geodesic, random_point
 
 __all__ = ["TheoremParams", "InequalityReport", "CompositeOperand",
@@ -242,7 +232,14 @@ def classic_hh(f: Callable, a: float, b: float, *,
     mid = float(arr(np.array([0.5 * (a + b)]))[0])
     sides = _mean_sides(mid, integrate(arr, a, b), arr(np.array([a]))[0],
                         arr(np.array([b]))[0], a, b)
-    return _report("classic_hh", sides, tol, {"f": _fname(f), "a": a, "b": b})
+    return _report("classic_hh", sides, tol, _mean_instance(f, None, a, b))
+
+
+def _mean_instance(f: Callable, hf: Optional[HFunction], a: float,
+                   b: float) -> dict:
+    # classic_hh's instance, and h_hh's with its h
+    h = {} if hf is None else {"h": hf.name}
+    return {"f": _fname(f), **h, "a": a, "b": b}
 
 
 def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
@@ -258,8 +255,7 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
     sides, extras = _h_hh_sides(hf, h_half, mid, integrate(arr, a, b),
                                 arr(np.array([a]))[0], arr(np.array([b]))[0],
                                 a, b)
-    instance = {"f": _fname(f), "h": hf.name, "a": a, "b": b}
-    return _report("h_hh", sides, tol, instance, extras)
+    return _report("h_hh", sides, tol, _mean_instance(f, hf, a, b), extras)
 
 
 def conde_hh(f: Callable, g: Geodesic, *,
@@ -268,8 +264,11 @@ def conde_hh(f: Callable, g: Geodesic, *,
     fg = on_geodesic(f, g)
     sides = _mean_sides(float(fg(0.5)), integrate(fg, 0.0, 1.0), fg(0.0),
                         fg(1.0), 0.0, 1.0)
-    instance = {"f": _fname(f), "geodesic": _geodesic_json(g)}
-    return _report("conde_hh", sides, tol, instance)
+    return _report("conde_hh", sides, tol, _conde_instance(f, g))
+
+
+def _conde_instance(f: Callable, g: Geodesic) -> dict:
+    return {"f": _fname(f), "geodesic": _geodesic_json(g)}
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def _operator_mean(fg: Callable, p: TheoremParams, h_half: float,
                           h_half)
 
 
-def _instance(chain: str, f: Callable, g: Geodesic, hf: HFunction,
+def _instance(f: Callable, g: Geodesic, hf: HFunction,
               p: TheoremParams) -> dict:
     return {"f": _fname(f), "h": hf.name, "params": p.to_dict(),
             "geodesic": _geodesic_json(g)}
@@ -365,7 +364,7 @@ def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
     ops = _operator_mean(fg, p, h_half, ar + br)
     sides, extras = _thm_cb_sides(holder, hf, p, h_half, mid, ops,
                                   float(fg(ar) + fg(br)))
-    return _report(chain, sides, tol, _instance(chain, f, g, hf, p), extras)
+    return _report(chain, sides, tol, _instance(f, g, hf, p), extras)
 
 
 def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
@@ -410,7 +409,7 @@ def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
                            _operator_mean(fg, p, h_half, 1.0),
                            float(fg(0.0) + fg(1.0)),
                            compute_E(hf, p.alpha, p.rho, p.a, p.b))
-    return _report("thm_ty1", sides, tol, _instance("thm_ty1", f, g, hf, p))
+    return _report("thm_ty1", sides, tol, _instance(f, g, hf, p))
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +516,14 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     sides, extras = _corollary_sides(
         g1, g2, p, h_half, mid, ops, float(gd(0.0) + gd(1.0)),
         compute_E(hf, p.alpha, p.rho, p.a, p.b))
-    instance = {"h": hf.name, "params": p.to_dict(),
-                "g1": _geodesic_json(g1), "g2": _geodesic_json(g2)}
-    return _report("corollary_distance", sides, tol, instance, extras)
+    return _report("corollary_distance", sides, tol,
+                   _corollary_instance(g1, g2, hf, p), extras)
+
+
+def _corollary_instance(g1: Geodesic, g2: Geodesic, hf: HFunction,
+                        p: TheoremParams) -> dict:
+    return {"h": hf.name, "params": p.to_dict(),
+            "g1": _geodesic_json(g1), "g2": _geodesic_json(g2)}
 
 
 def _corollary_sides(g1: Geodesic, g2: Geodesic, p: TheoremParams,
@@ -556,19 +560,21 @@ class _Trial(NamedTuple):
     y: Optional[Point]
 
 
-class _Rows:
-    """R falsifier trials of one chain, evaluated together.
+def _values(results) -> list:
+    # each row's value, None where it did not converge
+    return [None if isinstance(v, AccuracyError) else v[0] for v in results]
 
-    `pull` is every trial's pullback in one call: row r of a parameter
-    array of shape (..., R, m) goes to trial r.  The integrals come from
-    `_integrate_rows`, one operand call each for all R rows, and are None
-    for a row that its first level does not resolve.
-    """
+
+class _Rows:
+    """R falsifier trials of one chain, evaluated together: `pull(ts,
+    rows)` is every trial's pullback, line k of ts (..., K, m) on trial
+    rows[k]; an integral is None for a row that does not converge."""
 
     def __init__(self, trials, two_geodesics: bool):
         self.trials = trials
         self.params = [t.params for t in trials]
         self.hs = [t.h for t in trials]
+        self.index = np.arange(len(trials))
         if two_geodesics:
             self.pull = _geodesic_distance_rows([t.g[0] for t in trials],
                                                 [t.g[1] for t in trials])
@@ -578,12 +584,12 @@ class _Rows:
 
     def at(self, ts) -> np.ndarray:
         """The pullbacks at ts, R rows of parameters."""
-        return self.pull(np.array(ts, dtype=float))
+        return self.pull(np.array(ts, dtype=float), self.index)
 
     def means(self, ab) -> list:
         """Int_a^b of the pullback, per row (a, b)."""
         lo, hi = zip(*ab)
-        return _integrate_rows(self.pull, lo, hi, [1.0] * len(lo))
+        return _values(_integrate_rows(self.pull, lo, hi, [1.0] * len(lo)))
 
     def operators(self, shifts) -> list:
         """`katugampola_left` on [a, b] of the folded composite operand
@@ -591,17 +597,18 @@ class _Rows:
         uppers, maps, prefactors = zip(*(
             _katugampola_left_kernel(p.alpha, p.rho, p.a, p.b)
             for p in self.params))
-        shift = np.array(shifts, dtype=float)[:, None]
+        shift = np.array(shifts, dtype=float)
 
-        def operand(w):
+        def operand(w, rows):
             # the kernel's node map and x^rho row by row, each with its
             # row's own Python-float exponent, as on a lone trial
-            u = np.stack([_unit_power(t(row), p.rho)
-                          for row, t, p in zip(w, maps, self.params)])
-            return _folded(self.pull, u, shift)
+            u = _by_row(lambda r, x: _unit_power(maps[r](x),
+                                                  self.params[r].rho), w, rows)
+            return _folded(lambda x: self.pull(x, rows), u,
+                           shift[rows, None])
 
-        values = _integrate_rows(operand, [0.0] * len(uppers), uppers,
-                                 [p.alpha for p in self.params])
+        values = _values(_power_kernel_rows(
+            operand, uppers, [p.alpha for p in self.params]))
         return [None if v is None else c * v
                 for v, c in zip(values, prefactors)]
 
@@ -609,14 +616,10 @@ class _Rows:
         """`compute_E` of each row's h and params."""
         brs = [p.b ** p.rho for p in self.params]
         operands = [_e_operand(hf, br) for hf, br in zip(self.hs, brs)]
-
-        def operand(w):
-            return np.stack([e(row) for e, row in zip(operands, w)])
-
-        values = _integrate_rows(operand, [0.0] * len(brs),
-                                 [br - p.a ** p.rho
-                                  for br, p in zip(brs, self.params)],
-                                 [p.alpha for p in self.params])
+        values = _values(_power_kernel_rows(
+            lambda w, rows: _by_row(lambda r, x: operands[r](x), w, rows),
+            [br - p.a ** p.rho for br, p in zip(brs, self.params)],
+            [p.alpha for p in self.params]))
         return [None if v is None else _e_value(hf, p, v)
                 for v, hf, p in zip(values, self.hs, self.params)]
 
@@ -624,42 +627,33 @@ class _Rows:
 def _row_reports(chain: str, tol: float, sides_of: Callable,
                  *columns) -> list:
     # a report per row from sides_of(*row) -> (sides, extras); None for a
-    # row with an unresolved integral or a constant that raises
-    # AccuracyError, so that it goes through the per-trial chain
+    # row whose integral or constant raises AccuracyError
     out = []
     for row in zip(*columns):
-        if any(v is None for v in row):
-            out.append(None)
-            continue
-        try:
-            sides, extras = sides_of(*row)
-        except AccuracyError:
-            out.append(None)
-            continue
-        out.append(_report(chain, sides, tol, {}, extras))
+        report = None
+        if all(v is not None for v in row):
+            try:
+                sides, extras = sides_of(*row)
+                report = _report(chain, sides, tol, {}, extras)
+            except AccuracyError:
+                pass
+        out.append(report)
     return out
 
 
 def _mean_rows(chain: str, unit: bool, rows: _Rows, tol: float) -> list:
-    # classic_hh on [a, b] and conde_hh on [0, 1]
+    # classic_hh and h_hh on [a, b], conde_hh on [0, 1]
     ab = [(0.0, 1.0) if unit else (p.a, p.b) for p in rows.params]
 
-    def sides(ends, v, integral):
-        return _mean_sides(float(v[0]), integral, v[1], v[2], *ends), None
-
-    return _row_reports(chain, tol, sides, ab,
-                        rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
-                        rows.means(ab))
-
-
-def _h_hh_rows(rows: _Rows, tol: float) -> list:
-    ab = [(p.a, p.b) for p in rows.params]
-
-    def sides(hf, ends, v, integral):
+    def sides(trial, ends, v, integral):
+        hf = trial.h
+        if hf is None:
+            return _mean_sides(float(v[0]), integral, v[1], v[2],
+                               *ends), None
         return _h_hh_sides(hf, _h_half(hf), float(v[0]), integral, v[1],
                            v[2], *ends)
 
-    return _row_reports("h_hh", tol, sides, rows.hs, ab,
+    return _row_reports(chain, tol, sides, rows.trials, ab,
                         rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
                         rows.means(ab))
 
@@ -722,14 +716,14 @@ class ChainSpec(NamedTuple):
     geodesics and f is unused.  h is None unless takes_h, and
     params.q is None unless needs_q.  The evaluators reach the chains
     through their module-level names, so rebinding a name takes effect.
-
-    rows(rows, tol) evaluates a `_Rows` batch of falsifier trials with the
-    chain's own side formulas: one report per row (with an empty
-    instance), or None for a row that `evaluate` must take.
+    rows(rows, tol) evaluates a `_Rows` batch: a report per row, with an
+    empty instance, or None for a quadrature failure; instance(f, g, h,
+    params) is evaluate's instance, from the chain's own helper.
     """
 
     evaluate: Callable[..., InequalityReport]
     rows: Callable[[_Rows, float], list]
+    instance: Callable[..., dict]
     takes_h: bool = True
     needs_q: bool = False
     two_geodesics: bool = False
@@ -739,23 +733,29 @@ CHAINS = {
     "classic_hh": ChainSpec(
         lambda f, g, h, p, **kw: classic_hh(on_geodesic(f, g), p.a, p.b,
                                             **kw),
-        functools.partial(_mean_rows, "classic_hh", False), takes_h=False),
+        functools.partial(_mean_rows, "classic_hh", False),
+        lambda f, g, h, p: _mean_instance(on_geodesic(f, g), h, p.a, p.b),
+        takes_h=False),
     "h_hh": ChainSpec(
         lambda f, g, h, p, **kw: h_hh(on_geodesic(f, g), h, p.a, p.b, **kw),
-        _h_hh_rows),
+        functools.partial(_mean_rows, "h_hh", False),
+        lambda f, g, h, p: _mean_instance(on_geodesic(f, g), h, p.a, p.b)),
     "conde_hh": ChainSpec(lambda f, g, h, p, **kw: conde_hh(f, g, **kw),
                           functools.partial(_mean_rows, "conde_hh", True),
+                          lambda f, g, h, p: _conde_instance(f, g),
                           takes_h=False),
     "thm_cb1": ChainSpec(lambda f, g, h, p, **kw: thm_cb1(f, g, h, p, **kw),
                          functools.partial(_thm_cb_rows, "thm_cb1", True),
-                         needs_q=True),
+                         _instance, needs_q=True),
     "thm_cb2": ChainSpec(lambda f, g, h, p, **kw: thm_cb2(f, g, h, p, **kw),
-                         functools.partial(_thm_cb_rows, "thm_cb2", False)),
+                         functools.partial(_thm_cb_rows, "thm_cb2", False),
+                         _instance),
     "thm_ty1": ChainSpec(lambda f, g, h, p, **kw: thm_ty1(f, g, h, p, **kw),
-                         _thm_ty1_rows),
+                         _thm_ty1_rows, _instance),
     "corollary_distance": ChainSpec(
         lambda f, g, h, p, **kw: corollary_distance(*g, h, p, **kw),
-        _corollary_rows, two_geodesics=True),
+        _corollary_rows, lambda f, g, h, p: _corollary_instance(*g, h, p),
+        two_geodesics=True),
 }
 
 CHAIN_NAMES = tuple(CHAINS)
@@ -840,17 +840,10 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     seed, tol) inputs give identical summaries; seed must be >= 0.
 
     Instances are drawn, and prechecked, one trial at a time from one
-    random stream, in chunks of CHUNK draws; the trials of a chunk that
-    pass the precheck are then evaluated together (`ChainSpec.rows`):
-    one pullback call for every row's midpoint and end values, and one
-    first-level quadrature over a (rows x 3 NODES) node array per
-    integral of the chain, with one stacked Jacobi build.  A row goes
-    back through the per-trial chain, called by its module-level name,
-    when its first level misses the bisection test (a kink or cusp
-    inside a panel, such as the spider hub) or a constant of h raises
-    AccuracyError.  The worst row is replayed there too, and its report
-    becomes worst_instance; ties go to the first trial.  A batch row's
-    sides are the per-trial chain's, bit for bit.
+    random stream, in chunks of CHUNK draws; a chunk's surviving trials
+    are evaluated together (`ChainSpec.rows`), each report bit for bit
+    the per-trial chain's.  The worst one, with `ChainSpec.instance`,
+    becomes worst_instance; ties go to the first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that
@@ -868,8 +861,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     discarded = evaluated = failures = violations = 0
-    worst_margin = None
-    worst = None
+    worst_margin = worst = None
     for start in range(0, trials, CHUNK):
         draws = min(CHUNK, trials - start)
         chunk = _draw_trials(spec, space, draws, rng)
@@ -879,22 +871,20 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         reports = spec.rows(_Rows(chunk, spec.two_geodesics), tol)
         for trial, report in zip(chunk, reports):
             if report is None:
-                try:
-                    report = spec.evaluate(trial.f, trial.g, trial.h,
-                                           trial.params, tol=tol)
-                except AccuracyError:
-                    failures += 1
-                    continue
+                failures += 1
+                continue
             evaluated += 1
             margin, violated = _margin(report, tol, product_c_term)
             violations += violated
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
-                worst = trial
+                worst = trial, report
     worst_instance = None
     if worst is not None:
-        worst_instance = spec.evaluate(worst.f, worst.g, worst.h,
-                                       worst.params, tol=tol).to_dict()
+        trial, report = worst
+        worst_instance = report.to_dict()
+        worst_instance["instance"] = spec.instance(trial.f, trial.g, trial.h,
+                                                   trial.params)
     summary = {"chain": chain, "space": space.name, "trials": trials,
                "seed": int(seed), "tol": float(tol), "evaluated": evaluated,
                "discarded": discarded, "quadrature_failures": failures,

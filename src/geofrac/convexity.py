@@ -171,10 +171,11 @@ def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
 # the same pullbacks for R geodesics at once
 # ---------------------------------------------------------------------------
 #
-# Row r of a parameter array of shape (..., R, m) goes to geodesic r.  The
-# geodesics' endpoint constants are stacked into one batch once, and each
-# call takes the rows it needs from it, so every point comes from the
-# same arithmetic as on its own geodesic.
+# A parameter array of shape (..., K, m) comes with the row of each of its
+# K lines: line k goes to geodesic rows[k].  The geodesics' endpoint
+# constants are stacked into one batch once, and each call takes the rows
+# it needs from it, so every point comes from the same arithmetic as on
+# its own geodesic.
 
 
 def _stack_rows(batches):
@@ -192,13 +193,12 @@ def _take_rows(batch, rows: np.ndarray):
 
 
 def _along_rows(geodesics: Sequence[Geodesic]) -> Callable:
-    # ts -> (points of ts as one batch, the row of each point)
+    # (ts, rows) -> (points of ts as one batch, the row of each point)
     space = geodesics[0].space
     ends = _stack_rows([g._ends for g in geodesics])
-    index = np.arange(len(geodesics))[:, None]
 
-    def along(ts: np.ndarray):
-        rows = np.broadcast_to(index, ts.shape).ravel()
+    def along(ts: np.ndarray, rows: np.ndarray):
+        rows = np.broadcast_to(rows[:, None], ts.shape).ravel()
         return space._along(_take_rows(ends, rows), ts.ravel()), rows
 
     return along
@@ -206,16 +206,15 @@ def _along_rows(geodesics: Sequence[Geodesic]) -> Callable:
 
 def _distance_pullback_rows(geodesics: Sequence[Geodesic],
                             ys: Sequence[Point], k: float) -> Callable:
-    """Row r: t -> d(g_r(t), y_r)**k, the pullback along g_r of
-    `squared_distance_function(space, y_r, k)`, for parameter arrays of
-    shape (..., R, m); the result has their shape."""
+    """(ts, rows) -> d(g_r(t), y_r)**k, r = rows[line]: the pullbacks of
+    `squared_distance_function(space, y_r, k)`, shaped as ts."""
     space = geodesics[0].space
     along = _along_rows(geodesics)
     ystack = _stack_rows([y.row for y in ys])
 
-    def fn(ts) -> np.ndarray:
+    def fn(ts, rows) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        pts, rows = along(ts)
+        pts, rows = along(ts, rows)
         return _dist_pow(space, pts, _take_rows(ystack, rows),
                          k).reshape(ts.shape)
 
@@ -224,15 +223,14 @@ def _distance_pullback_rows(geodesics: Sequence[Geodesic],
 
 def _geodesic_distance_rows(firsts: Sequence[Geodesic],
                             seconds: Sequence[Geodesic]) -> Callable:
-    """Row r: t -> d(g1_r(t), g2_r(t))**2, the
-    `distance_between_geodesics_function` of the pair r, for parameter
-    arrays of shape (..., R, m)."""
+    """(ts, rows) -> d(g1_r(t), g2_r(t))**2, r = rows[line]: the
+    `distance_between_geodesics_function` of each pair, shaped as ts."""
     space = firsts[0].space
     along1, along2 = _along_rows(firsts), _along_rows(seconds)
 
-    def fn(ts) -> np.ndarray:
+    def fn(ts, rows) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        return _dist_pow(space, along1(ts)[0], along2(ts)[0],
+        return _dist_pow(space, along1(ts, rows)[0], along2(ts, rows)[0],
                          2).reshape(ts.shape)
 
     return fn
@@ -305,7 +303,7 @@ def _verdict(slack: np.ndarray, t1, t2, lam, tol: float) -> ConvexityVerdict:
     if n == 0:
         return ConvexityVerdict(True, np.inf, None, 0)
     masked = np.where(finite, slack, np.inf)
-    holds = bool(np.all(masked >= -tol))
+    holds = bool((masked >= -tol).all())
     idx = int(np.argmin(masked))
     r, j = divmod(idx, slack.shape[1])
     witness = (float(t1[r]), float(t2[r]), float(lam[j]))

@@ -1,42 +1,24 @@
 """Adaptive Gauss quadrature with a Gauss-Jacobi panel for power kernels.
 
-`integrate` is the one adaptive engine.  It integrates
-
-    (x - lo)**(exponent - 1) * f(x)   over [lo, hi]
-
-by panel bisection: each panel is compared with its two halves and split
-again until the difference falls under the panel's share of the budget.
-With the default exponent 1 the weight is absent and every panel uses
-the n-node Gauss-Legendre rule.  Otherwise the panel that touches lo uses
-the n-node Gauss-Jacobi rule for the weight u**(exponent-1) on (0, 1),
-built by the Golub-Welsch method, so the endpoint kernel is integrated
-exactly and smooth f needs no refinement there; every other panel uses
-Gauss-Legendre on the weighted integrand, which is smooth away from lo.
-
-The first level, the whole interval and its two halves, is written once
-for R integrals at a time (`_first_level`): their 3 NODES nodes per row
-go to the operand as one (R, 3 NODES) array, their Jacobi rules come
-from one stacked Golub-Welsch `eigh` (`_jacobi_rules`; `_jacobi_rule` is
-its cached one-row case), and the panel sums are one stacked product.
-`integrate` is its one-row case, so a smooth operand costs one operand
-call, followed by the bisection stack for the halves that miss.
-`_integrate_rows` applies integrate's own bisection test to each of R
-rows and returns the values of those that pass, bit for bit the values
-`integrate` returns; the falsifier evaluates trials that way
-(`chains.falsify_search`).  Per-row powers stay Python-float powers, as
-in a lone integral, so stacking never changes a number.
-
-:func:`power_kernel_integral` puts the kernel w**(exponent-1) through this
-engine.  An operand with a power singularity of its own at w = 0 defeats
-the Jacobi panel; for it the integral is re-run once through the
-substitution v = w**exponent, which folds the kernel into the measure.
+One engine integrates (x - lo)**(exponent - 1) * f(x) over [lo, hi] for
+R integrals at a time by panel bisection: a panel is compared with its
+two halves and split again until the difference falls under its share of
+the budget.  The panel at lo uses the n-node Gauss-Jacobi rule of the
+weight u**(exponent-1) on (0, 1) (Golub-Welsch), so the endpoint kernel
+is integrated exactly; every other panel uses Gauss-Legendre on the
+weighted integrand.  The engine (`_integrate_rows`) refines
+breadth-first, one operand call per level for all rows, adds a row's
+panels in the order of a depth-first bisection, left half first, and
+fails where that bisection stops (`_left_first`): every value, error and
+AccuracyError is the depth-first one, bit for bit.  `integrate` is its
+one-row case; :func:`power_kernel_integral` puts w**(exponent-1) through
+it and re-runs an operand singular at w = 0 once through v = w**exponent.
 
 Every integral runs at one fixed accuracy, set by the module constants
-REL_TOL, ABS_TOL, NODES and MAX_PANELS.
-
-Operands are array functions: an array of nodes in, the same shape out
-(a 0-d result broadcasts).  They are never probed: a scalar-only function
-is wrapped in :func:`pointwise`, and an operand's exceptions propagate.
+REL_TOL, ABS_TOL, NODES and MAX_PANELS.  Operands are array functions:
+an array of nodes in, the same shape out (a 0-d result broadcasts).
+They are never probed: a scalar-only function is wrapped in
+:func:`pointwise`, and an operand's exceptions propagate.
 """
 
 from __future__ import annotations
@@ -99,16 +81,6 @@ def _jacobi_rules(n: int, betas) -> tuple[np.ndarray, np.ndarray]:
     return nodes, vecs[:, 0, :] ** 2 / (beta + 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-node Gauss rule for the weight u**beta on (0, 1), beta > -1: the
-    one-row case of `_jacobi_rules`, cached."""
-    nodes, weights = (v[0] for v in _jacobi_rules(n, [beta]))
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 def as_array_function(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """Normalise an array operand: f(x) has x's shape, or is 0-d.
 
@@ -147,90 +119,168 @@ def _check_exponent(exponent: float) -> None:
         raise DomainError("kernel exponent must be positive and finite")
 
 
-def _accepted(err: float, budget: float, width: float, span: float) -> bool:
-    # a panel may take its width's share of the budget or an equal 1/max
-    # share; the latter keeps deep refinements near a hard point from
-    # demanding ever smaller absolute errors than the sum requires
-    return err <= budget * width / span or err <= budget / MAX_PANELS
+@functools.lru_cache(maxsize=4)
+def _rules(exponent: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(R, n) Jacobi nodes and weights of R integrals' weights, zeros for
+    exponent 1, from one stacked build; cached (a batch's operator sides
+    and its E share theirs)."""
+    nodes, weights = np.zeros((2, len(exponent), NODES))
+    at = [i for i, e in enumerate(exponent) if e != 1.0]
+    if at:
+        nodes[at], weights[at] = _jacobi_rules(
+            NODES, [exponent[i] - 1.0 for i in at])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def _rules(exponent: list) -> list:
-    """The Jacobi rule of each of R integrals' weights, None for a row
-    without one (exponent 1): one stacked build for R > 1 rows."""
-    betas = [e - 1.0 for e in exponent]
-    weighted = [i for i, beta in enumerate(betas) if beta != 0.0]
-    rules = [None] * len(betas)
-    if len(betas) == 1 and weighted:
-        rules[0] = _jacobi_rule(NODES, betas[0])
-    elif weighted:
-        nodes, weights = _jacobi_rules(NODES, [betas[i] for i in weighted])
-        for i, us, lams in zip(weighted, nodes, weights):
-            rules[i] = (us, lams)
-    return rules
+def _by_row(fn: Callable, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # fn(r, lines) on each run of consecutive lines of x of one row r
+    rows = rows.tolist()
+    cut = [k for k in range(1, len(rows)) if rows[k] != rows[k - 1]]
+    return np.concatenate([fn(rows[s], x[s:e])
+                           for s, e in zip([0] + cut, cut + [len(rows)])])
 
 
-def _panel(a: float, b: float, lo: float, exponent: float, rule):
-    """Nodes, weights and scale of the rule on the panel [a, b] of an
-    integral from lo: the Jacobi rule (us, lams) of its weight at lo,
-    Gauss-Legendre on the weighted integrand elsewhere."""
-    beta = exponent - 1.0
-    if beta != 0.0 and a == lo:
-        width = b - a
-        us, lams = rule
-        return a + width * us, lams, width ** exponent
+def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
+    """sums(rows, a, b): the rule sums of K lines of P panels, line k of
+    the integral rows[k] with panel ends a[k], b[k], from one call
+    g(nodes, rows) on a (K, P NODES) array.  The dots are one stacked
+    product of contiguous rows, which takes each dot as the 1-D `w @ v`
+    does (einsum, gemv and strided rows do not)."""
     xs, ws = _rule(NODES)
-    half = 0.5 * (b - a)
-    pts = 0.5 * (a + b) + half * xs
-    return pts, ws if beta == 0.0 else ws * (pts - lo) ** beta, half
+    if any(e != 1.0 for e in exponent):
+        jac_us, jac_lams = _rules(tuple(exponent))
+
+    def sums(rows: list, a: list, b: list) -> list:
+        ends_a, ends_b = np.array(a), np.array(b)
+        scale = 0.5 * (ends_b - ends_a)
+        pts = (0.5 * (ends_a + ends_b))[..., None] + scale[..., None] * xs
+        w = ws
+        if any(exponent[r] != 1.0 for r in rows):
+            with np.errstate(divide="ignore", over="ignore"):
+                w = np.ascontiguousarray(_by_row(
+                    lambda r, x: ws * (x - lo[r]) ** (exponent[r] - 1.0),
+                    pts, np.array(rows)))
+        jac = [(k, p, r, x, y - x)
+               for k, (r, xk, yk) in enumerate(zip(rows, a, b))
+               if exponent[r] != 1.0
+               for p, (x, y) in enumerate(zip(xk, yk)) if x == lo[r]]
+        if jac:
+            k, p, r, left, width = (list(c) for c in zip(*jac))
+            pts[k, p] = (np.array(left)[:, None]
+                         + np.array(width)[:, None] * jac_us[r])
+            w[k, p] = jac_lams[r]
+            scale[k, p] = [x ** exponent[i] for x, i in zip(width, r)]
+        vals = np.ascontiguousarray(g(pts.reshape(len(rows), -1),
+                                      np.array(rows)), dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return (scale * (w[..., None, :] @ vals.reshape(pts.shape + (1,)))
+                    [..., 0, 0]).tolist()
+
+    return sums
 
 
-def _first_level(g: Callable, lo, hi, exponent) -> list:
-    """Whole panel and both halves of R integrals in one operand call.
+#: the left-first index of the panel where a depth-first bisection that
+#: has evaluated MAX_PANELS panels stops; a row near it refines by 16s
+_STOP_INDEX = (MAX_PANELS - 2) // 2
+_NEAR_STOP = 16
 
-    Row r integrates (x - lo[r])**(exponent[r] - 1) f_r(x) over
-    [lo[r], hi[r]], lo < hi.  g takes the (R, 3 NODES) node array whose
-    row r holds the nodes of [lo, hi], [lo, m] and [m, hi] (m the
-    midpoint) and returns f_r there, same shape.  The panel sums are one
-    stacked product, (3R, 1, n) @ (3R, n, 1), which takes each panel's
-    dot as the 1-D `w @ v` does (einsum and gemv do not).  Returns R
-    lists [coarse, left, right].
-    """
-    lo, hi, exponent = ([float(v) for v in x] for x in (lo, hi, exponent))
-    panels = []
-    for a, b, e, rule in zip(lo, hi, exponent, _rules(exponent)):
-        m = 0.5 * (a + b)
-        panels += [_panel(a, b, a, e, rule), _panel(a, m, a, e, rule),
-                   _panel(m, b, a, e, rule)]
-    pts, w, scale = zip(*panels)
-    vals = np.asarray(g(np.concatenate(pts).reshape(len(lo), 3 * NODES)),
-                      dtype=float).reshape(len(pts), NODES, 1)
-    w = np.concatenate(w).reshape(len(pts), 1, NODES)
-    dots = (w @ vals)[:, 0, 0].tolist()
-    sums = [s * d for s, d in zip(scale, dots)]
-    return [sums[i:i + 3] for i in range(0, len(sums), 3)]
+
+def _left_first(root: int, panels: list, kid: list):
+    """Replay the depth-first bisection, left half first, over a row's
+    evaluated panels: (value, error), or the AccuracyError where it stops
+    with its flush of the estimates, or while that is undecided the
+    panels it would refine."""
+    total = err_total = 0.0
+    stack, refine, i = [root], [], 0
+    while stack:
+        n = stack.pop()
+        fine, err, acc, tiny = panels[n][6:]
+        if acc:
+            total += fine
+            err_total += err
+        elif i >= _STOP_INDEX or tiny:
+            if refine:
+                break  # the bisection stops here or before
+            total += fine
+            err_total += err
+            for rest in stack:
+                total += panels[rest][3]
+                err_total += abs(panels[rest][3])
+            return AccuracyError("quadrature did not converge (%d panels, "
+                                 "estimate %.6g, error %.3g)"
+                                 % (3 + 2 * i, total, err_total),
+                                 estimate=total, error=err_total)
+        elif kid[n] < 0:
+            refine.append(n)
+            if len(refine) == _NEAR_STOP:
+                break
+            i += 2  # the bisection would visit its halves before going on
+        else:
+            stack += (kid[n] + 1, kid[n])
+        i += 1
+    return refine or (total, err_total)
 
 
 def _integrate_rows(g: Callable, lo, hi, exponent) -> list:
-    """R integrals that the first level resolves; None for the others.
-
-    The integrals and g are those of `_first_level`.  A row is accepted
-    by `integrate`'s own bisection test on its whole panel and halves,
-    and its value is then `integrate`'s, bit for bit.  A row that misses
-    the test, or whose sums are not finite, is None: it needs the
-    bisection stack of `integrate`.
-    """
-    lo, hi = list(map(float, lo)), list(map(float, hi))
-    out = []
-    for (coarse, left, right), a, b in zip(_first_level(g, lo, hi, exponent),
-                                           lo, hi):
-        fine = left + right
-        budget = max(ABS_TOL, REL_TOL * abs(coarse))
-        if (math.isfinite(fine) and math.isfinite(coarse)
-                and _accepted(abs(fine - coarse), budget, b - a, b - a)):
-            out.append(0.0 + fine)
-        else:
-            out.append(None)
-    return out
+    """R integrals over [lo[r], hi[r]], lo < hi, of the operand g of
+    `_panel_sums`: (value, error) or AccuracyError per row, each as
+    `integrate` gives it."""
+    lo, hi, exponent = ([float(v) for v in x] for x in (lo, hi, exponent))
+    sums = _panel_sums(g, lo, exponent)
+    span = [b - a for a, b in zip(lo, hi)]
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    first = sums(list(range(len(lo))), [[a, a, m] for a, m in zip(lo, mid)],
+                 [[b, m, b] for b, m in zip(hi, mid)])
+    budget = [max(ABS_TOL, REL_TOL * abs(c)) for c, _, _ in first]
+    # a panel: row, ends, sum, its halves' sums; then fine, err, acc, tiny
+    level = [(r, lo[r], hi[r], *sums_r) for r, sums_r in enumerate(first)]
+    panels, kid, risky = [], [], set()
+    out, count = [None] * len(lo), [0] * len(lo)
+    while level:
+        missed = []
+        for n, (r, a, b, coarse, left, right) in enumerate(level, len(kid)):
+            fine = left + right
+            err = abs(fine - coarse)
+            # a panel's share of the budget: its width's, or 1/MAX_PANELS,
+            # so that deep refinements need no ever smaller errors
+            acc = (err <= budget[r] * (b - a) / span[r]
+                   or err <= budget[r] / MAX_PANELS)
+            tiny = b - a <= span[r] * 2.0 ** -50
+            panels.append((r, a, b, coarse, left, right, fine, err, acc,
+                           tiny))
+            count[r] += 1
+            if not acc:
+                missed.append(n)
+            # a row whose bisection could stop is replayed to find out;
+            # any other row refines each panel that missed
+            if count[r] > _STOP_INDEX or tiny and not acc:
+                risky.add(r)
+        kid += [-1] * len(level)
+        refine = [n for n in missed if panels[n][0] not in risky]
+        for r in sorted(r for r in risky if out[r] is None):
+            got = _left_first(r, panels, kid)
+            if isinstance(got, list):
+                refine += got
+            else:
+                out[r] = got
+        # the halves of each panel that missed, and their halves
+        level, ends_a, ends_b = [], [], []
+        for k, n in enumerate(sorted(refine)):
+            kid[n] = len(kid) + 2 * k
+            r, a, b, _, left, right = panels[n][:6]
+            m = 0.5 * (a + b)
+            q1, q3 = 0.5 * (a + m), 0.5 * (m + b)
+            level += [(r, a, m, left), (r, m, b, right)]
+            ends_a += [[a, q1], [m, q3]]
+            ends_b += [[q1, m], [q3, b]]
+        if level:
+            halves = sums([panel[0] for panel in level], ends_a, ends_b)
+            level = [panel + tuple(h) for panel, h in zip(level, halves)]
+    return [v if v is not None else (0.0 + panels[r][6], 0.0 + panels[r][7])
+            if kid[r] < 0 else _left_first(r, panels, kid)
+            for r, v in enumerate(out)]
 
 
 def integrate(f: Callable, lo: float, hi: float, *,
@@ -250,76 +300,22 @@ def integrate(f: Callable, lo: float, hi: float, *,
     if hi == lo:
         return (0.0, 0.0) if full_output else 0.0
 
-    g = as_array_function(f)
-
-    def flat(x):
-        # the operand sees one flat array of nodes
-        return g(x.reshape(-1)).reshape(x.shape)
-
-    [[coarse, left, right]] = _first_level(flat, [lo], [hi], [exponent])
-    span = hi - lo
-    budget = max(ABS_TOL, REL_TOL * abs(coarse))
-    [rule] = _rules([exponent])
-
-    def two_panels(a: float, m: float, b: float) -> tuple[float, float]:
-        p1, w1, s1 = _panel(a, m, lo, exponent, rule)
-        p2, w2, s2 = _panel(m, b, lo, exponent, rule)
-        vals = g(np.concatenate((p1, p2)))
-        return s1 * float(w1 @ vals[:NODES]), s2 * float(w2 @ vals[NODES:])
-
-    total = 0.0
-    err_total = 0.0
-    panels = 3
-    stack = []
-    a, m, b = lo, 0.5 * (lo + hi), hi
-    failure = None
-    while True:
-        fine = left + right
-        err = abs(fine - coarse)
-        if _accepted(err, budget, b - a, span):
-            total += fine
-            err_total += err
-        elif panels >= MAX_PANELS or (b - a) <= span * 2.0 ** -50:
-            # budget exhausted or interval unresolvable: flush the best
-            # available estimates, then report failure
-            failure = ("quadrature did not converge (%d panels, estimate "
-                       "%%.6g, error %%.3g)" % panels)
-            total += fine
-            err_total += err
-            for (_ra, _rb, rest) in stack:
-                total += rest
-                err_total += abs(rest)
-            break
-        else:
-            stack.append((m, b, right))
-            stack.append((a, m, left))
-        if not stack:
-            break
-        a, b, coarse = stack.pop()
-        m = 0.5 * (a + b)
-        left, right = two_panels(a, m, b)
-        panels += 2
-    if failure is not None:
-        raise AccuracyError(failure % (total, err_total),
-                            estimate=total, error=err_total)
-    return (total, err_total) if full_output else total
+    g = as_array_function(f)  # called on one flat array of nodes
+    [out] = _integrate_rows(lambda x, rows: g(x.reshape(-1)).reshape(x.shape),
+                            [lo], [hi], [exponent])
+    if isinstance(out, AccuracyError):
+        raise out
+    return out if full_output else out[0]
 
 
 def power_kernel_integral(g: Callable, upper: float, exponent: float, *,
                           full_output: bool = False):
     """Integral of w**(exponent-1) * g(w) over (0, upper).
 
-    The kernel goes into the Gauss-Jacobi panel of `integrate`, which
-    integrates it exactly, so smooth g converges without refinement.  If
-    that raises AccuracyError (g with a power singularity of its own at
-    w = 0), the integral is re-run once through the substitution
-    v = w**exponent, which turns the kernel into a constant:
-
-        integral = (1/exponent) * integral of g(v**(1/exponent)) dv
-                   over (0, upper**exponent),
-
-    and an AccuracyError from that run propagates.
-    """
+    The kernel goes into the Gauss-Jacobi panel of `integrate`; if that
+    raises AccuracyError (g singular at w = 0), the integral is re-run
+    once as (1/exponent) Int g(v**(1/exponent)) dv over
+    (0, upper**exponent), and an AccuracyError from that run propagates."""
     _check_exponent(exponent)
     if upper < 0.0:
         raise DomainError("upper endpoint must be nonnegative")
@@ -333,11 +329,26 @@ def power_kernel_integral(g: Callable, upper: float, exponent: float, *,
             raise  # the substitution is the identity: nothing to retry
 
     inv = 1.0 / exponent
-
-    def transformed(v):
-        return g(v ** inv)
-
-    value, err = integrate(transformed, 0.0, upper ** exponent,
+    value, err = integrate(lambda v: g(v ** inv), 0.0, upper ** exponent,
                            full_output=True)
     value, err = value / exponent, err / exponent
     return (value, err) if full_output else value
+
+
+def _power_kernel_rows(g: Callable, upper, exponent) -> list:
+    """`power_kernel_integral` of R rows, as `_integrate_rows`; the rows
+    whose Jacobi attempt fails rerun through v = w**exponent together."""
+    out = _integrate_rows(g, [0.0] * len(upper), upper, exponent)
+    again = np.array([r for r, v in enumerate(out) if exponent[r] != 1.0
+                      and isinstance(v, AccuracyError)], dtype=int)
+    if again.size:
+        inv = [1.0 / exponent[r] for r in again.tolist()]
+        redo = _integrate_rows(
+            lambda v, rows: g(_by_row(lambda k, x: x ** inv[k], v, rows),
+                              again[rows]),
+            [0.0] * again.size, [upper[r] ** exponent[r] for r in again],
+            [1.0] * again.size)
+        for r, v in zip(again.tolist(), redo):
+            out[r] = v if isinstance(v, AccuracyError) else (
+                v[0] / exponent[r], v[1] / exponent[r])
+    return out

@@ -185,7 +185,7 @@ class EuclideanSpace(Space):
 
     def _validate(self, coords):
         arr = np.asarray(coords, dtype=float).reshape(-1)
-        if arr.shape != (self.n,) or not np.all(np.isfinite(arr)):
+        if arr.shape != (self.n,) or not np.isfinite(arr).all():
             raise DomainError("expected %d finite coordinates" % self.n)
         return arr
 
@@ -244,7 +244,7 @@ class HalfPlaneSpace(Space):
 
     def _validate(self, coords):
         arr = np.asarray(coords, dtype=float).reshape(-1)
-        if arr.shape != (2,) or not np.all(np.isfinite(arr)) or arr[1] <= 0.0:
+        if arr.shape != (2,) or not np.isfinite(arr).all() or arr[1] <= 0.0:
             raise DomainError("half-plane points are (x, y) with y > 0")
         return arr
 

@@ -7,9 +7,11 @@ import pytest
 
 from geofrac.errors import AccuracyError, DomainError
 from geofrac.fractional import rl_left
-from geofrac.quadrature import (NODES, _integrate_rows, _jacobi_rule,
-                                _jacobi_rules, as_array_function, integrate,
-                                pointwise, power_kernel_integral)
+from geofrac.quadrature import (ABS_TOL, MAX_PANELS, NODES, REL_TOL,
+                                _integrate_rows, _jacobi_rules,
+                                _power_kernel_rows, _rule, _rules,
+                                as_array_function,
+                                integrate, pointwise, power_kernel_integral)
 
 
 def test_polynomial_is_exact():
@@ -162,7 +164,7 @@ def test_weighted_integrate_shifted_interval():
 @pytest.mark.parametrize("beta", [-0.95, -0.5, 0.0, 0.5, 1.5, 2.0])
 def test_jacobi_rule_matches_scipy(beta):
     special = pytest.importorskip("scipy.special")
-    nodes, weights = _jacobi_rule(16, beta)
+    [nodes], [weights] = _jacobi_rules(16, [beta])
     x, lam = special.roots_jacobi(16, 0.0, beta)
     ref_nodes = 0.5 * (1.0 + x)
     ref_weights = lam * 2.0 ** (-beta - 1.0)
@@ -211,10 +213,15 @@ def _golub_welsch_alone(n, beta):
 
 
 def test_jacobi_rule_is_a_row_of_the_stacked_build():
-    betas = np.random.default_rng(9).uniform(-0.75, 2.0, 64)
+    # a lone integral's rule (the one-row build) is its row of a batch's
+    exponents = np.random.default_rng(9).uniform(0.25, 3.0, 64).tolist()
+    betas = [e - 1.0 for e in exponents]
     nodes, weights = _jacobi_rules(16, betas)
-    for i, beta in enumerate(betas.tolist()):
-        us, lams = _jacobi_rule(16, beta)
+    stacked = _rules(tuple(exponents))
+    assert np.array_equal(stacked[0], nodes)
+    assert np.array_equal(stacked[1], weights)
+    for i, (e, beta) in enumerate(zip(exponents, betas)):
+        [us], [lams] = _rules((e,))
         assert np.array_equal(us, nodes[i])
         assert np.array_equal(lams, weights[i])
         alone = _golub_welsch_alone(16, beta)
@@ -238,34 +245,232 @@ def test_smooth_operand_is_one_operand_call(exponent):
     assert shapes == [(3 * NODES,)]
 
 
+# ---------------------------------------------------------------------------
+# the breadth-first engine against the depth-first bisection it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_panel(a, b, lo, exponent):
+    # nodes, weights and scale of one panel, as the depth-first code built
+    # them one panel at a time
+    beta = exponent - 1.0
+    if beta != 0.0 and a == lo:
+        [us], [lams] = _jacobi_rules(NODES, [beta])
+        width = b - a
+        return a + width * us, lams, width ** exponent
+    xs, ws = _rule(NODES)
+    half = 0.5 * (b - a)
+    pts = 0.5 * (a + b) + half * xs
+    return pts, ws if beta == 0.0 else ws * (pts - lo) ** beta, half
+
+
+def _depth_first(f, lo, hi, exponent=1.0):
+    """`integrate` as it was before its breadth-first engine: a stack of
+    panels, left half first.  Returns ((value, error), depth, operand
+    calls) or (AccuracyError, depth, operand calls)."""
+    calls = [0]
+
+    def sums(*panels):
+        built = [_reference_panel(a, b, lo, exponent) for a, b in panels]
+        calls[0] += 1
+        vals = np.asarray(f(np.concatenate([pts for pts, _, _ in built])),
+                          dtype=float)
+        return [scale * float(w @ vals[i * NODES:(i + 1) * NODES])
+                for i, (_, w, scale) in enumerate(built)]
+
+    m = 0.5 * (lo + hi)
+    coarse, left, right = sums((lo, hi), (lo, m), (m, hi))
+    span = hi - lo
+    budget = max(ABS_TOL, REL_TOL * abs(coarse))
+    total = err_total = 0.0
+    panels, depth, deepest = 3, 0, 0
+    stack = []
+    a, b = lo, hi
+    while True:
+        deepest = max(deepest, depth)
+        fine = left + right
+        err = abs(fine - coarse)
+        if err <= budget * (b - a) / span or err <= budget / MAX_PANELS:
+            total += fine
+            err_total += err
+        elif panels >= MAX_PANELS or (b - a) <= span * 2.0 ** -50:
+            total += fine
+            err_total += err
+            for (_a, _b, rest, _d) in stack:
+                total += rest
+                err_total += abs(rest)
+            failure = AccuracyError(
+                "quadrature did not converge (%d panels, estimate %.6g, "
+                "error %.3g)" % (panels, total, err_total),
+                estimate=total, error=err_total)
+            return failure, deepest, calls[0]
+        else:
+            stack.append((m, b, right, depth + 1))
+            stack.append((a, m, left, depth + 1))
+        if not stack:
+            return (total, err_total), deepest, calls[0]
+        a, b, coarse, depth = stack.pop()
+        m = 0.5 * (a + b)
+        left, right = sums((a, m), (m, b))
+        panels += 2
+
+
+def _outcome(out):
+    # (value, error), or an AccuracyError's message, estimate and error
+    if isinstance(out, AccuracyError):
+        return str(out), out.estimate, out.error
+    return out
+
+
+def _integrate_outcome(f, lo, hi, exponent):
+    try:
+        return integrate(f, lo, hi, exponent=exponent, full_output=True)
+    except AccuracyError as exc:
+        return _outcome(exc)
+
+
+OPERANDS = {
+    "smooth": lambda x: np.exp(-x) * np.cos(3.0 * x),
+    "kink": lambda x: np.abs(x - 0.3137),
+    "cusp_low": lambda x: np.abs(x - 0.0) ** 0.3,
+    "cusp_high": lambda x: np.abs(1.0 - x) ** 0.4,
+    "two_kinks": lambda x: np.abs(x - 0.7) ** 0.5 + np.abs(x - 0.2),
+    "pole": lambda x: 1.0 / x,
+    "far_pole": lambda x: np.abs(1.0 - x) ** -1.5,
+    "oscillating": lambda x: np.sin(1.0 / (x + 0.01)),
+    "step": lambda x: (x > 0.61).astype(float),
+}
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.05, 0.3, 1.5, 2.5])
+@pytest.mark.parametrize("name", sorted(OPERANDS))
+def test_integrate_is_the_depth_first_bisection_bit_for_bit(name, exponent):
+    # value and error, or the AccuracyError's message, estimate and
+    # error, are the depth-first code's, on smooth, kinked, cusped and
+    # divergent operands; a level costs one operand call
+    f = OPERANDS[name]
+    for lo, hi in ((0.0, 1.0), (0.0, 0.37), (-1.0, 2.0)):
+        want, depth, _ = _depth_first(f, lo, hi, exponent)
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
+
+        with np.errstate(all="ignore"):
+            got = _integrate_outcome(counted, lo, hi, exponent)
+        assert got == _outcome(want)
+        if not isinstance(want, AccuracyError):
+            assert len(calls) == depth + 1
+
+
+def test_kinked_integral_takes_one_operand_call_per_level():
+    # the depth-first code made one call per refined panel
+    f = OPERANDS["kink"]
+    want, depth, dfs_calls = _depth_first(f, 0.0, 1.0)
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    assert integrate(counted, 0.0, 1.0, full_output=True) == want
+    assert 1 < len(calls) <= depth + 1 < dfs_calls
+
+
 def test_integrate_rows_equal_integrate_bit_for_bit():
-    # R integrands of their own, with and without a kernel weight, as one
-    # stacked operand; the kinked row is left to integrate's bisection
-    lo = [0.0, 0.2, -1.0, 0.0, 0.0]
-    hi = [1.0, 0.9, 2.0, 0.6, 1.0]
-    exponent = [1.0, 0.3, 1.0, 2.5, 1.7]
-    scales = np.array([[1.0], [-2.0], [0.5], [3.0], [1.0]])
-    kink = 0.3137
+    # R integrands of their own, with and without a kernel weight and of
+    # mixed depth, as one stacked operand; each row is its own integral
+    lo = [0.0, 0.2, -1.0, 0.0, 0.0, 0.0, 0.0]
+    hi = [1.0, 0.9, 2.0, 0.6, 1.0, 1.0, 1.0]
+    exponent = [1.0, 0.3, 1.0, 2.5, 1.7, 0.05, 1.0]
+    scales = np.array([[1.0], [-2.0], [0.5], [3.0], [1.0], [1.0], [1.0]])
+    special = {4: OPERANDS["kink"], 5: OPERANDS["cusp_high"],
+               6: OPERANDS["pole"]}
 
     def row(r):
-        if r == 4:
-            return lambda x: np.abs(x - kink)
+        if r in special:
+            return special[r]
         return lambda x: np.exp(scales[r, 0] * x) * np.cos(x)
 
-    def stacked(x):
-        out = np.exp(scales * x) * np.cos(x)
-        out[4] = np.abs(x[4] - kink)
+    def stacked(x, rows):
+        out = np.exp(scales[rows] * x) * np.cos(x)
+        for r, f in special.items():
+            out[rows == r] = f(x[rows == r])
         return out
 
     calls = []
 
-    def counted(x):
+    def counted(x, rows):
         calls.append(x.shape)
-        return stacked(x)
+        return stacked(x, rows)
 
-    values = _integrate_rows(counted, lo, hi, exponent)
-    assert calls == [(5, 3 * NODES)]
-    assert values[4] is None
-    for r in range(4):
-        assert values[r] == integrate(row(r), lo[r], hi[r],
-                                      exponent=exponent[r])
+    with np.errstate(all="ignore"):
+        values = _integrate_rows(counted, lo, hi, exponent)
+        wants = [_depth_first(row(r), lo[r], hi[r], exponent[r])
+                 for r in range(len(lo))]
+    assert calls[0] == (len(lo), 3 * NODES)
+    assert all(shape[1] == 2 * NODES for shape in calls[1:])
+    assert len(calls) == max(depth for _, depth, _ in wants) + 1
+    for r, (want, _, _) in enumerate(wants):
+        assert _outcome(values[r]) == _outcome(want)
+        with np.errstate(all="ignore"):
+            assert _outcome(values[r]) == _integrate_outcome(
+                row(r), lo[r], hi[r], exponent[r])
+    assert isinstance(values[6], AccuracyError)
+
+
+def _reference_power_kernel(g, upper, exponent):
+    # power_kernel_integral on the depth-first code: the Jacobi attempt,
+    # then the substitution v = w**exponent
+    out, _, _ = _depth_first(g, 0.0, upper, exponent)
+    if not isinstance(out, AccuracyError) or exponent == 1.0:
+        return out
+    inv = 1.0 / exponent
+    out, _, _ = _depth_first(lambda v: g(v ** inv), 0.0, upper ** exponent)
+    if isinstance(out, AccuracyError):
+        return out
+    return out[0] / exponent, out[1] / exponent
+
+
+def test_power_kernel_rows_retry_the_substitution_as_one_batch():
+    # rows whose Jacobi attempt fails (an operand cusp at w = 0) rerun
+    # through v = w**exponent together; each row is the depth-first
+    # power_kernel_integral's, and the one-row function's
+    operands = [lambda w: w ** 0.25, np.exp, lambda w: w ** 0.5 + w,
+                lambda w: np.abs(w - 0.4), lambda w: w ** 0.1 + 1.0,
+                lambda w: w ** 0.25]
+    upper = [1.0, 0.8, 1.3, 1.0, 0.9, 0.7]
+    exponent = [0.25, 0.3, 1.5, 2.5, 0.5, 1.0]
+
+    def stacked(w, rows):
+        return np.stack([operands[r](line)
+                         for r, line in zip(rows.tolist(), w)])
+
+    batches = []
+
+    def counted(w, rows):
+        batches.append(rows.tolist())
+        return stacked(w, rows)
+
+    with np.errstate(all="ignore"):
+        got = _power_kernel_rows(counted, upper, exponent)
+        for r, g in enumerate(operands):
+            want = _reference_power_kernel(g, upper[r], exponent[r])
+            assert _outcome(got[r]) == _outcome(want)
+            try:
+                one = power_kernel_integral(g, upper[r], exponent[r],
+                                            full_output=True)
+            except AccuracyError as exc:
+                one = exc
+            assert _outcome(got[r]) == _outcome(one)
+    # the Jacobi attempt runs all six rows; the retry's first level is
+    # one call on exactly the rows whose attempt failed
+    with np.errstate(all="ignore"):
+        failed = [r for r in range(6) if exponent[r] != 1.0
+                  and isinstance(_depth_first(operands[r], 0.0, upper[r],
+                                              exponent[r])[0],
+                                 AccuracyError)]
+    assert batches[0] == [0, 1, 2, 3, 4, 5]
+    assert failed == [0, 4] and failed in batches[1:]
+    assert not isinstance(got[0], AccuracyError)
