@@ -2,14 +2,15 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py --label one_path --claim verify_fractional \
-        --pairs 10 --seconds 30 --seed0 900 [--parent HEAD] [--parent-dir DIR]
+    python3 tools/bench_pairs.py --parent REV --label one_path \
+        --claim verify_fractional --pairs 10 --seconds 30 --seed0 900
 
-The parent revision is checked out into a temporary `git worktree` (or
-taken from --parent-dir, an existing checkout of it); the change is this
-working tree.  For each workload, pair i runs `bench/run.py --workload W
---seed <seed0 + i> --seconds S --trace 0` on both sides with the same
-seed, the first side alternating between pairs.  BENCH_<label>.json gets
+The committed files of the parent revision REV are exported (`git
+archive`) into a temporary directory; the change is this working tree,
+which must differ from REV.  For each workload of BENCHMARK.json, pair i
+runs `bench/run.py --workload W --seed <seed0 + i> --seconds S --trace 0`
+on both sides with the same seed, the first side alternating between
+pairs.  BENCH_<label>.json gets
 every run's result line (and, for the claimed workload, its
 .bench_out/run-*.json detail) and, per workload and end-to-end metric,
 both sides' medians and quartiles, the relative change of the medians
@@ -22,7 +23,6 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -33,6 +33,8 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "pass_s", "job_s_p50", "job_s_p90", "peak_rss_mb")
+WORKLOADS = tuple(w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"])
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float,
@@ -79,40 +81,34 @@ def _summary(runs: list, workload: str) -> dict:
     return out
 
 
+def _git(*argv, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True,
+                          **kwargs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="the parent revision to compare with")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--claim", required=True,
+    parser.add_argument("--claim", required=True, choices=WORKLOADS,
                         help="the workload whose gain is claimed")
-    parser.add_argument("--workloads",
-                        default="verify_fractional,verify_scalar,geometry")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed0", type=int, required=True)
-    parser.add_argument("--parent", default="HEAD",
-                        help="parent revision (default HEAD)")
-    parser.add_argument("--parent-dir", default=None,
-                        help="an existing checkout of the parent revision")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("need at least two pairs for quartiles")
-    workloads = args.workloads.split(",")
-    rev = subprocess.run(["git", "rev-parse", "--short", args.parent],
-                         cwd=ROOT, check=True, capture_output=True,
-                         text=True).stdout.strip()
-    tmp = None
-    if args.parent_dir is None:
-        tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-        parent_dir = tmp / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach",
-                        str(parent_dir), rev], cwd=ROOT, check=True,
-                       capture_output=True)
-    else:
-        parent_dir = Path(args.parent_dir).resolve()
-    checkouts = {"parent": parent_dir, "change": ROOT}
+    rev = _git("rev-parse", "--short", args.parent, check=True,
+               text=True).stdout.strip()
+    if _git("diff", "--quiet", rev).returncode == 0:
+        parser.error("the working tree has no change against %s" % rev)
     runs = []
-    try:
-        for workload in workloads:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        archive = _git("archive", rev, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        checkouts = {"parent": Path(tmp), "change": ROOT}
+        for workload in WORKLOADS:
             for i in range(args.pairs):
                 seed = args.seed0 + i
                 order = ("parent", "change") if i % 2 == 0 else ("change",
@@ -125,12 +121,6 @@ def main(argv=None) -> int:
                     print(workload, seed, side,
                           record["result"]["metrics"]["pass_s"]["value"],
                           flush=True)
-    finally:
-        if tmp is not None:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(parent_dir)], cwd=ROOT, check=False,
-                           capture_output=True)
-            shutil.rmtree(tmp, ignore_errors=True)
     record = {
         "label": args.label,
         "parent": rev,
@@ -145,7 +135,7 @@ def main(argv=None) -> int:
                  "line (result) and, for the claimed workload %s, its "
                  ".bench_out/run-<workload>-seed<n>-trace0.json file "
                  "(detail)" % args.claim),
-        "summary": {w: _summary(runs, w) for w in workloads},
+        "summary": {w: _summary(runs, w) for w in WORKLOADS},
         "runs": runs,
     }
     path = ROOT / ("BENCH_%s.json" % args.label)
