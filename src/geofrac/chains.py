@@ -54,15 +54,18 @@ than asserted:
 
 `falsify_search` hammers one chain with random admissible instances and
 reports the worst margin and any violations beyond tolerance.  Each
-chain writes its sides and instance dict once, for the per-trial chain
-and for the falsifier's row batches (`ChainSpec.rows`, `_Rows`).
+chain picks its points and integrals, and builds its sides, in one
+function, its `ChainSpec.rows` body.  The falsifier runs the body on a
+batch of drawn trials (`_Rows`); a public chain checks its inputs and
+runs it on its one trial (`_OneTrial`), whose integrals are the public
+`integrate`, `katugampola_left` and `compute_E`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -195,44 +198,15 @@ def _fname(f: Callable) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mean_sides(mid: float, integral: float, f_a, f_b, a: float,
-                b: float) -> list:
-    # midpoint, mean and endpoint average of f on [a, b]
-    return [("midpoint", mid), ("mean", integral / (b - a)),
-            ("endpoints", float(f_a + f_b) / 2.0)]
-
-
-def _h_half(hf: HFunction) -> float:
-    h_half = float(hf(0.5))
-    if not (math.isfinite(h_half) and h_half > 0.0):
-        raise DomainError("h(1/2) must be positive")
-    return h_half
-
-
-def _h_hh_sides(hf: HFunction, h_half: float, mid: float, integral: float,
-                f_a, f_b, a: float, b: float):
-    # the endpoint side carries Int_0^1 h, 1/(k + 1) for h = t^k
-    if hf.k is None:
-        h_mass = integrate(hf, 0.0, 1.0)
-    else:
-        h_mass = _beta(hf.k + 1.0, 1.0)
-    sides = [("midpoint", mid / (2.0 * h_half)),
-             ("mean", integral / (b - a)),
-             ("endpoints", float(f_a + f_b) * h_mass)]
-    return sides, {"h_mass": h_mass}
-
-
 def classic_hh(f: Callable, a: float, b: float, *,
                tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint <= mean <= endpoint average, for f convex on [a, b]."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("need a < b")
-    arr = as_array_function(f)
-    mid = float(arr(np.array([0.5 * (a + b)]))[0])
-    sides = _mean_sides(mid, integrate(arr, a, b), arr(np.array([a]))[0],
-                        arr(np.array([b]))[0], a, b)
-    return _report("classic_hh", sides, tol, _mean_instance(f, None, a, b))
+    return _evaluate("classic_hh",
+                     _OneTrial(as_array_function(f), interval=(a, b)), tol,
+                     _mean_instance(f, None, a, b))
 
 
 def _mean_instance(f: Callable, hf: Optional[HFunction], a: float,
@@ -249,22 +223,19 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("need a < b")
     hf = h_function(h)
-    h_half = _h_half(hf)
-    arr = as_array_function(f)
-    mid = float(arr(np.array([0.5 * (a + b)]))[0])
-    sides, extras = _h_hh_sides(hf, h_half, mid, integrate(arr, a, b),
-                                arr(np.array([a]))[0], arr(np.array([b]))[0],
-                                a, b)
-    return _report("h_hh", sides, tol, _mean_instance(f, hf, a, b), extras)
+    h_half = float(hf(0.5))
+    if not (math.isfinite(h_half) and h_half > 0.0):
+        raise DomainError("h(1/2) must be positive")
+    return _evaluate("h_hh",
+                     _OneTrial(as_array_function(f), hf=hf, interval=(a, b)),
+                     tol, _mean_instance(f, hf, a, b))
 
 
 def conde_hh(f: Callable, g: Geodesic, *,
              tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint/mean/endpoint chain of f along one geodesic."""
-    fg = on_geodesic(f, g)
-    sides = _mean_sides(float(fg(0.5)), integrate(fg, 0.0, 1.0), fg(0.0),
-                        fg(1.0), 0.0, 1.0)
-    return _report("conde_hh", sides, tol, _conde_instance(f, g))
+    return _evaluate("conde_hh", _OneTrial(on_geodesic(f, g), g), tol,
+                     _conde_instance(f, g))
 
 
 def _conde_instance(f: Callable, g: Geodesic) -> dict:
@@ -304,22 +275,13 @@ def _folded(fg: Callable, u: np.ndarray, shift) -> np.ndarray:
 
 
 def _operator_side(kl: float, p: TheoremParams, h_half: float) -> float:
-    # normalised operator side from the Katugampola integral kl of the
-    # folded pullback (see `_operator_mean`)
+    # the normalised operator side: the left operator on [a, b] plus the
+    # right one on [a, b] (shift = a^rho + b^rho) or on the reflected
+    # interval (shift = 1), whose integrand at kernel variable w is
+    # fg(shift - (b^rho - w)); so kl is one left integral of
+    # u -> fg(u) + fg(shift - u)
     pref = p.rho ** p.alpha * math.gamma(p.alpha + 1.0) / _den(p)
     return pref * h_half * kl
-
-
-def _operator_mean(fg: Callable, p: TheoremParams, h_half: float,
-                   shift: float) -> float:
-    # the normalised operator side of the pullback fg: the left operator
-    # on [a, b] plus the right one on [a, b] (shift = a^rho + b^rho) or on
-    # the reflected interval (shift = 1), whose integrand at kernel
-    # variable w is fg(shift - (b^rho - w)); so one left integral of
-    # u -> fg(u) + fg(shift - u)
-    F = CompositeOperand(lambda u: _folded(fg, u, shift), p.rho)
-    return _operator_side(katugampola_left(F, p.alpha, p.rho, p.a, p.b), p,
-                          h_half)
 
 
 def _instance(f: Callable, g: Geodesic, hf: HFunction,
@@ -328,43 +290,13 @@ def _instance(f: Callable, g: Geodesic, hf: HFunction,
             "geodesic": _geodesic_json(g)}
 
 
-def _thm_cb_sides(holder: bool, hf: HFunction, p: TheoremParams,
-                  h_half: float, mid: float, ops: float, f_ends: float):
-    # thm_cb1 (holder: the Hoelder bound of the h-integral) and thm_cb2
-    # (its exact value) from the pullback at the midpoint and the ends
-    if holder:
-        term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
-                ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q))
-    else:
-        term = _exact_h_term(hf, p)
-    k0 = _k0_term(hf, p)
-    ends = h_half * f_ends * (term + k0)
-    if holder:
-        extras = {"holder_bound": term, "k0_term": k0}
-    else:
-        literal = h_half * f_ends * (p.rho * term + k0)
-        extras = {"exact_h_term": term, "k0_term": k0,
-                  "right_side_literal": literal,
-                  "literal_minus_canonical": literal - ends}
-    sides = [("midpoint", mid), ("operators", ops), ("endpoints", ends)]
-    return sides, extras
-
-
-def _thm_cb(chain: str, holder: bool, f: Callable, g: Geodesic,
-            h: Union[str, HFunction, Callable], p: TheoremParams,
-            tol: float) -> InequalityReport:
-    # shared body of thm_cb1 and thm_cb2
-    if holder and p.q is None:
-        raise DomainError("thm_cb1 needs the Hoelder exponent q")
+def _fractional(chain: str, f: Callable, g: Geodesic,
+                h: Union[str, HFunction, Callable], p: TheoremParams,
+                tol: float) -> InequalityReport:
+    # thm_cb1, thm_cb2 and thm_ty1 on the pullback of f along g
     hf = h_function(h)
-    h_half = float(hf(0.5))
-    fg = on_geodesic(f, g)
-    ar, br = p.a ** p.rho, p.b ** p.rho
-    mid = float(fg(0.5 * (ar + br)))
-    ops = _operator_mean(fg, p, h_half, ar + br)
-    sides, extras = _thm_cb_sides(holder, hf, p, h_half, mid, ops,
-                                  float(fg(ar) + fg(br)))
-    return _report(chain, sides, tol, _instance(f, g, hf, p), extras)
+    return _evaluate(chain, _OneTrial(on_geodesic(f, g), g, hf, p), tol,
+                     _instance(f, g, hf, p))
 
 
 def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
@@ -375,7 +307,9 @@ def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     Needs params.q; requires nonnegative f, h-convex along g (asserted by
     the caller).
     """
-    return _thm_cb("thm_cb1", True, f, g, h, params, tol)
+    if params.q is None:
+        raise DomainError("thm_cb1 needs the Hoelder exponent q")
+    return _fractional("thm_cb1", f, g, h, params, tol)
 
 
 def thm_cb2(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
@@ -388,28 +322,14 @@ def thm_cb2(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
     the variant with an extra factor rho on that term is logged in extras
     as right_side_literal.
     """
-    return _thm_cb("thm_cb2", False, f, g, h, params, tol)
-
-
-def _thm_ty1_sides(p: TheoremParams, mid: float, ops: float, f_ends: float,
-                   e_val: float) -> list:
-    return [("midpoint", mid), ("operators", ops),
-            ("endpoints", f_ends * e_val / _den(p))]
+    return _fractional("thm_cb2", f, g, h, params, tol)
 
 
 def thm_ty1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
             params: TheoremParams, *,
             tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Fractional chain pairing [a, b] with the reflected interval [s, c]."""
-    p = params
-    hf = h_function(h)
-    h_half = float(hf(0.5))
-    fg = on_geodesic(f, g)
-    sides = _thm_ty1_sides(p, float(fg(0.5)),
-                           _operator_mean(fg, p, h_half, 1.0),
-                           float(fg(0.0) + fg(1.0)),
-                           compute_E(hf, p.alpha, p.rho, p.a, p.b))
-    return _report("thm_ty1", sides, tol, _instance(f, g, hf, p))
+    return _fractional("thm_ty1", f, g, h, params, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +426,12 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     """
     if g1.space != g2.space:
         raise SpaceMismatchError("geodesics live in different spaces")
-    p = params
     hf = h_function(h)
     _require_dominating_h(hf)
-    h_half = float(hf(0.5))
-    gd = distance_between_geodesics_function(g1, g2)
-    mid = float(gd(0.5))
-    ops = _operator_mean(gd, p, h_half, 1.0)
-    sides, extras = _corollary_sides(
-        g1, g2, p, h_half, mid, ops, float(gd(0.0) + gd(1.0)),
-        compute_E(hf, p.alpha, p.rho, p.a, p.b))
-    return _report("corollary_distance", sides, tol,
-                   _corollary_instance(g1, g2, hf, p), extras)
+    return _evaluate("corollary_distance",
+                     _OneTrial(distance_between_geodesics_function(g1, g2),
+                               (g1, g2), hf, params), tol,
+                     _corollary_instance(g1, g2, hf, params))
 
 
 def _corollary_instance(g1: Geodesic, g2: Geodesic, hf: HFunction,
@@ -526,26 +440,8 @@ def _corollary_instance(g1: Geodesic, g2: Geodesic, hf: HFunction,
             "g1": _geodesic_json(g1), "g2": _geodesic_json(g2)}
 
 
-def _corollary_sides(g1: Geodesic, g2: Geodesic, p: TheoremParams,
-                     h_half: float, mid: float, ops: float, sigma: float,
-                     e_val: float):
-    c_val = compute_C(p.alpha, p.rho, p.a, p.b)
-    delta = g2.length - g1.length
-    bound = sigma * e_val / _den(p)
-    coef = p.alpha * p.rho * h_half
-    ends_minus = bound - coef * c_val * delta * delta
-    extras = {"c_value": c_val, "e_value": e_val,
-              "length_difference": delta, "c_coefficient": coef,
-              "right_difference_bare_c": bound - c_val * delta * delta,
-              "right_product_bare_c":
-                  bound - c_val * (g1.length * g2.length) ** 2}
-    sides = [("midpoint", mid), ("operators", ops),
-             ("endpoints_minus_c", ends_minus), ("endpoints", bound)]
-    return sides, extras
-
-
 # ---------------------------------------------------------------------------
-# trial batches
+# chain bodies, on R falsifier trials or on one trial
 # ---------------------------------------------------------------------------
 
 
@@ -561,19 +457,21 @@ class _Trial(NamedTuple):
 
 
 def _values(results) -> list:
-    # each row's value, None where it did not converge
-    return [None if isinstance(v, AccuracyError) else v[0] for v in results]
+    # each row's value, or the AccuracyError of a row that did not converge
+    return [v if isinstance(v, AccuracyError) else v[0] for v in results]
 
 
 class _Rows:
     """R falsifier trials of one chain, evaluated together: `pull(ts,
     rows)` is every trial's pullback, line k of ts (..., K, m) on trial
-    rows[k]; an integral is None for a row that does not converge."""
+    rows[k]; an integral is the row's AccuracyError where it does not
+    converge."""
 
     def __init__(self, trials, two_geodesics: bool):
         self.trials = trials
         self.params = [t.params for t in trials]
         self.hs = [t.h for t in trials]
+        self.intervals = [(p.a, p.b) for p in self.params]
         self.index = np.arange(len(trials))
         if two_geodesics:
             self.pull = _geodesic_distance_rows([t.g[0] for t in trials],
@@ -593,7 +491,7 @@ class _Rows:
 
     def operators(self, shifts) -> list:
         """`katugampola_left` on [a, b] of the folded composite operand
-        u -> fg(u) + fg(shift - u), u = x^rho, of `_operator_mean`."""
+        u -> fg(u) + fg(shift - u), u = x^rho (`_OneTrial.operators`)."""
         uppers, maps, prefactors = zip(*(
             _katugampola_left_kernel(p.alpha, p.rho, p.a, p.b)
             for p in self.params))
@@ -609,7 +507,7 @@ class _Rows:
 
         values = _values(_power_kernel_rows(
             operand, uppers, [p.alpha for p in self.params]))
-        return [None if v is None else c * v
+        return [v if isinstance(v, AccuracyError) else c * v
                 for v, c in zip(values, prefactors)]
 
     def e_values(self) -> list:
@@ -620,59 +518,124 @@ class _Rows:
             lambda w, rows: _by_row(lambda r, x: operands[r](x), w, rows),
             [br - p.a ** p.rho for br, p in zip(brs, self.params)],
             [p.alpha for p in self.params]))
-        return [None if v is None else _e_value(hf, p, v)
+        return [v if isinstance(v, AccuracyError) else _e_value(hf, p, v)
                 for v, hf, p in zip(values, self.hs, self.params)]
+
+
+class _OneTrial:
+    """A public chain's one trial, with `_Rows`' four methods: fg is its
+    pullback (f itself for classic_hh and h_hh, on their own interval),
+    and its integrals are the public `integrate`, `katugampola_left` and
+    `compute_E`, whose AccuracyError propagates."""
+
+    def __init__(self, fg: Callable, g=None, hf: Optional[HFunction] = None,
+                 params: Optional[TheoremParams] = None, interval=None):
+        self.fg = fg
+        self.trials = [_Trial(None, g, hf, params, None)]
+        self.params, self.hs, self.intervals = [params], [hf], [interval]
+
+    def at(self, ts) -> np.ndarray:
+        return self.fg(np.array(ts, dtype=float))
+
+    def means(self, ab) -> list:
+        [(a, b)] = ab
+        return [integrate(self.fg, a, b)]
+
+    def operators(self, shifts) -> list:
+        [shift], [p] = shifts, self.params
+        F = CompositeOperand(lambda u: _folded(self.fg, u, shift), p.rho)
+        return [katugampola_left(F, p.alpha, p.rho, p.a, p.b)]
+
+    def e_values(self) -> list:
+        [hf], [p] = self.hs, self.params
+        return [compute_E(hf, p.alpha, p.rho, p.a, p.b)]
+
+
+def _evaluate(chain: str, trial: _OneTrial, tol: float,
+              instance: dict) -> InequalityReport:
+    # a public chain: its ChainSpec.rows body on its one trial
+    [report] = CHAINS[chain].rows(trial, tol)
+    if isinstance(report, AccuracyError):
+        raise report
+    return replace(report, instance=instance)
 
 
 def _row_reports(chain: str, tol: float, sides_of: Callable,
                  *columns) -> list:
-    # a report per row from sides_of(*row) -> (sides, extras); None for a
-    # row whose integral or constant raises AccuracyError
+    # a report per row from sides_of(*row) -> (sides, extras), with an
+    # empty instance; a row whose integral or constant raises
+    # AccuracyError carries the error
     out = []
     for row in zip(*columns):
-        report = None
-        if all(v is not None for v in row):
-            try:
-                sides, extras = sides_of(*row)
-                report = _report(chain, sides, tol, {}, extras)
-            except AccuracyError:
-                pass
-        out.append(report)
+        failed = [v for v in row if isinstance(v, AccuracyError)]
+        if failed:
+            out.append(failed[0])
+            continue
+        try:
+            sides, extras = sides_of(*row)
+            out.append(_report(chain, sides, tol, {}, extras))
+        except AccuracyError as exc:
+            out.append(exc)
     return out
 
 
-def _mean_rows(chain: str, unit: bool, rows: _Rows, tol: float) -> list:
-    # classic_hh and h_hh on [a, b], conde_hh on [0, 1]
-    ab = [(0.0, 1.0) if unit else (p.a, p.b) for p in rows.params]
+def _mean_rows(chain: str, unit: bool, rows, tol: float) -> list:
+    # classic_hh and h_hh on [a, b], conde_hh on [0, 1]: the midpoint, the
+    # mean and the endpoint average; h_hh divides the midpoint by 2 h(1/2)
+    # and weighs the endpoints by Int_0^1 h, 1/(k + 1) for h = t^k
+    ab = [(0.0, 1.0)] * len(rows.hs) if unit else rows.intervals
 
-    def sides(trial, ends, v, integral):
-        hf = trial.h
+    def sides(hf, ends, v, integral):
+        mean = ("mean", integral / (ends[1] - ends[0]))
         if hf is None:
-            return _mean_sides(float(v[0]), integral, v[1], v[2],
-                               *ends), None
-        return _h_hh_sides(hf, _h_half(hf), float(v[0]), integral, v[1],
-                           v[2], *ends)
+            return [("midpoint", float(v[0])), mean,
+                    ("endpoints", float(v[1] + v[2]) / 2.0)], None
+        if hf.k is None:
+            h_mass = integrate(hf, 0.0, 1.0)
+        else:
+            h_mass = _beta(hf.k + 1.0, 1.0)
+        return ([("midpoint", float(v[0]) / (2.0 * float(hf(0.5)))), mean,
+                 ("endpoints", float(v[1] + v[2]) * h_mass)],
+                {"h_mass": h_mass})
 
-    return _row_reports(chain, tol, sides, rows.trials, ab,
+    return _row_reports(chain, tol, sides, rows.hs, ab,
                         rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
                         rows.means(ab))
 
 
-def _thm_cb_rows(chain: str, holder: bool, rows: _Rows, tol: float) -> list:
+def _thm_cb_rows(chain: str, holder: bool, rows, tol: float) -> list:
+    # thm_cb1 (holder: the Hoelder bound of the h-integral) and thm_cb2
+    # (its exact value): the pullback at the midpoint and the ends of
+    # [a^rho, b^rho], and the operator side with shift a^rho + b^rho
     ends = [(p.a ** p.rho, p.b ** p.rho) for p in rows.params]
 
     def sides(hf, p, v, kl):
         h_half = float(hf(0.5))
-        return _thm_cb_sides(holder, hf, p, h_half, float(v[0]),
-                             _operator_side(kl, p, h_half),
-                             float(v[1] + v[2]))
+        if holder:
+            term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
+                    ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q))
+        else:
+            term = _exact_h_term(hf, p)
+        k0 = _k0_term(hf, p)
+        f_ends = float(v[1] + v[2])
+        right = h_half * f_ends * (term + k0)
+        if holder:
+            extras = {"holder_bound": term, "k0_term": k0}
+        else:
+            literal = h_half * f_ends * (p.rho * term + k0)
+            extras = {"exact_h_term": term, "k0_term": k0,
+                      "right_side_literal": literal,
+                      "literal_minus_canonical": literal - right}
+        return [("midpoint", float(v[0])),
+                ("operators", _operator_side(kl, p, h_half)),
+                ("endpoints", right)], extras
 
     return _row_reports(chain, tol, sides, rows.hs, rows.params,
                         rows.at([[0.5 * (a + b), a, b] for a, b in ends]),
                         rows.operators([a + b for a, b in ends]))
 
 
-def _reflected_rows(rows: _Rows):
+def _reflected_rows(rows):
     # the pullback at 1/2, 0 and 1, the operator side on the reflected
     # interval and E: the inputs of thm_ty1 and the corollary
     n = len(rows.params)
@@ -680,24 +643,35 @@ def _reflected_rows(rows: _Rows):
             rows.e_values())
 
 
-def _thm_ty1_rows(rows: _Rows, tol: float) -> list:
+def _thm_ty1_rows(rows, tol: float) -> list:
     def sides(hf, p, v, kl, e_val):
-        ops = _operator_side(kl, p, float(hf(0.5)))
-        return _thm_ty1_sides(p, float(v[0]), ops, float(v[1] + v[2]),
-                              e_val), None
+        return [("midpoint", float(v[0])),
+                ("operators", _operator_side(kl, p, float(hf(0.5)))),
+                ("endpoints", float(v[1] + v[2]) * e_val / _den(p))], None
 
     return _row_reports("thm_ty1", tol, sides, rows.hs, rows.params,
                         *_reflected_rows(rows))
 
 
-def _corollary_rows(rows: _Rows, tol: float) -> list:
+def _corollary_rows(rows, tol: float) -> list:
+    # the endpoint bound minus alpha rho h(1/2) C (L2 - L1)^2, and the
+    # bare-constant variants in extras
     def sides(trial, v, kl, e_val):
-        hf, p = trial.h, trial.params
-        _require_dominating_h(hf)
+        (g1, g2), hf, p = trial.g, trial.h, trial.params
         h_half = float(hf(0.5))
-        return _corollary_sides(*trial.g, p, h_half, float(v[0]),
-                                _operator_side(kl, p, h_half),
-                                float(v[1] + v[2]), e_val)
+        c_val = compute_C(p.alpha, p.rho, p.a, p.b)
+        delta = g2.length - g1.length
+        bound = float(v[1] + v[2]) * e_val / _den(p)
+        coef = p.alpha * p.rho * h_half
+        extras = {"c_value": c_val, "e_value": e_val,
+                  "length_difference": delta, "c_coefficient": coef,
+                  "right_difference_bare_c": bound - c_val * delta * delta,
+                  "right_product_bare_c":
+                      bound - c_val * (g1.length * g2.length) ** 2}
+        return [("midpoint", float(v[0])),
+                ("operators", _operator_side(kl, p, h_half)),
+                ("endpoints_minus_c", bound - coef * c_val * delta * delta),
+                ("endpoints", bound)], extras
 
     return _row_reports("corollary_distance", tol, sides, rows.trials,
                         *_reflected_rows(rows))
@@ -716,13 +690,14 @@ class ChainSpec(NamedTuple):
     geodesics and f is unused.  h is None unless takes_h, and
     params.q is None unless needs_q.  The evaluators reach the chains
     through their module-level names, so rebinding a name takes effect.
-    rows(rows, tol) evaluates a `_Rows` batch: a report per row, with an
-    empty instance, or None for a quadrature failure; instance(f, g, h,
-    params) is evaluate's instance, from the chain's own helper.
+    rows(rows, tol) is the chain's one body: it evaluates a `_Rows` batch
+    or a public chain's `_OneTrial`, a report per row, with an empty
+    instance, or the row's AccuracyError; instance(f, g, h, params) is
+    evaluate's instance, from the chain's own helper.
     """
 
     evaluate: Callable[..., InequalityReport]
-    rows: Callable[[_Rows, float], list]
+    rows: Callable[[Union[_Rows, _OneTrial], float], list]
     instance: Callable[..., dict]
     takes_h: bool = True
     needs_q: bool = False
@@ -841,9 +816,10 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
 
     Instances are drawn, and prechecked, one trial at a time from one
     random stream, in chunks of CHUNK draws; a chunk's surviving trials
-    are evaluated together (`ChainSpec.rows`), each report bit for bit
-    the per-trial chain's.  The worst one, with `ChainSpec.instance`,
-    becomes worst_instance; ties go to the first trial.
+    are evaluated together by the chain's body (`ChainSpec.rows`), and a
+    row that carries an AccuracyError counts as a quadrature failure.
+    The worst report, with `ChainSpec.instance`, becomes worst_instance;
+    ties go to the first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that
@@ -870,7 +846,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
             continue
         reports = spec.rows(_Rows(chunk, spec.two_geodesics), tol)
         for trial, report in zip(chunk, reports):
-            if report is None:
+            if isinstance(report, AccuracyError):
                 failures += 1
                 continue
             evaluated += 1

@@ -475,9 +475,9 @@ def _operator_sides(fg, reflected):
     # (folded, separate, error bar) per parameter set: J_left of fg(x^rho)
     # on [a, b] plus J_right of it on [a, b] (thm_cb1, thm_cb2) or on the
     # reflected interval [s, c], s^rho = 1 - b^rho and c^rho = 1 - a^rho
-    # (thm_ty1, corollary), against `_operator_mean`'s one left integral
-    # of fg(u) + fg(shift - u), shift = a^rho + b^rho or 1
-    from geofrac.chains import _operator_mean
+    # (thm_ty1, corollary), against the one-trial source's one left
+    # integral of fg(u) + fg(shift - u), shift = a^rho + b^rho or 1
+    from geofrac.chains import _OneTrial, _operator_side
     from geofrac.fractional import katugampola_left, katugampola_right
     out = []
     for alpha, rho, a, b in ((0.3, 0.7, 0.0, 1.0), (1.0, 1.0, 0.2, 0.8),
@@ -494,8 +494,9 @@ def _operator_sides(fg, reflected):
         kr, er = katugampola_right(F, alpha, rho, lo, hi, full_output=True)
         pref = (rho ** alpha * math.gamma(alpha + 1.0)
                 / (b ** rho - a ** rho) ** alpha)
-        merged = _operator_mean(fg, TheoremParams(alpha, rho, a, b), 0.5,
-                                shift)
+        p = TheoremParams(alpha, rho, a, b)
+        [folded] = _OneTrial(fg, params=p).operators([shift])
+        merged = _operator_side(folded, p, 0.5)
         out.append((merged, pref * 0.5 * (kl + kr), pref * 0.5 * (el + er)))
     return out
 
@@ -515,7 +516,7 @@ def test_merged_operator_side_matches_two_operators(space, reflected):
 
 def test_merged_operator_side_is_one_batch_per_operand_call():
     # fg(u) and fg(shift - u) go through the pullback in one call
-    from geofrac.chains import _operator_mean
+    from geofrac.chains import _OneTrial
     f, g = _pullback(lambda t: np.exp(t))
     fg = on_geodesic(f, g)
     shapes = []
@@ -524,7 +525,8 @@ def test_merged_operator_side_is_one_batch_per_operand_call():
         shapes.append(np.shape(u))
         return fg(u)
 
-    _operator_mean(recorded, TheoremParams(0.7, 1.5, 0.1, 0.9), 0.5, 1.0)
+    _OneTrial(recorded,
+              params=TheoremParams(0.7, 1.5, 0.1, 0.9)).operators([1.0])
     assert shapes and all(len(s) == 2 and s[0] == 2 for s in shapes)
 
 
@@ -855,9 +857,10 @@ def _hub_trial(spec):
 
 @pytest.mark.parametrize("chain", CHAIN_NAMES)
 def test_batch_rows_equal_the_per_trial_chain(chain):
-    # every row, the hub-crossing one included, carries the chain's own
-    # report bit for bit, instance aside, and the chain's instance comes
-    # from the table's helper
+    # every row, the hub-crossing one included, carries the public
+    # chain's report bit for bit, instance aside: the same body on a lone
+    # trial with the public integrals; the chain's instance comes from
+    # the table's helper
     import geofrac.chains as chains
 
     spec = chains.chain_spec(chain)
@@ -871,7 +874,7 @@ def test_batch_rows_equal_the_per_trial_chain(chain):
         for trial, got in zip(trials, rows):
             want = spec.evaluate(trial.f, trial.g, trial.h, trial.params,
                                  tol=1e-8)
-            assert got is not None
+            assert isinstance(got, InequalityReport)
             assert got.sides == want.sides
             assert got.margins == want.margins
             assert got.passed == want.passed
@@ -881,10 +884,10 @@ def test_batch_rows_equal_the_per_trial_chain(chain):
                                  trial.params) == want.instance
 
 
-def test_rows_that_miss_reach_the_per_trial_chain(monkeypatch):
+def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
     # rows whose first quadrature level misses (the spider hub) are
-    # refined in the batch: the falsifier makes no per-trial chain call,
-    # and the worst row keeps its batch report
+    # refined in the batch: the falsifier calls no public chain, and the
+    # worst row keeps its batch report
     import geofrac.chains as chains
 
     spec = chains.chain_spec("conde_hh")
@@ -909,3 +912,47 @@ def test_rows_that_miss_reach_the_per_trial_chain(monkeypatch):
     summary = falsify_search("conde_hh", spider(3), 40, seed=1)
     assert summary["evaluated"] == 40
     assert calls == []
+
+
+def test_drawn_h_is_dominating():
+    # corollary_distance checks h(t) >= t at its public entry only: the
+    # falsifier relies on every h it draws passing that check
+    import geofrac.chains as chains
+
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        chains._require_dominating_h(chains._draw_h(rng))
+
+
+@pytest.mark.parametrize("chain, a_zero", [
+    ("thm_cb2", False), ("h_hh", False), ("thm_ty1", True),
+    ("corollary_distance", True)])
+def test_failed_rows_match_the_per_trial_oracle(monkeypatch, chain, a_zero):
+    # every trial draws h = 1/t (godunova_levin): the constants of h of
+    # thm_cb2 and h_hh diverge (a Beta argument <= 0), and with a = 0 the
+    # E integral of thm_ty1 and the corollary reaches h(0) and fails in
+    # the quadrature engine.  Each row carries its AccuracyError, which
+    # the public chain raises, and counts as a quadrature failure
+    import dataclasses
+
+    import geofrac.chains as chains
+
+    monkeypatch.setattr(chains, "_draw_h",
+                        lambda rng: h_function("godunova_levin"))
+    if a_zero:
+        draw = chains._draw_params
+        monkeypatch.setattr(chains, "_draw_params", lambda spec, rng:
+                            dataclasses.replace(draw(spec, rng), a=0.0))
+    spec = chains.chain_spec(chain)
+    space = euclidean(2)
+    trials = chains._draw_trials(spec, space, 3, np.random.default_rng(1))
+    rows = spec.rows(chains._Rows(trials, spec.two_geodesics), 1e-8)
+    for trial, got in zip(trials, rows):
+        assert isinstance(got, AccuracyError)
+        with pytest.raises(AccuracyError) as want:
+            spec.evaluate(trial.f, trial.g, trial.h, trial.params)
+        assert str(got) == str(want.value)
+    summary = falsify_search(chain, space, 20, seed=1)
+    assert summary["evaluated"] == 0
+    assert summary["quadrature_failures"] == 20 - summary["discarded"] > 0
+    assert summary == _per_trial_search(chain, space, 20, 1)
