@@ -104,7 +104,8 @@ def main(argv=None) -> int:
         parent = Path(tmp)
         for checkout in (parent, ROOT):
             _write_reports(checkout)
-        names = sorted(p.name for p in (ROOT / OUT).iterdir())
+        names = [name + ext for name, _ in _commands()
+                 for ext in (".stdout", ".stderr", ".exit")]
         differ = [n for n in names if (parent / OUT / n).read_bytes()
                   != (ROOT / OUT / n).read_bytes()]
     print("%s vs the working tree: %d files, %d differ"
