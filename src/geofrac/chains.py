@@ -53,11 +53,14 @@ than asserted:
     product variants are logged in extras.
 
 `falsify_search` hammers one chain with random admissible instances and
-reports the worst margin and any violations beyond tolerance.  Each
-chain picks its points and integrals, and builds its sides, in one
-function, its `ChainSpec.rows` body.  The falsifier runs the body on a
-batch of drawn trials (`_Rows`); a public chain checks its inputs and
-runs it on its one trial (`_OneTrial`), whose integrals are the public
+reports the worst margin and any violations beyond tolerance.  It draws
+a chunk of instances as columns, each parameter, h and geometry column
+in one call (the order is in its docstring), and prechecks the
+convexity of each drawn instance on its own.  Each chain picks its
+points and integrals, and builds its sides, in one function, its
+`ChainSpec.rows` body.  The falsifier runs the body on a chunk's
+surviving trials (`_Rows`); a public chain checks its inputs and runs
+it on its one trial (`_OneTrial`), whose integrals are the public
 `integrate`, `katugampola_left` and `compute_E`.
 """
 
@@ -71,15 +74,16 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .convexity import (HFunction, _distance_pullback_rows,
-                        _geodesic_distance_rows, check_convex, check_h_convex,
-                        distance_between_geodesics_function, h_function,
-                        on_geodesic, squared_distance_function)
+                        _geodesic_distance_rows, _power_h, check_convex,
+                        check_h_convex, distance_between_geodesics_function,
+                        h_function, on_geodesic, squared_distance_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
 from .fractional import (_beta, _katugampola_left_kernel, katugampola_left,
                          lq_norm_unit)
 from .quadrature import (_by_row, _integrate_rows, _power_kernel_rows,
                          as_array_function, integrate, power_kernel_integral)
-from .spaces import Geodesic, Point, Space, random_geodesic, random_point
+from .spaces import (Geodesic, Point, Space, _point_rows,
+                     _random_geodesic_rows)
 
 __all__ = ["TheoremParams", "InequalityReport", "CompositeOperand",
            "classic_hh", "h_hh", "conde_hh", "thm_cb1", "thm_cb2", "thm_ty1",
@@ -755,46 +759,55 @@ _H_DOMINATING = ("identity", "constant_one", "power")
 CHUNK = 64
 
 
-def _draw_h(rng: np.random.Generator) -> HFunction:
-    # restricted to catalog members with h(t) >= t and finite chain
-    # integrals; godunova_levin fails the second requirement
-    kind = _H_DOMINATING[int(rng.integers(0, 3))]
-    if kind == "power":
-        return h_function("power(%r)" % float(rng.uniform(0.25, 1.0)))
-    return h_function(kind)
-
-
-def _draw_params(spec: ChainSpec,
-                 rng: np.random.Generator) -> TheoremParams:
-    alpha = float(rng.uniform(0.25, 3.0))
-    rho = float(rng.uniform(0.5, 2.5))
-    a = float(rng.uniform(0.0, 0.9))
-    b = float(rng.uniform(a + 0.05, 1.0))
-    q = None
+def _draw_params(spec: ChainSpec, m: int,
+                 rng: np.random.Generator) -> list:
+    # m draws of alpha, then of rho, a and b (and of q); thm_cb1 redraws
+    # alpha and q of the rows with alpha q <= 1.05, and only those
+    alpha = rng.uniform(0.25, 3.0, m)
+    rho = rng.uniform(0.5, 2.5, m)
+    a = rng.uniform(0.0, 0.9, m)
+    b = rng.uniform(a + 0.05, 1.0)
+    q = [None] * m
     if spec.needs_q:
-        q = float(rng.uniform(1.5, 4.0))
-        while alpha * q <= 1.05:
-            alpha = float(rng.uniform(0.25, 3.0))
-            q = float(rng.uniform(1.5, 4.0))
-    return TheoremParams(alpha, rho, a, b, q)
+        q = rng.uniform(1.5, 4.0, m)
+        redo = np.flatnonzero(alpha * q <= 1.05)
+        while redo.size:
+            alpha[redo] = rng.uniform(0.25, 3.0, redo.size)
+            q[redo] = rng.uniform(1.5, 4.0, redo.size)
+            redo = redo[alpha[redo] * q[redo] <= 1.05]
+        q = q.tolist()
+    return [TheoremParams(*row) for row in zip(
+        alpha.tolist(), rho.tolist(), a.tolist(), b.tolist(), q)]
+
+
+def _draw_hs(m: int, rng: np.random.Generator) -> list:
+    # m kinds, then m exponents, which only the power rows use; restricted
+    # to catalog members with h(t) >= t and finite chain integrals
+    # (godunova_levin fails the second requirement)
+    kinds = rng.integers(0, len(_H_DOMINATING), m).tolist()
+    ks = rng.uniform(0.25, 1.0, m).tolist()
+    return [_power_h(k) if _H_DOMINATING[kind] == "power"
+            else h_function(_H_DOMINATING[kind])
+            for kind, k in zip(kinds, ks)]
 
 
 def _draw_trials(spec: ChainSpec, space: Space, trials: int,
                  rng: np.random.Generator) -> list:
     # the next `trials` draws of falsify_search that pass the convexity
-    # precheck, in draw order; each takes params, h, then its geometry
+    # precheck, in draw order; the columns are drawn in the order of
+    # falsify_search's docstring
+    params = _draw_params(spec, trials, rng)
+    hs = _draw_hs(trials, rng) if spec.takes_h else [None] * trials
+    if spec.two_geodesics:
+        firsts = _random_geodesic_rows(space, trials, rng, 0.05)
+        seconds = _random_geodesic_rows(space, trials, rng, 0.05)
+        return [_Trial(None, g, hf, p, None)
+                for g, hf, p in zip(zip(firsts, seconds), hs, params)]
+    ys = _point_rows(space, space._sample(trials, rng), trials)
+    geodesics = _random_geodesic_rows(space, trials, rng, 0.05)
     drawn = []
-    for _ in range(trials):
-        p = _draw_params(spec, rng)
-        hf = _draw_h(rng) if spec.takes_h else None
-        if spec.two_geodesics:
-            g = (random_geodesic(space, rng, min_length=0.05),
-                 random_geodesic(space, rng, min_length=0.05))
-            drawn.append(_Trial(None, g, hf, p, None))
-            continue
-        y = random_point(space, rng)
+    for p, hf, y, g in zip(params, hs, ys, geodesics):
         f = squared_distance_function(space, y, 2.0)
-        g = random_geodesic(space, rng, min_length=0.05)
         if hf is None:
             ok = check_convex(f, g, seed=0).holds
         else:
@@ -814,12 +827,23 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     are likewise counted and skipped.  Identical (chain, space, trials,
     seed, tol) inputs give identical summaries; seed must be >= 0.
 
-    Instances are drawn, and prechecked, one trial at a time from one
-    random stream, in chunks of CHUNK draws; a chunk's surviving trials
-    are evaluated together by the chain's body (`ChainSpec.rows`), and a
-    row that carries an AccuracyError counts as a quadrature failure.
-    The worst report, with `ChainSpec.instance`, becomes worst_instance;
-    ties go to the first trial.
+    Instances come from one random stream in chunks of m = CHUNK draws
+    (fewer in the last chunk).  A chunk is drawn column by column, each
+    column one call for all m rows, in this order: alpha, rho, a, b
+    (uniform on [a + 0.05, 1]), and for thm_cb1 q, after which alpha
+    and q are redrawn for the rows with alpha q <= 1.05 alone, until
+    none is left; the h kinds and the power exponents, when the chain
+    takes h; the reference points y of f = d(., y)^2, unless the chain
+    takes two geodesics; then the geodesics' starts and ends, after
+    which starts and ends are redrawn for the rows shorter than 0.05
+    alone, until none is left (the corollary draws its first and then
+    its second geodesics so).  The convexity precheck then runs on each
+    trial on its own; it stays per trial while the benchmark counts
+    `convexity.check.calls` as a use of the verify workloads.  A chunk's surviving trials are evaluated together
+    by the chain's body (`ChainSpec.rows`), and a row that carries an
+    AccuracyError counts as a quadrature failure.  The worst report,
+    with `ChainSpec.instance`, becomes worst_instance; ties go to the
+    first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, SpaceMismatchError
 from .quadrature import as_array_function
-from .spaces import Geodesic, Point, Space, euclidean
+from .spaces import Geodesic, Point, Space, _take_rows, euclidean
 
 __all__ = ["HFunction", "h_function", "H_CATALOG", "ConvexityVerdict",
            "check_h_convex", "check_convex", "check_quasi_or_p_convex",
@@ -184,12 +184,6 @@ def _stack_rows(batches):
         return tuple(_stack_rows([b[i] for b in batches])
                      for i in range(len(batches[0])))
     return np.concatenate(batches)
-
-
-def _take_rows(batch, rows: np.ndarray):
-    if isinstance(batch, tuple):
-        return tuple(_take_rows(b, rows) for b in batch)
-    return batch[rows]
 
 
 def _along_rows(geodesics: Sequence[Geodesic]) -> Callable:

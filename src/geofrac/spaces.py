@@ -37,7 +37,11 @@ an endpoint stage (`_ends`) turns two endpoint batches into per-row
 constants, and a parameter stage (`_along`) broadcasts those constants
 against the parameters t.  The batch primitive `_interp` is their
 composition; a Geodesic runs the endpoint stage once and every evaluation
-only the parameter stage.
+only the parameter stage.  `_ends_dist` is the endpoint stage together
+with the distances, so a space whose constants need the distance (the
+half-plane, and products with a half-plane factor) computes it once per
+geodesic; `_geodesic_rows` builds the geodesics of two endpoint batches
+with one such call.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ class Space:
     `_ends(A, B)` computes per-row constants from the endpoint batches, and
     `_along(ends, t)` evaluates them at parameters t, broadcasting a single
     row against many parameters or many rows against one parameter each.
-    `_interp(A, B, t)` is the composition of the two.
+    `_interp(A, B, t)` is the composition of the two, and
+    `_ends_dist(A, B)` is `_ends(A, B)` with the distances `_dist(A, B)`.
     """
 
     name: str = "abstract"
@@ -156,6 +161,9 @@ class Space:
 
     def _ends(self, A, B) -> Any:
         raise NotImplementedError
+
+    def _ends_dist(self, A, B):
+        return self._ends(A, B), self._dist(A, B)
 
     def _along(self, ends, t) -> Any:
         raise NotImplementedError
@@ -271,16 +279,21 @@ class HalfPlaneSpace(Space):
         return d
 
     def _ends(self, A, B):
+        return self._ends_dist(A, B)[0]
+
+    def _ends_dist(self, A, B):
+        dist = self._dist(A, B)
         # below the floor sinh(s d) / sinh d equals s to double precision,
-        # and a zero-length geodesic keeps finite weights
-        d = np.maximum(self._dist(A, B), 1e-8)
+        # and a zero-length geodesic keeps finite weights; the distances
+        # handed back are not floored
+        d = np.maximum(dist, 1e-8)
         s = np.sinh(d)
         w1, w2 = 1.0 / (A[:, 1] * s), 1.0 / (B[:, 1] * s)
         if not (_TINY <= min(w1.min(initial=_HUGE), w2.min(initial=_HUGE))
                 and max(w1.max(initial=0.0), w2.max(initial=0.0)) <= _HUGE):
             raise DomainError("half-plane geodesic weights 1/(y sinh d) "
                               "leave the double-precision range")
-        return A, B, d, w1, w2
+        return (A, B, d, w1, w2), dist
 
     def _along(self, ends, t):
         A, B, d, w1, w2 = ends
@@ -401,6 +414,11 @@ class ProductSpace(Space):
     def _ends(self, A, B):
         return (self.left._ends(A[0], B[0]), self.right._ends(A[1], B[1]))
 
+    def _ends_dist(self, A, B):
+        left, dl = self.left._ends_dist(A[0], B[0])
+        right, dr = self.right._ends_dist(A[1], B[1])
+        return (left, right), np.hypot(dl, dr)
+
     def _along(self, ends, t):
         return (self.left._along(ends[0], t), self.right._along(ends[1], t))
 
@@ -456,11 +474,16 @@ class Geodesic:
         if start.space != end.space:
             raise SpaceMismatchError("geodesic endpoints live in different "
                                      "spaces")
-        space = self.space = start.space
+        ends, dist = start.space._ends_dist(start.row, end.row)
+        self._hold(start, end, ends, float(dist[0]))
+
+    def _hold(self, start: Point, end: Point, ends, length: float):
+        self.space = start.space
         self.start = start
         self.end = end
-        self.length = float(space._dist(start.row, end.row)[0])
-        self._ends = space._ends(start.row, end.row)
+        self.length = length
+        self._ends = ends
+        return self
 
     def eval(self, t: float) -> Point:
         t = _check_unit(t)
@@ -487,6 +510,43 @@ class Geodesic:
 
     def __repr__(self) -> str:
         return "Geodesic(%r -> %r)" % (self.start, self.end)
+
+
+def _take_rows(batch, rows):
+    # batch[rows] of a coordinate or endpoint-constant batch, memberwise
+    # for a tuple batch; a view when rows is a slice
+    if isinstance(batch, tuple):
+        return tuple(_take_rows(b, rows) for b in batch)
+    return batch[rows]
+
+
+def _put_rows(batch, rows: np.ndarray, new) -> None:
+    # batch[rows] = new, memberwise for a tuple batch
+    if isinstance(batch, tuple):
+        for b, n in zip(batch, new):
+            _put_rows(b, rows, n)
+    else:
+        batch[rows] = new
+
+
+def _point_rows(space: Space, batch, m: int) -> list:
+    """The m points of a batch, each validated like any other point and
+    holding a one-row view of it; the batch becomes read-only."""
+    _read_only(batch)
+    return [_point_of_row(space, _take_rows(batch, slice(i, i + 1)))
+            for i in range(m)]
+
+
+def _geodesic_rows(space: Space, A, B) -> list:
+    """`Geodesic(start, end)` for every row of two endpoint batches, from
+    one `_ends_dist` call; each geodesic's constants are one-row views of
+    its result, and its points those of `_point_rows`."""
+    ends, dist = space._ends_dist(A, B)
+    m = len(dist)
+    return [Geodesic.__new__(Geodesic)._hold(
+                p, q, _take_rows(ends, slice(i, i + 1)), float(dist[i]))
+            for i, (p, q) in enumerate(zip(_point_rows(space, A, m),
+                                           _point_rows(space, B, m)))]
 
 
 def distance(p: Point, q: Point) -> float:
@@ -629,3 +689,19 @@ def random_geodesic(space: Space, rng: np.random.Generator,
         g = Geodesic(p, q)
         if g.length >= min_length:
             return g
+
+
+def _random_geodesic_rows(space: Space, m: int, rng: np.random.Generator,
+                          min_length: float) -> list:
+    """m random geodesics at least min_length long, drawn as batches: m
+    starts, m ends, then new starts and ends for the rows that are too
+    short, and again for those of them that still are; the lengths of
+    each round come from one `_dist` call."""
+    A, B = space._sample(m, rng), space._sample(m, rng)
+    redo = np.flatnonzero(space._dist(A, B) < min_length)
+    while redo.size:
+        A2, B2 = space._sample(redo.size, rng), space._sample(redo.size, rng)
+        _put_rows(A, redo, A2)
+        _put_rows(B, redo, B2)
+        redo = redo[space._dist(A2, B2) < min_length]
+    return _geodesic_rows(space, A, B)

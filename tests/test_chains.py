@@ -753,53 +753,41 @@ BATCH_SPACES = [euclidean(2), half_plane(), spider(3),
 
 def _per_trial_search(chain, space, trials, seed, tol=1e-8,
                       product_c_term=False):
-    # the falsifier's loop before trials were batched: each trial drawn,
-    # prechecked and evaluated by the chain itself, one after another
+    # the falsifier's accounting, with each trial that chains._draw_trials
+    # draws (chunk by chunk, from the same stream) evaluated by its public
+    # chain through ChainSpec.evaluate, one after another
     import geofrac.chains as chains
-    from geofrac.convexity import check_convex, check_h_convex
 
     spec = chains.chain_spec(chain)
     rng = np.random.default_rng(seed)
     evaluated = discarded = failures = violations = 0
     worst_margin = None
     worst_instance = None
-    for _ in range(trials):
-        p = chains._draw_params(spec, rng)
-        hf = chains._draw_h(rng) if spec.takes_h else None
-        try:
-            if spec.two_geodesics:
-                f = None
-                g = (random_geodesic(space, rng, min_length=0.05),
-                     random_geodesic(space, rng, min_length=0.05))
+    for start in range(0, trials, chains.CHUNK):
+        draws = min(chains.CHUNK, trials - start)
+        chunk = chains._draw_trials(spec, space, draws, rng)
+        discarded += draws - len(chunk)
+        for trial in chunk:
+            try:
+                report = spec.evaluate(trial.f, trial.g, trial.h,
+                                       trial.params, tol=tol)
+            except AccuracyError:
+                failures += 1
+                continue
+            evaluated += 1
+            if product_c_term:
+                vals = [v for _, v in report.sides]
+                vals[2] = report.extras["right_product_bare_c"]
+                margin = min(b - a for a, b in zip(vals, vals[1:]))
+                if margin < -tol:
+                    violations += 1
             else:
-                y = random_point(space, rng)
-                f = squared_distance_function(space, y, 2.0)
-                g = random_geodesic(space, rng, min_length=0.05)
-                if hf is None:
-                    ok = check_convex(f, g, seed=0).holds
-                else:
-                    ok = check_h_convex(f, g, hf, seed=0).holds
-                if not ok:
-                    discarded += 1
-                    continue
-            report = spec.evaluate(f, g, hf, p, tol=tol)
-        except AccuracyError:
-            failures += 1
-            continue
-        evaluated += 1
-        if product_c_term:
-            vals = [v for _, v in report.sides]
-            vals[2] = report.extras["right_product_bare_c"]
-            margin = min(b - a for a, b in zip(vals, vals[1:]))
-            if margin < -tol:
-                violations += 1
-        else:
-            margin = min(report.margins)
-            if not report.passed:
-                violations += 1
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
-            worst_instance = report.to_dict()
+                margin = min(report.margins)
+                if not report.passed:
+                    violations += 1
+            if worst_margin is None or margin < worst_margin:
+                worst_margin = margin
+                worst_instance = report.to_dict()
     summary = {"chain": chain, "space": space.name, "trials": trials,
                "seed": int(seed), "tol": float(tol), "evaluated": evaluated,
                "discarded": discarded, "quadrature_failures": failures,
@@ -919,9 +907,123 @@ def test_drawn_h_is_dominating():
     # falsifier relies on every h it draws passing that check
     import geofrac.chains as chains
 
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        chains._require_dominating_h(chains._draw_h(rng))
+    for hf in chains._draw_hs(1000, np.random.default_rng(0)):
+        chains._require_dominating_h(hf)
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
+def test_drawn_trials_keep_the_draw_invariants(space):
+    # every drawn instance is admissible: length >= 0.05, alpha q > 1.05,
+    # a dominating h (the geodesics' bits: test_spaces)
+    import geofrac.chains as chains
+
+    rng = np.random.default_rng(5)
+    for chain in ("thm_cb1", "corollary_distance"):
+        spec = chains.chain_spec(chain)
+        trials = chains._draw_trials(spec, space, 256, rng)
+        assert len(trials) == 256
+        for t in trials:
+            chains._require_dominating_h(t.h)
+            if spec.two_geodesics:
+                assert min(g.length for g in t.g) >= 0.05
+            else:
+                assert t.g.length >= 0.05
+                assert t.params.alpha * t.params.q > 1.05
+
+
+def test_q_rows_alone_are_redrawn():
+    # thm_cb1's rows 0-2 are drawn with alpha q = 0.45 <= 1.05: alpha and
+    # q are redrawn for those three rows alone
+    import geofrac.chains as chains
+
+    class Scripted:
+        def __init__(self):
+            self.rng, self.draws = np.random.default_rng(3), []
+
+        def uniform(self, low, high, size=None):
+            out = self.rng.uniform(low, high, size)
+            if len(self.draws) in (0, 4):
+                # alpha, then q
+                out[:3] = 0.3 if not self.draws else 1.5
+            self.draws.append(out.copy())
+            return out
+
+    rng = Scripted()
+    params = chains._draw_params(chains.chain_spec("thm_cb1"), 16, rng)
+    alpha, q = rng.draws[0], rng.draws[4]
+    assert [d.size for d in rng.draws[5:7]] == [3, 3]
+    assert all(d.size <= 3 for d in rng.draws[5:])
+    assert [p.alpha for p in params[3:]] == alpha[3:].tolist()
+    assert [p.q for p in params[3:]] == q[3:].tolist()
+    assert all(p.alpha * p.q > 1.05 for p in params)
+    assert all(p.alpha != 0.3 for p in params[:3])
+
+
+@pytest.mark.parametrize("chain", ["thm_ty1", "corollary_distance"])
+def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
+    # the geometry of a chunk takes a fixed number of _sample, _dist and
+    # _ends_dist calls, plus two samples and a _dist per redraw round,
+    # whatever its size; the falsifier makes no per-trial random point or
+    # geodesic
+    import geofrac.chains as chains
+    import geofrac.spaces as spaces
+    from geofrac.convexity import ConvexityVerdict
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("per-trial draw")
+
+    monkeypatch.setattr(spaces, "random_point", no_call)
+    monkeypatch.setattr(spaces, "random_geodesic", no_call)
+    monkeypatch.setattr(spaces.Space, "random_point", no_call)
+    assert falsify_search(chain, euclidean(2), 70, seed=1)["evaluated"] == 70
+
+    accept = lambda *args, **kwargs: ConvexityVerdict(True, 0.0, None, 0)
+    monkeypatch.setattr(chains, "check_convex", accept)
+    monkeypatch.setattr(chains, "check_h_convex", accept)
+    spec = chains.chain_spec(chain)
+    geodesics = 2 if spec.two_geodesics else 1
+    for m in (8, 64, 512):
+        space, calls = euclidean(2), {"_sample": [], "_dist": [],
+                                      "_ends_dist": []}
+        for name, args in calls.items():
+            def counted(*a, _fn=getattr(space, name), _args=args):
+                _args.append(a)
+                return _fn(*a)
+            monkeypatch.setattr(space, name, counted)
+        assert len(chains._draw_trials(spec, space, m,
+                                       np.random.default_rng(m))) == m
+        # the euclidean _ends_dist takes its distances from _dist
+        rounds = len(calls["_dist"]) - 2 * geodesics
+        assert len(calls["_ends_dist"]) == geodesics
+        ys = 0 if spec.two_geodesics else 1
+        assert len(calls["_sample"]) == ys + 2 * (geodesics + rounds)
+        assert rounds <= 2 and calls["_sample"][0][0] == m
+
+
+def test_discarded_trials_match_the_per_trial_oracle(monkeypatch):
+    # the precheck rejects every third trial: the falsifier counts them as
+    # discarded across a chunk boundary, as the per-trial oracle does
+    import geofrac.chains as chains
+    from geofrac.convexity import ConvexityVerdict
+
+    checked = []
+
+    def every_third(*args, **kwargs):
+        checked.append(None)
+        return ConvexityVerdict(len(checked) % 3 != 0, 0.0, None, 0)
+
+    monkeypatch.setattr(chains, "check_convex", every_third)
+    monkeypatch.setattr(chains, "check_h_convex", every_third)
+    for chain in ("classic_hh", "thm_ty1"):
+        for space in (euclidean(2), product(euclidean(2), spider(3))):
+            checked.clear()
+            summary = falsify_search(chain, space, 70, seed=6)
+            assert len(checked) == 70
+            checked.clear()
+            assert summary == _per_trial_search(chain, space, 70, 6)
+            assert summary["discarded"] == 23
+            assert (summary["evaluated"] + summary["quadrature_failures"]
+                    == 47)
 
 
 @pytest.mark.parametrize("chain, a_zero", [
@@ -937,12 +1039,12 @@ def test_failed_rows_match_the_per_trial_oracle(monkeypatch, chain, a_zero):
 
     import geofrac.chains as chains
 
-    monkeypatch.setattr(chains, "_draw_h",
-                        lambda rng: h_function("godunova_levin"))
+    monkeypatch.setattr(chains, "_draw_hs",
+                        lambda m, rng: [h_function("godunova_levin")] * m)
     if a_zero:
         draw = chains._draw_params
-        monkeypatch.setattr(chains, "_draw_params", lambda spec, rng:
-                            dataclasses.replace(draw(spec, rng), a=0.0))
+        monkeypatch.setattr(chains, "_draw_params", lambda spec, m, rng: [
+            dataclasses.replace(p, a=0.0) for p in draw(spec, m, rng)])
     spec = chains.chain_spec(chain)
     space = euclidean(2)
     trials = chains._draw_trials(spec, space, 3, np.random.default_rng(1))

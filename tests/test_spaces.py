@@ -16,7 +16,8 @@ from geofrac.spaces import (busemann_gap, busemann_gap_batch, cn_gap,
                             geodesic_point, geodesic_restrict, Geodesic,
                             half_plane, Point, product, random_geodesic,
                             random_point, sample_points, spider, sturm_gap,
-                            sturm_gap_batch)
+                            sturm_gap_batch, _put_rows,
+                            _random_geodesic_rows, _take_rows)
 
 E2 = euclidean(2)
 H = half_plane()
@@ -672,3 +673,43 @@ def test_parameter_domain_checks():
         g.eval(math.nan)
     with pytest.raises(DomainError):
         comparison_gap(g.start, g.start, g.end, 1.2)
+
+
+@pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
+def test_geodesic_rows_are_their_geodesics_bit_for_bit(space):
+    # a geodesic drawn in a batch has the length and the endpoint
+    # constants of Geodesic(start, end), bit for bit
+    geodesics = _random_geodesic_rows(space, 1024,
+                                      np.random.default_rng(5), 0.05)
+    for g in geodesics:
+        want = Geodesic(g.start, g.end)
+        assert g.length >= 0.05
+        assert g.length == want.length
+        assert _same_bits(g._ends, want._ends)
+
+
+@pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
+def test_short_geodesic_rows_alone_are_redrawn(monkeypatch, space):
+    # the first batch of ends repeats rows 1 and 4 of the starts: those two
+    # rows, and only they, get new starts and ends, two rows a batch
+    sample, batches = space._sample, []
+
+    def scripted(m, rng):
+        batch = sample(m, rng)
+        if len(batches) == 1:
+            _put_rows(batch, np.array([1, 4]),
+                      _take_rows(batches[0], np.array([1, 4])))
+        batches.append(_take_rows(batch, np.arange(m)))
+        return batch
+
+    monkeypatch.setattr(space, "_sample", scripted)
+    geodesics = _random_geodesic_rows(space, 8, np.random.default_rng(2),
+                                      0.05)
+    assert [len(_leaves(b)[0]) for b in batches] == [8, 8, 2, 2]
+    for i, g in enumerate(geodesics):
+        if i in (1, 4):
+            j = [(1, 4).index(i)]
+            want = _take_rows(batches[2], j), _take_rows(batches[3], j)
+        else:
+            want = _take_rows(batches[0], [i]), _take_rows(batches[1], [i])
+        assert _same_bits((g.start.row, g.end.row), want)
