@@ -803,7 +803,7 @@ def _draw_trials(spec: ChainSpec, space: Space, trials: int,
         seconds = _random_geodesic_rows(space, trials, rng, 0.05)
         return [_Trial(None, g, hf, p, None)
                 for g, hf, p in zip(zip(firsts, seconds), hs, params)]
-    ys = _point_rows(space, space._sample(trials, rng), trials)
+    ys = _point_rows(space, space._sample(trials, rng))
     geodesics = _random_geodesic_rows(space, trials, rng, 0.05)
     drawn = []
     for p, hf, y, g in zip(params, hs, ys, geodesics):
@@ -839,11 +839,11 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     alone, until none is left (the corollary draws its first and then
     its second geodesics so).  The convexity precheck then runs on each
     trial on its own; it stays per trial while the benchmark counts
-    `convexity.check.calls` as a use of the verify workloads.  A chunk's surviving trials are evaluated together
-    by the chain's body (`ChainSpec.rows`), and a row that carries an
-    AccuracyError counts as a quadrature failure.  The worst report,
-    with `ChainSpec.instance`, becomes worst_instance; ties go to the
-    first trial.
+    `convexity.check.calls` as a use of the verify workloads.  A chunk's
+    surviving trials are evaluated together by the chain's body
+    (`ChainSpec.rows`), and a row that carries an AccuracyError counts as
+    a quadrature failure.  The worst report, with `ChainSpec.instance`,
+    becomes worst_instance; ties go to the first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that

@@ -40,8 +40,10 @@ composition; a Geodesic runs the endpoint stage once and every evaluation
 only the parameter stage.  `_ends_dist` is the endpoint stage together
 with the distances, so a space whose constants need the distance (the
 half-plane, and products with a half-plane factor) computes it once per
-geodesic; `_geodesic_rows` builds the geodesics of two endpoint batches
-with one such call.
+geodesic.  Random geodesics are drawn by one redraw loop, `_random_ends`,
+for one row (`random_geodesic`) or a batch (`_random_geodesic_rows`,
+which builds all its geodesics with one `_ends_dist` call); its test for
+short rows takes one more `_dist` per round.
 """
 
 from __future__ import annotations
@@ -529,24 +531,19 @@ def _put_rows(batch, rows: np.ndarray, new) -> None:
         batch[rows] = new
 
 
-def _point_rows(space: Space, batch, m: int) -> list:
-    """The m points of a batch, each validated like any other point and
+def _rows_in(batch) -> int:
+    # the number of rows of a coordinate or endpoint-constant batch
+    while isinstance(batch, tuple):
+        batch = batch[0]
+    return len(batch)
+
+
+def _point_rows(space: Space, batch) -> list:
+    """The points of a batch, each validated like any other point and
     holding a one-row view of it; the batch becomes read-only."""
     _read_only(batch)
     return [_point_of_row(space, _take_rows(batch, slice(i, i + 1)))
-            for i in range(m)]
-
-
-def _geodesic_rows(space: Space, A, B) -> list:
-    """`Geodesic(start, end)` for every row of two endpoint batches, from
-    one `_ends_dist` call; each geodesic's constants are one-row views of
-    its result, and its points those of `_point_rows`."""
-    ends, dist = space._ends_dist(A, B)
-    m = len(dist)
-    return [Geodesic.__new__(Geodesic)._hold(
-                p, q, _take_rows(ends, slice(i, i + 1)), float(dist[i]))
-            for i, (p, q) in enumerate(zip(_point_rows(space, A, m),
-                                           _point_rows(space, B, m)))]
+            for i in range(_rows_in(batch))]
 
 
 def distance(p: Point, q: Point) -> float:
@@ -680,20 +677,9 @@ def random_point(space: Space, rng: np.random.Generator) -> Point:
     return space.random_point(rng)
 
 
-def random_geodesic(space: Space, rng: np.random.Generator,
-                    min_length: float = 1e-6) -> Geodesic:
-    """Random geodesic with distinct endpoints."""
-    while True:
-        p = space.random_point(rng)
-        q = space.random_point(rng)
-        g = Geodesic(p, q)
-        if g.length >= min_length:
-            return g
-
-
-def _random_geodesic_rows(space: Space, m: int, rng: np.random.Generator,
-                          min_length: float) -> list:
-    """m random geodesics at least min_length long, drawn as batches: m
+def _random_ends(space: Space, m: int, rng: np.random.Generator,
+                 min_length: float) -> tuple:
+    """m starts and m ends at least min_length apart, drawn as batches: m
     starts, m ends, then new starts and ends for the rows that are too
     short, and again for those of them that still are; the lengths of
     each round come from one `_dist` call."""
@@ -704,4 +690,28 @@ def _random_geodesic_rows(space: Space, m: int, rng: np.random.Generator,
         _put_rows(A, redo, A2)
         _put_rows(B, redo, B2)
         redo = redo[space._dist(A2, B2) < min_length]
-    return _geodesic_rows(space, A, B)
+    return A, B
+
+
+def random_geodesic(space: Space, rng: np.random.Generator,
+                    min_length: float = 1e-6) -> Geodesic:
+    """Random geodesic with distinct endpoints: the one-row draw of
+    `_random_geodesic_rows`, built by `Geodesic(start, end)`."""
+    A, B = _random_ends(space, 1, rng, min_length)
+    # the public constructor, which bench/tracing.py counts as a new
+    # geodesic
+    return Geodesic(_point_of_row(space, A), _point_of_row(space, B))
+
+
+def _random_geodesic_rows(space: Space, m: int, rng: np.random.Generator,
+                          min_length: float) -> list:
+    """m random geodesics at least min_length long: the draws of m calls
+    of `random_geodesic`, made as batches, and `Geodesic(start, end)` for
+    every row from one `_ends_dist` call; each geodesic's constants are
+    one-row views of its result, and its points those of `_point_rows`."""
+    A, B = _random_ends(space, m, rng, min_length)
+    ends, dist = space._ends_dist(A, B)
+    return [Geodesic.__new__(Geodesic)._hold(
+                p, q, _take_rows(ends, slice(i, i + 1)), float(dist[i]))
+            for i, (p, q) in enumerate(zip(_point_rows(space, A),
+                                           _point_rows(space, B)))]

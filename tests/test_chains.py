@@ -992,7 +992,9 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
             monkeypatch.setattr(space, name, counted)
         assert len(chains._draw_trials(spec, space, m,
                                        np.random.default_rng(m))) == m
-        # the euclidean _ends_dist takes its distances from _dist
+        # the euclidean _ends_dist takes its distances from _dist: a
+        # geodesic batch makes one _dist for its redraw test and one
+        # with its endpoint constants
         rounds = len(calls["_dist"]) - 2 * geodesics
         assert len(calls["_ends_dist"]) == geodesics
         ys = 0 if spec.two_geodesics else 1

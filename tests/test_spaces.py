@@ -689,6 +689,20 @@ def test_geodesic_rows_are_their_geodesics_bit_for_bit(space):
 
 
 @pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
+def test_random_geodesic_is_the_one_row_draw(space):
+    # random_geodesic takes the draws of _random_geodesic_rows with m = 1,
+    # redraws included (min_length 1.5 rejects some pairs on every space)
+    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(64):
+        g = random_geodesic(space, rng1, min_length=1.5)
+        [want] = _random_geodesic_rows(space, 1, rng2, 1.5)
+        assert g.length >= 1.5 and g.length == want.length
+        assert _same_bits((g.start.row, g.end.row, g._ends),
+                          (want.start.row, want.end.row, want._ends))
+    assert rng1.bit_generator.state == rng2.bit_generator.state
+
+
+@pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
 def test_short_geodesic_rows_alone_are_redrawn(monkeypatch, space):
     # the first batch of ends repeats rows 1 and 4 of the starts: those two
     # rows, and only they, get new starts and ends, two rows a batch
