@@ -80,7 +80,7 @@ from .convexity import (HFunction, _distance_pullback_rows,
 from .errors import AccuracyError, DomainError, SpaceMismatchError
 from .fractional import (_beta, _katugampola_left_kernel, katugampola_left,
                          lq_norm_unit)
-from .quadrature import (_by_row, _integrate_rows, _power_kernel_rows,
+from .quadrature import (_by_row, _integrate_rows, _weighted_rows,
                          as_array_function, integrate, power_kernel_integral)
 from .spaces import (Geodesic, Point, Space, _point_rows,
                      _random_geodesic_rows)
@@ -509,8 +509,9 @@ class _Rows:
             return _folded(lambda x: self.pull(x, rows), u,
                            shift[rows, None])
 
-        values = _values(_power_kernel_rows(
-            operand, uppers, [p.alpha for p in self.params]))
+        values = _values(_weighted_rows(
+            operand, [0.0] * len(uppers), uppers,
+            [p.alpha for p in self.params]))
         return [v if isinstance(v, AccuracyError) else c * v
                 for v, c in zip(values, prefactors)]
 
@@ -518,8 +519,9 @@ class _Rows:
         """`compute_E` of each row's h and params."""
         brs = [p.b ** p.rho for p in self.params]
         operands = [_e_operand(hf, br) for hf, br in zip(self.hs, brs)]
-        values = _values(_power_kernel_rows(
+        values = _values(_weighted_rows(
             lambda w, rows: _by_row(lambda r, x: operands[r](x), w, rows),
+            [0.0] * len(brs),
             [br - p.a ** p.rho for br, p in zip(brs, self.params)],
             [p.alpha for p in self.params]))
         return [v if isinstance(v, AccuracyError) else _e_value(hf, p, v)

@@ -567,10 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        try:
-            return int(exc.code or 0)
-        except (TypeError, ValueError):
-            return 2
+        return int(exc.code or 0)  # argparse: 0 for --help, 2 for usage
     try:
         if "tol" in args and not (args.tol > 0 and math.isfinite(args.tol)):
             raise DomainError("--tol must be positive and finite")

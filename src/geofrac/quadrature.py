@@ -9,10 +9,10 @@ is integrated exactly; every other panel uses Gauss-Legendre on the
 weighted integrand.  The engine (`_integrate_rows`) refines
 breadth-first, one operand call per level for all rows, and adds a row's
 accepted panels in order of left end, the order in which a depth-first
-bisection adds them.  `integrate` is its one-row case;
-`_power_kernel_rows` puts w**(exponent-1) through it and re-runs the rows
-whose operand is singular at w = 0 once through v = w**exponent, and
-:func:`power_kernel_integral` is its one-row case.
+bisection adds them.  `_weighted_rows` re-runs the weighted rows that
+fail there (an operand singular at lo) once through v = (x - lo)**exponent;
+`integrate` is its one-row case, and :func:`power_kernel_integral` is
+`integrate` from 0.
 
 Every integral runs at one fixed accuracy, set by the module constants
 REL_TOL, ABS_TOL, NODES and MAX_PANELS.  Operands are array functions:
@@ -162,9 +162,14 @@ def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
         w = ws
         if len(lo) == 1 and exponent[0] != 1.0:
             # a lone integral: one power, and its Jacobi panels, those at
-            # lo, lead the list (a is in increasing order)
-            w = ws * (pts - lo[0]) ** (exponent[0] - 1.0)
-            for i in range(a.count(lo[0])):
+            # lo, lead the list (a is in increasing order); their Legendre
+            # nodes, replaced below, can round onto lo, and a gap of 1
+            # keeps their unused power finite
+            jac = a.count(lo[0])
+            gap = pts - lo[0]
+            gap[:jac] = 1.0
+            w = ws * gap ** (exponent[0] - 1.0)
+            for i in range(jac):
                 width = b[i] - lo[0]
                 pts[i] = lo[0] + width * jac_us[0]
                 w[i] = jac_lams[0]
@@ -272,14 +277,39 @@ def _integrate_rows(g: Callable, lo, hi, exponent) -> list:
             for r, v in enumerate(out)]
 
 
+def _weighted_rows(g: Callable, lo, hi, exponent) -> list:
+    """R integrals of (x - lo)**(exponent - 1) * g(x) over [lo, hi], as
+    `_integrate_rows`; the rows with exponent != 1 whose Jacobi attempt
+    fails (g singular at lo) rerun together once, as (1/exponent) times
+    the integral of g(lo + v**(1/exponent)) over (0, (hi - lo)**exponent),
+    and a rerun's AccuracyError is the row's."""
+    out = _integrate_rows(g, lo, hi, exponent)
+    at = [r for r, v in enumerate(out) if exponent[r] != 1.0
+          and isinstance(v, AccuracyError)]
+    if at:
+        again = np.array(at)
+        inv = [1.0 / exponent[r] for r in at]
+        redo = _integrate_rows(
+            lambda v, rows: g(_by_row(lambda k, x: lo[at[k]] + x ** inv[k],
+                                      v, rows), again[rows]),
+            [0.0] * len(at), [(hi[r] - lo[r]) ** exponent[r] for r in at],
+            [1.0] * len(at))
+        for r, v in zip(at, redo):
+            out[r] = v if isinstance(v, AccuracyError) else (
+                v[0] / exponent[r], v[1] / exponent[r])
+    return out
+
+
 def integrate(f: Callable, lo: float, hi: float, *,
               full_output: bool = False, exponent: float = 1.0):
     """Integral of (x - lo)**(exponent - 1) * f(x) over [lo, hi].
 
     Returns (value, error) if full_output.  With exponent != 1 the panel
-    at lo carries the weight in a Gauss-Jacobi rule (module docstring).
-    Raises AccuracyError when the panel budget is exhausted before the
-    tolerance is met (divergent or unresolvable integrands).
+    at lo carries the weight in a Gauss-Jacobi rule, and an integral that
+    fails so (f singular at lo) is re-run once through
+    v = (x - lo)**exponent (module docstring).  Raises AccuracyError when
+    the panel budget is exhausted before the tolerance is met (divergent
+    or unresolvable integrands).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
@@ -290,8 +320,8 @@ def integrate(f: Callable, lo: float, hi: float, *,
         return (0.0, 0.0) if full_output else 0.0
 
     g = as_array_function(f)  # called on one flat array of nodes
-    [out] = _integrate_rows(lambda x, rows: g(x.reshape(-1)).reshape(x.shape),
-                            [lo], [hi], [exponent])
+    [out] = _weighted_rows(lambda x, rows: g(x.reshape(-1)).reshape(x.shape),
+                           [lo], [hi], [exponent])
     if isinstance(out, AccuracyError):
         raise out
     return out if full_output else out[0]
@@ -299,50 +329,11 @@ def integrate(f: Callable, lo: float, hi: float, *,
 
 def power_kernel_integral(g: Callable, upper: float, exponent: float, *,
                           full_output: bool = False):
-    """Integral of w**(exponent-1) * g(w) over (0, upper).
-
-    The kernel goes into the Gauss-Jacobi panel of `integrate`; if that
-    raises AccuracyError (g singular at w = 0), the integral is re-run
-    once as (1/exponent) Int g(v**(1/exponent)) dv over
-    (0, upper**exponent), and an AccuracyError from that run propagates.
-    This is the rule of `_power_kernel_rows`, written out with two
-    `integrate` calls because the benchmark's tracer wraps `integrate`:
-    on verify_fractional every lone integral is a kernel integral, and
-    its interaction table needs `quadrature.integrate.calls` above 0."""
+    """Integral of w**(exponent-1) * g(w) over (0, upper): `integrate`
+    from 0, whose Gauss-Jacobi panel carries the kernel and whose rerun
+    through v = w**exponent takes an operand singular at w = 0."""
     _check_exponent(exponent)
     if upper < 0.0:
         raise DomainError("upper endpoint must be nonnegative")
-    if upper == 0.0:
-        return (0.0, 0.0) if full_output else 0.0
-    try:
-        return integrate(g, 0.0, upper, full_output=full_output,
-                         exponent=exponent)
-    except AccuracyError:
-        if exponent == 1.0:
-            raise  # the substitution is the identity: nothing to retry
-
-    inv = 1.0 / exponent
-    value, err = integrate(lambda v: g(v ** inv), 0.0, upper ** exponent,
-                           full_output=True)
-    value, err = value / exponent, err / exponent
-    return (value, err) if full_output else value
-
-
-def _power_kernel_rows(g: Callable, upper, exponent) -> list:
-    """`power_kernel_integral` of R rows, as `_integrate_rows`; the rows
-    whose Jacobi attempt fails rerun through v = w**exponent together
-    (not at exponent 1, where the substitution is the identity)."""
-    out = _integrate_rows(g, [0.0] * len(upper), upper, exponent)
-    again = np.array([r for r, v in enumerate(out) if exponent[r] != 1.0
-                      and isinstance(v, AccuracyError)], dtype=int)
-    if again.size:
-        inv = [1.0 / exponent[r] for r in again.tolist()]
-        redo = _integrate_rows(
-            lambda v, rows: g(_by_row(lambda k, x: x ** inv[k], v, rows),
-                              again[rows]),
-            [0.0] * again.size, [upper[r] ** exponent[r] for r in again],
-            [1.0] * again.size)
-        for r, v in zip(again.tolist(), redo):
-            out[r] = v if isinstance(v, AccuracyError) else (
-                v[0] / exponent[r], v[1] / exponent[r])
-    return out
+    return integrate(g, 0.0, upper, exponent=exponent,
+                     full_output=full_output)

@@ -242,6 +242,82 @@ def test_katugampola_domain_errors():
 
 
 # ---------------------------------------------------------------------------
+# mpmath oracle: 30 digits, each operator from its definition with the
+# kernel folded into the measure (v = w**alpha), no package quadrature
+# ---------------------------------------------------------------------------
+
+OPERATORS = {"rl_left": rl_left, "rl_right": rl_right,
+             "hadamard_left": hadamard_left, "hadamard_right": hadamard_right,
+             "katugampola_left": katugampola_left,
+             "katugampola_right": katugampola_right}
+
+
+def _mp_operator(mp, name, f, alpha, rho, lo, hi):
+    # c / Gamma(alpha) * Int_0^W w**(alpha-1) F(w) dw, taken as
+    # c / (alpha Gamma(alpha)) * Int_0^(W**alpha) F(v**(1/alpha)) dv; the
+    # left operators are at hi, the right ones at lo
+    al, rho, lo, hi = (mp.mpf(v) for v in (alpha, rho, lo, hi))
+    c, W = 1, hi - lo
+    if name == "rl_left":
+        F = lambda w: f(hi - w)
+    elif name == "rl_right":
+        F = lambda w: f(lo + w)
+    elif name.startswith("hadamard"):
+        W = mp.log(hi / lo)
+        F = ((lambda w: f(hi * mp.exp(-w))) if name == "hadamard_left"
+             else (lambda w: f(lo * mp.exp(w))))
+    else:
+        c, W = rho ** -al, hi ** rho - lo ** rho
+        F = ((lambda w: f(max(hi ** rho - w, 0) ** (1 / rho)))
+             if name == "katugampola_left"
+             else (lambda w: f((lo ** rho + w) ** (1 / rho))))
+    return c / (al * mp.gamma(al)) * mp.quad(lambda v: F(v ** (1 / al)),
+                                             [0, W ** al])
+
+
+def _assert_matches(out, ref):
+    value, err = out
+    assert abs(value - ref) <= err + 8.0 * np.finfo(float).eps * abs(ref)
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.5])
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_operators_match_mpmath(name, alpha):
+    mp = pytest.importorskip("mpmath")
+    op = OPERATORS[name]
+    if name.startswith("katugampola"):
+        # a = 0: the left operand has a (W - w)**(1/rho) cusp at the far
+        # kernel end, the right one a w**(1/rho) cusp at w = 0
+        cases = [(rho, 0.0, hi) for rho in (0.2, 0.5, 2.0)
+                 for hi in (0.7, 1.3)]
+    else:
+        cases = [(None, 0.4, 1.7)]
+    for rho, lo, hi in cases:
+        with mp.workdps(30):
+            ref = float(_mp_operator(
+                mp, name, lambda t: mp.exp(-t) * mp.cos(2 * t) + t * t,
+                alpha, 1.0 if rho is None else rho, lo, hi))
+        args = (alpha, lo, hi) if rho is None else (alpha, rho, lo, hi)
+        out = op(lambda t: np.exp(-t) * np.cos(2.0 * t) + t * t, *args,
+                 full_output=True)
+        _assert_matches(out, ref)
+
+
+def test_fallback_operator_matches_mpmath():
+    # t**(1/4) defeats the Jacobi panel of w**(-3/4): the rerun through
+    # v = w**(1/4); the exact value is 2 / Gamma(1/4)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        exact = 2 / mp.gamma(mp.mpf(0.25))
+        ref = _mp_operator(mp, "rl_right", lambda t: t ** mp.mpf(0.25), 0.25,
+                           1.0, 0.0, 1.0)
+        assert abs(ref - exact) < mp.mpf(10) ** -25
+    out = rl_right(lambda t: t ** 0.25, 0.25, 0.0, 1.0, full_output=True)
+    _assert_matches(out, float(exact))
+
+
+# ---------------------------------------------------------------------------
 # linearity / positivity (seeded random polynomials)
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ import pytest
 from geofrac.errors import AccuracyError, DomainError
 from geofrac.fractional import rl_left
 from geofrac.quadrature import (ABS_TOL, MAX_PANELS, NODES, REL_TOL,
-                                _integrate_rows, _jacobi_rules,
-                                _power_kernel_rows, _rule, _rules,
-                                as_array_function,
+                                _integrate_rows, _jacobi_rules, _rule,
+                                _rules, _weighted_rows, as_array_function,
                                 integrate, pointwise, power_kernel_integral)
 
 
@@ -148,8 +148,26 @@ def test_power_kernel_operand_singularity_falls_back():
                                        full_output=True)
     assert abs(value - 2.0) < 1e-12
     assert err < 1e-8
-    with pytest.raises(AccuracyError):
-        integrate(lambda w: w ** 0.25, 0.0, 1.0, exponent=0.25)
+    # the fallback is integrate's own: power_kernel_integral is integrate
+    # from 0
+    assert integrate(lambda w: w ** 0.25, 0.0, 1.0, exponent=0.25,
+                     full_output=True) == (value, err)
+
+
+def test_weighted_integrate_rescues_an_operand_cusp_at_lo():
+    # x**-0.4 over (0, 1) is 1/0.6: the operand's own cusp at lo defeats
+    # the Jacobi panel, and the rerun through v = x**0.3 converges
+    out = integrate(lambda x: np.abs(x) ** 0.3, 0.0, 1.0, exponent=0.3,
+                    full_output=True)
+    _assert_honest(out, 1.0 / 0.6)
+    # (x - 1)**-0.5 over (1, 2) is 2: the rerun's nodes are lo + v**4; the
+    # Jacobi attempt's deepest nodes round onto lo, and a converged
+    # result reaches its caller without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = integrate(lambda x: np.abs(x - 1.0) ** 0.25, 1.0, 2.0,
+                        exponent=0.25, full_output=True)
+    _assert_honest(out, 2.0)
 
 
 def test_weighted_integrate_shifted_interval():
@@ -337,6 +355,13 @@ def _integrate_outcome(f, lo, hi, exponent):
         return exc
 
 
+def _engine_outcome(f, lo, hi, exponent):
+    # the engine's one-row call, without integrate's rerun at lo
+    [out] = _integrate_rows(lambda x, rows: f(x.reshape(-1)).reshape(x.shape),
+                            [lo], [hi], [exponent])
+    return out
+
+
 OPERANDS = {
     "smooth": lambda x: np.exp(-x) * np.cos(3.0 * x),
     "kink": lambda x: np.abs(x - 0.3137),
@@ -350,14 +375,17 @@ OPERANDS = {
 }
 
 
+INTERVALS = ((0.0, 1.0), (0.0, 0.37), (-1.0, 2.0))
+
+
 @pytest.mark.parametrize("exponent", [1.0, 0.05, 0.3, 1.5, 2.5])
 @pytest.mark.parametrize("name", sorted(OPERANDS))
 def test_integrate_is_the_depth_first_bisection_bit_for_bit(name, exponent):
-    # value and error are the depth-first code's bit for bit, and an
-    # integral that failed there fails here, on smooth, kinked, cusped and
-    # divergent operands; a level costs one operand call
+    # the engine's value and error are the depth-first code's bit for bit,
+    # and an integral that failed there fails here, on smooth, kinked,
+    # cusped and divergent operands; a level costs one operand call
     f = OPERANDS[name]
-    for lo, hi in ((0.0, 1.0), (0.0, 0.37), (-1.0, 2.0)):
+    for lo, hi in INTERVALS:
         want, depth, _ = _depth_first(f, lo, hi, exponent)
         calls = []
 
@@ -366,7 +394,7 @@ def test_integrate_is_the_depth_first_bisection_bit_for_bit(name, exponent):
             return f(x)
 
         with np.errstate(all="ignore"):
-            got = _integrate_outcome(counted, lo, hi, exponent)
+            got = _engine_outcome(counted, lo, hi, exponent)
         assert _same_outcome(got, want)
         if not isinstance(want, AccuracyError):
             assert len(calls) == depth + 1
@@ -428,17 +456,40 @@ def test_integrate_rows_equal_integrate_bit_for_bit():
     assert isinstance(values[6], AccuracyError)
 
 
-def _reference_power_kernel(g, upper, exponent):
-    # power_kernel_integral on the depth-first code: the Jacobi attempt,
-    # then the substitution v = w**exponent
-    out, _, _ = _depth_first(g, 0.0, upper, exponent)
+def _reference_power_kernel(g, lo, hi, exponent):
+    # a weighted integral on the depth-first code: the Jacobi attempt,
+    # then the substitution v = (x - lo)**exponent
+    out, _, _ = _depth_first(g, lo, hi, exponent)
     if not isinstance(out, AccuracyError) or exponent == 1.0:
         return out
     inv = 1.0 / exponent
-    out, _, _ = _depth_first(lambda v: g(v ** inv), 0.0, upper ** exponent)
+    out, _, _ = _depth_first(lambda v: g(lo + v ** inv), 0.0,
+                             (hi - lo) ** exponent)
     if isinstance(out, AccuracyError):
         return out
     return out[0] / exponent, out[1] / exponent
+
+
+@pytest.mark.parametrize("exponent", [1.0, 0.05, 0.3, 1.5, 2.5])
+@pytest.mark.parametrize("name", ["cusp_low", "cusp_high", "pole",
+                                  "far_pole"])
+def test_integrate_is_the_depth_first_rule_with_its_rerun(name, exponent):
+    # integrate is the engine's attempt, then the rerun through
+    # v = (x - lo)**exponent: a rescued integral is the depth-first
+    # rule's bit for bit, and one that diverges still raises
+    f = OPERANDS[name]
+    for lo, hi in INTERVALS:
+        with np.errstate(all="ignore"):
+            want = _reference_power_kernel(f, lo, hi, exponent)
+            got = _integrate_outcome(f, lo, hi, exponent)
+            first = _engine_outcome(f, lo, hi, exponent)
+        if isinstance(want, AccuracyError):
+            assert isinstance(got, AccuracyError)
+        else:
+            assert got == want
+        if name == "cusp_low" and exponent < 1.0 and lo == 0.0:
+            # the cusp at lo defeats the Jacobi panel: these are rescues
+            assert isinstance(first, AccuracyError)
 
 
 def test_power_kernel_rows_retry_the_substitution_as_one_batch():
@@ -462,9 +513,9 @@ def test_power_kernel_rows_retry_the_substitution_as_one_batch():
         return stacked(w, rows)
 
     with np.errstate(all="ignore"):
-        got = _power_kernel_rows(counted, upper, exponent)
+        got = _weighted_rows(counted, [0.0] * 6, upper, exponent)
         for r, g in enumerate(operands):
-            want = _reference_power_kernel(g, upper[r], exponent[r])
+            want = _reference_power_kernel(g, 0.0, upper[r], exponent[r])
             assert _same_outcome(got[r], want)
             try:
                 one = power_kernel_integral(g, upper[r], exponent[r],
@@ -495,7 +546,9 @@ def test_non_finite_panel_fails_its_row_at_once():
 
     with pytest.raises(AccuracyError):
         integrate(nan, 0.0, 1.0, exponent=2.5)
-    assert calls == [3 * NODES]
+    # the Jacobi attempt and the rerun through v = x**2.5 each stop at
+    # level 0
+    assert calls == [3 * NODES, 3 * NODES]
 
     def stacked(x, rows):
         out = np.exp(x) * np.abs(x - 0.3137)
