@@ -154,17 +154,19 @@ def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
     xs, ws = _rule(NODES)
     if any(e != 1.0 for e in exponent):
         jac_us, jac_lams = _rules(tuple(exponent))
+        lows = np.array(lo)
 
     def sums(rows: list, a: list, b: list) -> list:
         scale = [0.5 * (y - x) for x, y in zip(a, b)]
         pts = (np.array([0.5 * (x + y) for x, y in zip(a, b)])[:, None]
                + np.array(scale)[:, None] * xs)
         w = ws
+        # the panel at lo of a weighted integral takes its Jacobi rule; its
+        # Legendre nodes, replaced below, can round onto lo, so its gaps
+        # x - lo are set to 1, which keeps their unused power finite
         if len(lo) == 1 and exponent[0] != 1.0:
             # a lone integral: one power, and its Jacobi panels, those at
-            # lo, lead the list (a is in increasing order); their Legendre
-            # nodes, replaced below, can round onto lo, and a gap of 1
-            # keeps their unused power finite
+            # lo, lead the list (a is in increasing order)
             jac = a.count(lo[0])
             gap = pts - lo[0]
             gap[:jac] = 1.0
@@ -176,16 +178,17 @@ def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
                 scale[i] = width ** exponent[0]
         elif len(lo) > 1 and any(exponent[r] != 1.0 for r in rows):
             per = [r for r in rows for _ in range(len(a) // len(rows))]
-            with np.errstate(divide="ignore", over="ignore"):
-                w = np.ascontiguousarray(_by_row(
-                    lambda r, x: ws * (x - lo[r]) ** (exponent[r] - 1.0),
-                    pts, np.array(per)))
-            # the panel at lo of a weighted integral takes its Jacobi rule
             jac = [(i, r, y - x) for i, (r, x, y) in enumerate(zip(per, a, b))
                    if exponent[r] != 1.0 and x == lo[r]]
+            line_rows = np.array(per)
+            gap = pts - lows[line_rows][:, None]
             if jac:
                 i, r, width = (list(c) for c in zip(*jac))
-                pts[i] = (np.array([lo[k] for k in r])[:, None]
+                gap[i] = 1.0
+            w = np.ascontiguousarray(_by_row(
+                lambda r, x: ws * x ** (exponent[r] - 1.0), gap, line_rows))
+            if jac:
+                pts[i] = (lows[r][:, None]
                           + np.array(width)[:, None] * jac_us[r])
                 w[i] = jac_lams[r]
                 for k, x, j in zip(r, width, i):
@@ -281,22 +284,30 @@ def _weighted_rows(g: Callable, lo, hi, exponent) -> list:
     """R integrals of (x - lo)**(exponent - 1) * g(x) over [lo, hi], as
     `_integrate_rows`; the rows with exponent != 1 whose Jacobi attempt
     fails (g singular at lo) rerun together once, as (1/exponent) times
-    the integral of g(lo + v**(1/exponent)) over (0, (hi - lo)**exponent),
-    and a rerun's AccuracyError is the row's."""
+    the integral of g(lo + v**(1/exponent)) over (0, (hi - lo)**exponent);
+    a rerun's AccuracyError is the row's when its estimate and error are
+    finite, and the first attempt's stays the row's otherwise."""
     out = _integrate_rows(g, lo, hi, exponent)
     at = [r for r, v in enumerate(out) if exponent[r] != 1.0
           and isinstance(v, AccuracyError)]
     if at:
         again = np.array(at)
         inv = [1.0 / exponent[r] for r in at]
-        redo = _integrate_rows(
-            lambda v, rows: g(_by_row(lambda k, x: lo[at[k]] + x ** inv[k],
-                                      v, rows), again[rows]),
-            [0.0] * len(at), [(hi[r] - lo[r]) ** exponent[r] for r in at],
-            [1.0] * len(at))
+        # near v = 0, v**(1/exponent) underflows onto lo, where g may
+        # overflow: such a rerun fails with a non-finite estimate or
+        # error, and the row keeps its first failure
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            redo = _integrate_rows(
+                lambda v, rows: g(_by_row(
+                    lambda k, x: lo[at[k]] + x ** inv[k], v, rows),
+                    again[rows]),
+                [0.0] * len(at), [(hi[r] - lo[r]) ** exponent[r] for r in at],
+                [1.0] * len(at))
         for r, v in zip(at, redo):
-            out[r] = v if isinstance(v, AccuracyError) else (
-                v[0] / exponent[r], v[1] / exponent[r])
+            if not isinstance(v, AccuracyError):
+                out[r] = v[0] / exponent[r], v[1] / exponent[r]
+            elif math.isfinite(v.estimate) and math.isfinite(v.error):
+                out[r] = v
     return out
 
 

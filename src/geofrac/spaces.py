@@ -12,10 +12,10 @@ from P to Q at distance d is (sinh((1-t)d) P + sinh(td) Q) / sinh d.  Both
 y = 1/(c1 + c2), x = (c1 x1 + c2 x2) y with weights
 c1 = sinh((1-t)d) / (y1 sinh d) and c2 = sinh(td) / (y2 sinh d): one
 formula for every pair, vertical or not.  The half-plane distance is
-2 asinh(|z1 - z2| / (2 sqrt(y1 y2))); a pair for which that comes out
-nan or inf, because its squares under- or overflow, or whose 4 y1 y2 is
-subnormal or overflows, is rescaled by a power of two, exactly, since the
-metric is invariant under z -> lam z.  A geodesic whose weights are not
+2 asinh(|z1 - z2| / (2 sqrt(y1 y2))); a pair of distinct points for which
+that loses digits, because |z1 - z2|^2, 4 y1 y2 or their ratio under- or
+overflows, is rescaled by a power of two, exactly, since the metric is
+invariant under z -> lam z.  A geodesic whose weights are not
 finite normal doubles raises DomainError.  Spider geodesics run piecewise
 through the hub.  Product geodesics interpolate coordinatewise.
 
@@ -43,7 +43,13 @@ half-plane, and products with a half-plane factor) computes it once per
 geodesic.  Random geodesics are drawn by one redraw loop, `_random_ends`,
 for one row (`random_geodesic`) or a batch (`_random_geodesic_rows`,
 which builds all its geodesics with one `_ends_dist` call); its test for
-short rows takes one more `_dist` per round.
+short rows takes one more `_dist` per round.  An array batch is
+C-contiguous, with a point's few coordinates on its last axis; a reduction
+along that short axis, or an `np.stack` of columns, costs more per row
+than the arithmetic, so the batch kernels work on columns instead:
+`_squared_gaps` adds the squared coordinate gaps column by column, in
+numpy's own order of summation, and half-plane samples and geodesic
+points fill the columns of one preallocated array.
 """
 
 from __future__ import annotations
@@ -183,6 +189,27 @@ class Space:
         raise NotImplementedError
 
 
+def _squared_gaps(A, B) -> np.ndarray:
+    """|A - B|^2 row by row for coordinate batches (..., n), n <= 8: the
+    squares added column by column, in the order in which numpy adds a
+    row of n, one after another for n < 8 and pairwise for n = 8, so that
+    the root is np.linalg.norm(A - B, axis=-1) bit for bit."""
+    d = A - B
+    d *= d
+    n = d.shape[-1]
+    if n == 8:
+        s = d[..., 0] + d[..., 1]
+        s += d[..., 2] + d[..., 3]
+        right = d[..., 4] + d[..., 5]
+        right += d[..., 6] + d[..., 7]
+        s += right
+        return s
+    s = d[..., 0] + d[..., 1] if n > 1 else d[..., 0]
+    for i in range(2, n):
+        s += d[..., i]
+    return s
+
+
 class EuclideanSpace(Space):
     def __init__(self, n: int):
         if not (isinstance(n, int) and 1 <= n <= 8):
@@ -200,7 +227,8 @@ class EuclideanSpace(Space):
         return arr
 
     def _dist(self, A, B):
-        return np.linalg.norm(A - B, axis=-1)
+        s = _squared_gaps(A, B)
+        return np.sqrt(s, out=s)
 
     def _ends(self, A, B):
         return A, B, B - A
@@ -229,22 +257,10 @@ class EuclideanSpace(Space):
         return [float(v) for v in coords]
 
 
-# smallest normal and largest finite double: the range that 4 y1 y2 and the
-# geodesic weights must stay in
+# smallest normal and largest finite double: the range that 4 y1 y2, the
+# squared distance |z1 - z2|^2 and the geodesic weights must stay in
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
-# 4 - 2**-51, exactly: for x > 0, _RANGE / x is finite if and only if
-# x >= _TINY
-_RANGE = _TINY * _HUGE
-
-
-def _half_plane_dist(A, B):
-    # 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) keeps the digits of close pairs
-    # that arccosh(1 + ...) rounds away; returns the distances and 4 y1 y2
-    sq = A - B
-    sq *= sq
-    den = 4.0 * A[:, 1] * B[:, 1]
-    return 2.0 * np.arcsinh(np.sqrt((sq[:, 0] + sq[:, 1]) / den)), den
 
 
 class HalfPlaneSpace(Space):
@@ -259,19 +275,28 @@ class HalfPlaneSpace(Space):
         return arr
 
     def _dist(self, A, B):
-        d, den = _half_plane_dist(A, B)
-        # den (_RANGE / den) is near 4 where den = 4 y1 y2 is a normal
-        # double, and inf or nan where it is subnormal, 0 or inf, so one
-        # sum finds the rows whose distance or denominator left the range
-        check = d + den * (_RANGE / den)
-        if math.isfinite(np.add.reduce(check)):
+        # 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) keeps the digits of close
+        # pairs that arccosh(1 + ...) rounds away, in every row whose
+        # |z1 - z2|^2, 4 y1 y2 and their ratio are normal doubles and whose
+        # distance is finite; identical points give 0 as well
+        num = _squared_gaps(A, B)
+        den = 4.0 * A[:, 1] * B[:, 1]
+        d = num / den
+        low = np.minimum(np.minimum(num, den), d)
+        del num, den  # fewer live arrays: fewer fresh pages in a large batch
+        d = 2.0 * np.arcsinh(np.sqrt(d))
+        if math.isfinite(np.add.reduce(d)) and (
+                np.minimum.reduce(low, initial=_TINY) >= _TINY
+                or not np.count_nonzero(A != B)):
             return d
-        # a row far from y = 1 whose squares or 4 y1 y2 under- or
-        # overflowed: the metric is invariant under z -> lam z, so rescale
-        # it by the power of two that brings y1 y2 near 1, which is exact,
-        # and take |z1 - z2| by hypot and the root of y1 y2 factor by
-        # factor, so that no square is formed (pairs beyond d ~ 709)
-        bad = ~np.isfinite(check)
+        # a row of distinct points, far from y = 1 or very close together,
+        # whose squares or 4 y1 y2 under- or overflowed: the metric is
+        # invariant under z -> lam z, so rescale it by the power of two
+        # that brings y1 y2 near 1, which is exact, and take |z1 - z2| by
+        # hypot and the root of y1 y2 factor by factor, so that no square
+        # is formed (pairs beyond d ~ 709 need this too)
+        bad = (low < _TINY) & (A != B).any(axis=1)
+        bad |= ~np.isfinite(d)
         A, B = (X[bad] for X in np.broadcast_arrays(A, B))
         e = (np.frexp(A[:, 1])[1] + np.frexp(B[:, 1])[1]) // 2
         A, B = np.ldexp(A, -e[:, None]), np.ldexp(B, -e[:, None])
@@ -303,7 +328,13 @@ class HalfPlaneSpace(Space):
         c1 = np.sinh((1.0 - t) * d) * w1
         c2 = np.sinh(t * d) * w2
         y = 1.0 / (c1 + c2)
-        out = np.stack(((c1 * A[:, 0] + c2 * B[:, 0]) * y, y), axis=-1)
+        # x = (c1 x1 + c2 x2) y, formed in c1
+        c1 *= A[:, 0]
+        c1 += c2 * B[:, 0]
+        c1 *= y
+        out = np.empty(y.shape + (2,))
+        out[..., 0] = c1
+        out[..., 1] = y
         # the ends are exact, not the roundoff of the weights
         for at, P in ((t == 0.0, A), (t == 1.0, B)):
             if np.count_nonzero(at):
@@ -317,9 +348,10 @@ class HalfPlaneSpace(Space):
         return batch[i]
 
     def _sample(self, m, rng):
-        x = rng.normal(0.0, 1.0, m)
-        y = rng.lognormal(0.0, 0.5, m)
-        return np.stack((x, y), axis=-1)
+        out = np.empty((m, 2))
+        out[:, 0] = rng.normal(0.0, 1.0, m)
+        out[:, 1] = rng.lognormal(0.0, 0.5, m)
+        return out
 
     def _coords_json(self, coords):
         return [float(coords[0]), float(coords[1])]

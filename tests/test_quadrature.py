@@ -170,6 +170,51 @@ def test_weighted_integrate_rescues_an_operand_cusp_at_lo():
     _assert_honest(out, 2.0)
 
 
+def test_weighted_rows_take_no_errstate():
+    # the same cusps at lo = 1 as rows of one batch: the Jacobi panels'
+    # deepest Legendre nodes round onto lo, and their gaps of 1 keep the
+    # unused power finite, so the rows emit no RuntimeWarning either and
+    # each is the lone integral's, bit for bit
+    def g(x, rows):
+        return np.abs(x - 1.0) ** 0.25
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _weighted_rows(g, [1.0, 2.0, 1.0], [2.0, 3.0, 1.5],
+                             [0.25, 0.5, 1.0])
+        want = [integrate(lambda x: np.abs(x - 1.0) ** 0.25, lo, hi,
+                          exponent=e, full_output=True)
+                for lo, hi, e in ((1.0, 2.0, 0.25), (2.0, 3.0, 0.5),
+                                  (1.0, 1.5, 1.0))]
+    assert got == want
+    _assert_honest(got[0], 2.0)
+
+
+def test_divergent_weighted_integral_keeps_a_finite_error_bar():
+    # 1/x at exponent 0.05 diverges at lo; the rerun's operand 1/v**20
+    # overflows at its first nodes, so the rerun fails with an infinite
+    # estimate and error: the row keeps the Jacobi attempt's failure, and
+    # the overflow inside the discarded rerun warns no one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError) as info:
+            integrate(lambda x: 1.0 / x, 0.0, 1.0, exponent=0.05)
+        [first] = _integrate_rows(lambda x, rows: 1.0 / x, [0.0], [1.0],
+                                  [0.05])
+    got = info.value
+    assert math.isfinite(got.estimate) and math.isfinite(got.error)
+    assert ((str(got), got.estimate, got.error)
+            == (str(first), first.estimate, first.error))
+    # a rerun that fails with a finite estimate and error is the row's:
+    # x**-0.5 at exponent 0.5 is the integral of 1/v over (0, 1)
+    with pytest.raises(AccuracyError) as info:
+        integrate(lambda x: x ** -0.5, 0.0, 1.0, exponent=0.5)
+    [rerun] = _integrate_rows(lambda v, rows: (0.0 + v ** 2.0) ** -0.5,
+                              [0.0], [1.0], [1.0])
+    assert ((str(info.value), info.value.estimate, info.value.error)
+            == (str(rerun), rerun.estimate, rerun.error))
+
+
 def test_weighted_integrate_shifted_interval():
     # integral of (x-1)**(-1/2) cos(x) over [1, 3] against the
     # substituted form 2 * integral of cos(1 + u**2) over [0, sqrt 2]

@@ -140,6 +140,51 @@ def test_half_plane_distance_rescales_out_of_range_denominator():
         assert both[1] == distance(*normal)
 
 
+def test_half_plane_distance_keeps_underflowing_pairs():
+    # distinct points whose |z1 - z2|^2, or its ratio to 4 y1 y2, is
+    # subnormal or 0: the unrescaled formula reads 0.0, 0.0, a value
+    # 5.6e-6 off, 0.0 and 0.0 here (the last pair is one ulp apart)
+    mp = pytest.importorskip("mpmath")
+    pairs = [((0.0, 1.0), (1e-170, 1.0)),
+             ((0.0, 1e-150), (1e-163, 1e-150)),
+             ((0.0, 1e-150), (1e-160, 1e-150)),
+             ((0.0, 1e100), (1e-100, 1e100)),
+             ((2.0, 1e-154), (2.0, math.nextafter(1e-154, 1.0)))]
+    normal = (H.point(0.3, 1.2), H.point(-1.1, 0.7))
+    for (x1, y1), (x2, y2) in pairs:
+        got = distance(H.point(x1, y1), H.point(x2, y2))
+        with mp.workdps(40):
+            X1, Y1, X2, Y2 = (mp.mpf(v) for v in (x1, y1, x2, y2))
+            exact = 2 * mp.asinh(mp.sqrt((X1 - X2) ** 2 + (Y1 - Y2) ** 2)
+                                 / (2 * mp.sqrt(Y1 * Y2)))
+        assert exact > 0
+        assert abs(got - exact) <= 1e-15 * exact, (x1, y1, x2, y2)
+        # in a batch the pair is rescaled alone, and identical points
+        # stay at 0
+        both = H._dist(H._stack([(x1, y1), normal[0].coords, (x1, y1)]),
+                       H._stack([(x2, y2), normal[1].coords, (x1, y1)]))
+        assert both.tolist() == [got, distance(*normal), 0.0]
+
+
+def test_identical_half_plane_points_take_the_first_formula(monkeypatch):
+    # identical points give 0.0 without the rescaled path, which alone
+    # calls np.frexp; so do identical rows of a batch, and the points
+    # far from y = 1 whose formula needs no rescaling
+    def no_rescale(*args):
+        raise AssertionError("rescaled")
+
+    monkeypatch.setattr(np, "frexp", no_rescale)
+    for x, y in ((0.3, 1.2), (0.0, 1e-150), (-2.0, 1e150)):
+        p = H.point(x, y)
+        assert distance(p, p) == 0.0
+        assert distance(p, H.point(x, y)) == 0.0
+        assert distance(_prod_point((x, y), (x, y)),
+                        _prod_point((x, y), (x, y))) == 0.0
+    A = H._sample(50, np.random.default_rng(4))
+    assert H._dist(A, A.copy()).tolist() == [0.0] * 50
+    assert H._dist(A[:1], A[:1]).tolist() == [0.0]
+
+
 def test_spider_distances():
     assert distance(S3.point(0, 1.0), S3.point(0, 3.0)) == 2.0
     assert distance(S3.point(0, 1.0), S3.point(1, 2.0)) == 3.0
@@ -174,6 +219,88 @@ def test_half_plane_metric_symmetry(x1, y1, x2, y2):
     assert distance(p, q) == pytest.approx(distance(q, p), abs=1e-13)
     if (x1, y1) != (x2, y2):
         assert distance(p, q) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# column-wise batch kernels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_euclidean_dist_is_the_norm_bit_for_bit(n):
+    # the squares are added column by column in numpy's own order, so the
+    # distances are np.linalg.norm(A - B, axis=-1), bit for bit: on empty,
+    # one-row and many-row batches, on a row against a batch, and on
+    # coordinates whose squares near 1e308 overflow or near 1e-308 lose
+    # digits, spread over many scales so that the order of the sum counts
+    space = euclidean(n)
+    rng = np.random.default_rng(n)
+
+    def draw(m, scale):
+        return (rng.normal(0.0, 1.0, (m, n))
+                * np.exp(rng.uniform(-8.0, 8.0, (m, n))) * scale)
+
+    cases = [(draw(0, 1.0), draw(0, 1.0)), (draw(1, 1.0), draw(1, 1.0)),
+             (draw(300, 1.0), draw(300, 1.0)), (draw(1, 1.0), draw(300, 1.0)),
+             (draw(300, 1.0), draw(1, 1.0)),
+             (draw(300, 1e154), draw(300, 1e154)),
+             (draw(300, 1e-160), draw(300, 1e-160)),
+             (draw(300, 1e-300), draw(300, 1e-300))]
+    for A, B in cases:
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(A - B, axis=-1)
+            got = space._dist(A, B)
+        assert _same_bits(got, want)
+    if n == 8:
+        # one after another, the eight squares would not always give
+        # numpy's bits: the pairwise order is needed
+        A, B = cases[2]
+        d = (A - B) ** 2
+        naive = d[:, 0].copy()
+        for i in range(1, 8):
+            naive += d[:, i]
+        assert not _same_bits(np.sqrt(naive),
+                              np.linalg.norm(A - B, axis=-1))
+
+
+def _stacked_sample(m, rng):
+    x = rng.normal(0.0, 1.0, m)
+    y = rng.lognormal(0.0, 0.5, m)
+    return np.stack((x, y), axis=-1)
+
+
+def _stacked_along(ends, t):
+    A, B, d, w1, w2 = ends
+    t = np.asarray(t, dtype=float)
+    c1 = np.sinh((1.0 - t) * d) * w1
+    c2 = np.sinh(t * d) * w2
+    y = 1.0 / (c1 + c2)
+    out = np.stack(((c1 * A[:, 0] + c2 * B[:, 0]) * y, y), axis=-1)
+    for at, P in ((t == 0.0, A), (t == 1.0, B)):
+        if np.count_nonzero(at):
+            out = np.where(at[..., None], P, out)
+    return out
+
+
+def test_half_plane_kernels_fill_their_columns():
+    # _sample and _along fill a C-contiguous (..., 2) array column by
+    # column: the np.stack formulas' bits, and _sample draws x, then y,
+    # from the same stream
+    for m in (0, 1, 200):
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got, want = H._sample(m, rng), _stacked_sample(m, ref)
+        assert got.flags.c_contiguous and _same_bits(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    rng = np.random.default_rng(10)
+    A, B = H._sample(200, rng), H._sample(200, rng)
+    ends, one = H._ends(A, B), H._ends(A[:1], B[:1])
+    ts = rng.uniform(0.0, 1.0, 200)
+    ts[:3] = 0.0, 1.0, 0.5
+    for e, t in ((ends, ts), (ends, 0.3), (ends, 1.0), (one, ts),
+                 (one, np.array([0.25])), (one, np.zeros(0))):
+        got = H._along(e, t)
+        assert got.flags.c_contiguous and _same_bits(
+            got, _stacked_along(e, t))
 
 
 # ---------------------------------------------------------------------------

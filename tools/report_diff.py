@@ -17,7 +17,11 @@ The set is:
     (error exits);
   * `constants`, the default grid and `--which E --h power(0.5)`;
   * the 84 falsifier summaries of acceptance criterion 4 (7 chains x 4
-    spaces x 3 seed slices), as one JSON file.
+    spaces x 3 seed slices), as one JSON file;
+  * sha256 digests of the space layer's outputs: `sample_points` and the
+    five `*_gap_batch` functions at 20 000 rows, and per-point `distance`,
+    `Geodesic.eval` and geodesic lengths in loops like the geometry
+    benchmark's, on the four benchmark spaces and euclidean(n), n = 1..8.
 
 The files that differ are listed; the exit code is 0 when none does.
 """
@@ -54,6 +58,58 @@ for space in (euclidean(2), half_plane(), spider(3),
 print(json.dumps(out, indent=1, sort_keys=True))
 """
 
+# the space layer's batch and per-point outputs, as digests
+SPACE_LAYER = """
+import hashlib
+import numpy as np
+import geofrac.spaces as sp
+from geofrac.cli import parse_space
+
+def leaves(batch):
+    if isinstance(batch, tuple):
+        for item in batch:
+            yield from leaves(item)
+    else:
+        yield np.ascontiguousarray(batch)
+
+def digest(*batches):
+    h = hashlib.sha256()
+    for a in leaves(batches):
+        h.update(("%s %s;" % (a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+names = ["euclidean2", "halfplane", "spider3",
+         "product(euclidean2,halfplane)"]
+for name in names + ["euclidean%d" % n for n in range(1, 9)]:
+    space = parse_space(name)
+    rng = np.random.default_rng(20000)
+    A, B, C, D = (sp.sample_points(space, 20000, rng) for _ in range(4))
+    t = rng.uniform(0.0, 1.0, 20000)
+    print(name, "sample_points", digest(A, B, C, D, t))
+    print(name, "cn", digest(sp.cn_gap_batch(space, A, B, C)))
+    print(name, "busemann", digest(sp.busemann_gap_batch(space, A, B, C)))
+    print(name, "comparison",
+          digest(sp.comparison_gap_batch(space, A, B, C, t)))
+    print(name, "four_point",
+          digest(sp.four_point_gap_batch(space, A, B, C, D, t)))
+    print(name, "sturm", digest(sp.sturm_gap_batch(space, A, B, C, D, t)))
+    d = []
+    for _ in range(100):
+        x, y, z = (sp.random_point(space, rng) for _ in range(3))
+        d += [sp.distance(x, x), sp.distance(x, y), sp.distance(y, x),
+              sp.distance(x, z), sp.distance(y, z)]
+    print(name, "distance", digest(np.array(d)))
+    rows, steps = [], []
+    for _ in range(30):
+        g = sp.random_geodesic(space, rng, min_length=1e-3)
+        pts = [g.eval(s) for s in np.linspace(0.0, 1.0, 17)]
+        rows += [p.row for p in pts]
+        steps += [sp.distance(p, q) for p, q in zip(pts, pts[1:])]
+        steps.append(g.length)
+    print(name, "geodesic_eval", digest(tuple(rows), np.array(steps)))
+"""
+
 
 def _commands() -> list:
     """(file name, interpreter argv) of every report in the fixed set."""
@@ -74,6 +130,7 @@ def _commands() -> list:
                 ["-c", CLI, "constants", "--which", "E", "--h",
                  "power(0.5)"]))
     out.append(("criterion-4-summaries", ["-c", CRITERION_4]))
+    out.append(("space-layer-digests", ["-c", SPACE_LAYER]))
     return out
 
 
