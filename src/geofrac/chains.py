@@ -24,20 +24,25 @@ and a Beta argument <= 0 (a divergent integral) raises AccuracyError.
 `compute_E` keeps quadrature: its closed form needs 2F1.  An h without
 an exponent is integrated.
 
-Only the geodesic operand goes through the Katugampola operators, and
-each operator side is one `katugampola_left` integral.  With
-u = x^rho, the right operator of fg(u) on [a, b] runs over the same
+Only the geodesic operand goes through the Katugampola operators.
+With u = x^rho, the right operator of fg(u) on [a, b] runs over the same
 kernel range W = b^rho - a^rho as the left one, and its integrand at
 kernel variable w is fg(a^rho + w) = fg(sigma - (b^rho - w)) with
 sigma = a^rho + b^rho; on the reflected interval [s, c] of thm_ty1 and
 the corollary (s^rho = 1 - b^rho, c^rho = 1 - a^rho) it is
-fg(s^rho + w) = fg(1 - (b^rho - w)), sigma = 1.  So
+fg(s^rho + w) = fg(1 - (b^rho - w)), sigma = 1.  So the two operators
+are rho^(-alpha) times one fold integral
 
-    J_left fg(u) + J_right fg(u) = J_left [fg(u) + fg(sigma - u)],
+    (1/Gamma(alpha)) Int_0^W w^(alpha-1) [fg(u) + fg(sigma - u)] dw,
 
-the fractional Hermite-Hadamard reflection identity (Sarikaya, Set,
-Yaldiz, Basak, Math. Comput. Modelling 57, 2013), and both arguments
-go through the pullback in one batch.
+u = b^rho - w: the fractional Hermite-Hadamard reflection identity
+(Sarikaya, Set, Yaldiz, Basak, Math. Comput. Modelling 57, 2013), and
+both arguments go through the pullback in one batch.  The normalisation
+cancels rho^(-alpha), so rho enters only through a^rho and b^rho, and
+`compute_E` is the same fold of h with sigma = 1.  A public chain
+reaches it through `katugampola_left` with rho = 1 on [a^rho, b^rho].
+The fractional chains divide by (b^rho - a^rho)^alpha and raise
+DomainError where it is 0.
 
 Two printed formula variants with a suspected normalization problem are
 computed alongside the asserted forms and stored in report extras rather
@@ -61,7 +66,7 @@ points and integrals, and builds its sides, in one function, its
 `ChainSpec.rows` body.  The falsifier runs the body on a chunk's
 surviving trials (`_Rows`); a public chain checks its inputs and runs
 it on its one trial (`_OneTrial`), whose integrals are the public
-`integrate`, `katugampola_left` and `compute_E`.
+`integrate`, `katugampola_left` (rho = 1) and `compute_E`.
 """
 
 from __future__ import annotations
@@ -78,8 +83,7 @@ from .convexity import (HFunction, _distance_pullback_rows,
                         check_h_convex, distance_between_geodesics_function,
                         h_function, on_geodesic, squared_distance_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
-from .fractional import (_beta, _katugampola_left_kernel, katugampola_left,
-                         lq_norm_unit)
+from .fractional import _beta, katugampola_left, lq_norm_unit
 from .quadrature import (_by_row, _integrate_rows, _weighted_rows,
                          as_array_function, integrate, power_kernel_integral)
 from .spaces import (Geodesic, Point, Space, _point_rows,
@@ -179,12 +183,8 @@ class CompositeOperand:
         self.name = getattr(base, "__name__", "f")
 
     def __call__(self, x) -> np.ndarray:
-        return self._fn(_unit_power(np.asarray(x, dtype=float), self.rho))
-
-
-def _unit_power(x: np.ndarray, rho: float) -> np.ndarray:
-    # the composite operand's argument x^rho, clipped to [0, 1]
-    return np.clip(x ** rho, 0.0, 1.0)
+        return self._fn(np.clip(np.asarray(x, dtype=float) ** self.rho,
+                                0.0, 1.0))
 
 
 def _geodesic_json(g: Geodesic) -> dict:
@@ -255,6 +255,14 @@ def _den(p: TheoremParams) -> float:
     return (p.b ** p.rho - p.a ** p.rho) ** p.alpha
 
 
+def _fractional_params(p: TheoremParams) -> TheoremParams:
+    # the chains divide by _den, 0 where b^rho rounds onto a^rho or where
+    # the power underflows
+    if not _den(p) > 0.0:
+        raise DomainError("(b^rho - a^rho)^alpha is 0 at %r" % (p,))
+    return p
+
+
 def _exact_h_term(hf: HFunction, p: TheoremParams) -> float:
     # alpha rho Int_0^1 t^(alpha rho - 1) h(t^rho) dt; with v = t^rho it
     # is alpha Int_0^1 v^(alpha - 1) h(v) dv, free of the t^rho factor
@@ -279,13 +287,10 @@ def _folded(fg: Callable, u: np.ndarray, shift) -> np.ndarray:
 
 
 def _operator_side(kl: float, p: TheoremParams, h_half: float) -> float:
-    # the normalised operator side: the left operator on [a, b] plus the
-    # right one on [a, b] (shift = a^rho + b^rho) or on the reflected
-    # interval (shift = 1), whose integrand at kernel variable w is
-    # fg(shift - (b^rho - w)); so kl is one left integral of
-    # u -> fg(u) + fg(shift - u)
-    pref = p.rho ** p.alpha * math.gamma(p.alpha + 1.0) / _den(p)
-    return pref * h_half * kl
+    # the normalised operator side: kl is the fold integral of the left
+    # operator on [a, b] plus the right one on [a, b] (shift = a^rho +
+    # b^rho) or on the reflected interval (shift = 1)
+    return math.gamma(p.alpha + 1.0) / _den(p) * h_half * kl
 
 
 def _instance(f: Callable, g: Geodesic, hf: HFunction,
@@ -299,7 +304,8 @@ def _fractional(chain: str, f: Callable, g: Geodesic,
                 tol: float) -> InequalityReport:
     # thm_cb1, thm_cb2 and thm_ty1 on the pullback of f along g
     hf = h_function(h)
-    return _evaluate(chain, _OneTrial(on_geodesic(f, g), g, hf, p), tol,
+    return _evaluate(chain, _OneTrial(on_geodesic(f, g), g, hf,
+                                      _fractional_params(p)), tol,
                      _instance(f, g, hf, p))
 
 
@@ -376,25 +382,20 @@ def compute_E(h: Union[str, HFunction, Callable], alpha: float, rho: float,
     """Kernel constant of the reflected-interval chain's endpoint side.
 
     h(1/2) times the normalised left operator of h(x^rho) on [a, b] plus
-    the right one on the reflected interval.  Both kernels run over
-    (0, b^rho - a^rho), so the constant is one integral:
+    the right one on the reflected interval: the fold integral of h with
+    shift 1 (module docstring),
 
-        alpha h(1/2) Int w^(alpha-1) [h(b^rho - w) + h(1 - b^rho + w)] dw.
+        alpha h(1/2) Int_0^W w^(alpha-1) [h(u) + h(1 - u)] dw,
+
+    u = b^rho - w and W = b^rho - a^rho.
     """
     p = TheoremParams(alpha, rho, a, b)
     hf = h_function(h)
+    h_array = as_array_function(hf)  # a bare h may return a 0-d constant
     br = p.b ** p.rho
-    return _e_value(hf, p, power_kernel_integral(_e_operand(hf, br),
-                                                 br - p.a ** p.rho, p.alpha))
-
-
-def _e_operand(hf: HFunction, br: float) -> Callable:
-    def both(w):
-        # arguments clipped to [0, 1] to absorb roundoff at the kernel end
-        return (hf(np.clip(br - w, 0.0, 1.0))
-                + hf(np.clip(1.0 - br + w, 0.0, 1.0)))
-
-    return both
+    return _e_value(hf, p, power_kernel_integral(
+        lambda w: _folded(h_array, np.maximum(br - w, 0.0), 1.0),
+        br - p.a ** p.rho, p.alpha))
 
 
 def _e_value(hf: HFunction, p: TheoremParams, integral: float) -> float:
@@ -434,7 +435,7 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     _require_dominating_h(hf)
     return _evaluate("corollary_distance",
                      _OneTrial(distance_between_geodesics_function(g1, g2),
-                               (g1, g2), hf, params), tol,
+                               (g1, g2), hf, _fractional_params(params)), tol,
                      _corollary_instance(g1, g2, hf, params))
 
 
@@ -469,7 +470,8 @@ class _Rows:
     """R falsifier trials of one chain, evaluated together: `pull(ts,
     rows)` is every trial's pullback, line k of ts (..., K, m) on trial
     rows[k]; an integral is the row's AccuracyError where it does not
-    converge."""
+    converge.  The operator sides and E are the fold integral of every
+    row in one `_weighted_rows` call (`_fold_integrals`)."""
 
     def __init__(self, trials, two_geodesics: bool):
         self.trials = trials
@@ -493,37 +495,35 @@ class _Rows:
         lo, hi = zip(*ab)
         return _values(_integrate_rows(self.pull, lo, hi, [1.0] * len(lo)))
 
-    def operators(self, shifts) -> list:
-        """`katugampola_left` on [a, b] of the folded composite operand
-        u -> fg(u) + fg(shift - u), u = x^rho (`_OneTrial.operators`)."""
-        uppers, maps, prefactors = zip(*(
-            _katugampola_left_kernel(p.alpha, p.rho, p.a, p.b)
-            for p in self.params))
-        shift = np.array(shifts, dtype=float)
-
-        def operand(w, rows):
-            # the kernel's node map and x^rho row by row, each with its
-            # row's own Python-float exponent, as on a lone trial
-            u = _by_row(lambda r, x: _unit_power(maps[r](x),
-                                                  self.params[r].rho), w, rows)
-            return _folded(lambda x: self.pull(x, rows), u,
-                           shift[rows, None])
-
-        values = _values(_weighted_rows(
-            operand, [0.0] * len(uppers), uppers,
-            [p.alpha for p in self.params]))
-        return [v if isinstance(v, AccuracyError) else c * v
-                for v, c in zip(values, prefactors)]
-
-    def e_values(self) -> list:
-        """`compute_E` of each row's h and params."""
+    def _fold_integrals(self, fold: Callable) -> list:
+        """Int_0^W w^(alpha-1) fold(u, rows) dw per row, u = b^rho - w
+        and W = b^rho - a^rho: every row's node map in one array
+        expression, and the one `_weighted_rows` call of the operator
+        sides and E."""
         brs = [p.b ** p.rho for p in self.params]
-        operands = [_e_operand(hf, br) for hf, br in zip(self.hs, brs)]
-        values = _values(_weighted_rows(
-            lambda w, rows: _by_row(lambda r, x: operands[r](x), w, rows),
+        ends = np.array(brs)
+        return _values(_weighted_rows(
+            lambda w, rows: fold(np.maximum(ends[rows, None] - w, 0.0), rows),
             [0.0] * len(brs),
             [br - p.a ** p.rho for br, p in zip(brs, self.params)],
             [p.alpha for p in self.params]))
+
+    def operators(self, shifts) -> list:
+        """The fold integral of u -> fg(u) + fg(shift - u) over Gamma(alpha),
+        `katugampola_left` with rho = 1 on [a^rho, b^rho]
+        (`_OneTrial.operators`)."""
+        shift = np.array(shifts, dtype=float)
+        values = self._fold_integrals(lambda u, rows: _folded(
+            lambda x: self.pull(x, rows), u, shift[rows, None]))
+        return [v if isinstance(v, AccuracyError)
+                else 1.0 / math.gamma(p.alpha) * v
+                for v, p in zip(values, self.params)]
+
+    def e_values(self) -> list:
+        """`compute_E` of each row's h and params: the fold integral of
+        u -> h(u) + h(1 - u), each row's h on its own lines."""
+        values = self._fold_integrals(lambda u, rows: _by_row(
+            lambda r, x: _folded(self.hs[r], x, 1.0), u, rows))
         return [v if isinstance(v, AccuracyError) else _e_value(hf, p, v)
                 for v, hf, p in zip(values, self.hs, self.params)]
 
@@ -532,7 +532,9 @@ class _OneTrial:
     """A public chain's one trial, with `_Rows`' four methods: fg is its
     pullback (f itself for classic_hh and h_hh, on their own interval),
     and its integrals are the public `integrate`, `katugampola_left` and
-    `compute_E`, whose AccuracyError propagates."""
+    `compute_E`, whose AccuracyError propagates.  Its operator side is
+    the fold integral as `katugampola_left` with rho = 1 on
+    [a^rho, b^rho], whose node map is then u = b^rho - w."""
 
     def __init__(self, fg: Callable, g=None, hf: Optional[HFunction] = None,
                  params: Optional[TheoremParams] = None, interval=None):
@@ -549,8 +551,8 @@ class _OneTrial:
 
     def operators(self, shifts) -> list:
         [shift], [p] = shifts, self.params
-        F = CompositeOperand(lambda u: _folded(self.fg, u, shift), p.rho)
-        return [katugampola_left(F, p.alpha, p.rho, p.a, p.b)]
+        return [katugampola_left(lambda u: _folded(self.fg, u, shift),
+                                 p.alpha, 1.0, p.a ** p.rho, p.b ** p.rho)]
 
     def e_values(self) -> list:
         [hf], [p] = self.hs, self.params

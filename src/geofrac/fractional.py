@@ -119,26 +119,6 @@ def _check_rho(rho: float) -> None:
         raise DomainError("rho must be positive and finite")
 
 
-def _katugampola_left_kernel(alpha: float, rho: float, a: float, x: float):
-    """Kernel form (W, t, prefactor) of the left Katugampola integral.
-
-    The integral from a to x of f is prefactor times the integral of
-    w**(alpha-1) f(t(w)) over (0, W): w = x**rho - s**rho folds the
-    s**(rho-1) measure into the kernel, so t(w) = (x**rho - w)**(1/rho).
-    """
-    _check_order(alpha)
-    _check_rho(rho)
-    if not (math.isfinite(a) and math.isfinite(x) and 0.0 <= a < x):
-        raise DomainError("katugampola_left requires 0 <= a < x")
-    xr = x ** rho
-    inv = 1.0 / rho
-
-    def t(w):
-        return np.maximum(xr - w, 0.0) ** inv
-
-    return xr - a ** rho, t, rho ** (-alpha) / math.gamma(alpha)
-
-
 def katugampola_left(f: RealFunction, alpha: float, rho: float, a: float,
                      x: float, *, full_output: bool = False):
     """Left Katugampola integral of order alpha and parameter rho.
@@ -147,10 +127,18 @@ def katugampola_left(f: RealFunction, alpha: float, rho: float, a: float,
     t**(rho-1) measure into the kernel, leaving the operand evaluated at
     t = (x**rho - w)**(1/rho).
     """
-    upper, t, prefactor = _katugampola_left_kernel(alpha, rho, a, x)
-    out = power_kernel_integral(lambda w: f(t(w)), upper, alpha,
-                                full_output=True)
-    return _finish(out, prefactor, full_output)
+    _check_order(alpha)
+    _check_rho(rho)
+    if not (math.isfinite(a) and math.isfinite(x) and 0.0 <= a < x):
+        raise DomainError("katugampola_left requires 0 <= a < x")
+    xr = x ** rho
+    inv = 1.0 / rho
+
+    def g(w):
+        return f(np.maximum(xr - w, 0.0) ** inv)
+
+    out = power_kernel_integral(g, xr - a ** rho, alpha, full_output=True)
+    return _finish(out, rho ** (-alpha) / math.gamma(alpha), full_output)
 
 
 def katugampola_right(f: RealFunction, alpha: float, rho: float, x: float,

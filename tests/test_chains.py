@@ -330,6 +330,9 @@ def test_compute_e_constant_one_identity():
         expected = 2.0 * (b ** rho - a ** rho) ** alpha
         assert compute_E("constant_one", alpha, rho, a, b) == pytest.approx(
             expected, rel=1e-11)
+        # a bare callable may return its constant as a scalar
+        assert compute_E(lambda t: 1.0, alpha, rho, a, b) == pytest.approx(
+            expected, rel=1e-11)
 
 
 def test_compute_e_quadratic_scaling():
@@ -481,7 +484,8 @@ def _operator_sides(fg, reflected):
     from geofrac.fractional import katugampola_left, katugampola_right
     out = []
     for alpha, rho, a, b in ((0.3, 0.7, 0.0, 1.0), (1.0, 1.0, 0.2, 0.8),
-                             (2.5, 2.2, 0.45, 0.9)):
+                             (2.5, 2.2, 0.45, 0.9), (2.5, 2.2, 0.0, 0.9),
+                             (0.6, 0.5, 0.0, 0.7), (0.3, 0.5, 0.3, 1.0)):
         F = CompositeOperand(fg, rho)
         kl, el = katugampola_left(F, alpha, rho, a, b, full_output=True)
         if reflected:
@@ -900,6 +904,27 @@ def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
     summary = falsify_search("conde_hh", spider(3), 40, seed=1)
     assert summary["evaluated"] == 40
     assert calls == []
+
+
+def test_operator_rows_call_no_per_row_function(monkeypatch):
+    # the operator sides map every row's kernel nodes to u = b^rho - w in
+    # one array expression, with no per-row function (`_by_row`), and each
+    # row still equals its one-trial source's operator side bit for bit
+    import geofrac.chains as chains
+
+    spec = chains.chain_spec("thm_cb2")
+    trials = chains._draw_trials(spec, spider(3), 40,
+                                 np.random.default_rng(1))
+    shifts = [1.0 if k % 2 else t.params.a ** t.params.rho
+              + t.params.b ** t.params.rho for k, t in enumerate(trials)]
+    want = [chains._OneTrial(on_geodesic(t.f, t.g), params=t.params)
+            .operators([s])[0] for t, s in zip(trials, shifts)]
+
+    def per_row(*args):
+        raise AssertionError("a per-row function ran")
+
+    monkeypatch.setattr(chains, "_by_row", per_row)
+    assert chains._Rows(trials, False).operators(shifts) == want
 
 
 def test_drawn_h_is_dominating():

@@ -328,9 +328,16 @@ def test_sweep_empty_grid_is_usage_error():
 
 
 def test_sweep_bad_interval_is_usage_error():
-    code, _, _ = _run(["sweep", "thm_ty1", "--a-values", "0.9",
-                       "--b-values", "0.5"])
-    assert code == 2
+    for argv in (["thm_ty1", "--a-values", "0.9", "--b-values", "0.5"],
+                 # a < b, but (b^rho - a^rho)^alpha underflows to 0
+                 ["thm_cb2", "--alphas", "3", "--a-values", "0",
+                  "--b-values", "1e-110"],
+                 # a < b, but b^rho rounds onto a^rho
+                 ["thm_ty1", "--rhos", "0.5", "--a-values", "0.5",
+                  "--b-values", "0.5000000000000001"]):
+        code, _, err = _run(["sweep", *argv])
+        assert code == 2, argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_sweep_incompatible_holder_exponent_is_usage_error():
