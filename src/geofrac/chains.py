@@ -1,8 +1,8 @@
 """Hermite-Hadamard inequality chains and their verification.
 
 Three scalar chains (classic, h-weighted, and the geodesic
-midpoint/mean/endpoint chain) plus the fractional-operator chains built
-from Katugampola integrals of composite operands x -> f(gamma(x^rho)).
+midpoint/mean/endpoint chain) plus the fractional-operator chains, whose
+operator sides fold the pullback f(gamma(u)) in u = x^rho (below).
 Each evaluator returns an InequalityReport: labeled side values, the
 consecutive margins, and a pass flag (every margin >= -tol).
 
@@ -79,13 +79,13 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .convexity import (HFunction, _distance_pullback_rows,
-                        _geodesic_distance_rows, _power_h, check_convex,
-                        check_h_convex, distance_between_geodesics_function,
-                        h_function, on_geodesic, squared_distance_function)
+                        _geodesic_distance_rows, _power_h, check_h_convex,
+                        distance_between_geodesics_function, h_function,
+                        on_geodesic, squared_distance_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
 from .fractional import _beta, katugampola_left, lq_norm_unit
-from .quadrature import (_by_row, _integrate_rows, _weighted_rows,
-                         as_array_function, integrate, power_kernel_integral)
+from .quadrature import (_integrate_rows, _weighted_rows, as_array_function,
+                         integrate, power_kernel_integral)
 from .spaces import (Geodesic, Point, Space, _point_rows,
                      _random_geodesic_rows)
 
@@ -393,13 +393,9 @@ def compute_E(h: Union[str, HFunction, Callable], alpha: float, rho: float,
     hf = h_function(h)
     h_array = as_array_function(hf)  # a bare h may return a 0-d constant
     br = p.b ** p.rho
-    return _e_value(hf, p, power_kernel_integral(
+    return p.alpha * float(hf(0.5)) * power_kernel_integral(
         lambda w: _folded(h_array, np.maximum(br - w, 0.0), 1.0),
-        br - p.a ** p.rho, p.alpha))
-
-
-def _e_value(hf: HFunction, p: TheoremParams, integral: float) -> float:
-    return p.alpha * float(hf(0.5)) * integral
+        br - p.a ** p.rho, p.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +466,8 @@ class _Rows:
     """R falsifier trials of one chain, evaluated together: `pull(ts,
     rows)` is every trial's pullback, line k of ts (..., K, m) on trial
     rows[k]; an integral is the row's AccuracyError where it does not
-    converge.  The operator sides and E are the fold integral of every
-    row in one `_weighted_rows` call (`_fold_integrals`)."""
+    converge.  The operator sides are one fold integral of every row
+    (`_fold`), and E is another."""
 
     def __init__(self, trials, two_geodesics: bool):
         self.trials = trials
@@ -495,15 +491,17 @@ class _Rows:
         lo, hi = zip(*ab)
         return _values(_integrate_rows(self.pull, lo, hi, [1.0] * len(lo)))
 
-    def _fold_integrals(self, fold: Callable) -> list:
-        """Int_0^W w^(alpha-1) fold(u, rows) dw per row, u = b^rho - w
-        and W = b^rho - a^rho: every row's node map in one array
-        expression, and the one `_weighted_rows` call of the operator
-        sides and E."""
+    def _fold(self, phi: Callable, shifts) -> list:
+        """Int_0^W w^(alpha-1) [phi(u, rows) + phi(shift - u, rows)] dw per
+        row, u = b^rho - w and W = b^rho - a^rho: every row's node map and
+        shift in one array expression, one `_weighted_rows` call."""
+        shift = np.array(shifts, dtype=float)
         brs = [p.b ** p.rho for p in self.params]
         ends = np.array(brs)
         return _values(_weighted_rows(
-            lambda w, rows: fold(np.maximum(ends[rows, None] - w, 0.0), rows),
+            lambda w, rows: _folded(lambda x: phi(x, rows),
+                                    np.maximum(ends[rows, None] - w, 0.0),
+                                    shift[rows, None]),
             [0.0] * len(brs),
             [br - p.a ** p.rho for br, p in zip(brs, self.params)],
             [p.alpha for p in self.params]))
@@ -512,20 +510,23 @@ class _Rows:
         """The fold integral of u -> fg(u) + fg(shift - u) over Gamma(alpha),
         `katugampola_left` with rho = 1 on [a^rho, b^rho]
         (`_OneTrial.operators`)."""
-        shift = np.array(shifts, dtype=float)
-        values = self._fold_integrals(lambda u, rows: _folded(
-            lambda x: self.pull(x, rows), u, shift[rows, None]))
+        values = self._fold(self.pull, shifts)
         return [v if isinstance(v, AccuracyError)
                 else 1.0 / math.gamma(p.alpha) * v
                 for v, p in zip(values, self.params)]
 
     def e_values(self) -> list:
-        """`compute_E` of each row's h and params: the fold integral of
-        u -> h(u) + h(1 - u), each row's h on its own lines."""
-        values = self._fold_integrals(lambda u, rows: _by_row(
-            lambda r, x: _folded(self.hs[r], x, 1.0), u, rows))
-        return [v if isinstance(v, AccuracyError) else _e_value(hf, p, v)
-                for v, hf, p in zip(values, self.hs, self.params)]
+        """`compute_E` of each row: the fold of u -> h(u) + h(1 - u), h =
+        t**k one power of the drawn exponent column, h(1/2) = 0.5**k.  It
+        is `compute_E` bit for bit but on numpy's scalar-exponent fast
+        paths (k = -1, 0.5, 2); the falsifier never draws k = -1, and
+        draws exactly 0.5 or 2 with negligible probability."""
+        k = np.array([hf.k for hf in self.hs])
+        values = self._fold(lambda x, rows: x ** k[rows, None],
+                            [1.0] * len(k))
+        return [v if isinstance(v, AccuracyError) else p.alpha * h_half * v
+                for v, p, h_half in zip(values, self.params,
+                                        (0.5 ** k).tolist())]
 
 
 class _OneTrial:
@@ -812,11 +813,7 @@ def _draw_trials(spec: ChainSpec, space: Space, trials: int,
     drawn = []
     for p, hf, y, g in zip(params, hs, ys, geodesics):
         f = squared_distance_function(space, y, 2.0)
-        if hf is None:
-            ok = check_convex(f, g, seed=0).holds
-        else:
-            ok = check_h_convex(f, g, hf, seed=0).holds
-        if ok:
+        if check_h_convex(f, g, hf or "identity", seed=0).holds:
             drawn.append(_Trial(f, g, hf, p, y))
     return drawn
 

@@ -43,10 +43,10 @@ __all__ = ["HFunction", "h_function", "H_CATALOG", "ConvexityVerdict",
 class HFunction:
     """Multiplier function on (0, 1); h(0) and h(1) may be infinite.
 
-    k is the exponent when h(t) = t**k (the catalog sets it: identity 1,
-    constant_one 0, godunova_levin -1, power(k) k) and None otherwise.
-    The chains' constants of h use their Beta closed forms when k is set,
-    so k must describe fn; a bare callable keeps None and quadrature.
+    k is the exponent when h(t) = t**k and None otherwise.  The chains'
+    constants of h use their Beta closed forms when k is set, so k must
+    describe fn, as it does by construction for the catalog (`_power_h`);
+    a bare callable keeps None and quadrature.
     """
 
     name: str
@@ -64,15 +64,19 @@ class HFunction:
 
 H_CATALOG = ("identity", "constant_one", "godunova_levin", "power(k)")
 
+# the exponent k of each named catalog member h = t**k
+_NAMED_K = {"identity": 1.0, "constant_one": 0.0, "godunova_levin": -1.0}
+
 _POWER_RE = re.compile(r"^power\(\s*([^)\s]+)\s*\)$")
 
 
-def _power_h(k: float) -> HFunction:
-    # repr round-trips through float(); integral k prints as power(2)
+def _power_h(k: float, name: Optional[str] = None) -> HFunction:
+    # t**k (numpy's power gives the bits of t, 1 and 1 / t at k = 1, 0
+    # and -1), named power(k) unless a name is given; repr round-trips
+    # through float(); integral k prints as power(2)
     text = repr(float(k))
-    if text.endswith(".0"):
-        text = text[:-2]
-    return HFunction("power(%s)" % text, lambda t: np.power(t, k), k)
+    text = text[:-2] if text.endswith(".0") else text
+    return HFunction(name or "power(%s)" % text, lambda t: np.power(t, k), k)
 
 
 def h_function(spec: Union[str, HFunction, Callable]) -> HFunction:
@@ -83,12 +87,8 @@ def h_function(spec: Union[str, HFunction, Callable]) -> HFunction:
         return HFunction(getattr(spec, "__name__", "custom"),
                          as_array_function(spec))
     name = str(spec).strip()
-    if name == "identity":
-        return HFunction("identity", lambda t: t, 1.0)
-    if name == "constant_one":
-        return HFunction("constant_one", lambda t: np.ones_like(t), 0.0)
-    if name == "godunova_levin":
-        return HFunction("godunova_levin", lambda t: 1.0 / t, -1.0)
+    if name in _NAMED_K:
+        return _power_h(_NAMED_K[name], name)
     m = _POWER_RE.match(name)
     if m:
         try:
@@ -318,8 +318,7 @@ def check_h_convex(f: Callable, geodesic: Geodesic,
         bound = (hr[None, :] * values[:, :1]
                  + hl[None, :] * values[:, -1:])
         slack = bound - values
-    usable = np.isfinite(hl) & np.isfinite(hr)
-    slack = np.where(usable[None, :], slack, np.inf)
+    # a non-finite h value makes its column's slack inf or nan: skipped
     return _verdict(slack, t1, t2, lam, tol)
 
 

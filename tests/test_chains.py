@@ -907,24 +907,35 @@ def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
 
 
 def test_operator_rows_call_no_per_row_function(monkeypatch):
-    # the operator sides map every row's kernel nodes to u = b^rho - w in
-    # one array expression, with no per-row function (`_by_row`), and each
-    # row still equals its one-trial source's operator side bit for bit
+    # the operator sides and E map every row's kernel nodes to
+    # u = b^rho - w in one array expression, with no per-row function
+    # (`_by_row`), and E's h is the drawn exponent column, with no
+    # HFunction call; each row still equals its one-trial source bit for
+    # bit: the operator side, and compute_E for every drawn kind of h
     import geofrac.chains as chains
+    from geofrac.convexity import HFunction
 
-    spec = chains.chain_spec("thm_cb2")
+    assert not hasattr(chains, "_by_row")
+    spec = chains.chain_spec("thm_ty1")
     trials = chains._draw_trials(spec, spider(3), 40,
                                  np.random.default_rng(1))
     shifts = [1.0 if k % 2 else t.params.a ** t.params.rho
               + t.params.b ** t.params.rho for k, t in enumerate(trials)]
     want = [chains._OneTrial(on_geodesic(t.f, t.g), params=t.params)
             .operators([s])[0] for t, s in zip(trials, shifts)]
-
-    def per_row(*args):
-        raise AssertionError("a per-row function ran")
-
-    monkeypatch.setattr(chains, "_by_row", per_row)
     assert chains._Rows(trials, False).operators(shifts) == want
+
+    assert ({t.h.name.partition("(")[0] for t in trials}
+            == {"identity", "constant_one", "power"})
+    want = [compute_E(t.h, t.params.alpha, t.params.rho, t.params.a,
+                      t.params.b).hex() for t in trials]
+
+    def no_call(*args):
+        raise AssertionError("an HFunction ran")
+
+    rows = chains._Rows(trials, False)
+    monkeypatch.setattr(HFunction, "__call__", no_call)
+    assert [v.hex() for v in rows.e_values()] == want
 
 
 def test_drawn_h_is_dominating():
@@ -1003,7 +1014,6 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
     assert falsify_search(chain, euclidean(2), 70, seed=1)["evaluated"] == 70
 
     accept = lambda *args, **kwargs: ConvexityVerdict(True, 0.0, None, 0)
-    monkeypatch.setattr(chains, "check_convex", accept)
     monkeypatch.setattr(chains, "check_h_convex", accept)
     spec = chains.chain_spec(chain)
     geodesics = 2 if spec.two_geodesics else 1
@@ -1039,7 +1049,6 @@ def test_discarded_trials_match_the_per_trial_oracle(monkeypatch):
         checked.append(None)
         return ConvexityVerdict(len(checked) % 3 != 0, 0.0, None, 0)
 
-    monkeypatch.setattr(chains, "check_convex", every_third)
     monkeypatch.setattr(chains, "check_h_convex", every_third)
     for chain in ("classic_hh", "thm_ty1"):
         for space in (euclidean(2), product(euclidean(2), spider(3))):

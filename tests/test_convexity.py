@@ -26,8 +26,13 @@ ALL_SPACES = [euclidean(2), half_plane(), spider(3),
 
 
 def test_h_function_parsing():
-    assert h_function("identity")(0.3) == pytest.approx(0.3)
-    assert h_function("constant_one")(0.3) == 1.0
+    # the named members are t**k and keep the bits of t, 1 and 1 / t
+    t = np.concatenate(([0.0, 5e-324, 0.25, 1.0, np.inf, np.nan],
+                        np.random.default_rng(3).uniform(0.0, 1.0, 1000)))
+    with np.errstate(divide="ignore", over="ignore"):
+        for name, want in (("identity", t), ("constant_one", np.ones_like(t)),
+                           ("godunova_levin", 1.0 / t)):
+            assert np.array_equal(h_function(name)(t), want, equal_nan=True)
     assert h_function("godunova_levin")(0.25) == 4.0
     assert h_function("power(0.5)")(0.25) == pytest.approx(0.5)
     assert h_function("power( 2 )").name == "power(2)"
