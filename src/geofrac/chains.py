@@ -60,12 +60,13 @@ than asserted:
 `falsify_search` hammers one chain with random admissible instances and
 reports the worst margin and any violations beyond tolerance.  It draws
 a chunk of instances as columns, each parameter, h and geometry column
-in one call (the order is in its docstring), and prechecks the
-convexity of each drawn instance on its own.  Each chain picks its
-points and integrals, and builds its sides, in one function, its
-`ChainSpec.rows` body.  The falsifier runs the body on a chunk's
-surviving trials (`_Rows`); a public chain checks its inputs and runs
-it on its one trial (`_OneTrial`), whose integrals are the public
+in one call (the order is in its docstring), and the chunk stays columns
+(`_Chunk`) up to the reports: a row becomes Points, Geodesics and an f
+only for the convexity precheck and for the worst row's instance.  Each
+chain picks its points and integrals, and builds its sides, in one
+function, its `ChainSpec.rows` body.  The falsifier runs the body on a
+chunk's surviving rows (`_Rows`); a public chain checks its inputs and
+runs it on its one trial (`_OneTrial`), whose integrals are the public
 `integrate`, `katugampola_left` (rho = 1) and `compute_E`.
 """
 
@@ -86,8 +87,8 @@ from .errors import AccuracyError, DomainError, SpaceMismatchError
 from .fractional import _beta, katugampola_left, lq_norm_unit
 from .quadrature import (_integrate_rows, _weighted_rows, as_array_function,
                          integrate, power_kernel_integral)
-from .spaces import (Geodesic, Point, Space, _point_rows,
-                     _random_geodesic_rows)
+from .spaces import (Geodesic, Space, _point_of_row, _random_ends,
+                     _read_only, _row_geodesic, _take_rows)
 
 __all__ = ["TheoremParams", "InequalityReport", "CompositeOperand",
            "classic_hh", "h_hh", "conde_hh", "thm_cb1", "thm_cb2", "thm_ty1",
@@ -238,7 +239,7 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
 def conde_hh(f: Callable, g: Geodesic, *,
              tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint/mean/endpoint chain of f along one geodesic."""
-    return _evaluate("conde_hh", _OneTrial(on_geodesic(f, g), g), tol,
+    return _evaluate("conde_hh", _OneTrial(on_geodesic(f, g)), tol,
                      _conde_instance(f, g))
 
 
@@ -304,7 +305,7 @@ def _fractional(chain: str, f: Callable, g: Geodesic,
                 tol: float) -> InequalityReport:
     # thm_cb1, thm_cb2 and thm_ty1 on the pullback of f along g
     hf = h_function(h)
-    return _evaluate(chain, _OneTrial(on_geodesic(f, g), g, hf,
+    return _evaluate(chain, _OneTrial(on_geodesic(f, g), hf,
                                       _fractional_params(p)), tol,
                      _instance(f, g, hf, p))
 
@@ -431,7 +432,8 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     _require_dominating_h(hf)
     return _evaluate("corollary_distance",
                      _OneTrial(distance_between_geodesics_function(g1, g2),
-                               (g1, g2), hf, _fractional_params(params)), tol,
+                               hf, _fractional_params(params),
+                               lengths=(g1.length, g2.length)), tol,
                      _corollary_instance(g1, g2, hf, params))
 
 
@@ -446,15 +448,41 @@ def _corollary_instance(g1: Geodesic, g2: Geodesic, hf: HFunction,
 # ---------------------------------------------------------------------------
 
 
-class _Trial(NamedTuple):
-    """A drawn falsifier instance: ChainSpec.evaluate's f, g, h, params,
-    and the reference point y of f = d(., y)^2 (None for two geodesics)."""
+class _Chunk:
+    """Falsifier draws as columns: the params and h lists, the batch ys of
+    the reference points y of f = d(., y)^2 (None for two geodesics), and
+    per geodesic batch its starts, ends, endpoint stage and lengths
+    (A, B, ends, dist).  The batches are read-only, so the row view that
+    a Point or Geodesic of `objects` holds cannot change."""
 
-    f: Optional[Callable]
-    g: Union[Geodesic, Tuple[Geodesic, Geodesic]]
-    h: Optional[HFunction]
-    params: TheoremParams
-    y: Optional[Point]
+    def __init__(self, space: Space, params: list, hs: list, ys,
+                 geodesics: tuple):
+        self.space, self.params, self.hs = space, params, hs
+        self.ys = None if ys is None else _read_only(ys)
+        self.geodesics = _read_only(geodesics)
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def objects(self, i: int) -> tuple:
+        """Row i as ChainSpec.evaluate's (f, g, h, params): g is a
+        Geodesic, or a pair for two geodesics, whose f is None."""
+        gs = tuple(_row_geodesic(self.space, *batch, i)
+                   for batch in self.geodesics)
+        if self.ys is None:
+            return None, gs, self.hs[i], self.params[i]
+        y = _point_of_row(self.space, _take_rows(self.ys, slice(i, i + 1)))
+        return (squared_distance_function(self.space, y, 2.0), gs[0],
+                self.hs[i], self.params[i])
+
+    def take(self, kept: list) -> "_Chunk":
+        """The rows kept, in order; the chunk itself when that is all."""
+        if len(kept) == len(self):
+            return self
+        return _Chunk(self.space, [self.params[i] for i in kept],
+                      [self.hs[i] for i in kept],
+                      None if self.ys is None else _take_rows(self.ys, kept),
+                      _take_rows(self.geodesics, kept))
 
 
 def _values(results) -> list:
@@ -463,24 +491,24 @@ def _values(results) -> list:
 
 
 class _Rows:
-    """R falsifier trials of one chain, evaluated together: `pull(ts,
-    rows)` is every trial's pullback, line k of ts (..., K, m) on trial
-    rows[k]; an integral is the row's AccuracyError where it does not
-    converge.  The operator sides are one fold integral of every row
-    (`_fold`), and E is another."""
+    """A chunk's R trials of one chain, evaluated together from its
+    columns: `pull(ts, rows)` is every trial's pullback, line k of ts
+    (..., K, m) on trial rows[k]; an integral is the row's AccuracyError
+    where it does not converge.  The operator sides are one fold integral
+    of every row (`_fold`), and E is another."""
 
-    def __init__(self, trials, two_geodesics: bool):
-        self.trials = trials
-        self.params = [t.params for t in trials]
-        self.hs = [t.h for t in trials]
+    def __init__(self, chunk: _Chunk):
+        self.params, self.hs = chunk.params, chunk.hs
         self.intervals = [(p.a, p.b) for p in self.params]
-        self.index = np.arange(len(trials))
-        if two_geodesics:
-            self.pull = _geodesic_distance_rows([t.g[0] for t in trials],
-                                                [t.g[1] for t in trials])
+        self.index = np.arange(len(chunk))
+        # each row's geodesic lengths, and the endpoint-stage batches
+        self.lengths = list(zip(*(g[3].tolist() for g in chunk.geodesics)))
+        ends = [g[2] for g in chunk.geodesics]
+        if chunk.ys is None:
+            self.pull = _geodesic_distance_rows(chunk.space, *ends)
         else:
-            self.pull = _distance_pullback_rows([t.g for t in trials],
-                                                [t.y for t in trials], 2.0)
+            self.pull = _distance_pullback_rows(chunk.space, *ends, chunk.ys,
+                                                2.0)
 
     def at(self, ts) -> np.ndarray:
         """The pullbacks at ts, R rows of parameters."""
@@ -537,11 +565,12 @@ class _OneTrial:
     the fold integral as `katugampola_left` with rho = 1 on
     [a^rho, b^rho], whose node map is then u = b^rho - w."""
 
-    def __init__(self, fg: Callable, g=None, hf: Optional[HFunction] = None,
-                 params: Optional[TheoremParams] = None, interval=None):
+    def __init__(self, fg: Callable, hf: Optional[HFunction] = None,
+                 params: Optional[TheoremParams] = None, interval=None,
+                 lengths=None):
         self.fg = fg
-        self.trials = [_Trial(None, g, hf, params, None)]
         self.params, self.hs, self.intervals = [params], [hf], [interval]
+        self.lengths = [lengths]
 
     def at(self, ts) -> np.ndarray:
         return self.fg(np.array(ts, dtype=float))
@@ -665,25 +694,25 @@ def _thm_ty1_rows(rows, tol: float) -> list:
 def _corollary_rows(rows, tol: float) -> list:
     # the endpoint bound minus alpha rho h(1/2) C (L2 - L1)^2, and the
     # bare-constant variants in extras
-    def sides(trial, v, kl, e_val):
-        (g1, g2), hf, p = trial.g, trial.h, trial.params
+    def sides(hf, p, lengths, v, kl, e_val):
+        l1, l2 = lengths
         h_half = float(hf(0.5))
         c_val = compute_C(p.alpha, p.rho, p.a, p.b)
-        delta = g2.length - g1.length
+        delta = l2 - l1
         bound = float(v[1] + v[2]) * e_val / _den(p)
         coef = p.alpha * p.rho * h_half
         extras = {"c_value": c_val, "e_value": e_val,
                   "length_difference": delta, "c_coefficient": coef,
                   "right_difference_bare_c": bound - c_val * delta * delta,
                   "right_product_bare_c":
-                      bound - c_val * (g1.length * g2.length) ** 2}
+                      bound - c_val * (l1 * l2) ** 2}
         return [("midpoint", float(v[0])),
                 ("operators", _operator_side(kl, p, h_half)),
                 ("endpoints_minus_c", bound - coef * c_val * delta * delta),
                 ("endpoints", bound)], extras
 
-    return _row_reports("corollary_distance", tol, sides, rows.trials,
-                        *_reflected_rows(rows))
+    return _row_reports("corollary_distance", tol, sides, rows.hs,
+                        rows.params, rows.lengths, *_reflected_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -797,25 +826,23 @@ def _draw_hs(m: int, rng: np.random.Generator) -> list:
 
 
 def _draw_trials(spec: ChainSpec, space: Space, trials: int,
-                 rng: np.random.Generator) -> list:
+                 rng: np.random.Generator) -> _Chunk:
     # the next `trials` draws of falsify_search that pass the convexity
     # precheck, in draw order; the columns are drawn in the order of
     # falsify_search's docstring
     params = _draw_params(spec, trials, rng)
     hs = _draw_hs(trials, rng) if spec.takes_h else [None] * trials
+    ys = None if spec.two_geodesics else space._sample(trials, rng)
+    drawn = [_random_ends(space, trials, rng, 0.05)
+             for _ in range(1 + spec.two_geodesics)]
+    chunk = _Chunk(space, params, hs, ys, tuple(
+        (A, B) + space._ends_dist(A, B) for A, B in drawn))
     if spec.two_geodesics:
-        firsts = _random_geodesic_rows(space, trials, rng, 0.05)
-        seconds = _random_geodesic_rows(space, trials, rng, 0.05)
-        return [_Trial(None, g, hf, p, None)
-                for g, hf, p in zip(zip(firsts, seconds), hs, params)]
-    ys = _point_rows(space, space._sample(trials, rng))
-    geodesics = _random_geodesic_rows(space, trials, rng, 0.05)
-    drawn = []
-    for p, hf, y, g in zip(params, hs, ys, geodesics):
-        f = squared_distance_function(space, y, 2.0)
-        if check_h_convex(f, g, hf or "identity", seed=0).holds:
-            drawn.append(_Trial(f, g, hf, p, y))
-    return drawn
+        return chunk
+    objects = map(chunk.objects, range(trials))
+    return chunk.take([i for i, (f, g, hf, _) in enumerate(objects)
+                       if check_h_convex(f, g, hf or "identity",
+                                         seed=0).holds])
 
 
 def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
@@ -839,12 +866,13 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     which starts and ends are redrawn for the rows shorter than 0.05
     alone, until none is left (the corollary draws its first and then
     its second geodesics so).  The convexity precheck then runs on each
-    trial on its own; it stays per trial while the benchmark counts
-    `convexity.check.calls` as a use of the verify workloads.  A chunk's
-    surviving trials are evaluated together by the chain's body
-    (`ChainSpec.rows`), and a row that carries an AccuracyError counts as
-    a quadrature failure.  The worst report, with `ChainSpec.instance`,
-    becomes worst_instance; ties go to the first trial.
+    trial on its own, on the row's own Point, Geodesic and f; it stays
+    per trial while the benchmark counts `convexity.check.calls` as a use
+    of the verify workloads.  A chunk's surviving trials are evaluated
+    together from its columns by the chain's body (`ChainSpec.rows`), and
+    a row that carries an AccuracyError counts as a quadrature failure.
+    The worst report, with `ChainSpec.instance` of the worst row's
+    objects, becomes worst_instance; ties go to the first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that
@@ -869,8 +897,8 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         discarded += draws - len(chunk)
         if not chunk:
             continue
-        reports = spec.rows(_Rows(chunk, spec.two_geodesics), tol)
-        for trial, report in zip(chunk, reports):
+        reports = spec.rows(_Rows(chunk), tol)
+        for i, report in enumerate(reports):
             if isinstance(report, AccuracyError):
                 failures += 1
                 continue
@@ -879,13 +907,12 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
             violations += violated
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
-                worst = trial, report
+                worst = chunk, i, report
     worst_instance = None
     if worst is not None:
-        trial, report = worst
+        chunk, i, report = worst
         worst_instance = report.to_dict()
-        worst_instance["instance"] = spec.instance(trial.f, trial.g, trial.h,
-                                                   trial.params)
+        worst_instance["instance"] = spec.instance(*chunk.objects(i))
     summary = {"chain": chain, "space": space.name, "trials": trials,
                "seed": int(seed), "tol": float(tol), "evaluated": evaluated,
                "discarded": discarded, "quadrature_failures": failures,

@@ -12,9 +12,10 @@ restriction,
     F(lam) <= h(1 - lam) F(0) + h(lam) F(1)
 
 for a grid of lam.  The slack of the worst sample is reported together
-with a witness, so a failed check is reproducible.  h values that are not
-finite (godunova_levin at 0) make the bound vacuous at that lam and are
-skipped.
+with a witness, so a failed check is reproducible.  A sample whose bound
+is not finite (h not finite, as godunova_levin at 0, or an infinite end
+value of F times a zero weight) is vacuous and skipped; a NaN value of F
+fails, as does F(lam) = +inf under a finite bound.
 
 Checks are sampling-based: a `holds` verdict certifies the inequality on
 the sampled grid only, while a failed verdict carries a concrete witness.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -172,59 +173,41 @@ def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
 # ---------------------------------------------------------------------------
 #
 # A parameter array of shape (..., K, m) comes with the row of each of its
-# K lines: line k goes to geodesic rows[k].  The geodesics' endpoint
-# constants are stacked into one batch once, and each call takes the rows
+# K lines: line k goes to geodesic rows[k].  The geodesics come as one
+# endpoint-stage batch (`Space._ends_dist`), and each call takes the rows
 # it needs from it, so every point comes from the same arithmetic as on
 # its own geodesic.
 
 
-def _stack_rows(batches):
-    # arrays are joined along their leading (row) axis, tuples memberwise
-    if isinstance(batches[0], tuple):
-        return tuple(_stack_rows([b[i] for b in batches])
-                     for i in range(len(batches[0])))
-    return np.concatenate(batches)
+def _along_rows(space: Space, ends, ts: np.ndarray, rows: np.ndarray):
+    # the points of ts as one batch, line k on geodesic rows[k] of ends,
+    # and the row of each point
+    rows = np.broadcast_to(rows[:, None], ts.shape).ravel()
+    return space._along(_take_rows(ends, rows), ts.ravel()), rows
 
 
-def _along_rows(geodesics: Sequence[Geodesic]) -> Callable:
-    # (ts, rows) -> (points of ts as one batch, the row of each point)
-    space = geodesics[0].space
-    ends = _stack_rows([g._ends for g in geodesics])
-
-    def along(ts: np.ndarray, rows: np.ndarray):
-        rows = np.broadcast_to(rows[:, None], ts.shape).ravel()
-        return space._along(_take_rows(ends, rows), ts.ravel()), rows
-
-    return along
-
-
-def _distance_pullback_rows(geodesics: Sequence[Geodesic],
-                            ys: Sequence[Point], k: float) -> Callable:
-    """(ts, rows) -> d(g_r(t), y_r)**k, r = rows[line]: the pullbacks of
-    `squared_distance_function(space, y_r, k)`, shaped as ts."""
-    space = geodesics[0].space
-    along = _along_rows(geodesics)
-    ystack = _stack_rows([y.row for y in ys])
-
+def _distance_pullback_rows(space: Space, ends, ys, k: float) -> Callable:
+    """(ts, rows) -> d(g_r(t), y_r)**k, r = rows[line], for the geodesics
+    of the endpoint-stage batch ends and the coordinate batch ys: the
+    pullbacks of `squared_distance_function(space, y_r, k)`, shaped as
+    ts."""
     def fn(ts, rows) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        pts, rows = along(ts, rows)
-        return _dist_pow(space, pts, _take_rows(ystack, rows),
+        pts, rows = _along_rows(space, ends, ts, rows)
+        return _dist_pow(space, pts, _take_rows(ys, rows),
                          k).reshape(ts.shape)
 
     return fn
 
 
-def _geodesic_distance_rows(firsts: Sequence[Geodesic],
-                            seconds: Sequence[Geodesic]) -> Callable:
-    """(ts, rows) -> d(g1_r(t), g2_r(t))**2, r = rows[line]: the
-    `distance_between_geodesics_function` of each pair, shaped as ts."""
-    space = firsts[0].space
-    along1, along2 = _along_rows(firsts), _along_rows(seconds)
-
+def _geodesic_distance_rows(space: Space, ends1, ends2) -> Callable:
+    """(ts, rows) -> d(g1_r(t), g2_r(t))**2, r = rows[line], for two
+    endpoint-stage batches: the `distance_between_geodesics_function` of
+    each pair, shaped as ts."""
     def fn(ts, rows) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        return _dist_pow(space, along1(ts, rows)[0], along2(ts, rows)[0],
+        return _dist_pow(space, _along_rows(space, ends1, ts, rows)[0],
+                         _along_rows(space, ends2, ts, rows)[0],
                          2).reshape(ts.shape)
 
     return fn
@@ -291,17 +274,26 @@ def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
     return t1, t2, lam, values
 
 
-def _verdict(slack: np.ndarray, t1, t2, lam, tol: float) -> ConvexityVerdict:
-    finite = np.isfinite(slack)
-    n = int(finite.sum())
+def _verdict(bound: np.ndarray, values: np.ndarray, t1, t2, lam,
+             tol: float) -> ConvexityVerdict:
+    # values <= bound per sample; a bound that is not finite is vacuous,
+    # unless a value of F that the sample reads is NaN (module docstring)
+    vacuous = ~np.isfinite(bound)
+    if vacuous.any():
+        nan = np.isnan(values)
+        vacuous = vacuous & ~(nan | nan[:, :1] | nan[:, -1:])
+        # a vacuous slack is inf - 0, so no inf - inf is formed
+        bound = np.where(vacuous, np.inf, bound)
+        values = np.where(vacuous, 0.0, values)
+    n = values.size - int(np.count_nonzero(vacuous))
     if n == 0:
         return ConvexityVerdict(True, np.inf, None, 0)
-    masked = np.where(finite, slack, np.inf)
-    holds = bool((masked >= -tol).all())
-    idx = int(np.argmin(masked))
-    r, j = divmod(idx, slack.shape[1])
+    slack = bound - values
+    holds = bool((slack >= -tol).all())
+    idx = int(np.argmin(slack))
+    r, j = divmod(idx, values.shape[1])
     witness = (float(t1[r]), float(t2[r]), float(lam[j]))
-    return ConvexityVerdict(holds, float(masked.flat[idx]), witness, n)
+    return ConvexityVerdict(holds, float(slack.flat[idx]), witness, n)
 
 
 def check_h_convex(f: Callable, geodesic: Geodesic,
@@ -317,9 +309,7 @@ def check_h_convex(f: Callable, geodesic: Geodesic,
     with np.errstate(invalid="ignore"):
         bound = (hr[None, :] * values[:, :1]
                  + hl[None, :] * values[:, -1:])
-        slack = bound - values
-    # a non-finite h value makes its column's slack inf or nan: skipped
-    return _verdict(slack, t1, t2, lam, tol)
+    return _verdict(bound, values, t1, t2, lam, tol)
 
 
 def check_convex(f: Callable, geodesic: Geodesic, *, samples: int = 64,
@@ -341,14 +331,13 @@ def check_quasi_or_p_convex(f: Callable, geodesic: Geodesic,
     t1, t2, lam, values = _restriction_values(f, geodesic, samples, pairs,
                                               seed)
     if mode == "quasi":
-        slack = np.maximum(values[:, :1], values[:, -1:]) - values
-        return _verdict(slack, t1, t2, lam, tol)
+        return _verdict(np.maximum(values[:, :1], values[:, -1:]), values,
+                        t1, t2, lam, tol)
     p = float(p)
     if not (np.isfinite(p) and p > 0.0):
         raise DomainError("p must be positive and finite")
     if np.any(values < 0.0):
         raise DomainError("p-convexity needs nonnegative sampled values")
     vp = values ** p
-    slack = ((1.0 - lam)[None, :] * vp[:, :1] + lam[None, :] * vp[:, -1:]
-             - vp)
-    return _verdict(slack, t1, t2, lam, tol)
+    bound = (1.0 - lam)[None, :] * vp[:, :1] + lam[None, :] * vp[:, -1:]
+    return _verdict(bound, vp, t1, t2, lam, tol)

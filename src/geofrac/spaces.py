@@ -41,15 +41,16 @@ only the parameter stage.  `_ends_dist` is the endpoint stage together
 with the distances, so a space whose constants need the distance (the
 half-plane, and products with a half-plane factor) computes it once per
 geodesic.  Random geodesics are drawn by one redraw loop, `_random_ends`,
-for one row (`random_geodesic`) or a batch (`_random_geodesic_rows`,
-which builds all its geodesics with one `_ends_dist` call); its test for
-short rows takes one more `_dist` per round.  An array batch is
-C-contiguous, with a point's few coordinates on its last axis; a reduction
-along that short axis, or an `np.stack` of columns, costs more per row
-than the arithmetic, so the batch kernels work on columns instead:
-`_squared_gaps` adds the squared coordinate gaps column by column, in
-numpy's own order of summation, and half-plane samples and geodesic
-points fill the columns of one preallocated array.
+for one row (`random_geodesic`) or a batch, whose endpoint stage and
+lengths then take one `_ends_dist` call and stay columns; its test for
+short rows takes one more `_dist` per round.  `_row_geodesic` makes one
+row of such a batch a Geodesic, for a caller that needs the object.  An
+array batch is C-contiguous, with a point's few coordinates on its last
+axis; a reduction along that short axis, or an `np.stack` of columns,
+costs more per row than the arithmetic, so the batch kernels work on
+columns instead: `_squared_gaps` adds the squared coordinate gaps column
+by column, in numpy's own order of summation, and half-plane samples and
+geodesic points fill the columns of one preallocated array.
 """
 
 from __future__ import annotations
@@ -563,21 +564,6 @@ def _put_rows(batch, rows: np.ndarray, new) -> None:
         batch[rows] = new
 
 
-def _rows_in(batch) -> int:
-    # the number of rows of a coordinate or endpoint-constant batch
-    while isinstance(batch, tuple):
-        batch = batch[0]
-    return len(batch)
-
-
-def _point_rows(space: Space, batch) -> list:
-    """The points of a batch, each validated like any other point and
-    holding a one-row view of it; the batch becomes read-only."""
-    _read_only(batch)
-    return [_point_of_row(space, _take_rows(batch, slice(i, i + 1)))
-            for i in range(_rows_in(batch))]
-
-
 def distance(p: Point, q: Point) -> float:
     """Distance between two points of the same space."""
     return p.space.distance(p, q)
@@ -728,22 +714,19 @@ def _random_ends(space: Space, m: int, rng: np.random.Generator,
 def random_geodesic(space: Space, rng: np.random.Generator,
                     min_length: float = 1e-6) -> Geodesic:
     """Random geodesic with distinct endpoints: the one-row draw of
-    `_random_geodesic_rows`, built by `Geodesic(start, end)`."""
+    `_random_ends`, built by `Geodesic(start, end)`."""
     A, B = _random_ends(space, 1, rng, min_length)
     # the public constructor, which bench/tracing.py counts as a new
     # geodesic
     return Geodesic(_point_of_row(space, A), _point_of_row(space, B))
 
 
-def _random_geodesic_rows(space: Space, m: int, rng: np.random.Generator,
-                          min_length: float) -> list:
-    """m random geodesics at least min_length long: the draws of m calls
-    of `random_geodesic`, made as batches, and `Geodesic(start, end)` for
-    every row from one `_ends_dist` call; each geodesic's constants are
-    one-row views of its result, and its points those of `_point_rows`."""
-    A, B = _random_ends(space, m, rng, min_length)
-    ends, dist = space._ends_dist(A, B)
-    return [Geodesic.__new__(Geodesic)._hold(
-                p, q, _take_rows(ends, slice(i, i + 1)), float(dist[i]))
-            for i, (p, q) in enumerate(zip(_point_rows(space, A),
-                                           _point_rows(space, B)))]
+def _row_geodesic(space: Space, A, B, ends, dist, i: int) -> Geodesic:
+    """Row i of the geodesics from A to B, with `ends, dist =
+    space._ends_dist(A, B)`, as `Geodesic(start, end)` makes it, from
+    one-row views: its points are validated, nothing is recomputed."""
+    row = slice(i, i + 1)
+    return Geodesic.__new__(Geodesic)._hold(
+        _point_of_row(space, _take_rows(A, row)),
+        _point_of_row(space, _take_rows(B, row)), _take_rows(ends, row),
+        float(dist[i]))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geofrac.chains import (CHAIN_NAMES, CompositeOperand, InequalityReport,
                             TheoremParams, classic_hh, compute_C,
@@ -620,6 +622,53 @@ def test_corollary_collinear_probe_sub_interval():
     assert rep.passed
 
 
+#: |margin| / endpoint side allowed at equality, in units of eps; random
+#: draws of the property below reach about 7
+SHARP_EPS = 32
+
+
+def _collinear_margin(p, theta, offset, s1, gap, l1, l2, moved=0, eps=0.0):
+    # corollary_distance with h = identity on two same-direction segments
+    # of one euclidean2 line, lengths l1 and l2, starting at s1 and
+    # s1 + gap, after end `moved` (g1's start and end, g2's start and
+    # end) moves eps off the line: the operators -> endpoints_minus_c
+    # margin and the endpoint side
+    u = np.array([math.cos(theta), math.sin(theta)])
+    n = np.array([-u[1], u[0]])
+    ends = [offset * n + s * u for s in (s1, s1 + l1, s1 + gap,
+                                         s1 + gap + l2)]
+    ends[moved] = ends[moved] + eps * n
+    e2 = euclidean(2)
+    g1 = Geodesic(e2.point(ends[0]), e2.point(ends[1]))
+    g2 = Geodesic(e2.point(ends[2]), e2.point(ends[3]))
+    rep = corollary_distance(g1, g2, "identity", p)
+    return rep.margins[1], dict(rep.sides)["endpoints"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.25, 3.0), st.floats(0.5, 2.5), st.floats(0.0, 0.9),
+       st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.25, 2.0),
+       st.sampled_from([-1.0, 1.0]), st.floats(0.25, 2.0),
+       st.floats(0.25, 2.0), st.integers(0, 3))
+def test_corollary_is_essentially_sharp(alpha, rho, a, b_frac, theta,
+                                        offset, s1, gap, sign, l1, l2,
+                                        moved):
+    # collinear same-direction segments make the comparison step an
+    # equality: the operator side meets the endpoint side minus the
+    # alpha rho h(1/2) C (L2 - L1)^2 term to rounding; one end moved eps
+    # off the line opens a positive margin of order eps^2
+    p = TheoremParams(alpha, rho, a, min(1.0, a + 0.05 + b_frac * (0.95 - a)))
+    segments = (theta, offset, s1, sign * gap, l1, l2, moved)
+    margin, endpoints = _collinear_margin(p, *segments)
+    assert abs(margin) <= SHARP_EPS * np.finfo(float).eps * endpoints
+    small, _ = _collinear_margin(p, *segments, 1e-3)
+    double, _ = _collinear_margin(p, *segments, 2e-3)
+    assert small > 0.0
+    assert double / small == pytest.approx(4.0, rel=1e-3)
+    assert _collinear_margin(p, *segments, 0.1)[0] > 0.0
+
+
 def test_corollary_swap_invariance():
     hp = half_plane()
     rng = np.random.default_rng(44)
@@ -771,10 +820,9 @@ def _per_trial_search(chain, space, trials, seed, tol=1e-8,
         draws = min(chains.CHUNK, trials - start)
         chunk = chains._draw_trials(spec, space, draws, rng)
         discarded += draws - len(chunk)
-        for trial in chunk:
+        for i in range(len(chunk)):
             try:
-                report = spec.evaluate(trial.f, trial.g, trial.h,
-                                       trial.params, tol=tol)
+                report = spec.evaluate(*chunk.objects(i), tol=tol)
             except AccuracyError:
                 failures += 1
                 continue
@@ -831,20 +879,35 @@ def test_batched_product_probe_matches_per_trial_oracle():
                                          seed, product_c_term=True))
 
 
-def _hub_trial(spec):
-    # a spider3 instance whose geodesic crosses the hub at t = 7/11 with
-    # the reference point on the third ray: f along g has a kink there
-    from geofrac.chains import TheoremParams, _Trial
-    sp = spider(3)
-    g = Geodesic(sp.point(0, 0.7), sp.point(1, 0.4))
-    y = sp.point(2, 0.3)
+def _with_hub_row(spec, chunk, i):
+    # the chunk with one more row at i: a spider3 instance whose geodesic
+    # crosses the hub at t = 7/11 with the reference point on the third
+    # ray, so that f along g has a kink there; its one-row batches are
+    # spliced into the chunk's columns
+    import geofrac.chains as chains
+    from geofrac.chains import TheoremParams
+
+    sp = chunk.space
     p = TheoremParams(2.5, 2.2, 0.45, 0.9, 2.0 if spec.needs_q else None)
     h = h_function("identity") if spec.takes_h else None
+    pairs = [((0, 0.7), (1, 0.4))]
     if spec.two_geodesics:
         # the distance to a geodesic on the third ray has the same kink
-        return _Trial(None, (g, Geodesic(sp.point(2, 0.3), sp.point(2, 0.5))),
-                      h, p, None)
-    return _Trial(squared_distance_function(sp, y), g, h, p, y)
+        pairs.append(((2, 0.3), (2, 0.5)))
+    hub = []
+    for start, end in pairs:
+        A, B = sp._stack([start]), sp._stack([end])
+        hub.append((A, B) + sp._ends_dist(A, B))
+
+    def splice(batch, row):
+        if isinstance(batch, tuple):
+            return tuple(map(splice, batch, row))
+        return np.concatenate((batch[:i], row, batch[i:]))
+
+    ys = None if chunk.ys is None else splice(chunk.ys, sp._stack([(2, 0.3)]))
+    return chains._Chunk(sp, chunk.params[:i] + [p] + chunk.params[i:],
+                         chunk.hs[:i] + [h] + chunk.hs[i:], ys,
+                         splice(chunk.geodesics, tuple(hub)))
 
 
 @pytest.mark.parametrize("chain", CHAIN_NAMES)
@@ -857,23 +920,22 @@ def test_batch_rows_equal_the_per_trial_chain(chain):
 
     spec = chains.chain_spec(chain)
     for space in BATCH_SPACES:
-        trials = chains._draw_trials(spec, space, 40,
-                                      np.random.default_rng(1))
+        chunk = chains._draw_trials(spec, space, 40,
+                                    np.random.default_rng(1))
         if space.name == "spider(3)":
-            trials.insert(5, _hub_trial(spec))
-        rows = spec.rows(chains._Rows(trials, spec.two_geodesics), 1e-8)
-        assert len(rows) == len(trials)
-        for trial, got in zip(trials, rows):
-            want = spec.evaluate(trial.f, trial.g, trial.h, trial.params,
-                                 tol=1e-8)
+            chunk = _with_hub_row(spec, chunk, 5)
+        rows = spec.rows(chains._Rows(chunk), 1e-8)
+        assert len(rows) == len(chunk)
+        for i, got in enumerate(rows):
+            objects = chunk.objects(i)
+            want = spec.evaluate(*objects, tol=1e-8)
             assert isinstance(got, InequalityReport)
             assert got.sides == want.sides
             assert got.margins == want.margins
             assert got.passed == want.passed
             assert got.extras == want.extras
             assert got.instance == {}
-            assert spec.instance(trial.f, trial.g, trial.h,
-                                 trial.params) == want.instance
+            assert spec.instance(*objects) == want.instance
 
 
 def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
@@ -883,9 +945,9 @@ def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
     import geofrac.chains as chains
 
     spec = chains.chain_spec("conde_hh")
-    trials = chains._draw_trials(spec, spider(3), 40,
-                                  np.random.default_rng(1))
-    rows = chains._Rows(trials, False)
+    chunk = chains._draw_trials(spec, spider(3), 40,
+                                np.random.default_rng(1))
+    rows = chains._Rows(chunk)
     pull, shapes = rows.pull, []
 
     def counted_pull(ts, index):
@@ -893,8 +955,8 @@ def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
         return pull(ts, index)
 
     rows.pull = counted_pull
-    rows.means([(0.0, 1.0)] * len(trials))
-    assert shapes[0] == (len(trials), 48) and len(shapes) > 1
+    rows.means([(0.0, 1.0)] * len(chunk))
+    assert shapes[0] == (len(chunk), 48) and len(shapes) > 1
     calls = []
     for name in CHAIN_NAMES:
         def counted(*args, _fn=getattr(chains, name), _name=name, **kwargs):
@@ -917,23 +979,24 @@ def test_operator_rows_call_no_per_row_function(monkeypatch):
 
     assert not hasattr(chains, "_by_row")
     spec = chains.chain_spec("thm_ty1")
-    trials = chains._draw_trials(spec, spider(3), 40,
-                                 np.random.default_rng(1))
-    shifts = [1.0 if k % 2 else t.params.a ** t.params.rho
-              + t.params.b ** t.params.rho for k, t in enumerate(trials)]
-    want = [chains._OneTrial(on_geodesic(t.f, t.g), params=t.params)
-            .operators([s])[0] for t, s in zip(trials, shifts)]
-    assert chains._Rows(trials, False).operators(shifts) == want
+    chunk = chains._draw_trials(spec, spider(3), 40,
+                                np.random.default_rng(1))
+    trials = [chunk.objects(i) for i in range(len(chunk))]
+    shifts = [1.0 if k % 2 else p.a ** p.rho + p.b ** p.rho
+              for k, (f, g, h, p) in enumerate(trials)]
+    want = [chains._OneTrial(on_geodesic(f, g), params=p)
+            .operators([s])[0] for (f, g, h, p), s in zip(trials, shifts)]
+    assert chains._Rows(chunk).operators(shifts) == want
 
-    assert ({t.h.name.partition("(")[0] for t in trials}
+    assert ({h.name.partition("(")[0] for f, g, h, p in trials}
             == {"identity", "constant_one", "power"})
-    want = [compute_E(t.h, t.params.alpha, t.params.rho, t.params.a,
-                      t.params.b).hex() for t in trials]
+    want = [compute_E(h, p.alpha, p.rho, p.a, p.b).hex()
+            for f, g, h, p in trials]
 
     def no_call(*args):
         raise AssertionError("an HFunction ran")
 
-    rows = chains._Rows(trials, False)
+    rows = chains._Rows(chunk)
     monkeypatch.setattr(HFunction, "__call__", no_call)
     assert [v.hex() for v in rows.e_values()] == want
 
@@ -950,21 +1013,34 @@ def test_drawn_h_is_dominating():
 @pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
 def test_drawn_trials_keep_the_draw_invariants(space):
     # every drawn instance is admissible: length >= 0.05, alpha q > 1.05,
-    # a dominating h (the geodesics' bits: test_spaces)
+    # a dominating h (the geodesics' bits: test_spaces); the drawn
+    # columns are read-only, whole or with rows discarded
     import geofrac.chains as chains
 
     rng = np.random.default_rng(5)
     for chain in ("thm_cb1", "corollary_distance"):
         spec = chains.chain_spec(chain)
-        trials = chains._draw_trials(spec, space, 256, rng)
-        assert len(trials) == 256
-        for t in trials:
-            chains._require_dominating_h(t.h)
+        chunk = chains._draw_trials(spec, space, 256, rng)
+        assert len(chunk) == 256
+        for i in range(len(chunk)):
+            f, g, h, p = chunk.objects(i)
+            chains._require_dominating_h(h)
             if spec.two_geodesics:
-                assert min(g.length for g in t.g) >= 0.05
+                assert f is None and min(x.length for x in g) >= 0.05
             else:
-                assert t.g.length >= 0.05
-                assert t.params.alpha * t.params.q > 1.05
+                assert g.length >= 0.05
+                assert p.alpha * p.q > 1.05
+        assert chunk.take(list(range(256))) is chunk
+        for kept in (chunk, chunk.take([3, 1])):
+            for leaf in _leaves((kept.ys, kept.geodesics)):
+                assert not leaf.flags.writeable
+
+
+def _leaves(batch):
+    # the arrays of a (nested) tuple of batches, None skipped
+    if isinstance(batch, tuple):
+        return [leaf for item in batch for leaf in _leaves(item)]
+    return [] if batch is None else [batch]
 
 
 def test_q_rows_alone_are_redrawn():
@@ -1037,6 +1113,24 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
         assert rounds <= 2 and calls["_sample"][0][0] == m
 
 
+@pytest.mark.parametrize("trials", [5, 70, 130])
+def test_corollary_builds_only_the_worst_rows_objects(monkeypatch, trials):
+    # a chunk stays columns: with no precheck, the corollary's falsifier
+    # builds the two Geodesics and four Points of its worst row alone,
+    # whatever the trial count
+    from geofrac.spaces import Point
+
+    made = {Point: 0, Geodesic: 0}
+    for cls in made:
+        def counted(self, *args, _cls=cls, _fn=cls._hold):
+            made[_cls] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(cls, "_hold", counted)
+    summary = falsify_search("corollary_distance", spider(3), trials, seed=1)
+    assert summary["evaluated"] == trials
+    assert made == {Point: 4, Geodesic: 2}
+
+
 def test_discarded_trials_match_the_per_trial_oracle(monkeypatch):
     # the precheck rejects every third trial: the falsifier counts them as
     # discarded across a chunk boundary, as the per-trial oracle does
@@ -1083,12 +1177,12 @@ def test_failed_rows_match_the_per_trial_oracle(monkeypatch, chain, a_zero):
             dataclasses.replace(p, a=0.0) for p in draw(spec, m, rng)])
     spec = chains.chain_spec(chain)
     space = euclidean(2)
-    trials = chains._draw_trials(spec, space, 3, np.random.default_rng(1))
-    rows = spec.rows(chains._Rows(trials, spec.two_geodesics), 1e-8)
-    for trial, got in zip(trials, rows):
+    chunk = chains._draw_trials(spec, space, 3, np.random.default_rng(1))
+    rows = spec.rows(chains._Rows(chunk), 1e-8)
+    for i, got in enumerate(rows):
         assert isinstance(got, AccuracyError)
         with pytest.raises(AccuracyError) as want:
-            spec.evaluate(trial.f, trial.g, trial.h, trial.params)
+            spec.evaluate(*chunk.objects(i))
         assert str(got) == str(want.value)
     summary = falsify_search(chain, space, 20, seed=1)
     assert summary["evaluated"] == 0

@@ -127,10 +127,15 @@ def test_godunova_levin_masks_endpoint_columns():
 
 
 def test_identity_verdict_counts_full_grid():
-    f, g = scalar_pullback(lambda t: t)
-    verdict = check_convex(f, g, samples=16, pairs=2)
-    assert verdict.holds
-    assert verdict.samples == 3 * 18
+    # a NaN value of f fails the check: it is not a vacuous sample
+    for fn, holds in ((lambda t: t, True),
+                      (lambda t: np.full_like(t, np.nan), False)):
+        f, g = scalar_pullback(fn)
+        for verdict in (check_convex(f, g, samples=16, pairs=2),
+                        check_h_convex(f, g, samples=16, pairs=2),
+                        check_quasi_or_p_convex(f, g, samples=16, pairs=2)):
+            assert verdict.holds == holds
+            assert verdict.samples == 3 * 18
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +150,14 @@ def test_sqrt_is_quasiconvex_but_not_convex():
 
 
 def test_concave_bump_fails_quasiconvexity():
-    f, g = scalar_pullback(lambda t: t * (1.0 - t))
-    verdict = check_quasi_or_p_convex(f, g, "quasi")
-    assert not verdict.holds
-    assert verdict.worst_slack < -0.1
+    # F(lam) = +inf under the finite bound of the whole segment fails
+    for bump in (lambda t: t * (1.0 - t),
+                 lambda t: np.where(np.abs(t - 0.5) < 0.2, np.inf, 0.0)):
+        f, g = scalar_pullback(bump)
+        for verdict in (check_quasi_or_p_convex(f, g, "quasi"),
+                        check_convex(f, g)):
+            assert not verdict.holds
+            assert verdict.worst_slack < -0.1
 
 
 def test_p_convexity_of_roots():

@@ -16,8 +16,8 @@ from geofrac.spaces import (busemann_gap, busemann_gap_batch, cn_gap,
                             geodesic_point, geodesic_restrict, Geodesic,
                             half_plane, Point, product, random_geodesic,
                             random_point, sample_points, spider, sturm_gap,
-                            sturm_gap_batch, _put_rows,
-                            _random_geodesic_rows, _take_rows)
+                            sturm_gap_batch, _put_rows, _random_ends,
+                            _row_geodesic, _take_rows)
 
 E2 = euclidean(2)
 H = half_plane()
@@ -612,12 +612,16 @@ def test_sturm_gap_on_restricted_geodesics():
 
 
 def test_sampling_is_deterministic_per_seed():
-    for space in ALL_SPACES:
-        a = sample_points(space, 7, np.random.default_rng(2))
-        b = sample_points(space, 7, np.random.default_rng(2))
+    # and every sampled row is a valid point: the falsifier keeps its draws
+    # as columns and validates a row only when it builds the row's Point
+    for space in ALL_SPACES + [product(E2, S3)]:
+        a = sample_points(space, 4096, np.random.default_rng(2))
+        b = sample_points(space, 4096, np.random.default_rng(2))
         pa = space._single(a, 3)
         pb = space._single(b, 3)
         assert distance(space.point(pa), space.point(pb)) == 0.0
+        for i in range(4096):
+            space._validate(space._single(a, i))
 
 
 ROW_SPACES = [E2, H, S3, product(euclidean(2), spider(3)),
@@ -804,11 +808,12 @@ def test_parameter_domain_checks():
 
 @pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
 def test_geodesic_rows_are_their_geodesics_bit_for_bit(space):
-    # a geodesic drawn in a batch has the length and the endpoint
-    # constants of Geodesic(start, end), bit for bit
-    geodesics = _random_geodesic_rows(space, 1024,
-                                      np.random.default_rng(5), 0.05)
-    for g in geodesics:
+    # a row of a geodesic batch has the length and the endpoint constants
+    # of Geodesic(start, end), bit for bit
+    A, B = _random_ends(space, 1024, np.random.default_rng(5), 0.05)
+    ends, dist = space._ends_dist(A, B)
+    for i in range(1024):
+        g = _row_geodesic(space, A, B, ends, dist, i)
         want = Geodesic(g.start, g.end)
         assert g.length >= 0.05
         assert g.length == want.length
@@ -817,12 +822,13 @@ def test_geodesic_rows_are_their_geodesics_bit_for_bit(space):
 
 @pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
 def test_random_geodesic_is_the_one_row_draw(space):
-    # random_geodesic takes the draws of _random_geodesic_rows with m = 1,
+    # random_geodesic takes the draws of a geodesic batch with m = 1,
     # redraws included (min_length 1.5 rejects some pairs on every space)
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(64):
         g = random_geodesic(space, rng1, min_length=1.5)
-        [want] = _random_geodesic_rows(space, 1, rng2, 1.5)
+        A, B = _random_ends(space, 1, rng2, 1.5)
+        want = _row_geodesic(space, A, B, *space._ends_dist(A, B), 0)
         assert g.length >= 1.5 and g.length == want.length
         assert _same_bits((g.start.row, g.end.row, g._ends),
                           (want.start.row, want.end.row, want._ends))
@@ -844,10 +850,11 @@ def test_short_geodesic_rows_alone_are_redrawn(monkeypatch, space):
         return batch
 
     monkeypatch.setattr(space, "_sample", scripted)
-    geodesics = _random_geodesic_rows(space, 8, np.random.default_rng(2),
-                                      0.05)
+    A, B = _random_ends(space, 8, np.random.default_rng(2), 0.05)
+    ends, dist = space._ends_dist(A, B)
     assert [len(_leaves(b)[0]) for b in batches] == [8, 8, 2, 2]
-    for i, g in enumerate(geodesics):
+    for i in range(8):
+        g = _row_geodesic(space, A, B, ends, dist, i)
         if i in (1, 4):
             j = [(1, 4).index(i)]
             want = _take_rows(batches[2], j), _take_rows(batches[3], j)
