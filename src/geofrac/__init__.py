@@ -17,10 +17,10 @@ from .convexity import (ConvexityVerdict, HFunction, check_convex,
                         distance_between_geodesics_function, h_function,
                         on_geodesic, scalar_pullback,
                         squared_distance_function)
-from .chains import (CHAIN_NAMES, CompositeOperand, InequalityReport,
-                     TheoremParams, classic_hh, compute_C, compute_C_oracle,
-                     compute_E, conde_hh, corollary_distance, falsify_search,
-                     h_hh, thm_cb1, thm_cb2, thm_ty1)
+from .chains import (CHAIN_NAMES, InequalityReport, TheoremParams,
+                     classic_hh, compute_C, compute_C_oracle, compute_E,
+                     conde_hh, corollary_distance, falsify_search, h_hh,
+                     thm_cb1, thm_cb2, thm_ty1)
 from .expressions import parse_expression
 
 __version__ = "0.1.0"

@@ -64,10 +64,11 @@ in one call (the order is in its docstring), and the chunk stays columns
 (`_Chunk`) up to the reports: a row becomes Points, Geodesics and an f
 only for the convexity precheck and for the worst row's instance.  Each
 chain picks its points and integrals, and builds its sides, in one
-function, its `ChainSpec.rows` body.  The falsifier runs the body on a
-chunk's surviving rows (`_Rows`); a public chain checks its inputs and
-runs it on its one trial (`_OneTrial`), whose integrals are the public
-`integrate`, `katugampola_left` (rho = 1) and `compute_E`.
+function, its `ChainSpec.rows` body.  The falsifier runs the body on
+every row of a chunk, and counts a row that the precheck rejects as
+discarded; a public chain checks its inputs and runs it on its one trial
+(`_OneTrial`), whose integrals are the public `integrate`,
+`katugampola_left` (rho = 1) and `compute_E`.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ from .quadrature import (_integrate_rows, _weighted_rows, as_array_function,
 from .spaces import (Geodesic, Space, _point_of_row, _random_ends,
                      _read_only, _row_geodesic, _take_rows)
 
-__all__ = ["TheoremParams", "InequalityReport", "CompositeOperand",
-           "classic_hh", "h_hh", "conde_hh", "thm_cb1", "thm_cb2", "thm_ty1",
-           "compute_C", "compute_C_oracle", "compute_E",
-           "corollary_distance", "falsify_search", "CHAIN_NAMES", "CHAINS",
-           "ChainSpec", "chain_spec"]
+__all__ = ["TheoremParams", "InequalityReport", "classic_hh", "h_hh",
+           "conde_hh", "thm_cb1", "thm_cb2", "thm_ty1", "compute_C",
+           "compute_C_oracle", "compute_E", "corollary_distance",
+           "falsify_search", "CHAIN_NAMES", "CHAINS", "ChainSpec",
+           "chain_spec"]
 
 DEFAULT_CHAIN_TOL = 1e-8
 
@@ -164,28 +165,6 @@ def _report(chain_name: str, sides, tol: float, instance: dict,
     passed = all(m >= -tol for m in margins)
     return InequalityReport(chain_name, labeled, margins, passed, float(tol),
                             instance, extras or {})
-
-
-class CompositeOperand:
-    """Operand x -> base(x^rho) of an array function base.
-
-    With the pullback `on_geodesic(f, g)` as base it is x -> f(g(x^rho)).
-    Parameters are clipped to [0, 1] to absorb roundoff at interval ends.
-    """
-
-    __slots__ = ("rho", "_fn", "name")
-
-    def __init__(self, base: Callable, rho: float):
-        rho = float(rho)
-        if not (math.isfinite(rho) and rho > 0.0):
-            raise DomainError("rho must be positive and finite")
-        self.rho = rho
-        self._fn = as_array_function(base)
-        self.name = getattr(base, "__name__", "f")
-
-    def __call__(self, x) -> np.ndarray:
-        return self._fn(np.clip(np.asarray(x, dtype=float) ** self.rho,
-                                0.0, 1.0))
 
 
 def _geodesic_json(g: Geodesic) -> dict:
@@ -448,21 +427,37 @@ def _corollary_instance(g1: Geodesic, g2: Geodesic, hf: HFunction,
 # ---------------------------------------------------------------------------
 
 
+def _values(results) -> list:
+    # each row's value, or the AccuracyError of a row that did not converge
+    return [v if isinstance(v, AccuracyError) else v[0] for v in results]
+
+
 class _Chunk:
-    """Falsifier draws as columns: the params and h lists, the batch ys of
-    the reference points y of f = d(., y)^2 (None for two geodesics), and
-    per geodesic batch its starts, ends, endpoint stage and lengths
-    (A, B, ends, dist).  The batches are read-only, so the row view that
-    a Point or Geodesic of `objects` holds cannot change."""
+    """Falsifier draws as columns, and their R trials of one chain
+    evaluated together.  The columns are the params and h lists, the
+    batch ys of the reference points y of f = d(., y)^2 (None for two
+    geodesics), and per geodesic batch its starts, ends, endpoint stage
+    and lengths (A, B, ends, dist); they are read-only, so the row view
+    that a Point or Geodesic of `objects` holds cannot change.
+    `pull(ts, rows)` is every trial's pullback, line k of ts (..., K, m)
+    on trial rows[k]; an integral is the row's AccuracyError where it
+    does not converge.  The operator sides are one fold integral of every
+    row (`_fold`), and E is another."""
 
     def __init__(self, space: Space, params: list, hs: list, ys,
                  geodesics: tuple):
         self.space, self.params, self.hs = space, params, hs
         self.ys = None if ys is None else _read_only(ys)
         self.geodesics = _read_only(geodesics)
-
-    def __len__(self) -> int:
-        return len(self.params)
+        self.intervals = [(p.a, p.b) for p in params]
+        self.index = np.arange(len(params))
+        # each row's geodesic lengths, and the endpoint-stage batches
+        self.lengths = list(zip(*(g[3].tolist() for g in geodesics)))
+        ends = [g[2] for g in geodesics]
+        if ys is None:
+            self.pull = _geodesic_distance_rows(space, *ends)
+        else:
+            self.pull = _distance_pullback_rows(space, *ends, ys, 2.0)
 
     def objects(self, i: int) -> tuple:
         """Row i as ChainSpec.evaluate's (f, g, h, params): g is a
@@ -475,41 +470,6 @@ class _Chunk:
         return (squared_distance_function(self.space, y, 2.0), gs[0],
                 self.hs[i], self.params[i])
 
-    def take(self, kept: list) -> "_Chunk":
-        """The rows kept, in order; the chunk itself when that is all."""
-        if len(kept) == len(self):
-            return self
-        return _Chunk(self.space, [self.params[i] for i in kept],
-                      [self.hs[i] for i in kept],
-                      None if self.ys is None else _take_rows(self.ys, kept),
-                      _take_rows(self.geodesics, kept))
-
-
-def _values(results) -> list:
-    # each row's value, or the AccuracyError of a row that did not converge
-    return [v if isinstance(v, AccuracyError) else v[0] for v in results]
-
-
-class _Rows:
-    """A chunk's R trials of one chain, evaluated together from its
-    columns: `pull(ts, rows)` is every trial's pullback, line k of ts
-    (..., K, m) on trial rows[k]; an integral is the row's AccuracyError
-    where it does not converge.  The operator sides are one fold integral
-    of every row (`_fold`), and E is another."""
-
-    def __init__(self, chunk: _Chunk):
-        self.params, self.hs = chunk.params, chunk.hs
-        self.intervals = [(p.a, p.b) for p in self.params]
-        self.index = np.arange(len(chunk))
-        # each row's geodesic lengths, and the endpoint-stage batches
-        self.lengths = list(zip(*(g[3].tolist() for g in chunk.geodesics)))
-        ends = [g[2] for g in chunk.geodesics]
-        if chunk.ys is None:
-            self.pull = _geodesic_distance_rows(chunk.space, *ends)
-        else:
-            self.pull = _distance_pullback_rows(chunk.space, *ends, chunk.ys,
-                                                2.0)
-
     def at(self, ts) -> np.ndarray:
         """The pullbacks at ts, R rows of parameters."""
         return self.pull(np.array(ts, dtype=float), self.index)
@@ -519,51 +479,52 @@ class _Rows:
         lo, hi = zip(*ab)
         return _values(_integrate_rows(self.pull, lo, hi, [1.0] * len(lo)))
 
-    def _fold(self, phi: Callable, shifts) -> list:
-        """Int_0^W w^(alpha-1) [phi(u, rows) + phi(shift - u, rows)] dw per
-        row, u = b^rho - w and W = b^rho - a^rho: every row's node map and
-        shift in one array expression, one `_weighted_rows` call."""
+    def _fold(self, phi: Callable, shifts, scales) -> list:
+        """scale times Int_0^W w^(alpha-1) [phi(u, rows) + phi(shift - u,
+        rows)] dw per row, u = b^rho - w and W = b^rho - a^rho: every
+        row's node map and shift in one array expression, one
+        `_weighted_rows` call."""
         shift = np.array(shifts, dtype=float)
         brs = [p.b ** p.rho for p in self.params]
         ends = np.array(brs)
-        return _values(_weighted_rows(
+        values = _values(_weighted_rows(
             lambda w, rows: _folded(lambda x: phi(x, rows),
                                     np.maximum(ends[rows, None] - w, 0.0),
                                     shift[rows, None]),
             [0.0] * len(brs),
             [br - p.a ** p.rho for br, p in zip(brs, self.params)],
             [p.alpha for p in self.params]))
+        return [v if isinstance(v, AccuracyError) else scale * v
+                for v, scale in zip(values, scales)]
 
     def operators(self, shifts) -> list:
         """The fold integral of u -> fg(u) + fg(shift - u) over Gamma(alpha),
         `katugampola_left` with rho = 1 on [a^rho, b^rho]
         (`_OneTrial.operators`)."""
-        values = self._fold(self.pull, shifts)
-        return [v if isinstance(v, AccuracyError)
-                else 1.0 / math.gamma(p.alpha) * v
-                for v, p in zip(values, self.params)]
+        return self._fold(self.pull, shifts,
+                          [1.0 / math.gamma(p.alpha) for p in self.params])
 
     def e_values(self) -> list:
-        """`compute_E` of each row: the fold of u -> h(u) + h(1 - u), h =
-        t**k one power of the drawn exponent column, h(1/2) = 0.5**k.  It
-        is `compute_E` bit for bit but on numpy's scalar-exponent fast
-        paths (k = -1, 0.5, 2); the falsifier never draws k = -1, and
-        draws exactly 0.5 or 2 with negligible probability."""
+        """`compute_E` of each row: alpha h(1/2) times the fold of
+        u -> h(u) + h(1 - u), h = t**k one power of the drawn exponent
+        column, h(1/2) = 0.5**k.  It is `compute_E` bit for bit but on
+        numpy's scalar-exponent fast paths (k = -1, 0.5, 2); the falsifier
+        never draws k = -1, and draws exactly 0.5 or 2 with negligible
+        probability."""
         k = np.array([hf.k for hf in self.hs])
-        values = self._fold(lambda x, rows: x ** k[rows, None],
-                            [1.0] * len(k))
-        return [v if isinstance(v, AccuracyError) else p.alpha * h_half * v
-                for v, p, h_half in zip(values, self.params,
-                                        (0.5 ** k).tolist())]
+        return self._fold(lambda x, rows: x ** k[rows, None], [1.0] * len(k),
+                          [p.alpha * h_half for p, h_half
+                           in zip(self.params, (0.5 ** k).tolist())])
 
 
 class _OneTrial:
-    """A public chain's one trial, with `_Rows`' four methods: fg is its
-    pullback (f itself for classic_hh and h_hh, on their own interval),
-    and its integrals are the public `integrate`, `katugampola_left` and
-    `compute_E`, whose AccuracyError propagates.  Its operator side is
-    the fold integral as `katugampola_left` with rho = 1 on
-    [a^rho, b^rho], whose node map is then u = b^rho - w."""
+    """A public chain's one trial, with the four evaluation methods of a
+    falsifier `_Chunk`: fg is its pullback (f itself for classic_hh and
+    h_hh, on their own interval), and its integrals are the public
+    `integrate`, `katugampola_left` and `compute_E`, whose AccuracyError
+    propagates.  Its operator side is the fold integral as
+    `katugampola_left` with rho = 1 on [a^rho, b^rho], whose node map is
+    then u = b^rho - w."""
 
     def __init__(self, fg: Callable, hf: Optional[HFunction] = None,
                  params: Optional[TheoremParams] = None, interval=None,
@@ -728,14 +689,14 @@ class ChainSpec(NamedTuple):
     geodesics and f is unused.  h is None unless takes_h, and
     params.q is None unless needs_q.  The evaluators reach the chains
     through their module-level names, so rebinding a name takes effect.
-    rows(rows, tol) is the chain's one body: it evaluates a `_Rows` batch
-    or a public chain's `_OneTrial`, a report per row, with an empty
-    instance, or the row's AccuracyError; instance(f, g, h, params) is
-    evaluate's instance, from the chain's own helper.
+    rows(rows, tol) is the chain's one body: it evaluates a falsifier
+    `_Chunk` or a public chain's `_OneTrial`, a report per row, with an
+    empty instance, or the row's AccuracyError; instance(f, g, h, params)
+    is evaluate's instance, from the chain's own helper.
     """
 
     evaluate: Callable[..., InequalityReport]
-    rows: Callable[[Union[_Rows, _OneTrial], float], list]
+    rows: Callable[[Union[_Chunk, _OneTrial], float], list]
     instance: Callable[..., dict]
     takes_h: bool = True
     needs_q: bool = False
@@ -788,8 +749,8 @@ def chain_spec(chain: str) -> ChainSpec:
 
 _H_DOMINATING = ("identity", "constant_one", "power")
 
-#: falsifier draws per chunk; a chunk's surviving trials are evaluated as
-#: one batch, whose arrays grow with it
+#: falsifier draws per chunk; a chunk's trials are evaluated as one
+#: batch, whose arrays grow with it
 CHUNK = 64
 
 
@@ -827,22 +788,26 @@ def _draw_hs(m: int, rng: np.random.Generator) -> list:
 
 def _draw_trials(spec: ChainSpec, space: Space, trials: int,
                  rng: np.random.Generator) -> _Chunk:
-    # the next `trials` draws of falsify_search that pass the convexity
-    # precheck, in draw order; the columns are drawn in the order of
-    # falsify_search's docstring
+    # the next `trials` draws of falsify_search as one chunk; the columns
+    # are drawn in the order of falsify_search's docstring
     params = _draw_params(spec, trials, rng)
     hs = _draw_hs(trials, rng) if spec.takes_h else [None] * trials
     ys = None if spec.two_geodesics else space._sample(trials, rng)
     drawn = [_random_ends(space, trials, rng, 0.05)
              for _ in range(1 + spec.two_geodesics)]
-    chunk = _Chunk(space, params, hs, ys, tuple(
+    return _Chunk(space, params, hs, ys, tuple(
         (A, B) + space._ends_dist(A, B) for A, B in drawn))
-    if spec.two_geodesics:
-        return chunk
-    objects = map(chunk.objects, range(trials))
-    return chunk.take([i for i, (f, g, hf, _) in enumerate(objects)
-                       if check_h_convex(f, g, hf or "identity",
-                                         seed=0).holds])
+
+
+def _whole(name: str, value) -> int:
+    # trials and seed: an integral number >= 0
+    try:
+        whole = int(value) == value and value >= 0
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DomainError("%s must be an integer >= 0" % name)
+    return int(value)
 
 
 def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
@@ -853,7 +818,8 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     Instances whose convexity precondition fails on the sampled grid are
     discarded (counted, not treated as violations); quadrature failures
     are likewise counted and skipped.  Identical (chain, space, trials,
-    seed, tol) inputs give identical summaries; seed must be >= 0.
+    seed, tol) inputs give identical summaries; trials and seed must be
+    integers >= 0 and tol positive and finite.
 
     Instances come from one random stream in chunks of m = CHUNK draws
     (fewer in the last chunk).  A chunk is drawn column by column, each
@@ -865,14 +831,16 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     takes two geodesics; then the geodesics' starts and ends, after
     which starts and ends are redrawn for the rows shorter than 0.05
     alone, until none is left (the corollary draws its first and then
-    its second geodesics so).  The convexity precheck then runs on each
-    trial on its own, on the row's own Point, Geodesic and f; it stays
-    per trial while the benchmark counts `convexity.check.calls` as a use
-    of the verify workloads.  A chunk's surviving trials are evaluated
-    together from its columns by the chain's body (`ChainSpec.rows`), and
-    a row that carries an AccuracyError counts as a quadrature failure.
-    The worst report, with `ChainSpec.instance` of the worst row's
-    objects, becomes worst_instance; ties go to the first trial.
+    its second geodesics so).  Every trial of the chunk is evaluated,
+    together from its columns, by the chain's body (`ChainSpec.rows`).
+    The convexity precheck runs on each trial of a chain with one
+    geodesic on its own, in row order, on the row's own Point, Geodesic
+    and f; it stays per trial while the benchmark counts
+    `convexity.check.calls` as a use of the verify workloads.  A trial
+    that it rejects counts as discarded, whatever its report; of the
+    others, a row that carries an AccuracyError counts as a quadrature
+    failure.  The worst report, with `ChainSpec.instance` of the worst
+    row's objects, becomes worst_instance; ties go to the first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant before counting violations; it is a probe of that
@@ -883,22 +851,23 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     if product_c_term and chain != "corollary_distance":
         raise DomainError("product_c_term only applies to"
                           " corollary_distance")
-    trials = int(trials)
-    if trials < 0:
-        raise DomainError("trials must be >= 0")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
+    trials, seed = _whole("trials", trials), _whole("seed", seed)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError("tol must be positive and finite")
     rng = np.random.default_rng(seed)
     discarded = evaluated = failures = violations = 0
     worst_margin = worst = None
     for start in range(0, trials, CHUNK):
         draws = min(CHUNK, trials - start)
         chunk = _draw_trials(spec, space, draws, rng)
-        discarded += draws - len(chunk)
-        if not chunk:
-            continue
-        reports = spec.rows(_Rows(chunk), tol)
-        for i, report in enumerate(reports):
+        admissible = [True] * draws if spec.two_geodesics else [
+            check_h_convex(f, g, hf or "identity", seed=0).holds
+            for f, g, hf, _ in map(chunk.objects, range(draws))]
+        reports = spec.rows(chunk, tol)
+        for i, (report, kept) in enumerate(zip(reports, admissible)):
+            if not kept:
+                discarded += 1
+                continue
             if isinstance(report, AccuracyError):
                 failures += 1
                 continue
@@ -914,7 +883,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         worst_instance = report.to_dict()
         worst_instance["instance"] = spec.instance(*chunk.objects(i))
     summary = {"chain": chain, "space": space.name, "trials": trials,
-               "seed": int(seed), "tol": float(tol), "evaluated": evaluated,
+               "seed": seed, "tol": float(tol), "evaluated": evaluated,
                "discarded": discarded, "quadrature_failures": failures,
                "violations": violations, "worst_margin": worst_margin,
                "worst_instance": worst_instance}

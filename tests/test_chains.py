@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geofrac.chains import (CHAIN_NAMES, CompositeOperand, InequalityReport,
-                            TheoremParams, classic_hh, compute_C,
+from geofrac.chains import (CHAIN_NAMES, InequalityReport, TheoremParams,
+                            chain_spec, classic_hh, compute_C,
                             compute_C_oracle, compute_E, conde_hh,
                             corollary_distance, falsify_search, h_hh,
                             thm_cb1, thm_cb2, thm_ty1)
@@ -66,16 +66,6 @@ def test_report_serialization_shape():
     assert isinstance(rep, InequalityReport)
 
 
-def test_composite_operand_powers():
-    op = CompositeOperand(lambda t: t * t, 2.0)
-    x = np.array([0.3, 0.9])
-    assert np.allclose(op(x), x ** 4)
-    # out-of-range parameters are clipped into [0, 1]
-    assert op(np.array([1.0 + 1e-12]))[0] == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        CompositeOperand(lambda t: t, 0.0)
-
-
 @pytest.mark.parametrize("space", [half_plane(), spider(3)],
                          ids=lambda s: s.name)
 def test_pullbacks_keep_the_input_shape(space):
@@ -89,7 +79,7 @@ def test_pullbacks_keep_the_input_shape(space):
              (distance_between_geodesics_function(g1, g2),
               distance(g1.eval(0.5), g2.eval(0.5)) ** 2)]
     for pullback, want in cases:
-        out = CompositeOperand(pullback, 1.0)(x)
+        out = pullback(x)
         assert out.shape == (2, 2)
         assert np.all(out == pytest.approx(want, rel=1e-14))
         assert pullback(0.5).shape == ()
@@ -488,7 +478,7 @@ def _operator_sides(fg, reflected):
     for alpha, rho, a, b in ((0.3, 0.7, 0.0, 1.0), (1.0, 1.0, 0.2, 0.8),
                              (2.5, 2.2, 0.45, 0.9), (2.5, 2.2, 0.0, 0.9),
                              (0.6, 0.5, 0.0, 0.7), (0.3, 0.5, 0.3, 1.0)):
-        F = CompositeOperand(fg, rho)
+        F = lambda x: fg(np.clip(x ** rho, 0.0, 1.0))
         kl, el = katugampola_left(F, alpha, rho, a, b, full_output=True)
         if reflected:
             shift = 1.0
@@ -669,6 +659,36 @@ def test_corollary_is_essentially_sharp(alpha, rho, a, b_frac, theta,
     assert _collinear_margin(p, *segments, 0.1)[0] > 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.25, 3.0), st.floats(0.5, 2.5), st.floats(0.0, 0.9),
+       st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(0.0, 2.0 * math.pi), st.floats(0.05, 2.0),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_affine_pullbacks_make_the_chains_equalities(alpha, rho, a, b_frac,
+                                                     x0, y0, theta, length,
+                                                     c0, c1, d):
+    # f(B) = B.c + d on euclidean2 pulls back to an affine function of t,
+    # and with h = identity every margin of these chains is 0 to rounding
+    # (classic_hh takes the pullback as its scalar f); so is thm_cb1's
+    # when q = alpha, where its Hoelder bound is the exact h-integral.
+    # The bound scales with the size of the pullback's terms, |c| |B| +
+    # |d| along g, since the sides themselves can cancel to 0
+    p = TheoremParams(alpha, rho, a, min(1.0, a + 0.05 + b_frac * (0.95 - a)),
+                      alpha if alpha > 1.0 else None)
+    start = np.array([x0, y0])
+    end = start + length * np.array([math.cos(theta), math.sin(theta)])
+    c = np.array([c0, c1])
+    e2 = euclidean(2)
+    g = Geodesic(e2.point(start), e2.point(end))
+    size = np.abs(c) @ np.maximum(np.abs(start), np.abs(end)) + abs(d)
+    chains = ["classic_hh", "h_hh", "conde_hh", "thm_cb2", "thm_ty1"]
+    for chain in chains + ["thm_cb1"] * (p.q is not None):
+        rep = chain_spec(chain).evaluate(lambda B: B @ c + d, g,
+                                         h_function("identity"), p)
+        assert (max(map(abs, rep.margins))
+                <= SHARP_EPS * np.finfo(float).eps * size), chain
+
+
 def test_corollary_swap_invariance():
     hp = half_plane()
     rng = np.random.default_rng(44)
@@ -754,9 +774,18 @@ def test_falsify_unknown_chain():
     assert "thm_cb1" in CHAIN_NAMES
 
 
-def test_falsify_negative_seed_is_a_domain_error():
-    with pytest.raises(DomainError, match="seed"):
-        falsify_search("classic_hh", euclidean(2), 1, seed=-1)
+@pytest.mark.parametrize("kwargs, name", [
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+    ({"trials": 2.7}, "trials"), ({"tol": float("nan")}, "tol"),
+    ({"tol": -1.0}, "tol")], ids=["negative_seed", "fractional_seed",
+                                  "fractional_trials", "nan_tol",
+                                  "negative_tol"])
+def test_falsify_rejects_what_the_cli_rejects(kwargs, name):
+    # a negative or fractional seed, a fractional trial count and a tol
+    # that is not positive and finite (the CLI's --tol rule)
+    kwargs = {"trials": 3, **kwargs}
+    with pytest.raises(DomainError, match=name):
+        falsify_search("classic_hh", euclidean(2), **kwargs)
 
 
 def test_falsify_is_deterministic():
@@ -807,8 +836,9 @@ BATCH_SPACES = [euclidean(2), half_plane(), spider(3),
 def _per_trial_search(chain, space, trials, seed, tol=1e-8,
                       product_c_term=False):
     # the falsifier's accounting, with each trial that chains._draw_trials
-    # draws (chunk by chunk, from the same stream) evaluated by its public
-    # chain through ChainSpec.evaluate, one after another
+    # draws (chunk by chunk, from the same stream) prechecked and, unless
+    # it is discarded, evaluated by its public chain through
+    # ChainSpec.evaluate, one after another
     import geofrac.chains as chains
 
     spec = chains.chain_spec(chain)
@@ -819,10 +849,14 @@ def _per_trial_search(chain, space, trials, seed, tol=1e-8,
     for start in range(0, trials, chains.CHUNK):
         draws = min(chains.CHUNK, trials - start)
         chunk = chains._draw_trials(spec, space, draws, rng)
-        discarded += draws - len(chunk)
-        for i in range(len(chunk)):
+        for i in range(draws):
+            f, g, h, p = chunk.objects(i)
+            if not (spec.two_geodesics or chains.check_h_convex(
+                    f, g, h or "identity", seed=0).holds):
+                discarded += 1
+                continue
             try:
-                report = spec.evaluate(*chunk.objects(i), tol=tol)
+                report = spec.evaluate(f, g, h, p, tol=tol)
             except AccuracyError:
                 failures += 1
                 continue
@@ -924,8 +958,8 @@ def test_batch_rows_equal_the_per_trial_chain(chain):
                                     np.random.default_rng(1))
         if space.name == "spider(3)":
             chunk = _with_hub_row(spec, chunk, 5)
-        rows = spec.rows(chains._Rows(chunk), 1e-8)
-        assert len(rows) == len(chunk)
+        rows = spec.rows(chunk, 1e-8)
+        assert len(rows) == len(chunk.params)
         for i, got in enumerate(rows):
             objects = chunk.objects(i)
             want = spec.evaluate(*objects, tol=1e-8)
@@ -947,16 +981,15 @@ def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
     spec = chains.chain_spec("conde_hh")
     chunk = chains._draw_trials(spec, spider(3), 40,
                                 np.random.default_rng(1))
-    rows = chains._Rows(chunk)
-    pull, shapes = rows.pull, []
+    pull, shapes = chunk.pull, []
 
     def counted_pull(ts, index):
         shapes.append(ts.shape)
         return pull(ts, index)
 
-    rows.pull = counted_pull
-    rows.means([(0.0, 1.0)] * len(chunk))
-    assert shapes[0] == (len(chunk), 48) and len(shapes) > 1
+    chunk.pull = counted_pull
+    chunk.means([(0.0, 1.0)] * len(chunk.params))
+    assert shapes[0] == (len(chunk.params), 48) and len(shapes) > 1
     calls = []
     for name in CHAIN_NAMES:
         def counted(*args, _fn=getattr(chains, name), _name=name, **kwargs):
@@ -981,12 +1014,12 @@ def test_operator_rows_call_no_per_row_function(monkeypatch):
     spec = chains.chain_spec("thm_ty1")
     chunk = chains._draw_trials(spec, spider(3), 40,
                                 np.random.default_rng(1))
-    trials = [chunk.objects(i) for i in range(len(chunk))]
+    trials = [chunk.objects(i) for i in range(len(chunk.params))]
     shifts = [1.0 if k % 2 else p.a ** p.rho + p.b ** p.rho
               for k, (f, g, h, p) in enumerate(trials)]
     want = [chains._OneTrial(on_geodesic(f, g), params=p)
             .operators([s])[0] for (f, g, h, p), s in zip(trials, shifts)]
-    assert chains._Rows(chunk).operators(shifts) == want
+    assert chunk.operators(shifts) == want
 
     assert ({h.name.partition("(")[0] for f, g, h, p in trials}
             == {"identity", "constant_one", "power"})
@@ -996,9 +1029,8 @@ def test_operator_rows_call_no_per_row_function(monkeypatch):
     def no_call(*args):
         raise AssertionError("an HFunction ran")
 
-    rows = chains._Rows(chunk)
     monkeypatch.setattr(HFunction, "__call__", no_call)
-    assert [v.hex() for v in rows.e_values()] == want
+    assert [v.hex() for v in chunk.e_values()] == want
 
 
 def test_drawn_h_is_dominating():
@@ -1014,15 +1046,15 @@ def test_drawn_h_is_dominating():
 def test_drawn_trials_keep_the_draw_invariants(space):
     # every drawn instance is admissible: length >= 0.05, alpha q > 1.05,
     # a dominating h (the geodesics' bits: test_spaces); the drawn
-    # columns are read-only, whole or with rows discarded
+    # columns are read-only
     import geofrac.chains as chains
 
     rng = np.random.default_rng(5)
     for chain in ("thm_cb1", "corollary_distance"):
         spec = chains.chain_spec(chain)
         chunk = chains._draw_trials(spec, space, 256, rng)
-        assert len(chunk) == 256
-        for i in range(len(chunk)):
+        assert len(chunk.params) == 256
+        for i in range(256):
             f, g, h, p = chunk.objects(i)
             chains._require_dominating_h(h)
             if spec.two_geodesics:
@@ -1030,10 +1062,8 @@ def test_drawn_trials_keep_the_draw_invariants(space):
             else:
                 assert g.length >= 0.05
                 assert p.alpha * p.q > 1.05
-        assert chunk.take(list(range(256))) is chunk
-        for kept in (chunk, chunk.take([3, 1])):
-            for leaf in _leaves((kept.ys, kept.geodesics)):
-                assert not leaf.flags.writeable
+        for leaf in _leaves((chunk.ys, chunk.geodesics)):
+            assert not leaf.flags.writeable
 
 
 def _leaves(batch):
@@ -1079,7 +1109,6 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
     # geodesic
     import geofrac.chains as chains
     import geofrac.spaces as spaces
-    from geofrac.convexity import ConvexityVerdict
 
     def no_call(*args, **kwargs):
         raise AssertionError("per-trial draw")
@@ -1089,8 +1118,8 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
     monkeypatch.setattr(spaces.Space, "random_point", no_call)
     assert falsify_search(chain, euclidean(2), 70, seed=1)["evaluated"] == 70
 
-    accept = lambda *args, **kwargs: ConvexityVerdict(True, 0.0, None, 0)
-    monkeypatch.setattr(chains, "check_h_convex", accept)
+    # a draw runs no convexity precheck: falsify_search runs it
+    monkeypatch.setattr(chains, "check_h_convex", no_call)
     spec = chains.chain_spec(chain)
     geodesics = 2 if spec.two_geodesics else 1
     for m in (8, 64, 512):
@@ -1102,7 +1131,7 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
                 return _fn(*a)
             monkeypatch.setattr(space, name, counted)
         assert len(chains._draw_trials(spec, space, m,
-                                       np.random.default_rng(m))) == m
+                                       np.random.default_rng(m)).params) == m
         # the euclidean _ends_dist takes its distances from _dist: a
         # geodesic batch makes one _dist for its redraw test and one
         # with its endpoint constants
@@ -1178,7 +1207,7 @@ def test_failed_rows_match_the_per_trial_oracle(monkeypatch, chain, a_zero):
     spec = chains.chain_spec(chain)
     space = euclidean(2)
     chunk = chains._draw_trials(spec, space, 3, np.random.default_rng(1))
-    rows = spec.rows(chains._Rows(chunk), 1e-8)
+    rows = spec.rows(chunk, 1e-8)
     for i, got in enumerate(rows):
         assert isinstance(got, AccuracyError)
         with pytest.raises(AccuracyError) as want:

@@ -1,9 +1,9 @@
-"""Record a benchmark claim: alternating parent/change pairs of bench/run.py.
+"""Alternating parent/change pairs of bench/run.py, with or without a claim.
 
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --parent REV --label one_path \
-        --claim verify_fractional --pairs 10 --seconds 30 --seed0 900
+        [--claim verify_fractional] --pairs 10 --seconds 30 --seed0 900
 
 The committed files of the parent revision REV are exported (`git
 archive`) into a temporary directory; the change is this working tree,
@@ -14,7 +14,9 @@ pairs.  BENCH_<label>.json gets
 every run's result line (and, for the claimed workload, its
 .bench_out/run-*.json detail) and, per workload and end-to-end metric,
 both sides' medians and quartiles, the relative change of the medians
-and the number of pairs in which the change was lower.
+and the number of pairs in which the change was lower.  Without --claim
+the record claims no workload and keeps no detail: it only shows
+whether any workload got worse.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True,
                         help="the parent revision to compare with")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--claim", required=True, choices=WORKLOADS,
-                        help="the workload whose gain is claimed")
+    parser.add_argument("--claim", choices=WORKLOADS,
+                        help="the workload whose gain is claimed, if any")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed0", type=int, required=True)
@@ -121,6 +123,12 @@ def main(argv=None) -> int:
                     print(workload, seed, side,
                           record["result"]["metrics"]["pass_s"]["value"],
                           flush=True)
+    if args.claim:
+        detail = ("for the claimed workload %s, its .bench_out/run-"
+                  "<workload>-seed<n>-trace0.json file (detail)"
+                  % args.claim)
+    else:
+        detail = "no detail file: no workload is claimed"
     record = {
         "label": args.label,
         "parent": rev,
@@ -132,9 +140,7 @@ def main(argv=None) -> int:
         "what": ("bench/run.py --trace 0 runs of the parent commit and of "
                  "this change, in alternating pairs (same seed within a "
                  "pair, the first side alternating): each run's last stdout "
-                 "line (result) and, for the claimed workload %s, its "
-                 ".bench_out/run-<workload>-seed<n>-trace0.json file "
-                 "(detail)" % args.claim),
+                 "line (result) and " + detail),
         "summary": {w: _summary(runs, w) for w in WORKLOADS},
         "runs": runs,
     }
