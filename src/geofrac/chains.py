@@ -796,7 +796,7 @@ def _draw_trials(spec: ChainSpec, space: Space, trials: int,
     drawn = [_random_ends(space, trials, rng, 0.05)
              for _ in range(1 + spec.two_geodesics)]
     return _Chunk(space, params, hs, ys, tuple(
-        (A, B) + space._ends_dist(A, B) for A, B in drawn))
+        (A, B) + space._ends(A, B) for A, B in drawn))
 
 
 def _whole(name: str, value) -> int:

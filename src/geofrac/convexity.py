@@ -173,10 +173,10 @@ def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
 # ---------------------------------------------------------------------------
 #
 # A parameter array of shape (..., K, m) comes with the row of each of its
-# K lines: line k goes to geodesic rows[k].  The geodesics come as one
-# endpoint-stage batch (`Space._ends_dist`), and each call takes the rows
-# it needs from it, so every point comes from the same arithmetic as on
-# its own geodesic.
+# K lines: line k goes to geodesic rows[k].  The geodesics come as the
+# constants of one endpoint stage (`Space._ends`), and each call takes
+# the rows it needs from them, so every point comes from the same
+# arithmetic as on its own geodesic.
 
 
 def _along_rows(space: Space, ends, ts: np.ndarray, rows: np.ndarray):

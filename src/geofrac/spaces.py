@@ -33,18 +33,19 @@ validated once, when it is made, and holds its validated one-row batch,
 `row`; its `coords` are read back from that row.  Both are read-only.
 Distances, geodesics and the scalar gaps hand the rows to the batch layer
 as they are.  Each space writes its geodesic formula once, in two stages:
-an endpoint stage (`_ends`) turns two endpoint batches into per-row
-constants, and a parameter stage (`_along`) broadcasts those constants
-against the parameters t.  The batch primitive `_interp` is their
-composition; a Geodesic runs the endpoint stage once and every evaluation
-only the parameter stage.  `_ends_dist` is the endpoint stage together
-with the distances, so a space whose constants need the distance (the
-half-plane, and products with a half-plane factor) computes it once per
-geodesic.  Random geodesics are drawn by one redraw loop, `_random_ends`,
-for one row (`random_geodesic`) or a batch, whose endpoint stage and
-lengths then take one `_ends_dist` call and stay columns; its test for
-short rows takes one more `_dist` per round.  `_row_geodesic` makes one
-row of such a batch a Geodesic, for a caller that needs the object.  An
+the endpoint stage `_ends(A, B)` turns two endpoint batches into per-row
+constants and returns them with the distances, the geodesics' lengths,
+and the parameter stage `_along(ends, t)` broadcasts those constants
+against the parameters t.  A space whose constants need the distance
+(the half-plane, and products with a half-plane factor) thus computes it
+once per geodesic.  A Geodesic runs the endpoint stage once and every
+evaluation only the parameter stage; a gap batch stages each of its
+geodesic pairs once and takes that pair's distance from the stage.
+Random geodesics are drawn by one redraw loop, `_random_ends`, for one
+row (`random_geodesic`) or a batch, whose constants and lengths then
+take one endpoint stage and stay columns; its test for short rows takes
+one more `_dist` per round.  `_row_geodesic` makes one row of such a
+batch a Geodesic, for a caller that needs the object.  An
 array batch is C-contiguous, with a point's few coordinates on its last
 axis; a reduction along that short axis, or an `np.stack` of columns,
 costs more per row than the arithmetic, so the batch kernels work on
@@ -120,12 +121,12 @@ def _point_of_row(space: "Space", row) -> Point:
 class Space:
     """Common interface: validated points, batch distance, batch geodesics.
 
-    Geodesics come from two stages that subclasses provide:
-    `_ends(A, B)` computes per-row constants from the endpoint batches, and
-    `_along(ends, t)` evaluates them at parameters t, broadcasting a single
-    row against many parameters or many rows against one parameter each.
-    `_interp(A, B, t)` is the composition of the two, and
-    `_ends_dist(A, B)` is `_ends(A, B)` with the distances `_dist(A, B)`.
+    Geodesics come from two stages that subclasses provide: the endpoint
+    stage `_ends(A, B)` returns `(ends, dist)`, the per-row constants of
+    the geodesics from A to B and their lengths, equal to `_dist(A, B)`
+    bit for bit; the parameter stage `_along(ends, t)` evaluates the
+    constants at parameters t, broadcasting a single row against many
+    parameters or many rows against one parameter each.
     """
 
     name: str = "abstract"
@@ -165,14 +166,8 @@ class Space:
     def _dist(self, A, B) -> np.ndarray:
         raise NotImplementedError
 
-    def _interp(self, A, B, t) -> Any:
-        return self._along(self._ends(A, B), t)
-
-    def _ends(self, A, B) -> Any:
+    def _ends(self, A, B) -> tuple:
         raise NotImplementedError
-
-    def _ends_dist(self, A, B):
-        return self._ends(A, B), self._dist(A, B)
 
     def _along(self, ends, t) -> Any:
         raise NotImplementedError
@@ -232,7 +227,7 @@ class EuclideanSpace(Space):
         return np.sqrt(s, out=s)
 
     def _ends(self, A, B):
-        return A, B, B - A
+        return (A, B, B - A), self._dist(A, B)
 
     def _along(self, ends, t):
         A, B, delta = ends
@@ -307,9 +302,6 @@ class HalfPlaneSpace(Space):
         return d
 
     def _ends(self, A, B):
-        return self._ends_dist(A, B)[0]
-
-    def _ends_dist(self, A, B):
         dist = self._dist(A, B)
         # below the floor sinh(s d) / sinh d equals s to double precision,
         # and a zero-length geodesic keeps finite weights; the distances
@@ -329,9 +321,11 @@ class HalfPlaneSpace(Space):
         c1 = np.sinh((1.0 - t) * d) * w1
         c2 = np.sinh(t * d) * w2
         y = 1.0 / (c1 + c2)
-        # x = (c1 x1 + c2 x2) y, formed in c1
+        # x = (c1 x1 + c2 x2) y, formed in c1; c2 goes before out is made
         c1 *= A[:, 0]
-        c1 += c2 * B[:, 0]
+        c2 *= B[:, 0]
+        c1 += c2
+        del c2
         c1 *= y
         out = np.empty(y.shape + (2,))
         out[..., 0] = c1
@@ -394,7 +388,7 @@ class SpiderSpace(Space):
         # hub where s turns negative and goes on along the second ray at
         # radius -s (from a hub start, s >= 0 holds only at t = 0)
         slope = np.where(rays1 == rays2, r2 - r1, -(r1 + r2))
-        return r1, slope, rays1, rays2, r2
+        return (r1, slope, rays1, rays2, r2), self._dist(A, B)
 
     def _along(self, ends, t):
         r1, slope, ray_a, ray_b, r2 = ends
@@ -447,11 +441,8 @@ class ProductSpace(Space):
                         self.right._dist(A[1], B[1]))
 
     def _ends(self, A, B):
-        return (self.left._ends(A[0], B[0]), self.right._ends(A[1], B[1]))
-
-    def _ends_dist(self, A, B):
-        left, dl = self.left._ends_dist(A[0], B[0])
-        right, dr = self.right._ends_dist(A[1], B[1])
+        left, dl = self.left._ends(A[0], B[0])
+        right, dr = self.right._ends(A[1], B[1])
         return (left, right), np.hypot(dl, dr)
 
     def _along(self, ends, t):
@@ -509,7 +500,7 @@ class Geodesic:
         if start.space != end.space:
             raise SpaceMismatchError("geodesic endpoints live in different "
                                      "spaces")
-        ends, dist = start.space._ends_dist(start.row, end.row)
+        ends, dist = start.space._ends(start.row, end.row)
         self._hold(start, end, ends, float(dist[0]))
 
     def _hold(self, start: Point, end: Point, ends, length: float):
@@ -590,36 +581,44 @@ def _require_space(space: Space, *points: Point) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _geodesic_points(space: Space, A, B, *ts) -> tuple:
+    """The points at each of ts on the geodesics from A to B, and their
+    lengths, from one endpoint stage; its constants are freed on return,
+    before the caller computes its next distances.  The lengths are a
+    fresh array, the caller's to overwrite."""
+    ends, dist = space._ends(A, B)
+    return [space._along(ends, t) for t in ts], dist
+
+
 def cn_gap_batch(space: Space, P, X, Y) -> np.ndarray:
-    mid = space._interp(X, Y, 0.5)
+    (mid,), d2xy = _geodesic_points(space, X, Y, 0.5)
+    d2xy **= 2
     d2px = space._dist(P, X) ** 2
     d2py = space._dist(P, Y) ** 2
-    d2xy = space._dist(X, Y) ** 2
     d2pm = space._dist(P, mid) ** 2
     return 0.5 * (d2px + d2py) - 0.25 * d2xy - d2pm
 
 
 def busemann_gap_batch(space: Space, X, Y, Z) -> np.ndarray:
-    m1 = space._interp(X, Y, 0.5)
-    m2 = space._interp(X, Z, 0.5)
+    # the stages' lengths are not needed and go at once
+    m1 = _geodesic_points(space, X, Y, 0.5)[0][0]
+    m2 = _geodesic_points(space, X, Z, 0.5)[0][0]
     return space._dist(Y, Z) - 2.0 * space._dist(m1, m2)
 
 
 def comparison_gap_batch(space: Space, P, X0, X1, t) -> np.ndarray:
     tt = np.asarray(t, dtype=float)
-    xt = space._interp(X0, X1, tt)
+    (xt,), d201 = _geodesic_points(space, X0, X1, tt)
+    d201 **= 2
     d2p0 = space._dist(P, X0) ** 2
     d2p1 = space._dist(P, X1) ** 2
-    d201 = space._dist(X0, X1) ** 2
     d2pt = space._dist(P, xt) ** 2
     return (1.0 - tt) * d2p0 + tt * d2p1 - tt * (1.0 - tt) * d201 - d2pt
 
 
 def four_point_gap_batch(space: Space, X0, X1, Y0, Y1, t) -> np.ndarray:
     tt = np.asarray(t, dtype=float)
-    xt = space._interp(X0, X1, tt)
-    xs = space._interp(X0, X1, 1.0 - tt)
-    dx = space._dist(X0, X1)
+    (xt, xs), dx = _geodesic_points(space, X0, X1, tt, 1.0 - tt)
     dy = space._dist(Y0, Y1)
     rhs = (space._dist(X0, Y0) ** 2 + space._dist(X1, Y1) ** 2
            + 2.0 * tt * tt * dx * dx + tt * (dy * dy - dx * dx)
@@ -630,9 +629,9 @@ def four_point_gap_batch(space: Space, X0, X1, Y0, Y1, t) -> np.ndarray:
 
 def sturm_gap_batch(space: Space, X0, X1, Y0, Y1, t) -> np.ndarray:
     tt = np.asarray(t, dtype=float)
-    xt = space._interp(X0, X1, tt)
-    yt = space._interp(Y0, Y1, tt)
-    dns = space._dist(Y0, Y1) - space._dist(X0, X1)
+    (xt,), dx = _geodesic_points(space, X0, X1, tt)
+    (yt,), dns = _geodesic_points(space, Y0, Y1, tt)
+    dns -= dx
     rhs = ((1.0 - tt) * space._dist(X0, Y0) ** 2
            + tt * space._dist(X1, Y1) ** 2
            - tt * (1.0 - tt) * dns * dns)
@@ -714,7 +713,10 @@ def _random_ends(space: Space, m: int, rng: np.random.Generator,
 def random_geodesic(space: Space, rng: np.random.Generator,
                     min_length: float = 1e-6) -> Geodesic:
     """Random geodesic with distinct endpoints: the one-row draw of
-    `_random_ends`, built by `Geodesic(start, end)`."""
+    `_random_ends`, built by `Geodesic(start, end)`.  min_length must be
+    finite and nonnegative."""
+    if not (math.isfinite(min_length) and min_length >= 0.0):
+        raise DomainError("min_length must be finite and nonnegative")
     A, B = _random_ends(space, 1, rng, min_length)
     # the public constructor, which bench/tracing.py counts as a new
     # geodesic
@@ -723,8 +725,8 @@ def random_geodesic(space: Space, rng: np.random.Generator,
 
 def _row_geodesic(space: Space, A, B, ends, dist, i: int) -> Geodesic:
     """Row i of the geodesics from A to B, with `ends, dist =
-    space._ends_dist(A, B)`, as `Geodesic(start, end)` makes it, from
-    one-row views: its points are validated, nothing is recomputed."""
+    space._ends(A, B)`, as `Geodesic(start, end)` makes it, from one-row
+    views: its points are validated, nothing is recomputed."""
     row = slice(i, i + 1)
     return Geodesic.__new__(Geodesic)._hold(
         _point_of_row(space, _take_rows(A, row)),

@@ -931,7 +931,7 @@ def _with_hub_row(spec, chunk, i):
     hub = []
     for start, end in pairs:
         A, B = sp._stack([start]), sp._stack([end])
-        hub.append((A, B) + sp._ends_dist(A, B))
+        hub.append((A, B) + sp._ends(A, B))
 
     def splice(batch, row):
         if isinstance(batch, tuple):
@@ -1104,7 +1104,7 @@ def test_q_rows_alone_are_redrawn():
 @pytest.mark.parametrize("chain", ["thm_ty1", "corollary_distance"])
 def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
     # the geometry of a chunk takes a fixed number of _sample, _dist and
-    # _ends_dist calls, plus two samples and a _dist per redraw round,
+    # _ends calls, plus two samples and a _dist per redraw round,
     # whatever its size; the falsifier makes no per-trial random point or
     # geodesic
     import geofrac.chains as chains
@@ -1124,7 +1124,7 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
     geodesics = 2 if spec.two_geodesics else 1
     for m in (8, 64, 512):
         space, calls = euclidean(2), {"_sample": [], "_dist": [],
-                                      "_ends_dist": []}
+                                      "_ends": []}
         for name, args in calls.items():
             def counted(*a, _fn=getattr(space, name), _args=args):
                 _args.append(a)
@@ -1132,11 +1132,11 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
             monkeypatch.setattr(space, name, counted)
         assert len(chains._draw_trials(spec, space, m,
                                        np.random.default_rng(m)).params) == m
-        # the euclidean _ends_dist takes its distances from _dist: a
+        # the euclidean _ends takes its distances from _dist: a
         # geodesic batch makes one _dist for its redraw test and one
         # with its endpoint constants
         rounds = len(calls["_dist"]) - 2 * geodesics
-        assert len(calls["_ends_dist"]) == geodesics
+        assert len(calls["_ends"]) == geodesics
         ys = 0 if spec.two_geodesics else 1
         assert len(calls["_sample"]) == ys + 2 * (geodesics + rounds)
         assert rounds <= 2 and calls["_sample"][0][0] == m

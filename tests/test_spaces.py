@@ -293,7 +293,7 @@ def test_half_plane_kernels_fill_their_columns():
         assert rng.bit_generator.state == ref.bit_generator.state
     rng = np.random.default_rng(10)
     A, B = H._sample(200, rng), H._sample(200, rng)
-    ends, one = H._ends(A, B), H._ends(A[:1], B[:1])
+    ends, one = H._ends(A, B)[0], H._ends(A[:1], B[:1])[0]
     ts = rng.uniform(0.0, 1.0, 200)
     ts[:3] = 0.0, 1.0, 0.5
     for e, t in ((ends, ts), (ends, 0.3), (ends, 1.0), (one, ts),
@@ -514,7 +514,8 @@ def test_eval_batch_is_the_batch_primitive_bit_for_bit():
         space = g.space
         A = space._stack([g.start.coords] * ts.size)
         B = space._stack([g.end.coords] * ts.size)
-        assert _same_batch(g.eval_batch(ts), space._interp(A, B, ts))
+        assert _same_batch(g.eval_batch(ts),
+                           space._along(space._ends(A, B)[0], ts))
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +571,44 @@ def test_gaps_nonnegative_on_random_batches():
         assert np.min(comparison_gap_batch(space, A, B, C, t)) > -1e-9
         assert np.min(four_point_gap_batch(space, A, B, C, D, t)) > -1e-9
         assert np.min(sturm_gap_batch(space, A, B, C, D, t)) > -1e-9
+
+
+@pytest.mark.parametrize("space", [H, PROD], ids=lambda s: s.name)
+def test_gap_batches_stage_each_pair_once(monkeypatch, space):
+    # a gap batch takes one endpoint stage per geodesic pair and reads the
+    # pair's distance from it: outside a stage it calls _dist on no pair
+    # that it stages
+    ends, dist = space._ends, space._dist
+    staged, measured, inside = [], [], []
+
+    def stage(A, B):
+        staged.append({id(A), id(B)})
+        inside.append(True)
+        try:
+            return ends(A, B)
+        finally:
+            inside.pop()
+
+    def measure(A, B):
+        if not inside:
+            measured.append({id(A), id(B)})
+        return dist(A, B)
+
+    monkeypatch.setattr(space, "_ends", stage)
+    monkeypatch.setattr(space, "_dist", measure)
+    rng = np.random.default_rng(7)
+    A, B, C, D = (sample_points(space, 50, rng) for _ in range(4))
+    t = rng.uniform(0.0, 1.0, 50)
+    for gap, args, stages in ((cn_gap_batch, (A, B, C), 1),
+                              (busemann_gap_batch, (A, B, C), 2),
+                              (comparison_gap_batch, (A, B, C, t), 1),
+                              (four_point_gap_batch, (A, B, C, D, t), 1),
+                              (sturm_gap_batch, (A, B, C, D, t), 2)):
+        staged.clear()
+        measured.clear()
+        gap(space, *args)
+        assert len(staged) == stages, gap.__name__
+        assert not [pair for pair in measured if pair in staged], gap.__name__
 
 
 def test_scalar_gap_wrappers_match_batch():
@@ -811,7 +850,7 @@ def test_geodesic_rows_are_their_geodesics_bit_for_bit(space):
     # a row of a geodesic batch has the length and the endpoint constants
     # of Geodesic(start, end), bit for bit
     A, B = _random_ends(space, 1024, np.random.default_rng(5), 0.05)
-    ends, dist = space._ends_dist(A, B)
+    ends, dist = space._ends(A, B)
     for i in range(1024):
         g = _row_geodesic(space, A, B, ends, dist, i)
         want = Geodesic(g.start, g.end)
@@ -828,11 +867,23 @@ def test_random_geodesic_is_the_one_row_draw(space):
     for _ in range(64):
         g = random_geodesic(space, rng1, min_length=1.5)
         A, B = _random_ends(space, 1, rng2, 1.5)
-        want = _row_geodesic(space, A, B, *space._ends_dist(A, B), 0)
+        want = _row_geodesic(space, A, B, *space._ends(A, B), 0)
         assert g.length >= 1.5 and g.length == want.length
         assert _same_bits((g.start.row, g.end.row, g._ends),
                           (want.start.row, want.end.row, want._ends))
     assert rng1.bit_generator.state == rng2.bit_generator.state
+
+
+def test_random_geodesic_rejects_a_min_length_that_is_not_a_length():
+    # nan let every pair through, and inf redrew forever; each is refused
+    # before anything is drawn
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for space in ALL_SPACES:
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(DomainError):
+                random_geodesic(space, rng, min_length=bad)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
@@ -851,7 +902,7 @@ def test_short_geodesic_rows_alone_are_redrawn(monkeypatch, space):
 
     monkeypatch.setattr(space, "_sample", scripted)
     A, B = _random_ends(space, 8, np.random.default_rng(2), 0.05)
-    ends, dist = space._ends_dist(A, B)
+    ends, dist = space._ends(A, B)
     assert [len(_leaves(b)[0]) for b in batches] == [8, 8, 2, 2]
     for i in range(8):
         g = _row_geodesic(space, A, B, ends, dist, i)
