@@ -200,6 +200,15 @@ def _mean_instance(f: Callable, hf: Optional[HFunction], a: float,
     return {"f": _fname(f), **h, "a": a, "b": b}
 
 
+def _pullback_instance(f: Callable, g: Geodesic,
+                       h: Optional[Union[str, HFunction, Callable]],
+                       p: TheoremParams) -> dict:
+    # the table's classic_hh and h_hh instance, on the pullback of f along
+    # g: f and g named as conde_hh names them, with h, a and b
+    hf = None if h is None else h_function(h)
+    return {**_mean_instance(f, hf, p.a, p.b), "geodesic": _geodesic_json(g)}
+
+
 def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
          *, tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Weighted chain for h-convex f: the endpoint side carries Int h."""
@@ -705,15 +714,17 @@ class ChainSpec(NamedTuple):
 
 CHAINS = {
     "classic_hh": ChainSpec(
-        lambda f, g, h, p, **kw: classic_hh(on_geodesic(f, g), p.a, p.b,
-                                            **kw),
+        lambda f, g, h, p, **kw: replace(
+            classic_hh(on_geodesic(f, g), p.a, p.b, **kw),
+            instance=_pullback_instance(f, g, h, p)),
         functools.partial(_mean_rows, "classic_hh", False),
-        lambda f, g, h, p: _mean_instance(on_geodesic(f, g), h, p.a, p.b),
-        takes_h=False),
+        _pullback_instance, takes_h=False),
     "h_hh": ChainSpec(
-        lambda f, g, h, p, **kw: h_hh(on_geodesic(f, g), h, p.a, p.b, **kw),
+        lambda f, g, h, p, **kw: replace(
+            h_hh(on_geodesic(f, g), h, p.a, p.b, **kw),
+            instance=_pullback_instance(f, g, h, p)),
         functools.partial(_mean_rows, "h_hh", False),
-        lambda f, g, h, p: _mean_instance(on_geodesic(f, g), h, p.a, p.b)),
+        _pullback_instance),
     "conde_hh": ChainSpec(lambda f, g, h, p, **kw: conde_hh(f, g, **kw),
                           functools.partial(_mean_rows, "conde_hh", True),
                           lambda f, g, h, p: _conde_instance(f, g),

@@ -733,6 +733,26 @@ def test_falsify_conde_euclidean_clean():
     assert summary["worst_instance"]["chain_name"] == "conde_hh"
 
 
+@pytest.mark.parametrize("chain", ["classic_hh", "h_hh"])
+def test_mean_chains_worst_instance_names_f_and_its_geodesic(chain):
+    # the worst instance of a mean chain names f and the geodesic it is
+    # pulled back along, as conde_hh's does, and keeps h, a and b: with
+    # the drawn reference point, its geodesic replays the worst report
+    import geofrac.chains as chains
+
+    space = euclidean(2)
+    spec = chains.chain_spec(chain)
+    worst = falsify_search(chain, space, 5, seed=1)["worst_instance"]
+    got = worst["instance"]
+    assert got["f"] == "dist_to_point_pow_2"
+    chunk = chains._draw_trials(spec, space, 5, np.random.default_rng(1))
+    f, _, h, p = next(o for o in map(chunk.objects, range(5))
+                      if spec.instance(*o) == got)
+    g = Geodesic(space.point(got["geodesic"]["start"]),
+                 space.point(got["geodesic"]["end"]))
+    assert spec.evaluate(f, g, h, p).to_dict() == worst
+
+
 def test_falsify_corollary_spider_clean():
     summary = falsify_search("corollary_distance", spider(3), 30, seed=2)
     assert summary["violations"] == 0
