@@ -5,9 +5,15 @@ Usage (from the repository root):
     python3 tools/bench_pairs.py --parent REV --label one_path \
         [--claim verify_fractional] --pairs 10 --seconds 30 --seed0 900
 
-The committed files of the parent revision REV are exported (`git
-archive`) into a temporary directory; the change is this working tree,
-which must differ from REV.  For each workload of BENCHMARK.json, pair i
+Both sides run from a fresh export, each in its own temporary
+directory, so that they differ in their files alone: the parent side is
+the committed files of REV (`git archive REV`), and the change side is
+this working tree's tracked files as they are now, committed or not
+(`git stash create`, then `git archive` of the commit it prints, or of
+HEAD when nothing is modified).  The working tree must differ from REV,
+and the tool refuses to run while untracked files exist under src/ or
+tests/, since the export would leave them out.  For each workload of
+BENCHMARK.json, pair i
 runs `bench/run.py --workload W --seed <seed0 + i> --seconds S --trace 0`
 on both sides with the same seed, the first side alternating between
 pairs.  BENCH_<label>.json gets
@@ -88,6 +94,12 @@ def _git(*argv, **kwargs) -> subprocess.CompletedProcess:
                           **kwargs)
 
 
+def _export(rev: str, into: str) -> Path:
+    archive = _git("archive", rev, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
+    return Path(into)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
@@ -105,11 +117,18 @@ def main(argv=None) -> int:
                text=True).stdout.strip()
     if _git("diff", "--quiet", rev).returncode == 0:
         parser.error("the working tree has no change against %s" % rev)
+    untracked = _git("ls-files", "--others", "--exclude-standard", "--",
+                     "src", "tests", check=True, text=True).stdout.split()
+    if untracked:
+        parser.error("untracked files under src/ or tests/, which the "
+                     "export leaves out: %s" % " ".join(untracked))
+    change = (_git("stash", "create", check=True, text=True).stdout.strip()
+              or "HEAD")
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        archive = _git("archive", rev, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        checkouts = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_dir:
+        checkouts = {"parent": _export(rev, parent_dir),
+                     "change": _export(change, change_dir)}
         for workload in WORKLOADS:
             for i in range(args.pairs):
                 seed = args.seed0 + i
@@ -138,7 +157,8 @@ def main(argv=None) -> int:
                 % (os.cpu_count(), platform.python_version(),
                    numpy.__version__),
         "what": ("bench/run.py --trace 0 runs of the parent commit and of "
-                 "this change, in alternating pairs (same seed within a "
+                 "this change, each exported into its own temporary "
+                 "directory, in alternating pairs (same seed within a "
                  "pair, the first side alternating): each run's last stdout "
                  "line (result) and " + detail),
         "summary": {w: _summary(runs, w) for w in WORKLOADS},
