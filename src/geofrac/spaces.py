@@ -321,7 +321,8 @@ class HalfPlaneSpace(Space):
         c1 = np.sinh((1.0 - t) * d) * w1
         c2 = np.sinh(t * d) * w2
         y = 1.0 / (c1 + c2)
-        # x = (c1 x1 + c2 x2) y, formed in c1; c2 goes before out is made
+        # x = (c1 x1 + c2 x2) y, formed in c1; each temporary goes once it
+        # is used, so that a large batch holds fewer arrays at a time
         c1 *= A[:, 0]
         c2 *= B[:, 0]
         c1 += c2
@@ -330,6 +331,7 @@ class HalfPlaneSpace(Space):
         out = np.empty(y.shape + (2,))
         out[..., 0] = c1
         out[..., 1] = y
+        del c1, y
         # the ends are exact, not the roundoff of the weights
         for at, P in ((t == 0.0, A), (t == 1.0, B)):
             if np.count_nonzero(at):
@@ -632,6 +634,7 @@ def sturm_gap_batch(space: Space, X0, X1, Y0, Y1, t) -> np.ndarray:
     (xt,), dx = _geodesic_points(space, X0, X1, tt)
     (yt,), dns = _geodesic_points(space, Y0, Y1, tt)
     dns -= dx
+    del dx
     rhs = ((1.0 - tt) * space._dist(X0, Y0) ** 2
            + tt * space._dist(X1, Y1) ** 2
            - tt * (1.0 - tt) * dns * dns)
