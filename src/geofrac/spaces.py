@@ -123,8 +123,8 @@ class Space:
 
     Geodesics come from two stages that subclasses provide: the endpoint
     stage `_ends(A, B)` returns `(ends, dist)`, the per-row constants of
-    the geodesics from A to B and their lengths, equal to `_dist(A, B)`
-    bit for bit; the parameter stage `_along(ends, t)` evaluates the
+    the geodesics from A to B and their lengths, a fresh array equal to
+    `_dist(A, B)` bit for bit; the parameter stage `_along(ends, t)` evaluates the
     constants at parameters t, broadcasting a single row against many
     parameters or many rows against one parameter each.
     """
