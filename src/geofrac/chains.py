@@ -61,14 +61,15 @@ than asserted:
 reports the worst margin and any violations beyond tolerance.  It draws
 a chunk of instances as columns, each parameter, h and geometry column
 in one call (the order is in its docstring), and the chunk stays columns
-(`_Chunk`) up to the reports: a row becomes Points, Geodesics and an f
+(`_Chunk`) up to the sides: a row becomes Points, Geodesics and an f
 only for the convexity precheck and for the worst row's instance.  Each
-chain picks its points and integrals, and builds its sides, in one
-function, its `ChainSpec.rows` body.  The falsifier runs the body on
-every row of a chunk, and counts a row that the precheck rejects as
-discarded; a public chain checks its inputs and runs it on its one trial
-(`_OneTrial`), whose integrals are the public `integrate`,
-`katugampola_left` (rho = 1) and `compute_E`.
+chain picks its points and integrals, and builds each row's sides and
+extras, in one function, its `ChainSpec.rows` body.  The falsifier runs
+the body on every row of a chunk, counts a row that the precheck
+rejects as discarded, and builds one report, the worst row's; a public
+chain checks its inputs and runs it on its one trial (`_OneTrial`),
+whose integrals are the public `integrate`, `katugampola_left`
+(rho = 1) and `compute_E`.
 """
 
 from __future__ import annotations
@@ -562,17 +563,15 @@ class _OneTrial:
 def _evaluate(chain: str, trial: _OneTrial, tol: float,
               instance: dict) -> InequalityReport:
     # a public chain: its ChainSpec.rows body on its one trial
-    [report] = CHAINS[chain].rows(trial, tol)
-    if isinstance(report, AccuracyError):
-        raise report
-    return replace(report, instance=instance)
+    [row] = CHAINS[chain].rows(trial)
+    if isinstance(row, AccuracyError):
+        raise row
+    return _report(chain, row[0], tol, instance, row[1])
 
 
-def _row_reports(chain: str, tol: float, sides_of: Callable,
-                 *columns) -> list:
-    # a report per row from sides_of(*row) -> (sides, extras), with an
-    # empty instance; a row whose integral or constant raises
-    # AccuracyError carries the error
+def _row_sides(sides_of: Callable, *columns) -> list:
+    # sides_of(*row) -> (sides, extras) per row; a row whose integral or
+    # constant raises AccuracyError carries the error
     out = []
     for row in zip(*columns):
         failed = [v for v in row if isinstance(v, AccuracyError)]
@@ -580,14 +579,13 @@ def _row_reports(chain: str, tol: float, sides_of: Callable,
             out.append(failed[0])
             continue
         try:
-            sides, extras = sides_of(*row)
-            out.append(_report(chain, sides, tol, {}, extras))
+            out.append(sides_of(*row))
         except AccuracyError as exc:
             out.append(exc)
     return out
 
 
-def _mean_rows(chain: str, unit: bool, rows, tol: float) -> list:
+def _mean_rows(unit: bool, rows) -> list:
     # classic_hh and h_hh on [a, b], conde_hh on [0, 1]: the midpoint, the
     # mean and the endpoint average; h_hh divides the midpoint by 2 h(1/2)
     # and weighs the endpoints by Int_0^1 h, 1/(k + 1) for h = t^k
@@ -606,12 +604,12 @@ def _mean_rows(chain: str, unit: bool, rows, tol: float) -> list:
                  ("endpoints", float(v[1] + v[2]) * h_mass)],
                 {"h_mass": h_mass})
 
-    return _row_reports(chain, tol, sides, rows.hs, ab,
-                        rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
-                        rows.means(ab))
+    return _row_sides(sides, rows.hs, ab,
+                      rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
+                      rows.means(ab))
 
 
-def _thm_cb_rows(chain: str, holder: bool, rows, tol: float) -> list:
+def _thm_cb_rows(holder: bool, rows) -> list:
     # thm_cb1 (holder: the Hoelder bound of the h-integral) and thm_cb2
     # (its exact value): the pullback at the midpoint and the ends of
     # [a^rho, b^rho], and the operator side with shift a^rho + b^rho
@@ -638,9 +636,9 @@ def _thm_cb_rows(chain: str, holder: bool, rows, tol: float) -> list:
                 ("operators", _operator_side(kl, p, h_half)),
                 ("endpoints", right)], extras
 
-    return _row_reports(chain, tol, sides, rows.hs, rows.params,
-                        rows.at([[0.5 * (a + b), a, b] for a, b in ends]),
-                        rows.operators([a + b for a, b in ends]))
+    return _row_sides(sides, rows.hs, rows.params,
+                      rows.at([[0.5 * (a + b), a, b] for a, b in ends]),
+                      rows.operators([a + b for a, b in ends]))
 
 
 def _reflected_rows(rows):
@@ -651,17 +649,16 @@ def _reflected_rows(rows):
             rows.e_values())
 
 
-def _thm_ty1_rows(rows, tol: float) -> list:
+def _thm_ty1_rows(rows) -> list:
     def sides(hf, p, v, kl, e_val):
         return [("midpoint", float(v[0])),
                 ("operators", _operator_side(kl, p, float(hf(0.5)))),
                 ("endpoints", float(v[1] + v[2]) * e_val / _den(p))], None
 
-    return _row_reports("thm_ty1", tol, sides, rows.hs, rows.params,
-                        *_reflected_rows(rows))
+    return _row_sides(sides, rows.hs, rows.params, *_reflected_rows(rows))
 
 
-def _corollary_rows(rows, tol: float) -> list:
+def _corollary_rows(rows) -> list:
     # the endpoint bound minus alpha rho h(1/2) C (L2 - L1)^2, and the
     # bare-constant variants in extras
     def sides(hf, p, lengths, v, kl, e_val):
@@ -681,8 +678,8 @@ def _corollary_rows(rows, tol: float) -> list:
                 ("endpoints_minus_c", bound - coef * c_val * delta * delta),
                 ("endpoints", bound)], extras
 
-    return _row_reports("corollary_distance", tol, sides, rows.hs,
-                        rows.params, rows.lengths, *_reflected_rows(rows))
+    return _row_sides(sides, rows.hs, rows.params, rows.lengths,
+                      *_reflected_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +695,16 @@ class ChainSpec(NamedTuple):
     geodesics and f is unused.  h is None unless takes_h, and
     params.q is None unless needs_q.  The evaluators reach the chains
     through their module-level names, so rebinding a name takes effect.
-    rows(rows, tol) is the chain's one body: it evaluates a falsifier
-    `_Chunk` or a public chain's `_OneTrial`, a report per row, with an
-    empty instance, or the row's AccuracyError; instance(f, g, h, params)
-    is evaluate's instance, from the chain's own helper.
+    rows(rows) is the chain's one body: it evaluates a falsifier `_Chunk`
+    or a public chain's `_OneTrial` and returns per row its labeled sides
+    and its extras (None when the chain has none), or the row's
+    AccuracyError; `_report` turns a row into the report.
+    instance(f, g, h, params) is evaluate's instance, from the chain's own
+    helper.
     """
 
     evaluate: Callable[..., InequalityReport]
-    rows: Callable[[Union[_Chunk, _OneTrial], float], list]
+    rows: Callable[[Union[_Chunk, _OneTrial]], list]
     instance: Callable[..., dict]
     takes_h: bool = True
     needs_q: bool = False
@@ -717,23 +716,23 @@ CHAINS = {
         lambda f, g, h, p, **kw: replace(
             classic_hh(on_geodesic(f, g), p.a, p.b, **kw),
             instance=_pullback_instance(f, g, h, p)),
-        functools.partial(_mean_rows, "classic_hh", False),
+        functools.partial(_mean_rows, False),
         _pullback_instance, takes_h=False),
     "h_hh": ChainSpec(
         lambda f, g, h, p, **kw: replace(
             h_hh(on_geodesic(f, g), h, p.a, p.b, **kw),
             instance=_pullback_instance(f, g, h, p)),
-        functools.partial(_mean_rows, "h_hh", False),
+        functools.partial(_mean_rows, False),
         _pullback_instance),
     "conde_hh": ChainSpec(lambda f, g, h, p, **kw: conde_hh(f, g, **kw),
-                          functools.partial(_mean_rows, "conde_hh", True),
+                          functools.partial(_mean_rows, True),
                           lambda f, g, h, p: _conde_instance(f, g),
                           takes_h=False),
     "thm_cb1": ChainSpec(lambda f, g, h, p, **kw: thm_cb1(f, g, h, p, **kw),
-                         functools.partial(_thm_cb_rows, "thm_cb1", True),
+                         functools.partial(_thm_cb_rows, True),
                          _instance, needs_q=True),
     "thm_cb2": ChainSpec(lambda f, g, h, p, **kw: thm_cb2(f, g, h, p, **kw),
-                         functools.partial(_thm_cb_rows, "thm_cb2", False),
+                         functools.partial(_thm_cb_rows, False),
                          _instance),
     "thm_ty1": ChainSpec(lambda f, g, h, p, **kw: thm_ty1(f, g, h, p, **kw),
                          _thm_ty1_rows, _instance),
@@ -848,15 +847,17 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     geodesic on its own, in row order, on the row's own Point, Geodesic
     and f; it stays per trial while the benchmark counts
     `convexity.check.calls` as a use of the verify workloads.  A trial
-    that it rejects counts as discarded, whatever its report; of the
+    that it rejects counts as discarded, whatever its sides; of the
     others, a row that carries an AccuracyError counts as a quadrature
-    failure.  The worst report, with `ChainSpec.instance` of the worst
-    row's objects, becomes worst_instance; ties go to the first trial.
+    failure.  A row's margins come from its sides, as its report takes
+    them; the one report built, the worst row's with `ChainSpec.instance`
+    of its objects, becomes worst_instance; ties go to the first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
-    product variant before counting violations; it is a probe of that
-    printed form, so violations under it are expected and reported, not a
-    defect.
+    product variant (`extras["right_product_bare_c"]`) in the margins and
+    the violation count, though not in worst_instance's sides; it is a
+    probe of that printed form, so violations under it are expected and
+    reported, not a defect.
     """
     spec = chain_spec(chain)
     if product_c_term and chain != "corollary_distance":
@@ -874,25 +875,28 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         admissible = [True] * draws if spec.two_geodesics else [
             check_h_convex(f, g, hf or "identity", seed=0).holds
             for f, g, hf, _ in map(chunk.objects, range(draws))]
-        reports = spec.rows(chunk, tol)
-        for i, (report, kept) in enumerate(zip(reports, admissible)):
+        for i, (row, kept) in enumerate(zip(spec.rows(chunk), admissible)):
             if not kept:
                 discarded += 1
                 continue
-            if isinstance(report, AccuracyError):
+            if isinstance(row, AccuracyError):
                 failures += 1
                 continue
             evaluated += 1
-            margin, violated = _margin(report, tol, product_c_term)
-            violations += violated
+            values = [float(v) for _, v in row[0]]
+            if product_c_term:
+                values[2] = row[1]["right_product_bare_c"]
+            margins = [b - a for a, b in zip(values, values[1:])]
+            violations += not all(m >= -tol for m in margins)
+            margin = min(margins)
             if worst_margin is None or margin < worst_margin:
-                worst_margin = margin
-                worst = chunk, i, report
+                worst_margin, worst = margin, (chunk, i, row)
     worst_instance = None
     if worst is not None:
-        chunk, i, report = worst
-        worst_instance = report.to_dict()
-        worst_instance["instance"] = spec.instance(*chunk.objects(i))
+        chunk, i, (sides, extras) = worst
+        worst_instance = _report(chain, sides, tol,
+                                 spec.instance(*chunk.objects(i)),
+                                 extras).to_dict()
     summary = {"chain": chain, "space": space.name, "trials": trials,
                "seed": seed, "tol": float(tol), "evaluated": evaluated,
                "discarded": discarded, "quadrature_failures": failures,
@@ -902,13 +906,3 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         summary["c_term"] = "product" if product_c_term else "difference"
     return summary
 
-
-def _margin(report: InequalityReport, tol: float,
-            product_c_term: bool) -> Tuple[float, bool]:
-    # the smallest margin and whether it is a violation
-    if product_c_term:
-        vals = [v for _, v in report.sides]
-        vals[2] = report.extras["right_product_bare_c"]
-        margin = min(b - a for a, b in zip(vals, vals[1:]))
-        return margin, margin < -tol
-    return min(report.margins), not report.passed

@@ -914,14 +914,42 @@ def test_batched_falsifier_matches_per_trial_oracle(chain):
 
 def test_batched_falsifier_across_chunk_boundaries(monkeypatch):
     # 40 trials in chunks of 7 draws: the last chunk is short, and the
-    # worst row and the ties span chunks
+    # worst row and the ties span chunks, with the corollary's product
+    # probe too
     import geofrac.chains as chains
 
     monkeypatch.setattr(chains, "CHUNK", 7)
-    for chain in CHAIN_NAMES:
+    searches = [(chain, False) for chain in CHAIN_NAMES]
+    for chain, product_c_term in searches + [("corollary_distance", True)]:
         for space in (spider(3), product(euclidean(2), half_plane())):
-            assert (falsify_search(chain, space, 40, seed=4)
-                    == _per_trial_search(chain, space, 40, 4))
+            assert (falsify_search(chain, space, 40, seed=4,
+                                   product_c_term=product_c_term)
+                    == _per_trial_search(chain, space, 40, 4,
+                                         product_c_term=product_c_term))
+
+
+@pytest.mark.parametrize("chain", CHAIN_NAMES)
+def test_a_search_builds_one_report(monkeypatch, chain):
+    # 130 trials are three chunks, the last of 2 rows: the search takes
+    # every row's margins from its sides and builds the worst row's report
+    # alone
+    import geofrac.chains as chains
+
+    built = []
+    report = chains._report
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "_report", counted)
+    probes = [False] + [True] * (chain == "corollary_distance")
+    for product_c_term in probes:
+        built.clear()
+        summary = falsify_search(chain, spider(3), 130, seed=1,
+                                 product_c_term=product_c_term)
+        assert summary["evaluated"] > 0
+        assert built == [chain]
 
 
 def test_batched_product_probe_matches_per_trial_oracle():
@@ -966,10 +994,10 @@ def _with_hub_row(spec, chunk, i):
 
 @pytest.mark.parametrize("chain", CHAIN_NAMES)
 def test_batch_rows_equal_the_per_trial_chain(chain):
-    # every row, the hub-crossing one included, carries the public
-    # chain's report bit for bit, instance aside: the same body on a lone
-    # trial with the public integrals; the chain's instance comes from
-    # the table's helper
+    # every row, the hub-crossing one included, carries the sides and
+    # extras of the public chain's report bit for bit: the same body on a
+    # lone trial with the public integrals; the chain's instance comes
+    # from the table's helper
     import geofrac.chains as chains
 
     spec = chains.chain_spec(chain)
@@ -978,24 +1006,24 @@ def test_batch_rows_equal_the_per_trial_chain(chain):
                                     np.random.default_rng(1))
         if space.name == "spider(3)":
             chunk = _with_hub_row(spec, chunk, 5)
-        rows = spec.rows(chunk, 1e-8)
+        rows = spec.rows(chunk)
         assert len(rows) == len(chunk.params)
-        for i, got in enumerate(rows):
+        for i, (sides, extras) in enumerate(rows):
             objects = chunk.objects(i)
             want = spec.evaluate(*objects, tol=1e-8)
-            assert isinstance(got, InequalityReport)
+            got = chains._report(chain, sides, 1e-8, spec.instance(*objects),
+                                 extras)
             assert got.sides == want.sides
             assert got.margins == want.margins
             assert got.passed == want.passed
             assert got.extras == want.extras
-            assert got.instance == {}
-            assert spec.instance(*objects) == want.instance
+            assert got.instance == want.instance
 
 
 def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
     # rows whose first quadrature level misses (the spider hub) are
     # refined in the batch: the falsifier calls no public chain, and the
-    # worst row keeps its batch report
+    # worst row's report is built from its batch sides
     import geofrac.chains as chains
 
     spec = chains.chain_spec("conde_hh")
@@ -1227,7 +1255,7 @@ def test_failed_rows_match_the_per_trial_oracle(monkeypatch, chain, a_zero):
     spec = chains.chain_spec(chain)
     space = euclidean(2)
     chunk = chains._draw_trials(spec, space, 3, np.random.default_rng(1))
-    rows = spec.rows(chunk, 1e-8)
+    rows = spec.rows(chunk)
     for i, got in enumerate(rows):
         assert isinstance(got, AccuracyError)
         with pytest.raises(AccuracyError) as want:

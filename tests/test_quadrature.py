@@ -461,11 +461,18 @@ def test_kinked_integral_takes_one_operand_call_per_level():
 
 def test_integrate_rows_equal_integrate_bit_for_bit():
     # R integrands of their own, with and without a kernel weight and of
-    # mixed depth, as one stacked operand; each row is its own integral
-    lo = [0.0, 0.2, -1.0, 0.0, 0.0, 0.0, 0.0]
-    hi = [1.0, 0.9, 2.0, 0.6, 1.0, 1.0, 1.0]
-    exponent = [1.0, 0.3, 1.0, 2.5, 1.7, 0.05, 1.0]
-    scales = np.array([[1.0], [-2.0], [0.5], [3.0], [1.0], [1.0], [1.0]])
+    # mixed depth, as one stacked operand; each row is its own integral.
+    # The 128 random rows at exponent 1.5 and 3 weigh their panels by
+    # gap ** 0.5 and gap ** 2, where numpy's scalar power takes sqrt and
+    # square, which an array of exponents does not
+    rng = np.random.default_rng(7)
+    starts = rng.uniform(-1.0, 1.0, 128)
+    lo = [0.0, 0.2, -1.0, 0.0, 0.0, 0.0, 0.0] + starts.tolist()
+    hi = [1.0, 0.9, 2.0, 0.6, 1.0, 1.0, 1.0] + (
+        starts + rng.uniform(0.05, 2.0, 128)).tolist()
+    exponent = [1.0, 0.3, 1.0, 2.5, 1.7, 0.05, 1.0] + [1.5] * 64 + [3.0] * 64
+    scales = np.concatenate(([[1.0], [-2.0], [0.5], [3.0], [1.0], [1.0],
+                              [1.0]], rng.uniform(-2.0, 2.0, (128, 1))))
     special = {4: OPERANDS["kink"], 5: OPERANDS["cusp_high"],
                6: OPERANDS["pole"]}
 

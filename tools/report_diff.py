@@ -11,7 +11,11 @@ command of the fixed set runs in a fresh interpreter with the checkout's
 `.report_diff/<name>.stdout`, `.stderr` and `.exit` under that checkout.
 The set is:
 
-  * `verify --suite all --trials 40` on five spaces, seeds 1-3;
+  * `verify --suite all --trials 40` on five spaces, seeds 1-3, and
+    `verify --suite all --space spider3 --trials 130 --seed 1`, whose
+    searches run three chunks (the last of 2 rows), so that the worst
+    rows of all seven chains and of the corollary's product probe are
+    compared across chunks;
   * `sweep` of every chain on the same spaces over a 3 x 3 x 2 x 2 grid;
   * `sweep` of the chains whose constants diverge for h = godunova_levin
     (error exits);
@@ -122,6 +126,9 @@ def _commands() -> list:
         for chain in CHAINS:
             out.append(("sweep-%s-s%d" % (chain, i),
                         ["-c", CLI, "sweep", chain, "--space", space, *GRID]))
+    out.append(("verify-spider3-trials130-seed1",
+                ["-c", CLI, "verify", "--suite", "all", "--space", "spider3",
+                 "--trials", "130", "--seed", "1"]))
     for chain in ("thm_cb2", "h_hh", "corollary"):
         out.append(("sweep-%s-godunova_levin" % chain,
                     ["-c", CLI, "sweep", chain, "--h", "godunova_levin"]))
