@@ -854,10 +854,10 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     of its objects, becomes worst_instance; ties go to the first trial.
 
     product_c_term swaps the corollary's third side for the bare-constant
-    product variant (`extras["right_product_bare_c"]`) in the margins and
-    the violation count, though not in worst_instance's sides; it is a
-    probe of that printed form, so violations under it are expected and
-    reported, not a defect.
+    product variant (`extras["right_product_bare_c"]`) in the margins, the
+    violation count and worst_instance, whose third side is then labeled
+    endpoints_minus_c_product; it is a probe of that printed form, so
+    violations under it are expected and reported, not a defect.
     """
     spec = chain_spec(chain)
     if product_c_term and chain != "corollary_distance":
@@ -883,17 +883,20 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
                 failures += 1
                 continue
             evaluated += 1
-            values = [float(v) for _, v in row[0]]
+            sides, extras = row
             if product_c_term:
-                values[2] = row[1]["right_product_bare_c"]
+                sides = [*sides[:2], ("endpoints_minus_c_product",
+                                      extras["right_product_bare_c"]),
+                         *sides[3:]]
+            values = [float(v) for _, v in sides]
             margins = [b - a for a, b in zip(values, values[1:])]
             violations += not all(m >= -tol for m in margins)
             margin = min(margins)
             if worst_margin is None or margin < worst_margin:
-                worst_margin, worst = margin, (chunk, i, row)
+                worst_margin, worst = margin, (chunk, i, sides, extras)
     worst_instance = None
     if worst is not None:
-        chunk, i, (sides, extras) = worst
+        chunk, i, sides, extras = worst
         worst_instance = _report(chain, sides, tol,
                                  spec.instance(*chunk.objects(i)),
                                  extras).to_dict()

@@ -1,5 +1,6 @@
 """Inequality chains against analytic values and randomized instances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -774,6 +775,20 @@ def test_falsify_corollary_product_probe():
         falsify_search("conde_hh", euclidean(2), 1, product_c_term=True)
 
 
+def test_product_probe_reports_the_worst_rows_product_margins():
+    # the probe's worst instance carries the product-form third side that
+    # its margins come from: its least margin is the search's worst
+    # margin, and it fails like the violations it counts
+    summary = falsify_search("corollary_distance", euclidean(2), 40, seed=1,
+                             product_c_term=True)
+    worst = summary["worst_instance"]
+    assert summary["violations"] > 0
+    assert min(worst["margins"]) == summary["worst_margin"] < -1e-8
+    assert worst["pass"] is False
+    assert worst["sides"][2][0] == "endpoints_minus_c_product"
+    assert worst["sides"][2][1] == worst["extras"]["right_product_bare_c"]
+
+
 def test_falsify_cb2_half_plane_clean():
     summary = falsify_search("thm_cb2", half_plane(), 20, seed=3)
     assert summary["violations"] == 0
@@ -882,15 +897,17 @@ def _per_trial_search(chain, space, trials, seed, tol=1e-8,
                 continue
             evaluated += 1
             if product_c_term:
-                vals = [v for _, v in report.sides]
-                vals[2] = report.extras["right_product_bare_c"]
-                margin = min(b - a for a, b in zip(vals, vals[1:]))
-                if margin < -tol:
-                    violations += 1
-            else:
-                margin = min(report.margins)
-                if not report.passed:
-                    violations += 1
+                sides = list(report.sides)
+                sides[2] = ("endpoints_minus_c_product",
+                            report.extras["right_product_bare_c"])
+                vals = [v for _, v in sides]
+                margins = tuple(b - a for a, b in zip(vals, vals[1:]))
+                report = dataclasses.replace(
+                    report, sides=tuple(sides), margins=margins,
+                    passed=all(m >= -tol for m in margins))
+            margin = min(report.margins)
+            if not report.passed:
+                violations += 1
             if worst_margin is None or margin < worst_margin:
                 worst_margin = margin
                 worst_instance = report.to_dict()
@@ -1242,7 +1259,6 @@ def test_failed_rows_match_the_per_trial_oracle(monkeypatch, chain, a_zero):
     # E integral of thm_ty1 and the corollary reaches h(0) and fails in
     # the quadrature engine.  Each row carries its AccuracyError, which
     # the public chain raises, and counts as a quadrature failure
-    import dataclasses
 
     import geofrac.chains as chains
 
