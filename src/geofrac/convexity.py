@@ -19,6 +19,11 @@ fails, as does F(lam) = +inf under a finite bound.
 
 Checks are sampling-based: a `holds` verdict certifies the inequality on
 the sampled grid only, while a failed verdict carries a concrete witness.
+
+One verdict body with a leading row axis (`_verdicts`) decides every
+check: the public checks are its one-row case, and the falsifier runs it
+on the rows of a chunk at once (`_check_h_convex_rows`), with the same
+grid, so that each row's verdict is its own `check_h_convex`'s.
 """
 
 from __future__ import annotations
@@ -245,6 +250,8 @@ class ConvexityVerdict:
 def _restriction_grid(samples: int, pairs: int, seed: int):
     # the restrictions [t1, t2] (the whole geodesic first, then `pairs`
     # random ones), the lam grid and the geodesic parameter of each sample
+    if samples < 1 or pairs < 0:
+        raise DomainError("need samples >= 1 and pairs >= 0")
     rng = np.random.default_rng(seed)
     draws = rng.uniform(0.0, 1.0, (pairs, 2))
     t1 = np.concatenate(([0.0], draws.min(axis=1)))
@@ -261,8 +268,8 @@ def _restriction_grid(samples: int, pairs: int, seed: int):
 
 def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
                         pairs: int, seed: int):
-    if samples < 1 or pairs < 0:
-        raise DomainError("need samples >= 1 and pairs >= 0")
+    # the grid, and F at every sample as one row, shape (1, restrictions,
+    # samples + 2), from one batch of points
     if isinstance(seed, (int, np.integer)):
         # the grid depends on (samples, pairs, seed) alone: cached
         grid = _restriction_grid(samples, pairs, seed)
@@ -270,30 +277,86 @@ def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
         grid = _restriction_grid.__wrapped__(samples, pairs, seed)
     t1, t2, lam, params = grid
     values = _batch_values(f, geodesic.eval_batch(params.ravel()),
-                           params.size).reshape(params.shape)
+                           params.size).reshape((1,) + params.shape)
     return t1, t2, lam, values
 
 
-def _verdict(bound: np.ndarray, values: np.ndarray, t1, t2, lam,
-             tol: float) -> ConvexityVerdict:
-    # values <= bound per sample; a bound that is not finite is vacuous,
-    # unless a value of F that the sample reads is NaN (module docstring)
-    vacuous = ~np.isfinite(bound)
-    if vacuous.any():
-        nan = np.isnan(values)
-        vacuous = vacuous & ~(nan | nan[:, :1] | nan[:, -1:])
-        # a vacuous slack is inf - 0, so no inf - inf is formed
-        bound = np.where(vacuous, np.inf, bound)
-        values = np.where(vacuous, 0.0, values)
-    n = values.size - int(np.count_nonzero(vacuous))
-    if n == 0:
-        return ConvexityVerdict(True, np.inf, None, 0)
-    slack = bound - values
-    holds = bool((slack >= -tol).all())
-    idx = int(np.argmin(slack))
-    r, j = divmod(idx, values.shape[1])
-    witness = (float(t1[r]), float(t2[r]), float(lam[j]))
-    return ConvexityVerdict(holds, float(slack.flat[idx]), witness, n)
+def _h_bound(values: np.ndarray, hl, hr) -> np.ndarray:
+    # h(1 - lam) F(0) + h(lam) F(1) per sample of values (..., S), with
+    # hl = h(lam) and hr = h(1 - lam) broadcasting against it
+    with np.errstate(invalid="ignore"):
+        return hr * values[..., :1] + hl * values[..., -1:]
+
+
+def _verdicts(blocks, t1, t2, lam, tol: float) -> list:
+    """The verdicts of R rows.  blocks yields (bound, values), values of
+    shape (R, P, S) and bound broadcasting against it: P consecutive
+    restrictions of every row at a time, in order; a sample holds when
+    value <= bound + tol.  A bound that is not finite is vacuous, unless
+    a value of F that the sample reads is NaN (module docstring).  A
+    row's witness is its first least slack bound - value, NaN being
+    least (np.argmin): the first least of its blocks' first least ones."""
+    lows, ats, oks, counts = [], [], [], []
+    start = 0
+    for bound, values in blocks:
+        vacuous = ~np.isfinite(bound)
+        if vacuous.any():
+            nan = np.isnan(values)
+            vacuous = vacuous & ~(nan | nan[..., :1] | nan[..., -1:])
+            # a vacuous slack is inf - 0, so no inf - inf is formed
+            bound = np.where(vacuous, np.inf, bound)
+            values = np.where(vacuous, 0.0, values)
+        slack = (bound - values).reshape(len(values), -1)
+        at = np.argmin(slack, axis=1)
+        lows.append(slack[np.arange(len(slack)), at])
+        ats.append(at + start)
+        oks.append((slack >= -tol).all(axis=1))
+        counts.append(slack.shape[1] - np.count_nonzero(
+            vacuous.reshape(len(slack), -1), axis=1))
+        start += slack.shape[1]
+        # no block's arrays stay alive while blocks makes the next one
+        del bound, values, vacuous, slack
+    lows = np.array(lows)
+    block = np.argmin(lows, axis=0)
+    rows = np.arange(lows.shape[1])
+    out = []
+    for low, at, ok, n in zip(lows[block, rows].tolist(),
+                              np.array(ats)[block, rows].tolist(),
+                              np.logical_and.reduce(oks).tolist(),
+                              np.sum(counts, axis=0).tolist()):
+        if n == 0:
+            out.append(ConvexityVerdict(True, np.inf, None, 0))
+            continue
+        r, j = divmod(at, lam.size)
+        out.append(ConvexityVerdict(ok, low, (float(t1[r]), float(t2[r]),
+                                              float(lam[j])), n))
+    return out
+
+
+def _check_h_convex_rows(pull: Callable, rows: np.ndarray, k: np.ndarray, *,
+                         samples: int = 64, pairs: int = 8,
+                         tol: float = 1e-9, seed: int = 0) -> list:
+    """`check_h_convex` of R pullbacks at once, row r with h = t**k[r]:
+    pull(ts, rows) is F of row rows[i] at the parameters ts[i] (the
+    `_distance_pullback_rows` form).  The restrictions go through pull
+    one at a time, for one half of the rows and then for the other, and
+    so do their verdicts: a call on every row would hold more memory at
+    its peak than a falsifier chunk's chain body does."""
+    t1, t2, lam, params = _restriction_grid(samples, pairs, seed)
+    k = np.asarray(k, dtype=float)
+    out = []
+    for half in np.array_split(np.arange(len(rows)), 2):
+        if not half.size:
+            continue
+        part, kh = rows[half], k[half, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hl, hr = lam ** kh, (1.0 - lam) ** kh
+        # one restriction of these rows a block: values (rows, 1, S)
+        lines = (pull(ts[None].repeat(part.size, axis=0), part)[:, None]
+                 for ts in params)
+        out += _verdicts(((_h_bound(v, hl, hr), v) for v in lines),
+                         t1, t2, lam, tol)
+    return out
 
 
 def check_h_convex(f: Callable, geodesic: Geodesic,
@@ -304,12 +367,9 @@ def check_h_convex(f: Callable, geodesic: Geodesic,
     hf = h_function(h)
     t1, t2, lam, values = _restriction_values(f, geodesic, samples, pairs,
                                               seed)
-    hl = hf(lam)
-    hr = hf(1.0 - lam)
-    with np.errstate(invalid="ignore"):
-        bound = (hr[None, :] * values[:, :1]
-                 + hl[None, :] * values[:, -1:])
-    return _verdict(bound, values, t1, t2, lam, tol)
+    [verdict] = _verdicts([(_h_bound(values, hf(lam), hf(1.0 - lam)),
+                            values)], t1, t2, lam, tol)
+    return verdict
 
 
 def check_convex(f: Callable, geodesic: Geodesic, *, samples: int = 64,
@@ -331,13 +391,14 @@ def check_quasi_or_p_convex(f: Callable, geodesic: Geodesic,
     t1, t2, lam, values = _restriction_values(f, geodesic, samples, pairs,
                                               seed)
     if mode == "quasi":
-        return _verdict(np.maximum(values[:, :1], values[:, -1:]), values,
-                        t1, t2, lam, tol)
-    p = float(p)
-    if not (np.isfinite(p) and p > 0.0):
-        raise DomainError("p must be positive and finite")
-    if np.any(values < 0.0):
-        raise DomainError("p-convexity needs nonnegative sampled values")
-    vp = values ** p
-    bound = (1.0 - lam)[None, :] * vp[:, :1] + lam[None, :] * vp[:, -1:]
-    return _verdict(bound, vp, t1, t2, lam, tol)
+        bound = np.maximum(values[..., :1], values[..., -1:])
+    else:
+        p = float(p)
+        if not (np.isfinite(p) and p > 0.0):
+            raise DomainError("p must be positive and finite")
+        if np.any(values < 0.0):
+            raise DomainError("p-convexity needs nonnegative sampled values")
+        values = values ** p
+        bound = _h_bound(values, lam, 1.0 - lam)
+    [verdict] = _verdicts([(bound, values)], t1, t2, lam, tol)
+    return verdict

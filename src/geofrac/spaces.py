@@ -542,10 +542,14 @@ class Geodesic:
 
 def _take_rows(batch, rows):
     # batch[rows] of a coordinate or endpoint-constant batch, memberwise
-    # for a tuple batch; a view when rows is a slice
+    # for a tuple batch; a view when rows is a slice, and an index array
+    # goes through take, the same gather as batch[rows] but many times
+    # faster for the falsifier's long row arrays
     if isinstance(batch, tuple):
         return tuple(_take_rows(b, rows) for b in batch)
-    return batch[rows]
+    if isinstance(rows, slice):
+        return batch[rows]
+    return batch.take(rows, axis=0)
 
 
 def _put_rows(batch, rows: np.ndarray, new) -> None:

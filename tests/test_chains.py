@@ -949,24 +949,161 @@ def test_batched_falsifier_across_chunk_boundaries(monkeypatch):
 def test_a_search_builds_one_report(monkeypatch, chain):
     # 130 trials are three chunks, the last of 2 rows: the search takes
     # every row's margins from its sides and builds the worst row's report
-    # alone
+    # alone; the precheck runs on the chunks' columns, and the public
+    # check_h_convex once, on the worst row's objects, the only ones built
+    # (the corollary takes no precheck)
     import geofrac.chains as chains
 
-    built = []
-    report = chains._report
-
-    def counted(*args, **kwargs):
-        built.append(args[0])
-        return report(*args, **kwargs)
-
-    monkeypatch.setattr(chains, "_report", counted)
+    calls = {"_report": [], "check_h_convex": [], "objects": []}
+    for owner, name in ((chains, "_report"), (chains, "check_h_convex"),
+                        (chains._Chunk, "objects")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name].append(args[0])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    one_geodesic = not chains.chain_spec(chain).two_geodesics
     probes = [False] + [True] * (chain == "corollary_distance")
     for product_c_term in probes:
-        built.clear()
+        for made in calls.values():
+            made.clear()
         summary = falsify_search(chain, spider(3), 130, seed=1,
                                  product_c_term=product_c_term)
         assert summary["evaluated"] > 0
-        assert built == [chain]
+        assert calls["_report"] == [chain]
+        assert len(calls["check_h_convex"]) == one_geodesic
+        assert len(calls["objects"]) == 1
+
+
+def test_a_worst_row_that_the_public_check_rejects_raises(monkeypatch):
+    # the chunk's precheck and the public check on the worst row's
+    # objects must agree
+    import geofrac.chains as chains
+    from geofrac.convexity import ConvexityVerdict
+
+    monkeypatch.setattr(chains, "check_h_convex", lambda *args, **kwargs:
+                        ConvexityVerdict(False, -1.0, None, 1))
+    with pytest.raises(RuntimeError, match="worst row"):
+        falsify_search("conde_hh", euclidean(2), 3, seed=1)
+    assert falsify_search("corollary_distance", euclidean(2), 3,
+                          seed=1)["evaluated"] == 3
+
+
+def _row_verdicts(chunk, f_of=lambda f, i: f, g_of=lambda g: g):
+    # the per-row precheck of every row of a chunk, on its objects
+    import geofrac.chains as chains
+
+    out = []
+    for i in range(len(chunk.params)):
+        f, g, h, _ = chunk.objects(i)
+        out.append(chains.check_h_convex(f_of(f, i), g_of(g),
+                                         h or "identity", seed=0))
+    return out
+
+
+def _assert_same_verdicts(chunk, got, want):
+    # equal verdicts; the worst slack and its witness bit for bit unless
+    # h = t**k takes one of numpy's scalar-exponent fast paths
+    assert len(got) == len(want) == len(chunk.params)
+    for k, g, w in zip(chunk.k.tolist(), got, want):
+        assert (g.holds, g.samples) == (w.holds, w.samples)
+        if k not in (0.5, 2.0, -1.0):
+            assert g.worst_slack.hex() == w.worst_slack.hex()
+            assert g.witness == w.witness
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
+def test_chunk_precheck_equals_the_per_row_check(space):
+    # a full chunk and a short one, of chains with and without h: every
+    # row's batch verdict is its public check_h_convex's
+    import geofrac.chains as chains
+
+    rng = np.random.default_rng(4)
+    for chain, size in (("h_hh", 64), ("thm_cb2", 64), ("classic_hh", 64),
+                        ("h_hh", 5)):
+        chunk = chains._draw_trials(chains.chain_spec(chain), space, size,
+                                    rng)
+        _assert_same_verdicts(chunk, chunk.convexity(), _row_verdicts(chunk))
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
+def test_chunk_precheck_of_vacuous_and_poisoned_samples(monkeypatch, space):
+    # rows with h = godunova_levin, whose bound at lam = 0 or 1 is not
+    # finite (vacuous samples), and a pullback that is NaN or +inf at some
+    # grid points: at an interior point, and at the start of a
+    # restriction, which makes the restriction vacuous; the batch
+    # verdicts are still the per-row ones
+    import geofrac.chains as chains
+    from geofrac.convexity import _restriction_grid
+
+    kinds = [h_function(name) for name in
+             ("godunova_levin", "identity", "constant_one", "power(0.7)")]
+    monkeypatch.setattr(chains, "_draw_hs",
+                        lambda m, rng: [kinds[i % 4] for i in range(m)])
+    chunk = chains._draw_trials(chains.chain_spec("h_hh"), space, 64,
+                                np.random.default_rng(2))
+    got = chunk.convexity()
+    _assert_same_verdicts(chunk, got, _row_verdicts(chunk))
+    # 1/lam and 1/(1 - lam) are inf at lam = 0 and 1: 2 of 66 samples
+    assert {v.samples for v in got[::4]} == {9 * 64}
+
+    params = _restriction_grid(64, 8, 0)[3]
+    marks = [(1, params[2, 10], np.nan), (2, params[4, 30], np.inf),
+             (3, params[3, 0], np.inf), (5, params[0, -1], np.nan)]
+
+    def poison(values, ts, rows):
+        for every, t, value in marks:
+            values = np.where((ts == t) & (rows % 7 == every), value, values)
+        return values
+
+    pull = chunk.pull
+    chunk.pull = lambda ts, rows: poison(pull(ts, rows), ts, rows[:, None])
+
+    class Marked:
+        # a geodesic whose points come with their parameters
+        def __init__(self, g):
+            self.g = g
+
+        def eval_batch(self, ts):
+            return self.g.eval_batch(ts), np.asarray(ts)
+
+    got = chunk.convexity()
+    want = _row_verdicts(
+        chunk, lambda f, i: lambda batch: poison(f(batch[0]), batch[1], i),
+        Marked)
+    _assert_same_verdicts(chunk, got, want)
+    assert all(math.isnan(v.worst_slack) for v in got[1::7] + got[5::7])
+    assert all(v.worst_slack == -math.inf for v in got[2::7])
+    assert not any(v.holds for v in got[1::7] + got[2::7] + got[5::7])
+    assert all(v.samples <= 8 * 66 for v in got[3::7])
+    # a NaN end value is read by every sample of its restriction, whose
+    # bounds are then NaN: none of them is vacuous
+    assert all(v.samples == 9 * 66 for k, v in zip(chunk.k[5::7], got[5::7])
+               if k != -1.0)
+
+
+def test_chunk_precheck_holds_no_more_memory_than_a_chain_body():
+    # the precheck pulls half the rows at a time: its traced peak stays
+    # at or below the scalar chains' body on the same chunk
+    import tracemalloc
+
+    import geofrac.chains as chains
+
+    def peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    for space in BATCH_SPACES:
+        for chain in ("classic_hh", "conde_hh"):
+            spec = chains.chain_spec(chain)
+            chunk = chains._draw_trials(spec, space, 64,
+                                        np.random.default_rng(1))
+            assert peak(chunk.convexity) <= peak(lambda: spec.rows(chunk))
 
 
 def test_batched_product_probe_matches_per_trial_oracle():
@@ -1226,26 +1363,37 @@ def test_corollary_builds_only_the_worst_rows_objects(monkeypatch, trials):
 
 
 def test_discarded_trials_match_the_per_trial_oracle(monkeypatch):
-    # the precheck rejects every third trial: the falsifier counts them as
-    # discarded across a chunk boundary, as the per-trial oracle does
+    # the chunk's precheck rejects every third trial: the falsifier counts
+    # them as discarded across a chunk boundary, as the per-trial oracle
+    # does when check_h_convex rejects the same trials
     import geofrac.chains as chains
     from geofrac.convexity import ConvexityVerdict
 
-    checked = []
+    seen, rejected = [], set()
 
-    def every_third(*args, **kwargs):
-        checked.append(None)
-        return ConvexityVerdict(len(checked) % 3 != 0, 0.0, None, 0)
+    def every_third(chunk):
+        verdicts = []
+        for i in range(len(chunk.params)):
+            seen.append(i)
+            holds = len(seen) % 3 != 0
+            if not holds:
+                rejected.add(repr(chunk.objects(i)[1]))
+            verdicts.append(ConvexityVerdict(holds, 0.0, None, 0))
+        return verdicts
 
-    monkeypatch.setattr(chains, "check_h_convex", every_third)
+    def same_rows(f, g, h, **kwargs):
+        return ConvexityVerdict(repr(g) not in rejected, 0.0, None, 0)
+
+    monkeypatch.setattr(chains._Chunk, "convexity", every_third)
+    monkeypatch.setattr(chains, "check_h_convex", same_rows)
     for chain in ("classic_hh", "thm_ty1"):
         for space in (euclidean(2), product(euclidean(2), spider(3))):
-            checked.clear()
+            seen.clear()
+            rejected.clear()
             summary = falsify_search(chain, space, 70, seed=6)
-            assert len(checked) == 70
-            checked.clear()
+            assert seen == list(range(64)) + list(range(6))
             assert summary == _per_trial_search(chain, space, 70, 6)
-            assert summary["discarded"] == 23
+            assert summary["discarded"] == len(rejected) == 23
             assert (summary["evaluated"] + summary["quadrature_failures"]
                     == 47)
 

@@ -138,6 +138,16 @@ def test_identity_verdict_counts_full_grid():
             assert verdict.samples == 3 * 18
 
 
+def test_an_infinite_end_value_makes_its_restriction_vacuous():
+    # F(0) = +inf: every bound of the whole-segment restriction reads it
+    # and is not finite, so all its samples are vacuous, in every mode
+    f, g = scalar_pullback(lambda t: np.where(t == 0.0, np.inf, t * t))
+    for verdict in (check_h_convex(f, g, samples=16, pairs=2),
+                    check_quasi_or_p_convex(f, g, samples=16, pairs=2)):
+        assert verdict.holds
+        assert verdict.samples == 2 * 18
+
+
 # ---------------------------------------------------------------------------
 # quasi and p modes
 # ---------------------------------------------------------------------------

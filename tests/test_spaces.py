@@ -912,3 +912,22 @@ def test_short_geodesic_rows_alone_are_redrawn(monkeypatch, space):
         else:
             want = _take_rows(batches[0], [i]), _take_rows(batches[1], [i])
         assert _same_bits((g.start.row, g.end.row), want)
+
+
+@pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
+def test_take_rows_gathers_the_bits_of_fancy_indexing(space):
+    # an index array (repeats, any order) gathers through take the bits
+    # that batch[rows] gives, leaf by leaf, for coordinate and
+    # endpoint-stage batches, nested product tuples included; a slice
+    # still returns views of the batch
+    rng = np.random.default_rng(8)
+    A, B = _random_ends(space, 16, rng, 0.05)
+    ends, dist = space._ends(A, B)
+    rows = rng.integers(0, 16, 200)
+    for batch in (A, B, ends, dist):
+        fancy = [leaf[rows] for leaf in _leaves(batch)]
+        assert _same_bits(_take_rows(batch, rows), tuple(fancy))
+        for view, leaf in zip(_leaves(_take_rows(batch, slice(3, 9))),
+                              _leaves(batch)):
+            assert np.shares_memory(view, leaf)
+            assert view.tobytes() == leaf[3:9].tobytes()
