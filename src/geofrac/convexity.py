@@ -186,9 +186,25 @@ def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
 
 def _along_rows(space: Space, ends, ts: np.ndarray, rows: np.ndarray):
     # the points of ts as one batch, line k on geodesic rows[k] of ends,
-    # and the row of each point
-    rows = np.broadcast_to(rows[:, None], ts.shape).ravel()
-    return space._along(_take_rows(ends, rows), ts.ravel()), rows
+    # and the row of each point; each line's constants broadcast against
+    # its parameters, so that they are not copied once per point
+    pts = space._along(_lines(_take_rows(ends, rows)), ts)
+    return (_flatten_lines(pts, ts.ndim),
+            np.broadcast_to(rows[:, None], ts.shape).ravel())
+
+
+def _lines(batch):
+    # a batch of K rows as K lines of one point each: a new second axis
+    if isinstance(batch, tuple):
+        return tuple(map(_lines, batch))
+    return batch[:, None]
+
+
+def _flatten_lines(batch, nd: int):
+    # a batch over the first nd axes as one batch of rows
+    if isinstance(batch, tuple):
+        return tuple(_flatten_lines(b, nd) for b in batch)
+    return batch.reshape((-1,) + batch.shape[nd:])
 
 
 def _distance_pullback_rows(space: Space, ends, ys, k: float) -> Callable:

@@ -126,7 +126,8 @@ class Space:
     the geodesics from A to B and their lengths, a fresh array equal to
     `_dist(A, B)` bit for bit; the parameter stage `_along(ends, t)` evaluates the
     constants at parameters t, broadcasting a single row against many
-    parameters or many rows against one parameter each.
+    parameters, many rows against one parameter each, or K rows given
+    an axis of length 1 after the first against parameters (..., K, m).
     """
 
     name: str = "abstract"
@@ -323,8 +324,8 @@ class HalfPlaneSpace(Space):
         y = 1.0 / (c1 + c2)
         # x = (c1 x1 + c2 x2) y, formed in c1; each temporary goes once it
         # is used, so that a large batch holds fewer arrays at a time
-        c1 *= A[:, 0]
-        c2 *= B[:, 0]
+        c1 *= A[..., 0]
+        c2 *= B[..., 0]
         c1 += c2
         del c2
         c1 *= y

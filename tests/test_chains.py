@@ -988,6 +988,13 @@ def test_a_worst_row_that_the_public_check_rejects_raises(monkeypatch):
                           seed=1)["evaluated"] == 3
 
 
+def _precheck(chunk):
+    # the falsifier's precheck of a chunk, from its columns
+    import geofrac.chains as chains
+
+    return chains._check_h_convex_rows(chunk.pull, chunk.index, chunk.k)
+
+
 def _row_verdicts(chunk, f_of=lambda f, i: f, g_of=lambda g: g):
     # the per-row precheck of every row of a chunk, on its objects
     import geofrac.chains as chains
@@ -1022,7 +1029,7 @@ def test_chunk_precheck_equals_the_per_row_check(space):
                         ("h_hh", 5)):
         chunk = chains._draw_trials(chains.chain_spec(chain), space, size,
                                     rng)
-        _assert_same_verdicts(chunk, chunk.convexity(), _row_verdicts(chunk))
+        _assert_same_verdicts(chunk, _precheck(chunk), _row_verdicts(chunk))
 
 
 @pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
@@ -1041,7 +1048,7 @@ def test_chunk_precheck_of_vacuous_and_poisoned_samples(monkeypatch, space):
                         lambda m, rng: [kinds[i % 4] for i in range(m)])
     chunk = chains._draw_trials(chains.chain_spec("h_hh"), space, 64,
                                 np.random.default_rng(2))
-    got = chunk.convexity()
+    got = _precheck(chunk)
     _assert_same_verdicts(chunk, got, _row_verdicts(chunk))
     # 1/lam and 1/(1 - lam) are inf at lam = 0 and 1: 2 of 66 samples
     assert {v.samples for v in got[::4]} == {9 * 64}
@@ -1066,7 +1073,7 @@ def test_chunk_precheck_of_vacuous_and_poisoned_samples(monkeypatch, space):
         def eval_batch(self, ts):
             return self.g.eval_batch(ts), np.asarray(ts)
 
-    got = chunk.convexity()
+    got = _precheck(chunk)
     want = _row_verdicts(
         chunk, lambda f, i: lambda batch: poison(f(batch[0]), batch[1], i),
         Marked)
@@ -1103,7 +1110,8 @@ def test_chunk_precheck_holds_no_more_memory_than_a_chain_body():
             spec = chains.chain_spec(chain)
             chunk = chains._draw_trials(spec, space, 64,
                                         np.random.default_rng(1))
-            assert peak(chunk.convexity) <= peak(lambda: spec.rows(chunk))
+            assert (peak(lambda: _precheck(chunk))
+                    <= peak(lambda: spec.rows(chunk)))
 
 
 def test_batched_product_probe_matches_per_trial_oracle():
@@ -1365,35 +1373,34 @@ def test_corollary_builds_only_the_worst_rows_objects(monkeypatch, trials):
 def test_discarded_trials_match_the_per_trial_oracle(monkeypatch):
     # the chunk's precheck rejects every third trial: the falsifier counts
     # them as discarded across a chunk boundary, as the per-trial oracle
-    # does when check_h_convex rejects the same trials
+    # does when its check_h_convex rejects every third trial in row order
     import geofrac.chains as chains
     from geofrac.convexity import ConvexityVerdict
 
-    seen, rejected = [], set()
+    checked, chunks = [], []
 
-    def every_third(chunk):
-        verdicts = []
-        for i in range(len(chunk.params)):
-            seen.append(i)
-            holds = len(seen) % 3 != 0
-            if not holds:
-                rejected.add(repr(chunk.objects(i)[1]))
-            verdicts.append(ConvexityVerdict(holds, 0.0, None, 0))
-        return verdicts
+    def verdict():
+        checked.append(None)
+        return ConvexityVerdict(len(checked) % 3 != 0, 0.0, None, 0)
 
-    def same_rows(f, g, h, **kwargs):
-        return ConvexityVerdict(repr(g) not in rejected, 0.0, None, 0)
+    def every_third_row(pull, rows, k):
+        chunks.append(len(rows))
+        return [verdict() for _ in rows]
 
-    monkeypatch.setattr(chains._Chunk, "convexity", every_third)
-    monkeypatch.setattr(chains, "check_h_convex", same_rows)
+    monkeypatch.setattr(chains, "_check_h_convex_rows", every_third_row)
     for chain in ("classic_hh", "thm_ty1"):
         for space in (euclidean(2), product(euclidean(2), spider(3))):
-            seen.clear()
-            rejected.clear()
+            checked.clear()
+            chunks.clear()
             summary = falsify_search(chain, space, 70, seed=6)
-            assert seen == list(range(64)) + list(range(6))
-            assert summary == _per_trial_search(chain, space, 70, 6)
-            assert summary["discarded"] == len(rejected) == 23
+            assert chunks == [64, 6]
+            checked.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(chains, "check_h_convex",
+                                lambda *args, **kwargs: verdict())
+                assert summary == _per_trial_search(chain, space, 70, 6)
+            assert len(checked) == 70
+            assert summary["discarded"] == 23
             assert (summary["evaluated"] + summary["quadrature_failures"]
                     == 47)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geofrac.convexity import on_geodesic, squared_distance_function
+from geofrac.convexity import (_flatten_lines, _lines, on_geodesic,
+                               squared_distance_function)
 from geofrac.errors import DomainError, SpaceMismatchError
 from geofrac.spaces import (busemann_gap, busemann_gap_batch, cn_gap,
                             cn_gap_batch, comparison_gap,
@@ -931,3 +932,21 @@ def test_take_rows_gathers_the_bits_of_fancy_indexing(space):
                               _leaves(batch)):
             assert np.shares_memory(view, leaf)
             assert view.tobytes() == leaf[3:9].tobytes()
+
+
+@pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
+def test_along_broadcasts_lines_of_constants(space):
+    # K rows of endpoint constants, each as a line of one point, against
+    # parameters (2, K, m) give the bits of the per-point constants
+    # against the flat parameters
+    rng = np.random.default_rng(9)
+    A, B = _random_ends(space, 16, rng, 0.05)
+    ends, _ = space._ends(A, B)
+    rows = rng.integers(0, 16, 5)
+    ts = rng.uniform(0.0, 1.0, (2, 5, 7))
+    ts[0, 1, :2] = 0.0, 1.0
+    per_point = np.broadcast_to(rows[:, None], ts.shape).ravel()
+    want = space._along(_take_rows(ends, per_point), ts.ravel())
+    got = _flatten_lines(space._along(_lines(_take_rows(ends, rows)), ts),
+                         ts.ndim)
+    assert _same_bits(got, want)
