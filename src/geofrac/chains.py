@@ -62,14 +62,16 @@ reports the worst margin and any violations beyond tolerance.  It draws
 a chunk of instances as columns, each parameter, h and geometry column
 in one call (the order is in its docstring), and the chunk stays columns
 (`_Chunk`) up to the sides: a row becomes Points, Geodesics and an f
-only for the worst row's instance.  Each chain picks its points and
+only for the worst row's instance.  The convexity precheck of a chunk is
+one batch check of all its rows from the same columns
+(`_Chunk.convexity`), and the worst row's is repeated through the
+public `check_h_convex` on its objects.  Each chain picks its points and
 integrals, and builds each row's sides and extras, in one function, its
-`ChainSpec.rows` body.  The falsifier runs the body and the convexity
-precheck (`_check_h_convex_rows`) on every row of a chunk, counts a row that
-the precheck rejects as discarded, and builds one report, the worst
-row's; a public chain checks its inputs and runs it on its one trial
-(`_OneTrial`), whose integrals are the public `integrate`,
-`katugampola_left` (rho = 1) and `compute_E`.
+`ChainSpec.rows` body.  The falsifier runs the body on every row of a
+chunk, counts a row that the precheck rejects as discarded, and builds
+one report, the worst row's; a public chain checks its inputs and runs
+it on its one trial (`_OneTrial`), whose integrals are the public
+`integrate`, `katugampola_left` (rho = 1) and `compute_E`.
 """
 
 from __future__ import annotations
@@ -462,7 +464,7 @@ class _Chunk:
         self.geodesics = _read_only(geodesics)
         self.intervals = [(p.a, p.b) for p in params]
         self.index = np.arange(len(params))
-        # h = t**k per row, identity without h
+        # each row's exponent of h = t**k; k = 1 (identity) without h
         self.k = np.array([1.0 if hf is None else hf.k for hf in hs])
         # each row's geodesic lengths, and the endpoint-stage batches
         self.lengths = list(zip(*(g[3].tolist() for g in geodesics)))
@@ -528,6 +530,13 @@ class _Chunk:
         return self._fold(lambda x, rows: x ** k[rows, None], [1.0] * len(k),
                           [p.alpha * h_half for p, h_half
                            in zip(self.params, (0.5 ** k).tolist())])
+
+    def convexity(self) -> list:
+        """The convexity precheck of every row, `check_h_convex(f, g, h,
+        seed=0)` of its `objects` with h = identity where it has none,
+        from the columns: its h is one power of the exponent column, with
+        `e_values`' fast-path caveat."""
+        return _check_h_convex_rows(self.pull, self.index, self.k)
 
 
 class _OneTrial:
@@ -846,15 +855,16 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     alone, until none is left (the corollary draws its first and then
     its second geodesics so).  Every trial of the chunk is evaluated,
     together from its columns, by the chain's body (`ChainSpec.rows`).
-    A chain with one geodesic prechecks the chunk's trials from its
-    columns, `check_h_convex(f, g, h or "identity", seed=0)` of each.  A
+    A chain with one geodesic prechecks every trial of the chunk at once:
+    `check_h_convex(f, g, h, seed=0)` of each row (h = identity for a
+    chain without h), computed from the columns (`_Chunk.convexity`).  A
     trial that it rejects counts as discarded, whatever its sides; of the
     others, a row that carries an AccuracyError counts as a quadrature
     failure.  A row's margins come from its sides, as its report takes
     them; the one report built, the worst row's with `ChainSpec.instance`
     of its objects, becomes worst_instance; ties go to the first trial.
-    The public `check_h_convex` must accept those objects too, or
-    RuntimeError is raised.
+    The worst row's precheck is repeated by the public `check_h_convex`
+    on those objects, and RuntimeError is raised if it rejects them.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant (`extras["right_product_bare_c"]`) in the margins, the
@@ -876,10 +886,10 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         draws = min(CHUNK, trials - start)
         chunk = _draw_trials(spec, space, draws, rng)
         rows = spec.rows(chunk)
-        # after the body: in the memory that the body's arrays freed
+        # the precheck runs after the body, in the memory that the body's
+        # larger arrays freed
         admissible = [True] * draws if spec.two_geodesics else [
-            v.holds for v in _check_h_convex_rows(chunk.pull, chunk.index,
-                                                  chunk.k)]
+            verdict.holds for verdict in chunk.convexity()]
         for i, (row, kept) in enumerate(zip(rows, admissible)):
             if not kept:
                 discarded += 1
@@ -903,6 +913,8 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     if worst is not None:
         chunk, i, sides, extras = worst
         f, g, hf, _ = objects = chunk.objects(i)
+        # the chunk's precheck accepted the worst row: so must the public
+        # check on the objects that its instance is replayed with
         if not (spec.two_geodesics
                 or check_h_convex(f, g, hf or "identity", seed=0).holds):
             raise RuntimeError("check_h_convex rejects the worst row, which "

@@ -990,9 +990,7 @@ def test_a_worst_row_that_the_public_check_rejects_raises(monkeypatch):
 
 def _precheck(chunk):
     # the falsifier's precheck of a chunk, from its columns
-    import geofrac.chains as chains
-
-    return chains._check_h_convex_rows(chunk.pull, chunk.index, chunk.k)
+    return chunk.convexity()
 
 
 def _row_verdicts(chunk, f_of=lambda f, i: f, g_of=lambda g: g):
