@@ -266,8 +266,6 @@ class ConvexityVerdict:
 def _restriction_grid(samples: int, pairs: int, seed: int):
     # the restrictions [t1, t2] (the whole geodesic first, then `pairs`
     # random ones), the lam grid and the geodesic parameter of each sample
-    if samples < 1 or pairs < 0:
-        raise DomainError("need samples >= 1 and pairs >= 0")
     rng = np.random.default_rng(seed)
     draws = rng.uniform(0.0, 1.0, (pairs, 2))
     t1 = np.concatenate(([0.0], draws.min(axis=1)))
@@ -286,6 +284,8 @@ def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
                         pairs: int, seed: int):
     # the grid, and F at every sample as one row, shape (1, restrictions,
     # samples + 2), from one batch of points
+    if samples < 1 or pairs < 0:
+        raise DomainError("need samples >= 1 and pairs >= 0")
     if isinstance(seed, (int, np.integer)):
         # the grid depends on (samples, pairs, seed) alone: cached
         grid = _restriction_grid(samples, pairs, seed)
@@ -304,75 +304,52 @@ def _h_bound(values: np.ndarray, hl, hr) -> np.ndarray:
         return hr * values[..., :1] + hl * values[..., -1:]
 
 
-def _verdicts(blocks, t1, t2, lam, tol: float) -> list:
-    """The verdicts of R rows.  blocks yields (bound, values), values of
-    shape (R, P, S) and bound broadcasting against it: P consecutive
-    restrictions of every row at a time, in order; a sample holds when
-    value <= bound + tol.  A bound that is not finite is vacuous, unless
-    a value of F that the sample reads is NaN (module docstring).  A
-    row's witness is its first least slack bound - value, NaN being
-    least (np.argmin): the first least of its blocks' first least ones."""
-    lows, ats, oks, counts = [], [], [], []
-    start = 0
-    for bound, values in blocks:
-        vacuous = ~np.isfinite(bound)
-        if vacuous.any():
-            nan = np.isnan(values)
-            vacuous = vacuous & ~(nan | nan[..., :1] | nan[..., -1:])
-            # a vacuous slack is inf - 0, so no inf - inf is formed
-            bound = np.where(vacuous, np.inf, bound)
-            values = np.where(vacuous, 0.0, values)
-        slack = (bound - values).reshape(len(values), -1)
-        at = np.argmin(slack, axis=1)
-        lows.append(slack[np.arange(len(slack)), at])
-        ats.append(at + start)
-        oks.append((slack >= -tol).all(axis=1))
-        counts.append(slack.shape[1] - np.count_nonzero(
-            vacuous.reshape(len(slack), -1), axis=1))
-        start += slack.shape[1]
-        # no block's arrays stay alive while blocks makes the next one
-        del bound, values, vacuous, slack
-    lows = np.array(lows)
-    block = np.argmin(lows, axis=0)
-    rows = np.arange(lows.shape[1])
+def _verdicts(bound: np.ndarray, values: np.ndarray, t1, t2, lam,
+              tol: float) -> list:
+    """The verdicts of R rows, values of shape (R, restrictions, S) and
+    bound broadcasting against it: a sample holds when value <= bound +
+    tol.  A bound that is not finite is vacuous, unless a value of F that
+    the sample reads is NaN (module docstring).  A row's witness is its
+    first least slack bound - value, NaN being least (np.argmin)."""
+    vacuous = ~np.isfinite(bound)
+    if vacuous.any():
+        nan = np.isnan(values)
+        vacuous = vacuous & ~(nan | nan[..., :1] | nan[..., -1:])
+        # a vacuous slack is inf - 0, so no inf - inf is formed
+        bound = np.where(vacuous, np.inf, bound)
+        values = np.where(vacuous, 0.0, values)
+    slack = (bound - values).reshape(len(values), -1)
+    at = np.argmin(slack, axis=1)
+    counts = slack.shape[1] - np.count_nonzero(
+        np.broadcast_to(vacuous, values.shape).reshape(len(slack), -1),
+        axis=1)
     out = []
-    for low, at, ok, n in zip(lows[block, rows].tolist(),
-                              np.array(ats)[block, rows].tolist(),
-                              np.logical_and.reduce(oks).tolist(),
-                              np.sum(counts, axis=0).tolist()):
+    for low, idx, ok, n in zip(slack[np.arange(len(slack)), at].tolist(),
+                               at.tolist(),
+                               (slack >= -tol).all(axis=1).tolist(),
+                               counts.tolist()):
         if n == 0:
             out.append(ConvexityVerdict(True, np.inf, None, 0))
             continue
-        r, j = divmod(at, lam.size)
+        r, j = divmod(idx, lam.size)
         out.append(ConvexityVerdict(ok, low, (float(t1[r]), float(t2[r]),
                                               float(lam[j])), n))
     return out
 
 
-def _check_h_convex_rows(pull: Callable, rows: np.ndarray, k: np.ndarray, *,
-                         samples: int = 64, pairs: int = 8,
-                         tol: float = 1e-9, seed: int = 0) -> list:
-    """`check_h_convex` of R pullbacks at once, row r with h = t**k[r]:
-    pull(ts, rows) is F of row rows[i] at the parameters ts[i] (the
-    `_distance_pullback_rows` form).  The restrictions go through pull
-    one at a time, for one half of the rows and then for the other, and
-    so do their verdicts: a call on every row would hold more memory at
-    its peak than a falsifier chunk's chain body does."""
-    t1, t2, lam, params = _restriction_grid(samples, pairs, seed)
-    k = np.asarray(k, dtype=float)
-    out = []
-    for half in np.array_split(np.arange(len(rows)), 2):
-        if not half.size:
-            continue
-        part, kh = rows[half], k[half, None, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hl, hr = lam ** kh, (1.0 - lam) ** kh
-        # one restriction of these rows a block: values (rows, 1, S)
-        lines = (pull(ts[None].repeat(part.size, axis=0), part)[:, None]
-                 for ts in params)
-        out += _verdicts(((_h_bound(v, hl, hr), v) for v in lines),
-                         t1, t2, lam, tol)
-    return out
+def _check_h_convex_rows(pull: Callable, k: np.ndarray) -> list:
+    """`check_h_convex(f_r, g_r, t**k[r], seed=0)` of every row r of
+    pull at once: pull(ts, rows) is F of row rows[i] at the parameters
+    ts[i] (the `_distance_pullback_rows` form).  The grid's restrictions
+    go through pull one at a time, on all rows."""
+    t1, t2, lam, params = _restriction_grid(64, 8, 0)
+    k = np.asarray(k, dtype=float)[:, None, None]
+    rows = np.arange(len(k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hl, hr = lam ** k, (1.0 - lam) ** k
+    values = np.stack([pull(ts[None].repeat(len(k), axis=0), rows)
+                       for ts in params], axis=1)
+    return _verdicts(_h_bound(values, hl, hr), values, t1, t2, lam, 1e-9)
 
 
 def check_h_convex(f: Callable, geodesic: Geodesic,
@@ -383,8 +360,8 @@ def check_h_convex(f: Callable, geodesic: Geodesic,
     hf = h_function(h)
     t1, t2, lam, values = _restriction_values(f, geodesic, samples, pairs,
                                               seed)
-    [verdict] = _verdicts([(_h_bound(values, hf(lam), hf(1.0 - lam)),
-                            values)], t1, t2, lam, tol)
+    [verdict] = _verdicts(_h_bound(values, hf(lam), hf(1.0 - lam)),
+                          values, t1, t2, lam, tol)
     return verdict
 
 
@@ -416,5 +393,5 @@ def check_quasi_or_p_convex(f: Callable, geodesic: Geodesic,
             raise DomainError("p-convexity needs nonnegative sampled values")
         values = values ** p
         bound = _h_bound(values, lam, 1.0 - lam)
-    [verdict] = _verdicts([(bound, values)], t1, t2, lam, tol)
+    [verdict] = _verdicts(bound, values, t1, t2, lam, tol)
     return verdict

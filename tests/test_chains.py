@@ -974,25 +974,6 @@ def test_a_search_builds_one_report(monkeypatch, chain):
         assert len(calls["objects"]) == 1
 
 
-def test_a_worst_row_that_the_public_check_rejects_raises(monkeypatch):
-    # the chunk's precheck and the public check on the worst row's
-    # objects must agree
-    import geofrac.chains as chains
-    from geofrac.convexity import ConvexityVerdict
-
-    monkeypatch.setattr(chains, "check_h_convex", lambda *args, **kwargs:
-                        ConvexityVerdict(False, -1.0, None, 1))
-    with pytest.raises(RuntimeError, match="worst row"):
-        falsify_search("conde_hh", euclidean(2), 3, seed=1)
-    assert falsify_search("corollary_distance", euclidean(2), 3,
-                          seed=1)["evaluated"] == 3
-
-
-def _precheck(chunk):
-    # the falsifier's precheck of a chunk, from its columns
-    return chunk.convexity()
-
-
 def _row_verdicts(chunk, f_of=lambda f, i: f, g_of=lambda g: g):
     # the per-row precheck of every row of a chunk, on its objects
     import geofrac.chains as chains
@@ -1027,7 +1008,7 @@ def test_chunk_precheck_equals_the_per_row_check(space):
                         ("h_hh", 5)):
         chunk = chains._draw_trials(chains.chain_spec(chain), space, size,
                                     rng)
-        _assert_same_verdicts(chunk, _precheck(chunk), _row_verdicts(chunk))
+        _assert_same_verdicts(chunk, chunk.convexity(), _row_verdicts(chunk))
 
 
 @pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
@@ -1046,7 +1027,7 @@ def test_chunk_precheck_of_vacuous_and_poisoned_samples(monkeypatch, space):
                         lambda m, rng: [kinds[i % 4] for i in range(m)])
     chunk = chains._draw_trials(chains.chain_spec("h_hh"), space, 64,
                                 np.random.default_rng(2))
-    got = _precheck(chunk)
+    got = chunk.convexity()
     _assert_same_verdicts(chunk, got, _row_verdicts(chunk))
     # 1/lam and 1/(1 - lam) are inf at lam = 0 and 1: 2 of 66 samples
     assert {v.samples for v in got[::4]} == {9 * 64}
@@ -1071,7 +1052,7 @@ def test_chunk_precheck_of_vacuous_and_poisoned_samples(monkeypatch, space):
         def eval_batch(self, ts):
             return self.g.eval_batch(ts), np.asarray(ts)
 
-    got = _precheck(chunk)
+    got = chunk.convexity()
     want = _row_verdicts(
         chunk, lambda f, i: lambda batch: poison(f(batch[0]), batch[1], i),
         Marked)
@@ -1084,32 +1065,6 @@ def test_chunk_precheck_of_vacuous_and_poisoned_samples(monkeypatch, space):
     # bounds are then NaN: none of them is vacuous
     assert all(v.samples == 9 * 66 for k, v in zip(chunk.k[5::7], got[5::7])
                if k != -1.0)
-
-
-def test_chunk_precheck_holds_no_more_memory_than_a_chain_body():
-    # the precheck pulls half the rows at a time: its traced peak stays
-    # at or below the scalar chains' body on the same chunk
-    import tracemalloc
-
-    import geofrac.chains as chains
-
-    def peak(fn):
-        fn()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fn()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    for space in BATCH_SPACES:
-        for chain in ("classic_hh", "conde_hh"):
-            spec = chains.chain_spec(chain)
-            chunk = chains._draw_trials(spec, space, 64,
-                                        np.random.default_rng(1))
-            assert (peak(lambda: _precheck(chunk))
-                    <= peak(lambda: spec.rows(chunk)))
 
 
 def test_batched_product_probe_matches_per_trial_oracle():
@@ -1381,9 +1336,9 @@ def test_discarded_trials_match_the_per_trial_oracle(monkeypatch):
         checked.append(None)
         return ConvexityVerdict(len(checked) % 3 != 0, 0.0, None, 0)
 
-    def every_third_row(pull, rows, k):
-        chunks.append(len(rows))
-        return [verdict() for _ in rows]
+    def every_third_row(pull, k):
+        chunks.append(len(k))
+        return [verdict() for _ in k]
 
     monkeypatch.setattr(chains, "_check_h_convex_rows", every_third_row)
     for chain in ("classic_hh", "thm_ty1"):
