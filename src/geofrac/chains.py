@@ -886,8 +886,6 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         draws = min(CHUNK, trials - start)
         chunk = _draw_trials(spec, space, draws, rng)
         rows = spec.rows(chunk)
-        # the precheck runs after the body, in the memory that the body's
-        # larger arrays freed
         admissible = [True] * draws if spec.two_geodesics else [
             verdict.holds for verdict in chunk.convexity()]
         for i, (row, kept) in enumerate(zip(rows, admissible)):

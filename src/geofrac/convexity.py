@@ -301,7 +301,9 @@ def _h_bound(values: np.ndarray, hl, hr) -> np.ndarray:
     # h(1 - lam) F(0) + h(lam) F(1) per sample of values (..., S), with
     # hl = h(lam) and hr = h(1 - lam) broadcasting against it
     with np.errstate(invalid="ignore"):
-        return hr * values[..., :1] + hl * values[..., -1:]
+        bound = hr * values[..., :1]
+        bound += hl * values[..., -1:]
+        return bound
 
 
 def _verdicts(bound: np.ndarray, values: np.ndarray, t1, t2, lam,
@@ -347,8 +349,11 @@ def _check_h_convex_rows(pull: Callable, k: np.ndarray) -> list:
     rows = np.arange(len(k))
     with np.errstate(divide="ignore", invalid="ignore"):
         hl, hr = lam ** k, (1.0 - lam) ** k
-    values = np.stack([pull(ts[None].repeat(len(k), axis=0), rows)
-                       for ts in params], axis=1)
+    # every row's values filled in place, and _h_bound sums in place: a
+    # falsifier's peak memory holds fewer arrays of all R x 594 samples
+    values = np.empty((len(k),) + params.shape)
+    for r, ts in enumerate(params):
+        values[:, r] = pull(ts[None].repeat(len(k), axis=0), rows)
     return _verdicts(_h_bound(values, hl, hr), values, t1, t2, lam, 1e-9)
 
 

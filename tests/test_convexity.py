@@ -316,3 +316,26 @@ def test_precheck_grid_is_cached_read_only_and_unchanged():
     assert np.array_equal(first, _restriction_values(f, g, 64, 8, 5)[0])
     assert not np.array_equal(_restriction_values(f, g, 64, 8, rng)[0],
                               first)
+
+
+def test_chunk_precheck_keeps_the_tolerance_and_the_first_witness():
+    # F = 0 along every row, raised at marked grid parameters: by 1 at two
+    # samples of row 0, whose witness is the first of its two least
+    # slacks, and by 5e-10 at one sample of row 1, which holds within the
+    # falsifier's tol 1e-9
+    from geofrac.convexity import _check_h_convex_rows, _restriction_grid
+
+    t1, t2, lam, params = _restriction_grid(64, 8, 0)
+    marks = [(0, params[2, 10], 1.0), (0, params[5, 20], 1.0),
+             (1, params[1, 30], 5e-10)]
+
+    def pull(ts, rows):
+        values = np.zeros(ts.shape)
+        for row, t, bump in marks:
+            values[(ts == t) & (rows[:, None] == row)] += bump
+        return values
+
+    low, near = _check_h_convex_rows(pull, np.ones(2))
+    assert (low.holds, low.worst_slack) == (False, -1.0)
+    assert low.witness == (t1[2], t2[2], lam[10])
+    assert near.holds and near.worst_slack == -5e-10
