@@ -62,16 +62,17 @@ reports the worst margin and any violations beyond tolerance.  It draws
 a chunk of instances as columns, each parameter, h and geometry column
 in one call (the order is in its docstring), and the chunk stays columns
 (`_Chunk`) up to the sides: a row becomes Points, Geodesics and an f
-only for the worst row's instance.  The convexity precheck of a chunk is
-one batch check of all its rows from the same columns
-(`_Chunk.convexity`), and the worst row's is repeated through the
-public `check_h_convex` on its objects.  Each chain picks its points and
-integrals, and builds each row's sides and extras, in one function, its
-`ChainSpec.rows` body.  The falsifier runs the body on every row of a
-chunk, counts a row that the precheck rejects as discarded, and builds
-one report, the worst row's; a public chain checks its inputs and runs
-it on its one trial (`_OneTrial`), whose integrals are the public
-`integrate`, `katugampola_left` (rho = 1) and `compute_E`.
+only for the worst row's instance.  Every drawn instance is admissible
+by theorem, so none is prechecked: f = d(., y)^2 is geodesically convex
+on a CAT(0) space, all four model spaces are CAT(0), f >= 0, and every
+drawn h has h(t) >= t, so f is h-convex along every g (the `convexity`
+module docstring).  A summary's "discarded" count is therefore always 0.
+Each chain picks its points and integrals, and builds each row's sides
+and extras, in one function, its `ChainSpec.rows` body.  The falsifier
+runs the body on every row of a chunk and builds one report, the worst
+row's; a public chain checks its inputs and runs it on its one trial
+(`_OneTrial`), whose integrals are the public `integrate`,
+`katugampola_left` (rho = 1) and `compute_E`.
 """
 
 from __future__ import annotations
@@ -83,9 +84,8 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from .convexity import (HFunction, _check_h_convex_rows,
-                        _distance_pullback_rows, _geodesic_distance_rows,
-                        _power_h, check_h_convex,
+from .convexity import (HFunction, _distance_pullback_rows,
+                        _geodesic_distance_rows, _power_h, check_h_convex,
                         distance_between_geodesics_function, h_function,
                         on_geodesic, squared_distance_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
@@ -531,13 +531,6 @@ class _Chunk:
                           [p.alpha * h_half for p, h_half
                            in zip(self.params, (0.5 ** k).tolist())])
 
-    def convexity(self) -> list:
-        """The convexity precheck of every row, `check_h_convex(f, g, h,
-        seed=0)` of its `objects` with h = identity where it has none,
-        from the columns: its h is one power of the exponent column, with
-        `e_values`' fast-path caveat."""
-        return _check_h_convex_rows(self.pull, self.k)
-
 
 class _OneTrial:
     """A public chain's one trial, with the four evaluation methods of a
@@ -837,9 +830,10 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
                    product_c_term: bool = False) -> dict:
     """Randomized search for chain violations beyond tol.
 
-    Instances whose convexity precondition fails on the sampled grid are
-    discarded (counted, not treated as violations); quadrature failures
-    are likewise counted and skipped.  Identical (chain, space, trials,
+    Every drawn instance satisfies the chain's convexity precondition by
+    theorem (module docstring), so none is discarded: "discarded" is
+    always 0.  Quadrature failures are counted, not treated as
+    violations, and skipped.  Identical (chain, space, trials,
     seed, tol) inputs give identical summaries; trials and seed must be
     integers >= 0 and tol positive and finite.
 
@@ -855,16 +849,13 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     alone, until none is left (the corollary draws its first and then
     its second geodesics so).  Every trial of the chunk is evaluated,
     together from its columns, by the chain's body (`ChainSpec.rows`).
-    A chain with one geodesic prechecks every trial of the chunk at once:
-    `check_h_convex(f, g, h, seed=0)` of each row (h = identity for a
-    chain without h), computed from the columns (`_Chunk.convexity`).  A
-    trial that it rejects counts as discarded, whatever its sides; of the
-    others, a row that carries an AccuracyError counts as a quadrature
-    failure.  A row's margins come from its sides, as its report takes
-    them; the one report built, the worst row's with `ChainSpec.instance`
-    of its objects, becomes worst_instance; ties go to the first trial.
-    The worst row's precheck is repeated once by the public
-    `check_h_convex` on those objects.
+    A row that carries an AccuracyError counts as a quadrature failure.
+    A row's margins come from its sides, as its report takes them; the
+    one report built, the worst row's with `ChainSpec.instance` of its
+    objects, becomes worst_instance; ties go to the first trial.  A chain
+    with one geodesic runs the public `check_h_convex(f, g, h, seed=0)`
+    once, on those objects (h = identity for a chain without h); its
+    verdict is not read.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant (`extras["right_product_bare_c"]`) in the margins, the
@@ -880,18 +871,12 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
     rng = np.random.default_rng(seed)
-    discarded = evaluated = failures = violations = 0
+    evaluated = failures = violations = 0
     worst_margin = worst = None
     for start in range(0, trials, CHUNK):
         draws = min(CHUNK, trials - start)
         chunk = _draw_trials(spec, space, draws, rng)
-        rows = spec.rows(chunk)
-        admissible = [True] * draws if spec.two_geodesics else [
-            verdict.holds for verdict in chunk.convexity()]
-        for i, (row, kept) in enumerate(zip(rows, admissible)):
-            if not kept:
-                discarded += 1
-                continue
+        for i, row in enumerate(spec.rows(chunk)):
             if isinstance(row, AccuracyError):
                 failures += 1
                 continue
@@ -912,16 +897,16 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         chunk, i, sides, extras = worst
         f, g, hf, _ = objects = chunk.objects(i)
         if not spec.two_geodesics:
-            # the public check of the worst row, whose verdict the chunk's
-            # precheck gave: it keeps the benchmark's traced counters of
-            # check_h_convex and eval_batch (bench/tracing.py) nonzero
-            # until they count the chunk precheck (ROADMAP item 9)
+            # the only convexity call left in the falsifier; its verdict
+            # holds by theorem and is not read.  It keeps the benchmark's
+            # traced counters of check_h_convex and eval_batch
+            # (bench/tracing.py) nonzero until ROADMAP item 9
             check_h_convex(f, g, hf or "identity", seed=0)
         worst_instance = _report(chain, sides, tol, spec.instance(*objects),
                                  extras).to_dict()
     summary = {"chain": chain, "space": space.name, "trials": trials,
                "seed": seed, "tol": float(tol), "evaluated": evaluated,
-               "discarded": discarded, "quadrature_failures": failures,
+               "discarded": 0, "quadrature_failures": failures,
                "violations": violations, "worst_margin": worst_margin,
                "worst_instance": worst_instance}
     if chain == "corollary_distance":

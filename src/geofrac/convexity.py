@@ -19,11 +19,13 @@ fails, as does F(lam) = +inf under a finite bound.
 
 Checks are sampling-based: a `holds` verdict certifies the inequality on
 the sampled grid only, while a failed verdict carries a concrete witness.
+One verdict body (`_verdict`) decides every check.
 
-One verdict body with a leading row axis (`_verdicts`) decides every
-check: the public checks are its one-row case, and the falsifier runs it
-on the rows of a chunk at once (`_check_h_convex_rows`), with the same
-grid, so that each row's verdict is its own `check_h_convex`'s.
+The falsifier (`chains.falsify_search`) does not precheck its instances:
+each is h-convex by theorem.  f = d(., y)^2 is geodesically convex on a
+CAT(0) space, and all four model spaces are CAT(0); f >= 0, and every h
+it draws has h(t) >= t, so f(g(lam)) <= (1 - lam) f(g(0)) + lam f(g(1))
+<= h(1 - lam) f(g(0)) + h(lam) f(g(1)).
 """
 
 from __future__ import annotations
@@ -282,8 +284,8 @@ def _restriction_grid(samples: int, pairs: int, seed: int):
 
 def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
                         pairs: int, seed: int):
-    # the grid, and F at every sample as one row, shape (1, restrictions,
-    # samples + 2), from one batch of points
+    # the grid, and F at every sample, shape (restrictions, samples + 2),
+    # from one batch of points
     if samples < 1 or pairs < 0:
         raise DomainError("need samples >= 1 and pairs >= 0")
     if isinstance(seed, (int, np.integer)):
@@ -293,7 +295,7 @@ def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
         grid = _restriction_grid.__wrapped__(samples, pairs, seed)
     t1, t2, lam, params = grid
     values = _batch_values(f, geodesic.eval_batch(params.ravel()),
-                           params.size).reshape((1,) + params.shape)
+                           params.size).reshape(params.shape)
     return t1, t2, lam, values
 
 
@@ -301,18 +303,16 @@ def _h_bound(values: np.ndarray, hl, hr) -> np.ndarray:
     # h(1 - lam) F(0) + h(lam) F(1) per sample of values (..., S), with
     # hl = h(lam) and hr = h(1 - lam) broadcasting against it
     with np.errstate(invalid="ignore"):
-        bound = hr * values[..., :1]
-        bound += hl * values[..., -1:]
-        return bound
+        return hr * values[..., :1] + hl * values[..., -1:]
 
 
-def _verdicts(bound: np.ndarray, values: np.ndarray, t1, t2, lam,
-              tol: float) -> list:
-    """The verdicts of R rows, values of shape (R, restrictions, S) and
-    bound broadcasting against it: a sample holds when value <= bound +
-    tol.  A bound that is not finite is vacuous, unless a value of F that
-    the sample reads is NaN (module docstring).  A row's witness is its
-    first least slack bound - value, NaN being least (np.argmin)."""
+def _verdict(bound: np.ndarray, values: np.ndarray, t1, t2, lam,
+             tol: float) -> ConvexityVerdict:
+    """The verdict of values of shape (restrictions, S) and bound
+    broadcasting against it: a sample holds when value <= bound + tol.  A
+    bound that is not finite is vacuous, unless a value of F that the
+    sample reads is NaN (module docstring).  The witness is the first
+    least slack bound - value, NaN being least (np.argmin)."""
     vacuous = ~np.isfinite(bound)
     if vacuous.any():
         nan = np.isnan(values)
@@ -320,41 +320,14 @@ def _verdicts(bound: np.ndarray, values: np.ndarray, t1, t2, lam,
         # a vacuous slack is inf - 0, so no inf - inf is formed
         bound = np.where(vacuous, np.inf, bound)
         values = np.where(vacuous, 0.0, values)
-    slack = (bound - values).reshape(len(values), -1)
-    at = np.argmin(slack, axis=1)
-    counts = slack.shape[1] - np.count_nonzero(
-        np.broadcast_to(vacuous, values.shape).reshape(len(slack), -1),
-        axis=1)
-    out = []
-    for low, idx, ok, n in zip(slack[np.arange(len(slack)), at].tolist(),
-                               at.tolist(),
-                               (slack >= -tol).all(axis=1).tolist(),
-                               counts.tolist()):
-        if n == 0:
-            out.append(ConvexityVerdict(True, np.inf, None, 0))
-            continue
-        r, j = divmod(idx, lam.size)
-        out.append(ConvexityVerdict(ok, low, (float(t1[r]), float(t2[r]),
-                                              float(lam[j])), n))
-    return out
-
-
-def _check_h_convex_rows(pull: Callable, k: np.ndarray) -> list:
-    """`check_h_convex(f_r, g_r, t**k[r], seed=0)` of every row r of
-    pull at once: pull(ts, rows) is F of row rows[i] at the parameters
-    ts[i] (the `_distance_pullback_rows` form).  The grid's restrictions
-    go through pull one at a time, on all rows."""
-    t1, t2, lam, params = _restriction_grid(64, 8, 0)
-    k = np.asarray(k, dtype=float)[:, None, None]
-    rows = np.arange(len(k))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hl, hr = lam ** k, (1.0 - lam) ** k
-    # every row's values filled in place, and _h_bound sums in place: a
-    # falsifier's peak memory holds fewer arrays of all R x 594 samples
-    values = np.empty((len(k),) + params.shape)
-    for r, ts in enumerate(params):
-        values[:, r] = pull(ts[None].repeat(len(k), axis=0), rows)
-    return _verdicts(_h_bound(values, hl, hr), values, t1, t2, lam, 1e-9)
+    slack = (bound - values).ravel()
+    n = slack.size - np.count_nonzero(np.broadcast_to(vacuous, values.shape))
+    if n == 0:
+        return ConvexityVerdict(True, np.inf, None, 0)
+    at = int(np.argmin(slack))
+    r, j = divmod(at, lam.size)
+    return ConvexityVerdict(bool((slack >= -tol).all()), float(slack[at]),
+                            (float(t1[r]), float(t2[r]), float(lam[j])), n)
 
 
 def check_h_convex(f: Callable, geodesic: Geodesic,
@@ -365,9 +338,8 @@ def check_h_convex(f: Callable, geodesic: Geodesic,
     hf = h_function(h)
     t1, t2, lam, values = _restriction_values(f, geodesic, samples, pairs,
                                               seed)
-    [verdict] = _verdicts(_h_bound(values, hf(lam), hf(1.0 - lam)),
-                          values, t1, t2, lam, tol)
-    return verdict
+    return _verdict(_h_bound(values, hf(lam), hf(1.0 - lam)), values, t1,
+                    t2, lam, tol)
 
 
 def check_convex(f: Callable, geodesic: Geodesic, *, samples: int = 64,
@@ -398,5 +370,4 @@ def check_quasi_or_p_convex(f: Callable, geodesic: Geodesic,
             raise DomainError("p-convexity needs nonnegative sampled values")
         values = values ** p
         bound = _h_bound(values, lam, 1.0 - lam)
-    [verdict] = _verdicts(bound, values, t1, t2, lam, tol)
-    return verdict
+    return _verdict(bound, values, t1, t2, lam, tol)

@@ -41,11 +41,12 @@ against the parameters t.  A space whose constants need the distance
 once per geodesic.  A Geodesic runs the endpoint stage once and every
 evaluation only the parameter stage; a gap batch stages each of its
 geodesic pairs once and takes that pair's distance from the stage.
-Random geodesics are drawn by one redraw loop, `_random_ends`, for one
-row (`random_geodesic`) or a batch, whose constants and lengths then
-take one endpoint stage and stay columns; its test for short rows takes
-one more `_dist` per round.  `_row_geodesic` makes one row of such a
-batch a Geodesic, for a caller that needs the object.  An
+Random geodesics are drawn by one redraw loop of at most `_MAX_ROUNDS`
+rounds, `_random_ends`, for one row (`random_geodesic`) or a batch,
+whose constants and lengths then take one endpoint stage and stay
+columns; its test for short rows takes one more `_dist` per round.
+`_row_geodesic` makes one row of such a batch a Geodesic, for a caller
+that needs the object.  An
 array batch is C-contiguous, with a point's few coordinates on its last
 axis; a reduction along that short axis, or an `np.stack` of columns,
 costs more per row than the arithmetic, so the batch kernels work on
@@ -702,19 +703,32 @@ def random_point(space: Space, rng: np.random.Generator) -> Point:
     return space.random_point(rng)
 
 
+#: redraw rounds of `_random_ends` before it gives up.  A row redrawn
+#: with probability p per round reaches the cap with probability p**100;
+#: the falsifier's min_length 0.05 has p <= 0.02 on the model spaces
+_MAX_ROUNDS = 100
+
+
 def _random_ends(space: Space, m: int, rng: np.random.Generator,
                  min_length: float) -> tuple:
     """m starts and m ends at least min_length apart, drawn as batches: m
     starts, m ends, then new starts and ends for the rows that are too
-    short, and again for those of them that still are; the lengths of
-    each round come from one `_dist` call."""
+    short, and again for those of them that still are, for at most
+    _MAX_ROUNDS rounds (DomainError beyond); the lengths of each round
+    come from one `_dist` call."""
     A, B = space._sample(m, rng), space._sample(m, rng)
     redo = np.flatnonzero(space._dist(A, B) < min_length)
-    while redo.size:
+    for _ in range(_MAX_ROUNDS):
+        if not redo.size:
+            break
         A2, B2 = space._sample(redo.size, rng), space._sample(redo.size, rng)
         _put_rows(A, redo, A2)
         _put_rows(B, redo, B2)
         redo = redo[space._dist(A2, B2) < min_length]
+    if redo.size:
+        raise DomainError("no geodesic of length >= min_length = %r in %d "
+                          "redraw rounds on %s"
+                          % (min_length, _MAX_ROUNDS, space.name))
     return A, B
 
 

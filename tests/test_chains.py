@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geofrac.chains import (CHAIN_NAMES, InequalityReport, TheoremParams,
@@ -665,6 +665,9 @@ def test_corollary_is_essentially_sharp(alpha, rho, a, b_frac, theta,
        st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
        st.floats(0.0, 2.0 * math.pi), st.floats(0.05, 2.0),
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+# a subnormal c0: classic_hh's margins are a few subnormal steps
+@example(1.0, 1.0, 0.0, 1.0, 0.0, 0.3, 0.4, 0.05, 2.225073858507e-311, 0.0,
+         0.0)
 def test_affine_pullbacks_make_the_chains_equalities(alpha, rho, a, b_frac,
                                                      x0, y0, theta, length,
                                                      c0, c1, d):
@@ -673,7 +676,9 @@ def test_affine_pullbacks_make_the_chains_equalities(alpha, rho, a, b_frac,
     # (classic_hh takes the pullback as its scalar f); so is thm_cb1's
     # when q = alpha, where its Hoelder bound is the exact h-integral.
     # The bound scales with the size of the pullback's terms, |c| |B| +
-    # |d| along g, since the sides themselves can cancel to 0
+    # |d| along g, since the sides themselves can cancel to 0; it is
+    # floored at the least normal double, below which a float's spacing
+    # no longer scales with its size
     p = TheoremParams(alpha, rho, a, min(1.0, a + 0.05 + b_frac * (0.95 - a)),
                       alpha if alpha > 1.0 else None)
     start = np.array([x0, y0])
@@ -681,7 +686,8 @@ def test_affine_pullbacks_make_the_chains_equalities(alpha, rho, a, b_frac,
     c = np.array([c0, c1])
     e2 = euclidean(2)
     g = Geodesic(e2.point(start), e2.point(end))
-    size = np.abs(c) @ np.maximum(np.abs(start), np.abs(end)) + abs(d)
+    size = max(np.abs(c) @ np.maximum(np.abs(start), np.abs(end)) + abs(d),
+               np.finfo(float).tiny)
     chains = ["classic_hh", "h_hh", "conde_hh", "thm_cb2", "thm_ty1"]
     for chain in chains + ["thm_cb1"] * (p.q is not None):
         rep = chain_spec(chain).evaluate(lambda B: B @ c + d, g,
@@ -871,27 +877,22 @@ BATCH_SPACES = [euclidean(2), half_plane(), spider(3),
 def _per_trial_search(chain, space, trials, seed, tol=1e-8,
                       product_c_term=False):
     # the falsifier's accounting, with each trial that chains._draw_trials
-    # draws (chunk by chunk, from the same stream) prechecked and, unless
-    # it is discarded, evaluated by its public chain through
-    # ChainSpec.evaluate, one after another
+    # draws (chunk by chunk, from the same stream) evaluated by its public
+    # chain through ChainSpec.evaluate, one after another; no trial is
+    # discarded
     import geofrac.chains as chains
 
     spec = chains.chain_spec(chain)
     rng = np.random.default_rng(seed)
-    evaluated = discarded = failures = violations = 0
+    evaluated = failures = violations = 0
     worst_margin = None
     worst_instance = None
     for start in range(0, trials, chains.CHUNK):
         draws = min(chains.CHUNK, trials - start)
         chunk = chains._draw_trials(spec, space, draws, rng)
         for i in range(draws):
-            f, g, h, p = chunk.objects(i)
-            if not (spec.two_geodesics or chains.check_h_convex(
-                    f, g, h or "identity", seed=0).holds):
-                discarded += 1
-                continue
             try:
-                report = spec.evaluate(f, g, h, p, tol=tol)
+                report = spec.evaluate(*chunk.objects(i), tol=tol)
             except AccuracyError:
                 failures += 1
                 continue
@@ -913,7 +914,7 @@ def _per_trial_search(chain, space, trials, seed, tol=1e-8,
                 worst_instance = report.to_dict()
     summary = {"chain": chain, "space": space.name, "trials": trials,
                "seed": int(seed), "tol": float(tol), "evaluated": evaluated,
-               "discarded": discarded, "quadrature_failures": failures,
+               "discarded": 0, "quadrature_failures": failures,
                "violations": violations, "worst_margin": worst_margin,
                "worst_instance": worst_instance}
     if chain == "corollary_distance":
@@ -949,9 +950,8 @@ def test_batched_falsifier_across_chunk_boundaries(monkeypatch):
 def test_a_search_builds_one_report(monkeypatch, chain):
     # 130 trials are three chunks, the last of 2 rows: the search takes
     # every row's margins from its sides and builds the worst row's report
-    # alone; the precheck runs on the chunks' columns, and the public
-    # check_h_convex once, on the worst row's objects, the only ones built
-    # (the corollary takes no precheck)
+    # alone; the public check_h_convex runs once, on the worst row's
+    # objects, the only ones built (none on the corollary's two geodesics)
     import geofrac.chains as chains
 
     calls = {"_report": [], "check_h_convex": [], "objects": []}
@@ -968,103 +968,40 @@ def test_a_search_builds_one_report(monkeypatch, chain):
             made.clear()
         summary = falsify_search(chain, spider(3), 130, seed=1,
                                  product_c_term=product_c_term)
-        assert summary["evaluated"] > 0
+        assert summary["evaluated"] > 0 and summary["discarded"] == 0
         assert calls["_report"] == [chain]
         assert len(calls["check_h_convex"]) == one_geodesic
         assert len(calls["objects"]) == 1
 
 
-def _row_verdicts(chunk, f_of=lambda f, i: f, g_of=lambda g: g):
-    # the per-row precheck of every row of a chunk, on its objects
+def _row_verdicts(chunk):
+    # the public check_h_convex of every row of a chunk, on its objects,
+    # with h = identity where the chain takes none
     import geofrac.chains as chains
 
     out = []
     for i in range(len(chunk.params)):
         f, g, h, _ = chunk.objects(i)
-        out.append(chains.check_h_convex(f_of(f, i), g_of(g),
-                                         h or "identity", seed=0))
+        out.append(chains.check_h_convex(f, g, h or "identity", seed=0))
     return out
 
 
-def _assert_same_verdicts(chunk, got, want):
-    # equal verdicts; the worst slack and its witness bit for bit unless
-    # h = t**k takes one of numpy's scalar-exponent fast paths
-    assert len(got) == len(want) == len(chunk.params)
-    for k, g, w in zip(chunk.k.tolist(), got, want):
-        assert (g.holds, g.samples) == (w.holds, w.samples)
-        if k not in (0.5, 2.0, -1.0):
-            assert g.worst_slack.hex() == w.worst_slack.hex()
-            assert g.witness == w.witness
-
-
 @pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
-def test_chunk_precheck_equals_the_per_row_check(space):
-    # a full chunk and a short one, of chains with and without h: every
-    # row's batch verdict is its public check_h_convex's
+def test_every_drawn_row_is_admissible(space):
+    # the falsifier checks no row's convexity: d(., y)^2 is convex on a
+    # CAT(0) space, and every drawn h has h(t) >= t, so every drawn row is
+    # h-convex.  A full chunk and a short one, of chains with and without
+    # h: every row's public check holds
     import geofrac.chains as chains
 
     rng = np.random.default_rng(4)
-    for chain, size in (("h_hh", 64), ("thm_cb2", 64), ("classic_hh", 64),
-                        ("h_hh", 5)):
-        chunk = chains._draw_trials(chains.chain_spec(chain), space, size,
-                                    rng)
-        _assert_same_verdicts(chunk, chunk.convexity(), _row_verdicts(chunk))
-
-
-@pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
-def test_chunk_precheck_of_vacuous_and_poisoned_samples(monkeypatch, space):
-    # rows with h = godunova_levin, whose bound at lam = 0 or 1 is not
-    # finite (vacuous samples), and a pullback that is NaN or +inf at some
-    # grid points: at an interior point, and at the start of a
-    # restriction, which makes the restriction vacuous; the batch
-    # verdicts are still the per-row ones
-    import geofrac.chains as chains
-    from geofrac.convexity import _restriction_grid
-
-    kinds = [h_function(name) for name in
-             ("godunova_levin", "identity", "constant_one", "power(0.7)")]
-    monkeypatch.setattr(chains, "_draw_hs",
-                        lambda m, rng: [kinds[i % 4] for i in range(m)])
-    chunk = chains._draw_trials(chains.chain_spec("h_hh"), space, 64,
-                                np.random.default_rng(2))
-    got = chunk.convexity()
-    _assert_same_verdicts(chunk, got, _row_verdicts(chunk))
-    # 1/lam and 1/(1 - lam) are inf at lam = 0 and 1: 2 of 66 samples
-    assert {v.samples for v in got[::4]} == {9 * 64}
-
-    params = _restriction_grid(64, 8, 0)[3]
-    marks = [(1, params[2, 10], np.nan), (2, params[4, 30], np.inf),
-             (3, params[3, 0], np.inf), (5, params[0, -1], np.nan)]
-
-    def poison(values, ts, rows):
-        for every, t, value in marks:
-            values = np.where((ts == t) & (rows % 7 == every), value, values)
-        return values
-
-    pull = chunk.pull
-    chunk.pull = lambda ts, rows: poison(pull(ts, rows), ts, rows[:, None])
-
-    class Marked:
-        # a geodesic whose points come with their parameters
-        def __init__(self, g):
-            self.g = g
-
-        def eval_batch(self, ts):
-            return self.g.eval_batch(ts), np.asarray(ts)
-
-    got = chunk.convexity()
-    want = _row_verdicts(
-        chunk, lambda f, i: lambda batch: poison(f(batch[0]), batch[1], i),
-        Marked)
-    _assert_same_verdicts(chunk, got, want)
-    assert all(math.isnan(v.worst_slack) for v in got[1::7] + got[5::7])
-    assert all(v.worst_slack == -math.inf for v in got[2::7])
-    assert not any(v.holds for v in got[1::7] + got[2::7] + got[5::7])
-    assert all(v.samples <= 8 * 66 for v in got[3::7])
-    # a NaN end value is read by every sample of its restriction, whose
-    # bounds are then NaN: none of them is vacuous
-    assert all(v.samples == 9 * 66 for k, v in zip(chunk.k[5::7], got[5::7])
-               if k != -1.0)
+    for chain in ("h_hh", "classic_hh", "thm_cb2"):
+        for size in (chains.CHUNK, 5):
+            chunk = chains._draw_trials(chains.chain_spec(chain), space,
+                                        size, rng)
+            verdicts = _row_verdicts(chunk)
+            assert len(verdicts) == size
+            assert all(v.holds for v in verdicts)
 
 
 def test_batched_product_probe_matches_per_trial_oracle():
@@ -1281,7 +1218,8 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
     monkeypatch.setattr(spaces.Space, "random_point", no_call)
     assert falsify_search(chain, euclidean(2), 70, seed=1)["evaluated"] == 70
 
-    # a draw runs no convexity precheck: falsify_search runs it
+    # a draw runs no convexity check: falsify_search runs the worst
+    # row's
     monkeypatch.setattr(chains, "check_h_convex", no_call)
     spec = chains.chain_spec(chain)
     geodesics = 2 if spec.two_geodesics else 1
@@ -1307,9 +1245,9 @@ def test_a_chunk_makes_a_fixed_number_of_batch_calls(monkeypatch, chain):
 
 @pytest.mark.parametrize("trials", [5, 70, 130])
 def test_corollary_builds_only_the_worst_rows_objects(monkeypatch, trials):
-    # a chunk stays columns: with no precheck, the corollary's falsifier
-    # builds the two Geodesics and four Points of its worst row alone,
-    # whatever the trial count
+    # a chunk stays columns: the corollary's falsifier, which runs no
+    # check_h_convex, builds the two Geodesics and four Points of its
+    # worst row alone, whatever the trial count
     from geofrac.spaces import Point
 
     made = {Point: 0, Geodesic: 0}
@@ -1321,41 +1259,6 @@ def test_corollary_builds_only_the_worst_rows_objects(monkeypatch, trials):
     summary = falsify_search("corollary_distance", spider(3), trials, seed=1)
     assert summary["evaluated"] == trials
     assert made == {Point: 4, Geodesic: 2}
-
-
-def test_discarded_trials_match_the_per_trial_oracle(monkeypatch):
-    # the chunk's precheck rejects every third trial: the falsifier counts
-    # them as discarded across a chunk boundary, as the per-trial oracle
-    # does when its check_h_convex rejects every third trial in row order
-    import geofrac.chains as chains
-    from geofrac.convexity import ConvexityVerdict
-
-    checked, chunks = [], []
-
-    def verdict():
-        checked.append(None)
-        return ConvexityVerdict(len(checked) % 3 != 0, 0.0, None, 0)
-
-    def every_third_row(pull, k):
-        chunks.append(len(k))
-        return [verdict() for _ in k]
-
-    monkeypatch.setattr(chains, "_check_h_convex_rows", every_third_row)
-    for chain in ("classic_hh", "thm_ty1"):
-        for space in (euclidean(2), product(euclidean(2), spider(3))):
-            checked.clear()
-            chunks.clear()
-            summary = falsify_search(chain, space, 70, seed=6)
-            assert chunks == [64, 6]
-            checked.clear()
-            with monkeypatch.context() as patched:
-                patched.setattr(chains, "check_h_convex",
-                                lambda *args, **kwargs: verdict())
-                assert summary == _per_trial_search(chain, space, 70, 6)
-            assert len(checked) == 70
-            assert summary["discarded"] == 23
-            assert (summary["evaluated"] + summary["quadrature_failures"]
-                    == 47)
 
 
 @pytest.mark.parametrize("chain, a_zero", [

@@ -318,24 +318,44 @@ def test_precheck_grid_is_cached_read_only_and_unchanged():
                               first)
 
 
-def test_chunk_precheck_keeps_the_tolerance_and_the_first_witness():
-    # F = 0 along every row, raised at marked grid parameters: by 1 at two
-    # samples of row 0, whose witness is the first of its two least
-    # slacks, and by 5e-10 at one sample of row 1, which holds within the
-    # falsifier's tol 1e-9
-    from geofrac.convexity import _check_h_convex_rows, _restriction_grid
-
-    t1, t2, lam, params = _restriction_grid(64, 8, 0)
-    marks = [(0, params[2, 10], 1.0), (0, params[5, 20], 1.0),
-             (1, params[1, 30], 5e-10)]
-
-    def pull(ts, rows):
-        values = np.zeros(ts.shape)
-        for row, t, bump in marks:
-            values[(ts == t) & (rows[:, None] == row)] += bump
+def _marked(*marks):
+    # F = 0 along [0, 1], plus each mark's value at its parameter
+    def fn(t):
+        values = np.zeros(np.shape(t))
+        for at, value in marks:
+            values[t == at] += value
         return values
 
-    low, near = _check_h_convex_rows(pull, np.ones(2))
+    return scalar_pullback(fn)
+
+
+def test_check_keeps_the_tolerance_and_the_first_witness():
+    # F raised by 1 at two samples, whose witness is the first of the two
+    # least slacks, and by 5e-10 at one sample, which holds within tol
+    # 1e-9
+    from geofrac.convexity import _restriction_grid
+
+    t1, t2, lam, params = _restriction_grid(64, 8, 0)
+    low = check_h_convex(*_marked((params[2, 10], 1.0), (params[5, 20], 1.0)),
+                         tol=1e-9, seed=0)
     assert (low.holds, low.worst_slack) == (False, -1.0)
     assert low.witness == (t1[2], t2[2], lam[10])
+    near = check_h_convex(*_marked((params[1, 30], 5e-10)), tol=1e-9, seed=0)
     assert near.holds and near.worst_slack == -5e-10
+
+
+def test_nan_and_infinite_values_of_f_fail():
+    # a NaN value of F is the least slack, and F = +inf under a finite
+    # bound a slack of -inf; a NaN end value makes every bound of its
+    # restriction NaN, and those samples fail instead of being vacuous
+    from geofrac.convexity import _restriction_grid
+
+    t1, t2, lam, params = _restriction_grid(64, 8, 0)
+    inner = check_h_convex(*_marked((params[2, 10], np.nan)), seed=0)
+    assert not inner.holds and math.isnan(inner.worst_slack)
+    assert inner.witness == (t1[2], t2[2], lam[10])
+    high = check_h_convex(*_marked((params[4, 30], np.inf)), seed=0)
+    assert (high.holds, high.worst_slack) == (False, -math.inf)
+    assert high.witness == (t1[4], t2[4], lam[30])
+    end = check_h_convex(*_marked((params[0, -1], np.nan)), seed=0)
+    assert not end.holds and end.samples == 9 * 66

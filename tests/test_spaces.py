@@ -1,6 +1,7 @@
 """Geometry layer: spaces, geodesics, comparison gaps."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -885,6 +886,16 @@ def test_random_geodesic_rejects_a_min_length_that_is_not_a_length():
             with pytest.raises(DomainError):
                 random_geodesic(space, rng, min_length=bad)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.name)
+def test_an_unreachable_min_length_raises(space):
+    # no draw reaches length 100: the redraw rounds are capped, and the
+    # error names min_length instead of the loop running forever
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="min_length"):
+        random_geodesic(space, np.random.default_rng(0), min_length=100.0)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
