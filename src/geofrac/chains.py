@@ -20,9 +20,9 @@ these are Beta values B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y):
     h_hh's mass   B(k + 1, 1) = 1 / (k + 1)
     ||h||_q       B(kq + 1, 1)^(1/q)   (in `fractional.lq_norm_unit`)
 
-and a Beta argument <= 0 (a divergent integral) raises AccuracyError.
-`compute_E` keeps quadrature: its closed form needs 2F1.  An h without
-an exponent is integrated.
+and a Beta argument <= 0 (a divergent integral) raises AccuracyError; an
+h without an exponent, and `compute_E` (whose closed form needs 2F1), are
+integrated.
 
 Only the geodesic operand goes through the Katugampola operators.
 With u = x^rho, the right operator of fg(u) on [a, b] runs over the same
@@ -39,47 +39,39 @@ u = b^rho - w: the fractional Hermite-Hadamard reflection identity
 (Sarikaya, Set, Yaldiz, Basak, Math. Comput. Modelling 57, 2013), and
 both arguments go through the pullback in one batch.  The normalisation
 cancels rho^(-alpha), so rho enters only through a^rho and b^rho, and
-`compute_E` is the same fold of h with sigma = 1.  A public chain
-reaches it through `katugampola_left` with rho = 1 on [a^rho, b^rho].
-The fractional chains divide by (b^rho - a^rho)^alpha and raise
-DomainError where it is 0.
+`compute_E` is the same fold of h with sigma = 1.
 
 Two printed formula variants with a suspected normalization problem are
-computed alongside the asserted forms and stored in report extras rather
-than asserted:
-  * thm_cb2's right side: the asserted form uses the exact integral
-    alpha rho Int t^(alpha rho - 1) h(t^rho) dt; the variant with an extra
-    factor rho on that term is logged as right_side_literal.
-  * corollary_distance's subtracted term: the asserted form scales the
-    constant by alpha rho h(1/2) (the coefficient produced by integrating
-    the two-geodesic comparison bound against the kernel; the interval
-    normalization cancels in the substitution) and uses the squared
-    difference of geodesic lengths; the bare-constant difference and
-    product variants are logged in extras.
+computed alongside the asserted forms and kept in report extras, not
+asserted: thm_cb2's right side with an extra factor rho on its h-term
+(right_side_literal), and the corollary's subtracted term with the bare
+constant C in place of the coefficient alpha rho h(1/2) C that
+integrating the two-geodesic comparison bound against the kernel gives
+(the interval normalization cancels in the substitution), as a
+difference and as a product of the geodesic lengths.
 
 `falsify_search` hammers one chain with random admissible instances and
-reports the worst margin and any violations beyond tolerance.  It draws
-a chunk of instances as columns, each parameter, h and geometry column
-in one call (the order is in its docstring), and the chunk stays columns
-(`_Chunk`) up to the sides: a row becomes Points, Geodesics and an f
-only for the worst row's instance.  Every drawn instance is admissible
-by theorem, so none is prechecked: f = d(., y)^2 is geodesically convex
-on a CAT(0) space, all four model spaces are CAT(0), f >= 0, and every
+reports the worst margin and any violations beyond tolerance.  A chunk
+of instances stays columns (`_Chunk`) from the draw to the verdict:
+params checked per column with TheoremParams' conditions, h as kinds and
+exponents k, and the sides from the chain's one body (`ChainSpec.rows`)
+as one (R, S) array (`_Sides`).  Only the worst row becomes
+TheoremParams, HFunction, Points, Geodesics, f and a report.  A public
+chain runs the same body on its one trial (`_OneTrial`), whose integrals
+are the public `integrate`, `katugampola_left` (rho = 1) and
+`compute_E`; powers, Gamma and Beta values are Python-float loops over
+the columns, so a row has its public chain's bits.  Every drawn instance
+is admissible by theorem, so none is prechecked: f = d(., y)^2 is
+geodesically convex on the four CAT(0) model spaces, f >= 0, and every
 drawn h has h(t) >= t, so f is h-convex along every g (the `convexity`
-module docstring).  A summary's "discarded" count is therefore always 0.
-Each chain picks its points and integrals, and builds each row's sides
-and extras, in one function, its `ChainSpec.rows` body.  The falsifier
-runs the body on every row of a chunk and builds one report, the worst
-row's; a public chain checks its inputs and runs it on its one trial
-(`_OneTrial`), whose integrals are the public `integrate`,
-`katugampola_left` (rho = 1) and `compute_E`.
+module docstring).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -89,7 +81,8 @@ from .convexity import (HFunction, _distance_pullback_rows,
                         distance_between_geodesics_function, h_function,
                         on_geodesic, squared_distance_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
-from .fractional import _beta, katugampola_left, lq_norm_unit
+from .fractional import (_beta, _lq_power, katugampola_left,
+                         lq_norm_unit)
 from .quadrature import (_integrate_rows, _weighted_rows, as_array_function,
                          integrate, power_kernel_integral)
 from .spaces import (Geodesic, Space, _point_of_row, _random_ends,
@@ -104,6 +97,23 @@ __all__ = ["TheoremParams", "InequalityReport", "classic_hh", "h_hh",
 DEFAULT_CHAIN_TOL = 1e-8
 
 
+def _check_params(alpha, rho, a, b, q=None) -> None:
+    # TheoremParams' conditions, on floats or on columns of them; alpha q
+    # > 1 keeps the Hoelder conjugate exponent (alpha-1)q/(q-1) integrable
+    def fails(holds) -> bool:
+        return not (holds.all() if isinstance(holds, np.ndarray) else holds)
+
+    for name, x in (("alpha", alpha), ("rho", rho)):
+        if fails((x > 0.0) & (x < math.inf)):
+            raise DomainError("%s must be positive and finite" % name)
+    if fails((0.0 <= a) & (a < b) & (b <= 1.0)):
+        raise DomainError("need 0 <= a < b <= 1")
+    if q is not None and fails((q > 1.0) & (q < math.inf)):
+        raise DomainError("q must be finite and > 1")
+    if q is not None and fails(alpha * q > 1.0):
+        raise DomainError("need alpha * q > 1")
+
+
 @dataclass(frozen=True)
 class TheoremParams:
     """Order alpha, deformation rho, interval [a, b] in [0, 1], optional q."""
@@ -115,28 +125,12 @@ class TheoremParams:
     q: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise DomainError("alpha must be positive and finite")
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise DomainError("rho must be positive and finite")
-        if not (0.0 <= self.a < self.b <= 1.0):
-            raise DomainError("need 0 <= a < b <= 1")
-        if self.q is not None:
-            object.__setattr__(self, "q", float(self.q))
-            if not (math.isfinite(self.q) and self.q > 1.0):
-                raise DomainError("q must be finite and > 1")
-            if self.alpha * self.q <= 1.0:
-                # Hoelder conjugate exponent (alpha-1)q/(q-1) must stay
-                # integrable, which needs alpha q > 1
-                raise DomainError("need alpha * q > 1")
+        for name in ("alpha", "rho", "a", "b") + ("q",) * (self.q is not None):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _check_params(self.alpha, self.rho, self.a, self.b, self.q)
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "rho": self.rho, "a": self.a,
-                "b": self.b, "q": self.q}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -161,14 +155,13 @@ class InequalityReport:
                 "extras": self.extras}
 
 
-def _report(chain_name: str, sides, tol: float, instance: dict,
-            extras: Optional[dict] = None) -> InequalityReport:
-    values = [float(v) for _, v in sides]
-    labeled = tuple((label, float(v)) for label, v in sides)
-    margins = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    passed = all(m >= -tol for m in margins)
-    return InequalityReport(chain_name, labeled, margins, passed, float(tol),
-                            instance, extras or {})
+def _report(chain_name: str, sides: list, tol: float, instance: dict,
+            extras: dict) -> InequalityReport:
+    values = [v for _, v in sides]
+    margins = tuple(b - a for a, b in zip(values, values[1:]))
+    return InequalityReport(chain_name, tuple(sides), margins,
+                            all(m >= -tol for m in margins), float(tol),
+                            instance, extras)
 
 
 def _geodesic_json(g: Geodesic) -> dict:
@@ -244,33 +237,36 @@ def _conde_instance(f: Callable, g: Geodesic) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _den(p: TheoremParams) -> float:
-    return (p.b ** p.rho - p.a ** p.rho) ** p.alpha
+def _on_floats(fn: Callable, nin: int) -> Callable:
+    # fn per row on Python floats: numpy's array power differs from
+    # Python's in the last bit in about 5 % of rows
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *columns: ufunc(*columns).astype(float)
 
 
-def _fractional_params(p: TheoremParams) -> TheoremParams:
-    # the chains divide by _den, 0 where b^rho rounds onto a^rho or where
-    # the power underflows
-    if not _den(p) > 0.0:
-        raise DomainError("(b^rho - a^rho)^alpha is 0 at %r" % (p,))
-    return p
+_powers, _gamma = _on_floats(pow, 2), _on_floats(math.gamma, 1)
 
 
-def _exact_h_term(hf: HFunction, p: TheoremParams) -> float:
+def _exact_h_term(alpha: float, k: Optional[float], hf=None) -> float:
     # alpha rho Int_0^1 t^(alpha rho - 1) h(t^rho) dt; with v = t^rho it
-    # is alpha Int_0^1 v^(alpha - 1) h(v) dv, free of the t^rho factor
-    if hf.k is not None:
-        return p.alpha * _beta(p.alpha + hf.k, 1.0)
-    return p.alpha * power_kernel_integral(hf, 1.0, p.alpha)
+    # is alpha Int_0^1 v^(alpha - 1) h(v) dv, free of the t^rho factor:
+    # alpha B(alpha + k, 1) for h = t**k, else by quadrature of hf
+    return alpha * (power_kernel_integral(hf, 1.0, alpha) if k is None
+                    else _beta(alpha + k, 1.0))
 
 
-def _k0_term(hf: HFunction, p: TheoremParams) -> float:
+def _k0_term(alpha: float, k: Optional[float], hf=None) -> float:
     # the normalised left operator of h(x^rho) on (0, 1):
-    # alpha Int_0^1 w^(alpha - 1) h(1 - w) dw
-    if hf.k is not None:
-        return p.alpha * _beta(p.alpha, hf.k + 1.0)
-    return p.alpha * power_kernel_integral(lambda w: hf(1.0 - w), 1.0,
-                                           p.alpha)
+    # alpha Int_0^1 w^(alpha - 1) h(1 - w) dw = alpha B(alpha, k + 1)
+    return alpha * (power_kernel_integral(lambda w: hf(1.0 - w), 1.0, alpha)
+                    if k is None else _beta(alpha, k + 1.0))
+
+
+def _holder_term(alpha: float, q: float, k: Optional[float], hf) -> float:
+    # the Hoelder bound of the exact h-term; ||h||_q is `lq_norm_unit`'s
+    # for a public trial, its closed form in k for a falsifier row
+    norm = _lq_power(k, q) if hf is None else lq_norm_unit(hf, q)
+    return alpha * ((q - 1.0) / (alpha * q - 1.0)) ** ((q - 1.0) / q) * norm
 
 
 def _folded(fg: Callable, u: np.ndarray, shift) -> np.ndarray:
@@ -279,11 +275,11 @@ def _folded(fg: Callable, u: np.ndarray, shift) -> np.ndarray:
     return both[0] + both[1]
 
 
-def _operator_side(kl: float, p: TheoremParams, h_half: float) -> float:
+def _operator_side(rows, kl) -> np.ndarray:
     # the normalised operator side: kl is the fold integral of the left
     # operator on [a, b] plus the right one on [a, b] (shift = a^rho +
     # b^rho) or on the reflected interval (shift = 1)
-    return math.gamma(p.alpha + 1.0) / _den(p) * h_half * kl
+    return _gamma(rows.alpha + 1.0) / rows.den * rows.h_half * kl
 
 
 def _instance(f: Callable, g: Geodesic, hf: HFunction,
@@ -297,8 +293,7 @@ def _fractional(chain: str, f: Callable, g: Geodesic,
                 tol: float) -> InequalityReport:
     # thm_cb1, thm_cb2 and thm_ty1 on the pullback of f along g
     hf = h_function(h)
-    return _evaluate(chain, _OneTrial(on_geodesic(f, g), hf,
-                                      _fractional_params(p)), tol,
+    return _evaluate(chain, _OneTrial(on_geodesic(f, g), hf, p), tol,
                      _instance(f, g, hf, p))
 
 
@@ -344,12 +339,14 @@ def compute_C(alpha: float, rho: float, a: float, b: float) -> float:
     """Closed-form kernel constant of the corollary's subtracted term;
     `compute_C_oracle` evaluates the same constant by quadrature."""
     p = TheoremParams(alpha, rho, a, b)
-    ar = p.a ** p.rho
-    br = p.b ** p.rho
-    num = ((ar * p.alpha + br) * (2.0 * (p.alpha + 2.0) - 4.0 * br)
-           - 2.0 * ar * ar * p.alpha * (p.alpha + 1.0))
-    den = p.alpha * p.rho * (p.alpha + 1.0) * (p.alpha + 2.0)
-    return num / den
+    return _kernel_c(p.alpha, p.rho, p.a ** p.rho, p.b ** p.rho)
+
+
+def _kernel_c(alpha, rho, ar, br):
+    # compute_C from a^rho and b^rho, on floats or on columns
+    num = ((ar * alpha + br) * (2.0 * (alpha + 2.0) - 4.0 * br)
+           - 2.0 * ar * ar * alpha * (alpha + 1.0))
+    return num / (alpha * rho * (alpha + 1.0) * (alpha + 2.0))
 
 
 def compute_C_oracle(alpha: float, rho: float, a: float, b: float) -> float:
@@ -424,8 +421,8 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     _require_dominating_h(hf)
     return _evaluate("corollary_distance",
                      _OneTrial(distance_between_geodesics_function(g1, g2),
-                               hf, _fractional_params(params),
-                               lengths=(g1.length, g2.length)), tol,
+                               hf, params, lengths=(g1.length, g2.length)),
+                     tol,
                      _corollary_instance(g1, g2, hf, params))
 
 
@@ -440,129 +437,169 @@ def _corollary_instance(g1: Geodesic, g2: Geodesic, hf: HFunction,
 # ---------------------------------------------------------------------------
 
 
-def _values(results) -> list:
-    # each row's value, or the AccuracyError of a row that did not converge
-    return [v if isinstance(v, AccuracyError) else v[0] for v in results]
+def _each(fn: Callable, *columns) -> list:
+    # fn on each row of the columns, or the row's AccuracyError
+    out = []
+    for row in zip(*columns):
+        try:
+            out.append(fn(*row))
+        except AccuracyError as exc:
+            out.append(exc)
+    return out
 
 
-class _Chunk:
-    """Falsifier draws as columns, and their R trials of one chain
-    evaluated together.  The columns are the params and h lists, the
-    batch ys of the reference points y of f = d(., y)^2 (None for two
-    geodesics), and per geodesic batch its starts, ends, endpoint stage
-    and lengths (A, B, ends, dist); they are read-only, so the row view
-    that a Point or Geodesic of `objects` holds cannot change.
-    `pull(ts, rows)` is every trial's pullback, line k of ts (..., K, m)
-    on trial rows[k]; an integral is the row's AccuracyError where it
-    does not converge.  The operator sides are one fold integral of every
-    row (`_fold`), and E is another."""
+def _failed(*columns) -> tuple:
+    # each row's first AccuracyError or None, and float columns, NaN there
+    errors, arrays = [None] * len(columns[0]), []
+    for column in columns:
+        values = list(column)
+        for i, v in enumerate(values):
+            if isinstance(v, AccuracyError):
+                errors[i], values[i] = errors[i] or v, math.nan
+        arrays.append(np.array(values))
+    return errors, arrays
 
-    def __init__(self, space: Space, params: list, hs: list, ys,
+
+class _Sides:
+    """A chain body's R rows: S side labels, the (R, S) values of the S
+    side columns, the extras as columns, and each row's AccuracyError or
+    None.  Row i is its sides and extras as `_report` takes them."""
+
+    def __init__(self, labels, sides, extras, errors):
+        self.labels, self.values = labels, np.stack(sides, axis=1)
+        self.extras, self.errors = extras, errors
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i: int):
+        if self.errors[i] is not None:
+            return self.errors[i]
+        return (list(zip(self.labels, self.values[i].tolist())),
+                {name: c[i].item() for name, c in self.extras.items()})
+
+
+class _Rows:
+    """The columns a chain body reads: params (R, 5) of alpha, rho, a, b, q
+    (NaN without q); k of h = t**k and hfs, the HFunctions (None without
+    h, or for a falsifier row); h_half; ar, br, den = (br - ar)^alpha."""
+
+    def __init__(self, params: np.ndarray, k, hfs: list, h_half, lengths):
+        self.params, self.k, self.hfs = params, k, hfs
+        self.alpha, self.rho, self.a, self.b, self.q = params.T
+        self.h_half, self.lengths = h_half, lengths
+        self.ar, self.br = _powers(self.a, self.rho), _powers(self.b, self.rho)
+        self.den = _powers(self.br - self.ar, self.alpha)
+
+
+class _Chunk(_Rows):
+    """R falsifier draws of one chain as columns, evaluated together: hs
+    the h kinds and exponents (None without h), ys the points y of
+    f = d(., y)^2 (None for two geodesics), and per geodesic batch its
+    read-only starts, ends, endpoint stage and lengths.  `pull(ts, rows)`
+    is every trial's pullback, line k of ts (..., K, m) on trial rows[k];
+    an integral is the row's AccuracyError where it does not converge."""
+
+    def __init__(self, space: Space, params: np.ndarray, hs, ys,
                  geodesics: tuple):
-        self.space, self.params, self.hs = space, params, hs
+        # k in Python floats, as a public trial's h holds it
+        self.kinds, k = (None, None) if hs is None else hs
+        super().__init__(params, None if k is None else k.tolist(),
+                         [None] * len(params),
+                         None if k is None else 0.5 ** k,
+                         np.stack([g[3] for g in geodesics], axis=1))
+        self.space, self.index = space, np.arange(len(params))
         self.ys = None if ys is None else _read_only(ys)
         self.geodesics = _read_only(geodesics)
-        self.intervals = [(p.a, p.b) for p in params]
-        self.index = np.arange(len(params))
-        # each row's exponent of h = t**k; k = 1 (identity) without h
-        self.k = np.array([1.0 if hf is None else hf.k for hf in hs])
-        # each row's geodesic lengths, and the endpoint-stage batches
-        self.lengths = list(zip(*(g[3].tolist() for g in geodesics)))
         ends = [g[2] for g in geodesics]
-        if ys is None:
-            self.pull = _geodesic_distance_rows(space, *ends)
-        else:
-            self.pull = _distance_pullback_rows(space, *ends, ys, 2.0)
+        self.pull = (_geodesic_distance_rows(space, *ends) if ys is None
+                     else _distance_pullback_rows(space, *ends, ys, 2.0))
 
     def objects(self, i: int) -> tuple:
         """Row i as ChainSpec.evaluate's (f, g, h, params): g is a
         Geodesic, or a pair for two geodesics, whose f is None."""
         gs = tuple(_row_geodesic(self.space, *batch, i)
                    for batch in self.geodesics)
+        alpha, rho, a, b, q = self.params[i].tolist()
+        p = TheoremParams(alpha, rho, a, b, None if math.isnan(q) else q)
+        hf = None if self.k is None else (
+            _power_h(self.k[i]) if self.kinds[i] == "power"
+            else h_function(self.kinds[i]))
         if self.ys is None:
-            return None, gs, self.hs[i], self.params[i]
+            return None, gs, hf, p
         y = _point_of_row(self.space, _take_rows(self.ys, slice(i, i + 1)))
-        return (squared_distance_function(self.space, y, 2.0), gs[0],
-                self.hs[i], self.params[i])
+        return squared_distance_function(self.space, y, 2.0), gs[0], hf, p
 
     def at(self, ts) -> np.ndarray:
-        """The pullbacks at ts, R rows of parameters."""
         return self.pull(np.array(ts, dtype=float), self.index)
 
-    def means(self, ab) -> list:
-        """Int_a^b of the pullback, per row (a, b)."""
-        lo, hi = zip(*ab)
-        return _values(_integrate_rows(self.pull, lo, hi, [1.0] * len(lo)))
+    def means(self, lo, hi) -> list:
+        return [v if isinstance(v, AccuracyError) else v[0] for v in
+                _integrate_rows(self.pull, lo.tolist(), hi.tolist(),
+                                [1.0] * len(lo))]
 
-    def _fold(self, phi: Callable, shifts, scales) -> list:
-        """scale times Int_0^W w^(alpha-1) [phi(u, rows) + phi(shift - u,
-        rows)] dw per row, u = b^rho - w and W = b^rho - a^rho: every
-        row's node map and shift in one array expression, one
-        `_weighted_rows` call."""
-        shift = np.array(shifts, dtype=float)
-        brs = [p.b ** p.rho for p in self.params]
-        ends = np.array(brs)
-        values = _values(_weighted_rows(
+    def _fold(self, phi: Callable, shift, scales) -> list:
+        """scale Int_0^W w^(alpha-1) [phi(u, rows) + phi(shift - u, rows)] dw
+        per row, u = b^rho - w and W = b^rho - a^rho, in one batch."""
+        shift = np.asarray(shift, dtype=float)
+        values = _weighted_rows(
             lambda w, rows: _folded(lambda x: phi(x, rows),
-                                    np.maximum(ends[rows, None] - w, 0.0),
+                                    np.maximum(self.br[rows, None] - w, 0.0),
                                     shift[rows, None]),
-            [0.0] * len(brs),
-            [br - p.a ** p.rho for br, p in zip(brs, self.params)],
-            [p.alpha for p in self.params]))
-        return [v if isinstance(v, AccuracyError) else scale * v
-                for v, scale in zip(values, scales)]
+            [0.0] * len(shift), (self.br - self.ar).tolist(),
+            self.alpha.tolist())
+        return [v if isinstance(v, AccuracyError) else scale * v[0]
+                for v, scale in zip(values, scales.tolist())]
 
-    def operators(self, shifts) -> list:
-        """The fold integral of u -> fg(u) + fg(shift - u) over Gamma(alpha),
-        `katugampola_left` with rho = 1 on [a^rho, b^rho]
-        (`_OneTrial.operators`)."""
-        return self._fold(self.pull, shifts,
-                          [1.0 / math.gamma(p.alpha) for p in self.params])
+    def operators(self, shift) -> list:
+        """The fold integral of fg over Gamma(alpha) per row: a public
+        trial's `katugampola_left` with rho = 1 on [a^rho, b^rho]."""
+        return self._fold(self.pull, shift, 1.0 / _gamma(self.alpha))
 
     def e_values(self) -> list:
-        """`compute_E` of each row: alpha h(1/2) times the fold of
-        u -> h(u) + h(1 - u), h = t**k one power of the drawn exponent
-        column, h(1/2) = 0.5**k.  It is `compute_E` bit for bit but on
-        numpy's scalar-exponent fast paths (k = -1, 0.5, 2); the falsifier
-        never draws k = -1, and draws exactly 0.5 or 2 with negligible
-        probability."""
-        k = self.k
-        return self._fold(lambda x, rows: x ** k[rows, None], [1.0] * len(k),
-                          [p.alpha * h_half for p, h_half
-                           in zip(self.params, (0.5 ** k).tolist())])
+        """`compute_E` per row, bit for bit but at k = -1, 0.5 and 2 (numpy's
+        scalar-power fast paths), which the falsifier never draws."""
+        k = np.array(self.k)
+        return self._fold(lambda x, rows: x ** k[rows, None], np.ones(len(k)),
+                          self.alpha * self.h_half)
 
 
-class _OneTrial:
-    """A public chain's one trial, with the four evaluation methods of a
-    falsifier `_Chunk`: fg is its pullback (f itself for classic_hh and
-    h_hh, on their own interval), and its integrals are the public
-    `integrate`, `katugampola_left` and `compute_E`, whose AccuracyError
-    propagates.  Its operator side is the fold integral as
-    `katugampola_left` with rho = 1 on [a^rho, b^rho], whose node map is
-    then u = b^rho - w."""
+class _OneTrial(_Rows):
+    """A public chain's one trial as one-row columns: fg is its pullback
+    (f itself for classic_hh and h_hh), and its integrals are the public
+    `integrate`, `katugampola_left` (rho = 1 on [a^rho, b^rho]) and
+    `compute_E`, whose AccuracyError propagates.  den = 0 (b^rho rounds
+    onto a^rho, or the power underflows) is a DomainError."""
 
     def __init__(self, fg: Callable, hf: Optional[HFunction] = None,
-                 params: Optional[TheoremParams] = None, interval=None,
-                 lengths=None):
-        self.fg = fg
-        self.params, self.hs, self.intervals = [params], [hf], [interval]
-        self.lengths = [lengths]
+                 params: Optional[TheoremParams] = None,
+                 interval=(0.0, 1.0), lengths=None):
+        p = params
+        fields = ((None, None, *interval, None) if p is None
+                  else (p.alpha, p.rho, p.a, p.b, p.q))
+        super().__init__(
+            np.array([fields], dtype=float),  # NaN for None
+            None if hf is None else [hf.k], [hf],
+            None if hf is None else np.array([float(hf(0.5))]),
+            np.array([lengths], dtype=float))
+        self.fg, self.hf, self.p = fg, hf, p
+        if p is not None and not self.den[0] > 0.0:
+            raise DomainError("(b^rho - a^rho)^alpha is 0 at %r" % (p,))
 
     def at(self, ts) -> np.ndarray:
         return self.fg(np.array(ts, dtype=float))
 
-    def means(self, ab) -> list:
-        [(a, b)] = ab
-        return [integrate(self.fg, a, b)]
+    def means(self, lo, hi) -> list:
+        return [integrate(self.fg, float(lo[0]), float(hi[0]))]
 
-    def operators(self, shifts) -> list:
-        [shift], [p] = shifts, self.params
-        return [katugampola_left(lambda u: _folded(self.fg, u, shift),
-                                 p.alpha, 1.0, p.a ** p.rho, p.b ** p.rho)]
+    def operators(self, shift) -> list:
+        p, s = self.p, float(shift[0])
+        return [katugampola_left(lambda u: _folded(self.fg, u, s), p.alpha,
+                                 1.0, float(self.ar[0]), float(self.br[0]))]
 
     def e_values(self) -> list:
-        [hf], [p] = self.hs, self.params
-        return [compute_E(hf, p.alpha, p.rho, p.a, p.b)]
+        p = self.p
+        return [compute_E(self.hf, p.alpha, p.rho, p.a, p.b)]
 
 
 def _evaluate(chain: str, trial: _OneTrial, tol: float,
@@ -574,117 +611,82 @@ def _evaluate(chain: str, trial: _OneTrial, tol: float,
     return _report(chain, row[0], tol, instance, row[1])
 
 
-def _row_sides(sides_of: Callable, *columns) -> list:
-    # sides_of(*row) -> (sides, extras) per row; a row whose integral or
-    # constant raises AccuracyError carries the error
-    out = []
-    for row in zip(*columns):
-        failed = [v for v in row if isinstance(v, AccuracyError)]
-        if failed:
-            out.append(failed[0])
-            continue
-        try:
-            out.append(sides_of(*row))
-        except AccuracyError as exc:
-            out.append(exc)
-    return out
-
-
-def _mean_rows(unit: bool, rows) -> list:
+def _mean_rows(unit: bool, rows) -> _Sides:
     # classic_hh and h_hh on [a, b], conde_hh on [0, 1]: the midpoint, the
     # mean and the endpoint average; h_hh divides the midpoint by 2 h(1/2)
-    # and weighs the endpoints by Int_0^1 h, 1/(k + 1) for h = t^k
-    ab = [(0.0, 1.0)] * len(rows.hs) if unit else rows.intervals
-
-    def sides(hf, ends, v, integral):
-        mean = ("mean", integral / (ends[1] - ends[0]))
-        if hf is None:
-            return [("midpoint", float(v[0])), mean,
-                    ("endpoints", float(v[1] + v[2]) / 2.0)], None
-        if hf.k is None:
-            h_mass = integrate(hf, 0.0, 1.0)
-        else:
-            h_mass = _beta(hf.k + 1.0, 1.0)
-        return ([("midpoint", float(v[0]) / (2.0 * float(hf(0.5)))), mean,
-                 ("endpoints", float(v[1] + v[2]) * h_mass)],
-                {"h_mass": h_mass})
-
-    return _row_sides(sides, rows.hs, ab,
-                      rows.at([[0.5 * (a + b), a, b] for a, b in ab]),
-                      rows.means(ab))
+    # and weighs the endpoints by Int_0^1 h, B(k + 1, 1) for h = t**k
+    n = len(rows.params)
+    lo, hi = (np.zeros(n), np.ones(n)) if unit else (rows.a, rows.b)
+    v = rows.at(np.stack((0.5 * (lo + hi), lo, hi), axis=1))
+    if rows.k is None:
+        errors, (integral,) = _failed(rows.means(lo, hi))
+        mid, ends, extras = v[:, 0], (v[:, 1] + v[:, 2]) / 2.0, {}
+    else:
+        errors, (integral, h_mass) = _failed(rows.means(lo, hi), _each(
+            lambda k, hf: integrate(hf, 0.0, 1.0) if k is None
+            else _beta(k + 1.0, 1.0), rows.k, rows.hfs))
+        mid = v[:, 0] / (2.0 * rows.h_half)
+        ends, extras = (v[:, 1] + v[:, 2]) * h_mass, {"h_mass": h_mass}
+    return _Sides(("midpoint", "mean", "endpoints"),
+                  (mid, integral / (hi - lo), ends), extras, errors)
 
 
-def _thm_cb_rows(holder: bool, rows) -> list:
+def _thm_cb_rows(holder: bool, rows) -> _Sides:
     # thm_cb1 (holder: the Hoelder bound of the h-integral) and thm_cb2
     # (its exact value): the pullback at the midpoint and the ends of
     # [a^rho, b^rho], and the operator side with shift a^rho + b^rho
-    ends = [(p.a ** p.rho, p.b ** p.rho) for p in rows.params]
-
-    def sides(hf, p, v, kl):
-        h_half = float(hf(0.5))
-        if holder:
-            term = (p.alpha * ((p.q - 1.0) / (p.alpha * p.q - 1.0))
-                    ** ((p.q - 1.0) / p.q) * lq_norm_unit(hf, p.q))
-        else:
-            term = _exact_h_term(hf, p)
-        k0 = _k0_term(hf, p)
-        f_ends = float(v[1] + v[2])
-        right = h_half * f_ends * (term + k0)
-        if holder:
-            extras = {"holder_bound": term, "k0_term": k0}
-        else:
-            literal = h_half * f_ends * (p.rho * term + k0)
-            extras = {"exact_h_term": term, "k0_term": k0,
-                      "right_side_literal": literal,
-                      "literal_minus_canonical": literal - right}
-        return [("midpoint", float(v[0])),
-                ("operators", _operator_side(kl, p, h_half)),
-                ("endpoints", right)], extras
-
-    return _row_sides(sides, rows.hs, rows.params,
-                      rows.at([[0.5 * (a + b), a, b] for a, b in ends]),
-                      rows.operators([a + b for a, b in ends]))
+    ar, br, alpha = rows.ar, rows.br, rows.alpha.tolist()
+    v = rows.at(np.stack((0.5 * (ar + br), ar, br), axis=1))
+    errors, (kl, term, k0) = _failed(
+        rows.operators(ar + br),
+        _each(_holder_term, alpha, rows.q.tolist(), rows.k, rows.hfs) if holder
+        else _each(_exact_h_term, alpha, rows.k, rows.hfs),
+        _each(_k0_term, alpha, rows.k, rows.hfs))
+    h_half, f_ends = rows.h_half, v[:, 1] + v[:, 2]
+    right = h_half * f_ends * (term + k0)
+    if holder:
+        extras = {"holder_bound": term, "k0_term": k0}
+    else:
+        literal = h_half * f_ends * (rows.rho * term + k0)
+        extras = {"exact_h_term": term, "k0_term": k0,
+                  "right_side_literal": literal,
+                  "literal_minus_canonical": literal - right}
+    return _Sides(("midpoint", "operators", "endpoints"),
+                  (v[:, 0], _operator_side(rows, kl), right), extras, errors)
 
 
-def _reflected_rows(rows):
-    # the pullback at 1/2, 0 and 1, the operator side on the reflected
-    # interval and E: the inputs of thm_ty1 and the corollary
+def _reflected_rows(rows) -> tuple:
+    # thm_ty1's sides from the pullback at 1/2, 0 and 1, the operator side
+    # on the reflected interval and E, with each row's error, h(1/2) and E
     n = len(rows.params)
-    return (rows.at([[0.5, 0.0, 1.0]] * n), rows.operators([1.0] * n),
-            rows.e_values())
+    v = rows.at(np.tile([0.5, 0.0, 1.0], (n, 1)))
+    errors, (kl, e_val) = _failed(rows.operators(np.ones(n)),
+                                  rows.e_values())
+    sides = (v[:, 0], _operator_side(rows, kl),
+             (v[:, 1] + v[:, 2]) * e_val / rows.den)
+    return errors, sides, e_val
 
 
-def _thm_ty1_rows(rows) -> list:
-    def sides(hf, p, v, kl, e_val):
-        return [("midpoint", float(v[0])),
-                ("operators", _operator_side(kl, p, float(hf(0.5)))),
-                ("endpoints", float(v[1] + v[2]) * e_val / _den(p))], None
-
-    return _row_sides(sides, rows.hs, rows.params, *_reflected_rows(rows))
+def _thm_ty1_rows(rows) -> _Sides:
+    errors, sides, _ = _reflected_rows(rows)
+    return _Sides(("midpoint", "operators", "endpoints"), sides, {}, errors)
 
 
-def _corollary_rows(rows) -> list:
+def _corollary_rows(rows) -> _Sides:
     # the endpoint bound minus alpha rho h(1/2) C (L2 - L1)^2, and the
     # bare-constant variants in extras
-    def sides(hf, p, lengths, v, kl, e_val):
-        l1, l2 = lengths
-        h_half = float(hf(0.5))
-        c_val = compute_C(p.alpha, p.rho, p.a, p.b)
-        delta = l2 - l1
-        bound = float(v[1] + v[2]) * e_val / _den(p)
-        coef = p.alpha * p.rho * h_half
-        extras = {"c_value": c_val, "e_value": e_val,
-                  "length_difference": delta, "c_coefficient": coef,
-                  "right_difference_bare_c": bound - c_val * delta * delta,
-                  "right_product_bare_c":
-                      bound - c_val * (l1 * l2) ** 2}
-        return [("midpoint", float(v[0])),
-                ("operators", _operator_side(kl, p, h_half)),
-                ("endpoints_minus_c", bound - coef * c_val * delta * delta),
-                ("endpoints", bound)], extras
-
-    return _row_sides(sides, rows.hs, rows.params, rows.lengths,
-                      *_reflected_rows(rows))
+    errors, (mid, ops, bound), e_val = _reflected_rows(rows)
+    l1, l2 = rows.lengths.T
+    c_val = _kernel_c(rows.alpha, rows.rho, rows.ar, rows.br)
+    delta, coef = l2 - l1, rows.alpha * rows.rho * rows.h_half
+    extras = {"c_value": c_val, "e_value": e_val,
+              "length_difference": delta, "c_coefficient": coef,
+              "right_difference_bare_c": bound - c_val * delta * delta,
+              "right_product_bare_c":
+                  bound - c_val * _powers(l1 * l2, 2.0)}
+    return _Sides(("midpoint", "operators", "endpoints_minus_c", "endpoints"),
+                  (mid, ops, bound - coef * c_val * delta * delta, bound),
+                  extras, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -700,16 +702,14 @@ class ChainSpec(NamedTuple):
     geodesics and f is unused.  h is None unless takes_h, and
     params.q is None unless needs_q.  The evaluators reach the chains
     through their module-level names, so rebinding a name takes effect.
-    rows(rows) is the chain's one body: it evaluates a falsifier `_Chunk`
-    or a public chain's `_OneTrial` and returns per row its labeled sides
-    and its extras (None when the chain has none), or the row's
-    AccuracyError; `_report` turns a row into the report.
+    rows(rows) is the chain's one body: on the columns of a falsifier
+    `_Chunk` or a public chain's `_OneTrial` it returns `_Sides`.
     instance(f, g, h, params) is evaluate's instance, from the chain's own
     helper.
     """
 
     evaluate: Callable[..., InequalityReport]
-    rows: Callable[[Union[_Chunk, _OneTrial]], list]
+    rows: Callable[[Union[_Chunk, _OneTrial]], _Sides]
     instance: Callable[..., dict]
     takes_h: bool = True
     needs_q: bool = False
@@ -770,14 +770,14 @@ CHUNK = 64
 
 
 def _draw_params(spec: ChainSpec, m: int,
-                 rng: np.random.Generator) -> list:
+                 rng: np.random.Generator) -> np.ndarray:
     # m draws of alpha, then of rho, a and b (and of q); thm_cb1 redraws
     # alpha and q of the rows with alpha q <= 1.05, and only those
     alpha = rng.uniform(0.25, 3.0, m)
     rho = rng.uniform(0.5, 2.5, m)
     a = rng.uniform(0.0, 0.9, m)
     b = rng.uniform(a + 0.05, 1.0)
-    q = [None] * m
+    q = None
     if spec.needs_q:
         q = rng.uniform(1.5, 4.0, m)
         redo = np.flatnonzero(alpha * q <= 1.05)
@@ -785,20 +785,17 @@ def _draw_params(spec: ChainSpec, m: int,
             alpha[redo] = rng.uniform(0.25, 3.0, redo.size)
             q[redo] = rng.uniform(1.5, 4.0, redo.size)
             redo = redo[alpha[redo] * q[redo] <= 1.05]
-        q = q.tolist()
-    return [TheoremParams(*row) for row in zip(
-        alpha.tolist(), rho.tolist(), a.tolist(), b.tolist(), q)]
+    _check_params(alpha, rho, a, b, q)
+    return np.stack((alpha, rho, a, b, np.full(m, math.nan) if q is None
+                     else q), axis=1)
 
 
-def _draw_hs(m: int, rng: np.random.Generator) -> list:
-    # m kinds, then m exponents, which only the power rows use; restricted
-    # to catalog members with h(t) >= t and finite chain integrals
-    # (godunova_levin fails the second requirement)
-    kinds = rng.integers(0, len(_H_DOMINATING), m).tolist()
-    ks = rng.uniform(0.25, 1.0, m).tolist()
-    return [_power_h(k) if _H_DOMINATING[kind] == "power"
-            else h_function(_H_DOMINATING[kind])
-            for kind, k in zip(kinds, ks)]
+def _draw_hs(m: int, rng: np.random.Generator) -> tuple:
+    # m kinds, then m exponents k for the power rows (identity is t**1 and
+    # constant_one t**0): the members with h(t) >= t and finite integrals
+    kinds = np.array(_H_DOMINATING)[rng.integers(0, len(_H_DOMINATING), m)]
+    ks = rng.uniform(0.25, 1.0, m)
+    return kinds, np.where(kinds == "power", ks, kinds == "identity")
 
 
 def _draw_trials(spec: ChainSpec, space: Space, trials: int,
@@ -806,7 +803,7 @@ def _draw_trials(spec: ChainSpec, space: Space, trials: int,
     # the next `trials` draws of falsify_search as one chunk; the columns
     # are drawn in the order of falsify_search's docstring
     params = _draw_params(spec, trials, rng)
-    hs = _draw_hs(trials, rng) if spec.takes_h else [None] * trials
+    hs = _draw_hs(trials, rng) if spec.takes_h else None
     ys = None if spec.two_geodesics else space._sample(trials, rng)
     drawn = [_random_ends(space, trials, rng, 0.05)
              for _ in range(1 + spec.two_geodesics)]
@@ -830,32 +827,26 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
                    product_c_term: bool = False) -> dict:
     """Randomized search for chain violations beyond tol.
 
-    Every drawn instance satisfies the chain's convexity precondition by
-    theorem (module docstring), so none is discarded: "discarded" is
-    always 0.  Quadrature failures are counted, not treated as
-    violations, and skipped.  Identical (chain, space, trials,
-    seed, tol) inputs give identical summaries; trials and seed must be
-    integers >= 0 and tol positive and finite.
+    Every drawn instance is admissible by theorem (module docstring), so
+    "discarded" is always 0.  Equal inputs give equal summaries; trials
+    and seed must be integers >= 0 and tol positive and finite.
 
     Instances come from one random stream in chunks of m = CHUNK draws
-    (fewer in the last chunk).  A chunk is drawn column by column, each
-    column one call for all m rows, in this order: alpha, rho, a, b
-    (uniform on [a + 0.05, 1]), and for thm_cb1 q, after which alpha
-    and q are redrawn for the rows with alpha q <= 1.05 alone, until
-    none is left; the h kinds and the power exponents, when the chain
-    takes h; the reference points y of f = d(., y)^2, unless the chain
-    takes two geodesics; then the geodesics' starts and ends, after
-    which starts and ends are redrawn for the rows shorter than 0.05
-    alone, until none is left (the corollary draws its first and then
-    its second geodesics so).  Every trial of the chunk is evaluated,
-    together from its columns, by the chain's body (`ChainSpec.rows`).
-    A row that carries an AccuracyError counts as a quadrature failure.
-    A row's margins come from its sides, as its report takes them; the
-    one report built, the worst row's with `ChainSpec.instance` of its
-    objects, becomes worst_instance; ties go to the first trial.  A chain
-    with one geodesic runs the public `check_h_convex(f, g, h, seed=0)`
-    once, on those objects (h = identity for a chain without h); its
-    verdict is not read.
+    (fewer in the last chunk), each column one call for all m rows, in
+    this order: alpha, rho, a, b (uniform on [a + 0.05, 1]), and for
+    thm_cb1 q, after which alpha and q are redrawn for the rows with
+    alpha q <= 1.05 alone, until none is left; the h kinds and the power
+    exponents, when the chain takes h; the reference points y of
+    f = d(., y)^2, unless the chain takes two geodesics; then the
+    geodesics' starts and ends, after which starts and ends are redrawn
+    for the rows shorter than 0.05 alone, until none is left (the
+    corollary draws its first and then its second geodesics so).  A row
+    that carries an AccuracyError is a quadrature failure, counted and
+    skipped.  A margin below -tol, or NaN, is a violation; the worst row
+    has the first least margin, NaN below any number, and its report is
+    worst_instance.  A chain with one geodesic runs the public
+    `check_h_convex(f, g, h, seed=0)` once on that row's objects
+    (h = identity for a chain without h); its verdict is not read.
 
     product_c_term swaps the corollary's third side for the bare-constant
     product variant (`extras["right_product_bare_c"]`) in the margins, the
@@ -874,27 +865,30 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     evaluated = failures = violations = 0
     worst_margin = worst = None
     for start in range(0, trials, CHUNK):
-        draws = min(CHUNK, trials - start)
-        chunk = _draw_trials(spec, space, draws, rng)
-        for i, row in enumerate(spec.rows(chunk)):
-            if isinstance(row, AccuracyError):
-                failures += 1
-                continue
-            evaluated += 1
-            sides, extras = row
-            if product_c_term:
-                sides = [*sides[:2], ("endpoints_minus_c_product",
-                                      extras["right_product_bare_c"]),
-                         *sides[3:]]
-            values = [float(v) for _, v in sides]
-            margins = [b - a for a, b in zip(values, values[1:])]
-            violations += not all(m >= -tol for m in margins)
-            margin = min(margins)
-            if worst_margin is None or margin < worst_margin:
-                worst_margin, worst = margin, (chunk, i, sides, extras)
+        chunk = _draw_trials(spec, space, min(CHUNK, trials - start), rng)
+        out = spec.rows(chunk)
+        if product_c_term:
+            sides = list(out.values.T)
+            sides[2] = out.extras["right_product_bare_c"]
+            out = _Sides((*out.labels[:2], "endpoints_minus_c_product",
+                          *out.labels[3:]), sides, out.extras, out.errors)
+        ok = np.flatnonzero([e is None for e in out.errors])
+        evaluated += len(ok)
+        failures += len(out) - len(ok)
+        if not len(ok):
+            continue
+        margins = np.diff(out.values[ok], axis=1)
+        violations += int(np.sum(~np.all(margins >= -tol, axis=1)))
+        least = np.min(margins, axis=1)
+        i = int(np.argmin(least))
+        # a NaN margin is the least, and the first one stays the worst
+        if worst_margin is None or not (math.isnan(worst_margin)
+                                        or least[i] >= worst_margin):
+            worst_margin, worst = float(least[i]), (chunk, out, int(ok[i]))
     worst_instance = None
     if worst is not None:
-        chunk, i, sides, extras = worst
+        chunk, out, i = worst
+        sides, extras = out[i]
         f, g, hf, _ = objects = chunk.objects(i)
         if not spec.two_geodesics:
             # the only convexity call left in the falsifier; its verdict

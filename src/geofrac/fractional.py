@@ -58,6 +58,11 @@ def _beta(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
+def _lq_power(k: float, q: float) -> float:
+    # ||t**k||_q on (0, 1) = B(kq + 1, 1)**(1/q)
+    return _beta(k * q + 1.0, 1.0) ** (1.0 / q)
+
+
 def _check_order(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError("fractional order alpha must be positive and finite")
@@ -199,7 +204,7 @@ def lq_norm_unit(h: RealFunction, q: float) -> float:
         raise DomainError("lq_norm_unit requires q > 1")
     k = getattr(h, "k", None)
     if k is not None:
-        return _beta(k * q + 1.0, 1.0) ** (1.0 / q)
+        return _lq_power(k, q)
 
     def integrand(t):
         return np.abs(h(t)) ** q

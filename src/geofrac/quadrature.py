@@ -134,14 +134,14 @@ def _rules(exponent: tuple) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _by_row(fn: Callable, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # fn(r, lines) on each run of consecutive lines of x of one row r
-    rows = rows.tolist()
-    cut = [k for k in range(1, len(rows)) if rows[k] != rows[k - 1]]
-    if not cut:
-        return fn(rows[0], x)
-    return np.concatenate([fn(rows[s], x[s:e])
-                           for s, e in zip([0] + cut, cut + [len(rows)])])
+def _line_power(x: np.ndarray, e: np.ndarray, fast) -> np.ndarray:
+    # x ** e[k] on line k of x in one array power, but on the lines at the
+    # exponents in fast, those of e in {0.5, 2, -1}, numpy's scalar power,
+    # sqrt, square or reciprocal, as a lone integral's power takes them
+    out = x ** e[:, None]
+    for s in fast:
+        out[e == s] = x[e == s] ** s
+    return out
 
 
 def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
@@ -154,7 +154,8 @@ def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
     xs, ws = _rule(NODES)
     if any(e != 1.0 for e in exponent):
         jac_us, jac_lams = _rules(tuple(exponent))
-        lows = np.array(lo)
+        lows, powers = np.array(lo), np.array(exponent) - 1.0
+        fast = {0.5, 2.0, -1.0}.intersection(powers.tolist())
 
     def sums(rows: list, a: list, b: list) -> list:
         scale = [0.5 * (y - x) for x, y in zip(a, b)]
@@ -185,8 +186,7 @@ def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
             if jac:
                 i, r, width = (list(c) for c in zip(*jac))
                 gap[i] = 1.0
-            w = np.ascontiguousarray(_by_row(
-                lambda r, x: ws * x ** (exponent[r] - 1.0), gap, line_rows))
+            w = ws * _line_power(gap, powers[line_rows], fast)
             if jac:
                 pts[i] = (lows[r][:, None]
                           + np.array(width)[:, None] * jac_us[r])
@@ -291,16 +291,17 @@ def _weighted_rows(g: Callable, lo, hi, exponent) -> list:
     at = [r for r, v in enumerate(out) if exponent[r] != 1.0
           and isinstance(v, AccuracyError)]
     if at:
-        again = np.array(at)
-        inv = [1.0 / exponent[r] for r in at]
+        again, starts = np.array(at), np.array([lo[r] for r in at])
+        inv = np.array([1.0 / exponent[r] for r in at])
+        fast = {0.5, 2.0, -1.0}.intersection(inv.tolist())
         # near v = 0, v**(1/exponent) underflows onto lo, where g may
         # overflow: such a rerun fails with a non-finite estimate or
         # error, and the row keeps its first failure
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             redo = _integrate_rows(
-                lambda v, rows: g(_by_row(
-                    lambda k, x: lo[at[k]] + x ** inv[k], v, rows),
-                    again[rows]),
+                lambda v, rows: g(starts[rows, None]
+                                  + _line_power(v, inv[rows], fast),
+                                  again[rows]),
                 [0.0] * len(at), [(hi[r] - lo[r]) ** exponent[r] for r in at],
                 [1.0] * len(at))
         for r, v in zip(at, redo):

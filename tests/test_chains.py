@@ -204,7 +204,7 @@ def test_cb1_holder_step_bound():
     from geofrac.chains import _exact_h_term
     from geofrac.fractional import lq_norm_unit
     hf = h_function("identity")
-    exact = _exact_h_term(hf, UNIT_PARAMS)
+    exact = _exact_h_term(UNIT_PARAMS.alpha, hf.k, hf)
     bound = 1.0 * (1.0 / 1.0) ** 0.5 * lq_norm_unit(hf, 2.0)
     assert exact == pytest.approx(0.5, rel=1e-10)
     assert bound == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-10)
@@ -222,7 +222,8 @@ def test_exact_h_term_closed_forms(alpha, rho):
     cases += [("power(%r)" % k, alpha / (alpha + k))
               for k in (0.25, 0.6, 2.0)]
     for name, want in cases:
-        got = _exact_h_term(h_function(name), p)
+        hf = h_function(name)
+        got = _exact_h_term(p.alpha, hf.k, hf)
         assert got == pytest.approx(want, rel=1e-10), name
 
 
@@ -355,8 +356,8 @@ def test_h_constants_match_closed_forms_for_power_h(alpha, rho):
                 E = (mp.mpf(0.5) ** k * W ** al
                      * (B ** k * mp.hyp2f1(-k, al, al + 1, W / B)
                         + C ** k * mp.hyp2f1(-k, al, al + 1, -W / C)))
-            p = TheoremParams(alpha, rho, a, b)
-            assert _k0_term(h_function(name), p) == pytest.approx(
+            hf = h_function(name)
+            assert _k0_term(alpha, hf.k, hf) == pytest.approx(
                 float(k0), rel=1e-12), (name, a, b)
             assert compute_E(name, alpha, rho, a, b) == pytest.approx(
                 float(E), rel=1e-12), (name, a, b)
@@ -367,9 +368,8 @@ def _h_constants(hf, alpha, q):
     # the L^q norm on (0, 1)
     from geofrac.chains import _exact_h_term, _k0_term
     from geofrac.fractional import lq_norm_unit
-    p = TheoremParams(alpha, 1.3, 0.1, 0.9)
     mass = h_hh(lambda t: t * t, hf, 0.0, 1.0).extras["h_mass"]
-    return (_exact_h_term(hf, p), _k0_term(hf, p), mass,
+    return (_exact_h_term(alpha, hf.k, hf), _k0_term(alpha, hf.k, hf), mass,
             lq_norm_unit(hf, q))
 
 
@@ -403,13 +403,13 @@ def test_power_h_closed_forms_past_gamma_overflow():
     from geofrac.chains import _exact_h_term, _k0_term
     from geofrac.fractional import lq_norm_unit
     hf = h_function("power(200)")
-    p = TheoremParams(2.5, 1.0, 0.0, 1.0)
-    assert _exact_h_term(hf, p) == pytest.approx(2.5 / 202.5, rel=1e-12)
+    assert _exact_h_term(2.5, hf.k, hf) == pytest.approx(2.5 / 202.5,
+                                                        rel=1e-12)
     assert lq_norm_unit(hf, 4.0) == pytest.approx(801.0 ** -0.25,
                                                   rel=1e-12)
     with mp.workdps(30):
         want = float(mp.mpf(2.5) * mp.beta(mp.mpf(2.5), 201))
-    assert _k0_term(hf, p) == pytest.approx(want, rel=1e-12)
+    assert _k0_term(2.5, hf.k, hf) == pytest.approx(want, rel=1e-12)
 
 
 def test_catalog_h_exponents():
@@ -426,10 +426,10 @@ def test_divergent_h_constants_raise_accuracy_error():
     gl = h_function("godunova_levin")
     for alpha in (0.5, 2.5):
         with pytest.raises(AccuracyError):
-            _k0_term(gl, TheoremParams(alpha, 1.0, 0.0, 1.0))
+            _k0_term(alpha, gl.k, gl)
     for alpha in (0.5, 1.0):
         with pytest.raises(AccuracyError):
-            _exact_h_term(gl, TheoremParams(alpha, 1.0, 0.0, 1.0))
+            _exact_h_term(alpha, gl.k, gl)
     with pytest.raises(AccuracyError):
         h_hh(lambda t: t * t, gl, 0.0, 1.0)
     for q in (1.5, 2.0, 4.0):
@@ -438,7 +438,7 @@ def test_divergent_h_constants_raise_accuracy_error():
     with pytest.raises(AccuracyError):
         lq_norm_unit(h_function("power(-0.5)"), 2.0)
     # convergent for alpha > 1: alpha/(alpha - 1)
-    assert _exact_h_term(gl, TheoremParams(2.5, 1.0, 0.0, 1.0)) == (
+    assert _exact_h_term(2.5, gl.k, gl) == (
         pytest.approx(2.5 / 1.5, rel=1e-12))
 
 
@@ -453,11 +453,11 @@ def test_singular_convergent_h_constants_take_beta_values():
         half = mp.mpf(1) / 2
         for alpha in (0.5, 1.0, 2.5):
             al = mp.mpf(alpha)
-            got = _k0_term(hf, TheoremParams(alpha, 1.0, 0.0, 1.0))
+            got = _k0_term(alpha, hf.k, hf)
             assert got == pytest.approx(float(al * mp.beta(al, half)),
                                         rel=1e-14), alpha
         # alpha Int_0^1 v^(alpha - 3/2) dv converges for alpha > 1/2
-        assert _exact_h_term(hf, TheoremParams(1.0, 1.0, 0.0, 1.0)) == (
+        assert _exact_h_term(1.0, hf.k, hf) == (
             pytest.approx(float(mp.beta(half, 1)), rel=1e-14))
         mass = h_hh(lambda t: t * t, hf, 0.0, 1.0).extras["h_mass"]
         assert mass == pytest.approx(float(mp.beta(half, 1)), rel=1e-14)
@@ -491,9 +491,11 @@ def _operator_sides(fg, reflected):
         kr, er = katugampola_right(F, alpha, rho, lo, hi, full_output=True)
         pref = (rho ** alpha * math.gamma(alpha + 1.0)
                 / (b ** rho - a ** rho) ** alpha)
-        p = TheoremParams(alpha, rho, a, b)
-        [folded] = _OneTrial(fg, params=p).operators([shift])
-        merged = _operator_side(folded, p, 0.5)
+        # h = identity, h(1/2) = 0.5
+        trial = _OneTrial(fg, h_function("identity"),
+                          TheoremParams(alpha, rho, a, b))
+        [folded] = trial.operators([shift])
+        [merged] = _operator_side(trial, folded)
         out.append((merged, pref * 0.5 * (kl + kr), pref * 0.5 * (el + er)))
     return out
 
@@ -951,12 +953,19 @@ def test_a_search_builds_one_report(monkeypatch, chain):
     # 130 trials are three chunks, the last of 2 rows: the search takes
     # every row's margins from its sides and builds the worst row's report
     # alone; the public check_h_convex runs once, on the worst row's
-    # objects, the only ones built (none on the corollary's two geodesics)
+    # objects, the only ones built (none on the corollary's two geodesics).
+    # The params and h stay columns: the search builds one TheoremParams
+    # and one HFunction, the worst row's (identity, for the check of a
+    # chain without h)
     import geofrac.chains as chains
+    from geofrac.convexity import HFunction
 
-    calls = {"_report": [], "check_h_convex": [], "objects": []}
+    calls = {"_report": [], "check_h_convex": [], "objects": [],
+             "__post_init__": [], "__init__": []}
     for owner, name in ((chains, "_report"), (chains, "check_h_convex"),
-                        (chains._Chunk, "objects")):
+                        (chains._Chunk, "objects"),
+                        (TheoremParams, "__post_init__"),
+                        (HFunction, "__init__")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name].append(args[0])
             return _fn(*args, **kwargs)
@@ -972,6 +981,80 @@ def test_a_search_builds_one_report(monkeypatch, chain):
         assert calls["_report"] == [chain]
         assert len(calls["check_h_convex"]) == one_geodesic
         assert len(calls["objects"]) == 1
+        assert len(calls["__post_init__"]) == 1
+        assert len(calls["__init__"]) == 1
+
+
+def _script_classic_hh(monkeypatch, rows):
+    # classic_hh's body replaced by one that hands out the sides of rows
+    # in draw order, chunk after chunk
+    import geofrac.chains as chains
+
+    script = iter(rows)
+
+    def body(chunk):
+        n = len(chunk.params)
+        values = np.array([next(script) for _ in range(n)])
+        return chains._Sides(("midpoint", "mean", "endpoints"), values.T,
+                             {}, [None] * n)
+
+    monkeypatch.setitem(chains.CHAINS, "classic_hh",
+                        chains.CHAINS["classic_hh"]._replace(rows=body))
+
+
+@pytest.mark.parametrize("chunk", [64, 7])
+def test_a_nan_margin_makes_its_row_the_worst(monkeypatch, chunk):
+    # margins rank as np.min and np.argmin rank them: a NaN margin makes
+    # its row the worst, wherever it sits in the row, the first such row
+    # stays the worst, and it counts as a violation; rows 2, 3, 9 and 10
+    # are in one chunk of 64 draws, or in two chunks of 7
+    import geofrac.chains as chains
+
+    monkeypatch.setattr(chains, "CHUNK", chunk)
+    nan = math.nan
+    cases = [({3: (nan, 1.0, 2.0), 9: (0.0, -5.0, 0.0)}, 3),
+             ({3: (0.0, -5.0, 0.0), 9: (nan, 1.0, 2.0)}, 9),
+             ({3: (0.0, 1.0, nan), 9: (0.0, -5.0, 0.0)}, 3),
+             ({3: (0.0, -5.0, 0.0), 9: (0.0, 1.0, nan)}, 9),
+             ({2: (0.0, 1.0, nan), 10: (nan, 3.0, 4.0)}, 2)]
+    for script, worst in cases:
+        rows = [script.get(i, (i, i + 1.0, i + 2.0)) for i in range(14)]
+        _script_classic_hh(monkeypatch, rows)
+        summary = falsify_search("classic_hh", euclidean(2), 14, seed=1)
+        assert math.isnan(summary["worst_margin"])
+        assert summary["violations"] == 2
+        sides = summary["worst_instance"]["sides"]
+        np.testing.assert_array_equal([v for _, v in sides], rows[worst])
+
+
+@pytest.mark.parametrize("row, value, message", [
+    ("alpha", 0.0, "alpha must be positive and finite"),
+    ("alpha", -1.0, "alpha must be positive and finite"),
+    ("alpha", math.inf, "alpha must be positive and finite"),
+    ("alpha", math.nan, "alpha must be positive and finite"),
+    ("rho", 0.0, "rho must be positive and finite"),
+    ("rho", -0.5, "rho must be positive and finite"),
+    ("a", 0.9, "need 0 <= a < b <= 1"), ("a", 0.95, "need 0 <= a < b <= 1"),
+    ("a", -0.1, "need 0 <= a < b <= 1"), ("b", 1.5, "need 0 <= a < b <= 1"),
+    ("q", 1.0, "q must be finite and > 1"),
+    ("q", math.inf, "q must be finite and > 1"),
+    ("alpha", 0.3, "need alpha * q > 1")])
+def test_column_checks_keep_the_theorem_params_checks(row, value, message):
+    # hand-made columns with one bad row raise the DomainError of that
+    # row's TheoremParams, with its text; without the row they pass
+    import geofrac.chains as chains
+
+    columns = {"alpha": np.array([1.0, 2.0, 0.5]),
+               "rho": np.array([1.0, 0.7, 2.0]),
+               "a": np.array([0.0, 0.2, 0.5]), "b": np.array([1.0, 0.9, 0.6]),
+               "q": np.array([2.0, 3.0, 4.0])}
+    columns[row][1] = value
+    with pytest.raises(DomainError) as want:
+        TheoremParams(*(c[1] for c in columns.values()))
+    with pytest.raises(DomainError) as got:
+        chains._check_params(**columns)
+    assert str(got.value) == str(want.value) == message
+    chains._check_params(**{k: c[::2] for k, c in columns.items()})
 
 
 def _row_verdicts(chunk):
@@ -1022,8 +1105,7 @@ def _with_hub_row(spec, chunk, i):
     from geofrac.chains import TheoremParams
 
     sp = chunk.space
-    p = TheoremParams(2.5, 2.2, 0.45, 0.9, 2.0 if spec.needs_q else None)
-    h = h_function("identity") if spec.takes_h else None
+    p = np.array([[2.5, 2.2, 0.45, 0.9, 2.0 if spec.needs_q else math.nan]])
     pairs = [((0, 0.7), (1, 0.4))]
     if spec.two_geodesics:
         # the distance to a geodesic on the third ray has the same kink
@@ -1039,8 +1121,10 @@ def _with_hub_row(spec, chunk, i):
         return np.concatenate((batch[:i], row, batch[i:]))
 
     ys = None if chunk.ys is None else splice(chunk.ys, sp._stack([(2, 0.3)]))
-    return chains._Chunk(sp, chunk.params[:i] + [p] + chunk.params[i:],
-                         chunk.hs[:i] + [h] + chunk.hs[i:], ys,
+    # h = identity, t**1, on the hub row
+    hs = None if chunk.k is None else splice(
+        (chunk.kinds, chunk.k), (np.array(["identity"]), np.array([1.0])))
+    return chains._Chunk(sp, splice(chunk.params, p), hs, ys,
                          splice(chunk.geodesics, tuple(hub)))
 
 
@@ -1088,7 +1172,7 @@ def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
         return pull(ts, index)
 
     chunk.pull = counted_pull
-    chunk.means([(0.0, 1.0)] * len(chunk.params))
+    chunk.means(np.zeros(len(chunk.params)), np.ones(len(chunk.params)))
     assert shapes[0] == (len(chunk.params), 48) and len(shapes) > 1
     calls = []
     for name in CHAIN_NAMES:
@@ -1138,8 +1222,11 @@ def test_drawn_h_is_dominating():
     # falsifier relies on every h it draws passing that check
     import geofrac.chains as chains
 
-    for hf in chains._draw_hs(1000, np.random.default_rng(0)):
-        chains._require_dominating_h(hf)
+    kinds, ks = chains._draw_hs(1000, np.random.default_rng(0))
+    assert set(kinds) == set(chains._H_DOMINATING)
+    for kind, k in zip(kinds, ks):
+        name = "power(%r)" % float(k) if kind == "power" else str(kind)
+        chains._require_dominating_h(h_function(name))
 
 
 @pytest.mark.parametrize("space", BATCH_SPACES, ids=lambda s: s.name)
@@ -1195,10 +1282,11 @@ def test_q_rows_alone_are_redrawn():
     alpha, q = rng.draws[0], rng.draws[4]
     assert [d.size for d in rng.draws[5:7]] == [3, 3]
     assert all(d.size <= 3 for d in rng.draws[5:])
-    assert [p.alpha for p in params[3:]] == alpha[3:].tolist()
-    assert [p.q for p in params[3:]] == q[3:].tolist()
-    assert all(p.alpha * p.q > 1.05 for p in params)
-    assert all(p.alpha != 0.3 for p in params[:3])
+    # the params' columns are alpha, rho, a, b and q
+    assert params[3:, 0].tolist() == alpha[3:].tolist()
+    assert params[3:, 4].tolist() == q[3:].tolist()
+    assert all(params[:, 0] * params[:, 4] > 1.05)
+    assert all(params[:3, 0] != 0.3)
 
 
 @pytest.mark.parametrize("chain", ["thm_ty1", "corollary_distance"])
@@ -1273,12 +1361,17 @@ def test_failed_rows_match_the_per_trial_oracle(monkeypatch, chain, a_zero):
 
     import geofrac.chains as chains
 
-    monkeypatch.setattr(chains, "_draw_hs",
-                        lambda m, rng: [h_function("godunova_levin")] * m)
+    monkeypatch.setattr(chains, "_draw_hs", lambda m, rng: (
+        np.full(m, "godunova_levin"), np.full(m, -1.0)))
     if a_zero:
         draw = chains._draw_params
-        monkeypatch.setattr(chains, "_draw_params", lambda spec, m, rng: [
-            dataclasses.replace(p, a=0.0) for p in draw(spec, m, rng)])
+
+        def zero_a(spec, m, rng):
+            params = draw(spec, m, rng)
+            params[:, 2] = 0.0
+            return params
+
+        monkeypatch.setattr(chains, "_draw_params", zero_a)
     spec = chains.chain_spec(chain)
     space = euclidean(2)
     chunk = chains._draw_trials(spec, space, 3, np.random.default_rng(1))

@@ -9,8 +9,9 @@ import pytest
 from geofrac.errors import AccuracyError, DomainError
 from geofrac.fractional import rl_left
 from geofrac.quadrature import (ABS_TOL, MAX_PANELS, NODES, REL_TOL,
-                                _integrate_rows, _jacobi_rules, _rule,
-                                _rules, _weighted_rows, as_array_function,
+                                _integrate_rows, _jacobi_rules, _line_power,
+                                _rule, _rules, _weighted_rows,
+                                as_array_function,
                                 integrate, pointwise, power_kernel_integral)
 
 
@@ -585,6 +586,39 @@ def test_power_kernel_rows_retry_the_substitution_as_one_batch():
     assert batches[0] == [0, 1, 2, 3, 4, 5]
     assert failed == [0, 4] and failed in batches[1:]
     assert not isinstance(got[0], AccuracyError)
+
+
+def test_line_power_keeps_the_scalar_power_bits():
+    # one array power for every line, and numpy's scalar power (sqrt,
+    # square, reciprocal) on the lines at 0.5, 2 and -1: each line is a
+    # lone integral's x ** e bit for bit
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0.0, 3.0, (40, 48))
+    e = np.concatenate((rng.uniform(-1.5, 3.0, 34),
+                        [0.5, 2.0, -1.0, 1.0, 0.0, 0.5]))
+    got = _line_power(x, e, {0.5, 2.0, -1.0})
+    for k in range(len(e)):
+        assert np.array_equal(got[k], x[k] ** float(e[k])), e[k]
+
+
+def test_rerun_rows_keep_the_lone_substitution_bits():
+    # at exponent 0.5 the cusp of g at 0 fails the Jacobi attempt, and the
+    # rerun maps v to v ** 2, numpy's square on the depth-first code's
+    # scalar exponent; rerun in a batch with a row at exponent 0.3, each
+    # row is the depth-first code's bit for bit, and so the lone one's
+    def g(w):
+        return np.log1p(w) + w ** 0.12
+
+    attempt = _integrate_rows(lambda w, rows: g(w), [0.0], [0.9], [0.5])
+    assert isinstance(attempt[0], AccuracyError)
+    with np.errstate(all="ignore"):
+        got = _weighted_rows(lambda w, rows: g(w), [0.0, 0.0], [0.9, 0.7],
+                             [0.5, 0.3])
+        for r, (hi, e) in enumerate(((0.9, 0.5), (0.7, 0.3))):
+            want = _reference_power_kernel(g, 0.0, hi, e)
+            assert got[r] == want
+            assert got[r] == power_kernel_integral(g, hi, e,
+                                                   full_output=True)
 
 
 def test_non_finite_panel_fails_its_row_at_once():
