@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -130,7 +130,8 @@ class TheoremParams:
         _check_params(self.alpha, self.rho, self.a, self.b, self.q)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"alpha": self.alpha, "rho": self.rho, "a": self.a,
+                "b": self.b, "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -466,7 +467,7 @@ class _Sides:
     None.  Row i is its sides and extras as `_report` takes them."""
 
     def __init__(self, labels, sides, extras, errors):
-        self.labels, self.values = labels, np.stack(sides, axis=1)
+        self.labels, self.values = labels, np.array(sides).T
         self.extras, self.errors = extras, errors
 
     def __len__(self) -> int:
@@ -659,7 +660,7 @@ def _reflected_rows(rows) -> tuple:
     # thm_ty1's sides from the pullback at 1/2, 0 and 1, the operator side
     # on the reflected interval and E, with each row's error, h(1/2) and E
     n = len(rows.params)
-    v = rows.at(np.tile([0.5, 0.0, 1.0], (n, 1)))
+    v = rows.at(np.full((n, 3), [0.5, 0.0, 1.0]))
     errors, (kl, e_val) = _failed(rows.operators(np.ones(n)),
                                   rows.e_values())
     sides = (v[:, 0], _operator_side(rows, kl),
@@ -862,7 +863,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError("tol must be positive and finite")
     rng = np.random.default_rng(seed)
-    evaluated = failures = violations = 0
+    failures = violations = 0
     worst_margin = worst = None
     for start in range(0, trials, CHUNK):
         chunk = _draw_trials(spec, space, min(CHUNK, trials - start), rng)
@@ -873,7 +874,6 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
             out = _Sides((*out.labels[:2], "endpoints_minus_c_product",
                           *out.labels[3:]), sides, out.extras, out.errors)
         ok = np.flatnonzero([e is None for e in out.errors])
-        evaluated += len(ok)
         failures += len(out) - len(ok)
         if not len(ok):
             continue
@@ -899,7 +899,7 @@ def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,
         worst_instance = _report(chain, sides, tol, spec.instance(*objects),
                                  extras).to_dict()
     summary = {"chain": chain, "space": space.name, "trials": trials,
-               "seed": seed, "tol": float(tol), "evaluated": evaluated,
+               "seed": seed, "tol": float(tol), "evaluated": trials - failures,
                "discarded": 0, "quadrature_failures": failures,
                "violations": violations, "worst_margin": worst_margin,
                "worst_instance": worst_instance}
