@@ -77,11 +77,11 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .convexity import (HFunction, _distance_pullback_rows,
-                        _geodesic_distance_rows, _power_h, check_h_convex,
-                        distance_between_geodesics_function, h_function,
-                        on_geodesic, squared_distance_function)
+                        _geodesic_distance_rows, _power_h, _whole,
+                        check_h_convex, distance_between_geodesics_function,
+                        h_function, on_geodesic, squared_distance_function)
 from .errors import AccuracyError, DomainError, SpaceMismatchError
-from .fractional import (_beta, _lq_power, katugampola_left,
+from .fractional import (_beta, _lq_power, _no_overflow, katugampola_left,
                          lq_norm_unit)
 from .quadrature import (_integrate_rows, _weighted_rows, as_array_function,
                          integrate, power_kernel_integral)
@@ -280,7 +280,8 @@ def _operator_side(rows, kl) -> np.ndarray:
     # the normalised operator side: kl is the fold integral of the left
     # operator on [a, b] plus the right one on [a, b] (shift = a^rho +
     # b^rho) or on the reflected interval (shift = 1)
-    return _gamma(rows.alpha + 1.0) / rows.den * rows.h_half * kl
+    gamma = _no_overflow("Gamma(alpha + 1 = %s)", _gamma, rows.alpha + 1.0)
+    return gamma / rows.den * rows.h_half * kl
 
 
 def _instance(f: Callable, g: Geodesic, hf: HFunction,
@@ -810,17 +811,6 @@ def _draw_trials(spec: ChainSpec, space: Space, trials: int,
              for _ in range(1 + spec.two_geodesics)]
     return _Chunk(space, params, hs, ys, tuple(
         (A, B) + space._ends(A, B) for A, B in drawn))
-
-
-def _whole(name: str, value) -> int:
-    # trials and seed: an integral number >= 0
-    try:
-        whole = int(value) == value and value >= 0
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise DomainError("%s must be an integer >= 0" % name)
-    return int(value)
 
 
 def falsify_search(chain: str, space: Space, trials: int, seed: int = 0,

@@ -19,7 +19,9 @@ fails, as does F(lam) = +inf under a finite bound.
 
 Checks are sampling-based: a `holds` verdict certifies the inequality on
 the sampled grid only, while a failed verdict carries a concrete witness.
-One verdict body (`_verdict`) decides every check.
+One verdict body (`_verdict`) decides every check.  Every check takes
+whole numbers samples >= 1, pairs >= 0 and seed >= 0 (the seed keys a
+cached grid) and a finite tol >= 0; anything else is a DomainError.
 
 The falsifier (`chains.falsify_search`) does not precheck its instances:
 each is h-convex by theorem.  f = d(., y)^2 is geodesically convex on a
@@ -31,6 +33,7 @@ it draws has h(t) >= t, so f(g(lam)) <= (1 - lam) f(g(0)) + lam f(g(1))
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -181,32 +184,11 @@ def on_geodesic(f: Callable, geodesic: Geodesic) -> Callable:
 #
 # A parameter array of shape (..., K, m) comes with the row of each of its
 # K lines: line k goes to geodesic rows[k].  The geodesics come as the
-# constants of one endpoint stage (`Space._ends`), and each call takes
-# the rows it needs from them, so every point comes from the same
-# arithmetic as on its own geodesic.
-
-
-def _along_rows(space: Space, ends, ts: np.ndarray, rows: np.ndarray):
-    # the points of ts as one batch, line k on geodesic rows[k] of ends,
-    # and the row of each point; each line's constants broadcast against
-    # its parameters, so that they are not copied once per point
-    pts = space._along(_lines(_take_rows(ends, rows)), ts)
-    return (_flatten_lines(pts, ts.ndim),
-            np.broadcast_to(rows[:, None], ts.shape).ravel())
-
-
-def _lines(batch):
-    # a batch of K rows as K lines of one point each: a new second axis
-    if isinstance(batch, tuple):
-        return tuple(map(_lines, batch))
-    return batch[:, None]
-
-
-def _flatten_lines(batch, nd: int):
-    # a batch over the first nd axes as one batch of rows
-    if isinstance(batch, tuple):
-        return tuple(_flatten_lines(b, nd) for b in batch)
-    return batch.reshape((-1,) + batch.shape[nd:])
+# constants of one endpoint stage (`Space._ends`).  A call gathers each
+# line's constants and y once, which `_along` and `_dist` broadcast against
+# the line's points (the `Space` broadcast rule), so every point comes from
+# the same arithmetic as on its own geodesic, and only the points and their
+# values have an entry per point.
 
 
 def _distance_pullback_rows(space: Space, ends, ys, k: float) -> Callable:
@@ -215,10 +197,9 @@ def _distance_pullback_rows(space: Space, ends, ys, k: float) -> Callable:
     pullbacks of `squared_distance_function(space, y_r, k)`, shaped as
     ts."""
     def fn(ts, rows) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        pts, rows = _along_rows(space, ends, ts, rows)
-        return _dist_pow(space, pts, _take_rows(ys, rows),
-                         k).reshape(ts.shape)
+        lines = rows[:, None]
+        return _dist_pow(space, space._along(_take_rows(ends, lines), ts),
+                         _take_rows(ys, lines), k)
 
     return fn
 
@@ -228,10 +209,9 @@ def _geodesic_distance_rows(space: Space, ends1, ends2) -> Callable:
     endpoint-stage batches: the `distance_between_geodesics_function` of
     each pair, shaped as ts."""
     def fn(ts, rows) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return _dist_pow(space, _along_rows(space, ends1, ts, rows)[0],
-                         _along_rows(space, ends2, ts, rows)[0],
-                         2).reshape(ts.shape)
+        lines = rows[:, None]
+        return _dist_pow(space, space._along(_take_rows(ends1, lines), ts),
+                         space._along(_take_rows(ends2, lines), ts), 2)
 
     return fn
 
@@ -264,7 +244,18 @@ class ConvexityVerdict:
     samples: int
 
 
-@functools.lru_cache(maxsize=16, typed=True)
+def _whole(name: str, value, least: int = 0) -> int:
+    # a count or a seed: an integral number >= least, as an int
+    try:
+        whole = int(value) == value and value >= least
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DomainError("%s must be an integer >= %d" % (name, least))
+    return int(value)
+
+
+@functools.lru_cache(maxsize=16)
 def _restriction_grid(samples: int, pairs: int, seed: int):
     # the restrictions [t1, t2] (the whole geodesic first, then `pairs`
     # random ones), the lam grid and the geodesic parameter of each sample
@@ -283,17 +274,15 @@ def _restriction_grid(samples: int, pairs: int, seed: int):
 
 
 def _restriction_values(f: Callable, geodesic: Geodesic, samples: int,
-                        pairs: int, seed: int):
+                        pairs: int, seed: int, tol: float):
     # the grid, and F at every sample, shape (restrictions, samples + 2),
-    # from one batch of points
-    if samples < 1 or pairs < 0:
-        raise DomainError("need samples >= 1 and pairs >= 0")
-    if isinstance(seed, (int, np.integer)):
-        # the grid depends on (samples, pairs, seed) alone: cached
-        grid = _restriction_grid(samples, pairs, seed)
-    else:
-        grid = _restriction_grid.__wrapped__(samples, pairs, seed)
-    t1, t2, lam, params = grid
+    # from one batch of points, once the arguments of the checks are valid
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError("tol must be finite and >= 0")
+    # the grid depends on (samples, pairs, seed) alone: cached
+    t1, t2, lam, params = _restriction_grid(
+        _whole("samples", samples, 1), _whole("pairs", pairs),
+        _whole("seed", seed))
     values = _batch_values(f, geodesic.eval_batch(params.ravel()),
                            params.size).reshape(params.shape)
     return t1, t2, lam, values
@@ -337,7 +326,7 @@ def check_h_convex(f: Callable, geodesic: Geodesic,
     """Sampled h-convexity of f along one geodesic and its restrictions."""
     hf = h_function(h)
     t1, t2, lam, values = _restriction_values(f, geodesic, samples, pairs,
-                                              seed)
+                                              seed, tol)
     return _verdict(_h_bound(values, hf(lam), hf(1.0 - lam)), values, t1,
                     t2, lam, tol)
 
@@ -359,7 +348,7 @@ def check_quasi_or_p_convex(f: Callable, geodesic: Geodesic,
     if mode not in ("quasi", "p"):
         raise DomainError("mode must be 'quasi' or 'p'")
     t1, t2, lam, values = _restriction_values(f, geodesic, samples, pairs,
-                                              seed)
+                                              seed, tol)
     if mode == "quasi":
         bound = np.maximum(values[..., :1], values[..., -1:])
     else:

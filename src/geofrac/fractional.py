@@ -38,10 +38,18 @@ RealFunction = Callable[[np.ndarray], np.ndarray]
 
 
 def gamma_fn(x: float) -> float:
-    """Euler gamma on the positive half line."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
+    """Euler gamma on the positive half line, up to its overflow at 171.6."""
+    if not (isinstance(x, (int, float)) and 0.0 < x < math.inf):
         raise DomainError("gamma_fn requires a finite x > 0")
-    return math.gamma(x)
+    return _no_overflow("Gamma(x = %r)", math.gamma, x)
+
+
+def _no_overflow(term: str, fn: Callable, *args) -> float:
+    # fn(*args), or a DomainError naming term % args where a double overflows
+    try:
+        return fn(*args)
+    except OverflowError:
+        raise DomainError((term + " overflows a double") % args) from None
 
 
 def _beta(x: float, y: float) -> float:
@@ -68,7 +76,9 @@ def _check_order(alpha: float) -> None:
         raise DomainError("fractional order alpha must be positive and finite")
 
 
-def _finish(kernel_out, prefactor: float, full_output: bool):
+def _finish(kernel_out, alpha: float, full_output: bool, scale=1.0):
+    # the kernel integral times scale / Gamma(alpha)
+    prefactor = scale / _no_overflow("Gamma(alpha = %r)", math.gamma, alpha)
     value, err = kernel_out
     if full_output:
         return prefactor * value, abs(prefactor) * err
@@ -83,7 +93,7 @@ def rl_left(f: RealFunction, alpha: float, a: float, x: float, *,
         raise DomainError("rl_left requires a < x")
     out = power_kernel_integral(lambda w: f(x - w), x - a, alpha,
                                 full_output=True)
-    return _finish(out, 1.0 / math.gamma(alpha), full_output)
+    return _finish(out, alpha, full_output)
 
 
 def rl_right(f: RealFunction, alpha: float, x: float, b: float, *,
@@ -94,7 +104,7 @@ def rl_right(f: RealFunction, alpha: float, x: float, b: float, *,
         raise DomainError("rl_right requires x < b")
     out = power_kernel_integral(lambda w: f(x + w), b - x, alpha,
                                 full_output=True)
-    return _finish(out, 1.0 / math.gamma(alpha), full_output)
+    return _finish(out, alpha, full_output)
 
 
 def hadamard_left(f: RealFunction, alpha: float, a: float, x: float, *,
@@ -105,7 +115,7 @@ def hadamard_left(f: RealFunction, alpha: float, a: float, x: float, *,
         raise DomainError("hadamard_left requires 0 < a < x")
     out = power_kernel_integral(lambda w: f(x * np.exp(-w)), math.log(x / a),
                                 alpha, full_output=True)
-    return _finish(out, 1.0 / math.gamma(alpha), full_output)
+    return _finish(out, alpha, full_output)
 
 
 def hadamard_right(f: RealFunction, alpha: float, x: float, b: float, *,
@@ -116,7 +126,7 @@ def hadamard_right(f: RealFunction, alpha: float, x: float, b: float, *,
         raise DomainError("hadamard_right requires 0 < x < b")
     out = power_kernel_integral(lambda w: f(x * np.exp(w)), math.log(b / x),
                                 alpha, full_output=True)
-    return _finish(out, 1.0 / math.gamma(alpha), full_output)
+    return _finish(out, alpha, full_output)
 
 
 def _check_rho(rho: float) -> None:
@@ -136,14 +146,15 @@ def katugampola_left(f: RealFunction, alpha: float, rho: float, a: float,
     _check_rho(rho)
     if not (math.isfinite(a) and math.isfinite(x) and 0.0 <= a < x):
         raise DomainError("katugampola_left requires 0 <= a < x")
-    xr = x ** rho
+    xr = _no_overflow("x ** rho = %r ** %r", pow, x, rho)
     inv = 1.0 / rho
 
     def g(w):
         return f(np.maximum(xr - w, 0.0) ** inv)
 
     out = power_kernel_integral(g, xr - a ** rho, alpha, full_output=True)
-    return _finish(out, rho ** (-alpha) / math.gamma(alpha), full_output)
+    return _finish(out, alpha, full_output,
+                   _no_overflow("rho ** -alpha = %r ** %r", pow, rho, -alpha))
 
 
 def katugampola_right(f: RealFunction, alpha: float, rho: float, x: float,
@@ -162,8 +173,10 @@ def katugampola_right(f: RealFunction, alpha: float, rho: float, x: float,
     def g(w):
         return f((xr + w) ** inv)
 
-    out = power_kernel_integral(g, b ** rho - xr, alpha, full_output=True)
-    return _finish(out, rho ** (-alpha) / math.gamma(alpha), full_output)
+    br = _no_overflow("b ** rho = %r ** %r", pow, b, rho)
+    out = power_kernel_integral(g, br - xr, alpha, full_output=True)
+    return _finish(out, alpha, full_output,
+                   _no_overflow("rho ** -alpha = %r ** %r", pow, rho, -alpha))
 
 
 def xcp_norm(f: RealFunction, c: float, p: float,

@@ -36,10 +36,11 @@ as they are.  Each space writes its geodesic formula once, in two stages:
 the endpoint stage `_ends(A, B)` turns two endpoint batches into per-row
 constants and returns them with the distances, the geodesics' lengths,
 and the parameter stage `_along(ends, t)` broadcasts those constants
-against the parameters t.  A space whose constants need the distance
-(the half-plane, and products with a half-plane factor) thus computes it
-once per geodesic.  A Geodesic runs the endpoint stage once and every
-evaluation only the parameter stage; a gap batch stages each of its
+against the parameters t, as `_dist` broadcasts its two batches (the
+`Space` docstring states the rule).  A space whose constants need the
+distance (the half-plane, and products with a half-plane factor) thus
+computes it once per geodesic.  A Geodesic runs the endpoint stage once
+and every evaluation only the parameter stage; a gap batch stages each of its
 geodesic pairs once and takes that pair's distance from the stage.
 Random geodesics are drawn by one redraw loop of at most `_MAX_ROUNDS`
 rounds, `_random_ends`, for one row (`random_geodesic`) or a batch,
@@ -125,10 +126,12 @@ class Space:
     Geodesics come from two stages that subclasses provide: the endpoint
     stage `_ends(A, B)` returns `(ends, dist)`, the per-row constants of
     the geodesics from A to B and their lengths, a fresh array equal to
-    `_dist(A, B)` bit for bit; the parameter stage `_along(ends, t)` evaluates the
-    constants at parameters t, broadcasting a single row against many
-    parameters, many rows against one parameter each, or K rows given
-    an axis of length 1 after the first against parameters (..., K, m).
+    `_dist(A, B)` bit for bit; the parameter stage `_along(ends, t)`
+    evaluates the constants at parameters t.  The broadcast rule: `_dist`
+    broadcasts the leading (point) axes of A and B, as `_along` broadcasts
+    its constants against t, so a single row goes against many points,
+    many rows against one point each, or K rows gathered as lines of one
+    point, `_take_rows(batch, rows[:, None])`, against lines (..., K, m).
     """
 
     name: str = "abstract"
@@ -278,13 +281,13 @@ class HalfPlaneSpace(Space):
         # |z1 - z2|^2, 4 y1 y2 and their ratio are normal doubles and whose
         # distance is finite; identical points give 0 as well
         num = _squared_gaps(A, B)
-        den = 4.0 * A[:, 1] * B[:, 1]
+        den = 4.0 * A[..., 1] * B[..., 1]
         d = num / den
         low = np.minimum(np.minimum(num, den), d)
         del num, den  # fewer live arrays: fewer fresh pages in a large batch
         d = 2.0 * np.arcsinh(np.sqrt(d))
-        if math.isfinite(np.add.reduce(d)) and (
-                np.minimum.reduce(low, initial=_TINY) >= _TINY
+        if math.isfinite(np.add.reduce(d, axis=None)) and (
+                np.minimum.reduce(low, axis=None, initial=_TINY) >= _TINY
                 or not np.count_nonzero(A != B)):
             return d
         # a row of distinct points, far from y = 1 or very close together,
@@ -293,7 +296,7 @@ class HalfPlaneSpace(Space):
         # that brings y1 y2 near 1, which is exact, and take |z1 - z2| by
         # hypot and the root of y1 y2 factor by factor, so that no square
         # is formed (pairs beyond d ~ 709 need this too)
-        bad = (low < _TINY) & (A != B).any(axis=1)
+        bad = (low < _TINY) & (A != B).any(axis=-1)
         bad |= ~np.isfinite(d)
         A, B = (X[bad] for X in np.broadcast_arrays(A, B))
         e = (np.frexp(A[:, 1])[1] + np.frexp(B[:, 1])[1]) // 2

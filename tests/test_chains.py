@@ -199,6 +199,24 @@ def test_cb1_needs_q():
         thm_cb1(f, g, "identity", TheoremParams(1.0, 1.0, 0.0, 1.0))
 
 
+def test_fractional_chains_name_the_gamma_that_overflows():
+    # Gamma(alpha + 1) of the operator side overflows past alpha ~ 170.6,
+    # and the operators' Gamma(alpha) past 171.6: a DomainError each, not
+    # an OverflowError; alpha = 170.5 still runs
+    f, g = _pullback(lambda t: t * t)
+    g2 = Geodesic(g.eval(0.5), g.end)
+    chains = ((thm_cb1, (f, g), 2.0), (thm_cb2, (f, g), None),
+              (thm_ty1, (f, g), None), (corollary_distance, (g, g2), None))
+    for chain, objects, q in chains:
+        for alpha, term in ((170.7, r"^Gamma\(alpha \+ 1 = \[171\.7\]\) "),
+                            (200.0, r"^Gamma\(alpha")):
+            with pytest.raises(DomainError, match=term):
+                chain(*objects, "identity",
+                      TheoremParams(alpha, 1.0, 0.0, 1.0, q))
+        assert chain(*objects, "identity",
+                     TheoremParams(170.5, 1.0, 0.0, 1.0, q)).passed
+
+
 def test_cb1_holder_step_bound():
     # alpha rho Int t^(a r - 1) h(t^r) dt <= alpha ((q-1)/(alpha q-1))^((q-1)/q) ||h||_q
     from geofrac.chains import _exact_h_term

@@ -340,6 +340,34 @@ def test_sweep_bad_interval_is_usage_error():
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["fracint", "--op", "rl-left", "--f", "t", "--alpha", "200", "--a", "0",
+     "--x", "1"],
+    ["fracint", "--op", "katugampola-right", "--f", "t", "--alpha", "0.5",
+     "--rho", "2", "--x", "0", "--b", "1e200"],
+    ["sweep", "thm_cb2", "--alphas", "200"],
+    ["sweep", "thm_ty1", "--alphas", "172"],
+    ["sweep", "thm_cb1", "--alphas", "170.7"],
+    ["sweep", "corollary_distance", "--alphas", "170.7"]],
+    ids=lambda argv: " ".join(argv[:2] + argv[-4:]))
+def test_overflow_is_usage_error(argv):
+    # Gamma(alpha) past alpha ~ 171.6, Gamma(alpha + 1) of a chain's
+    # operator side past alpha ~ 170.6 and b ** rho past the double range:
+    # one error line naming the overflowing term, no traceback
+    code, out, err = _run(argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "overflows" in err and "Traceback" not in err
+
+
+def test_large_alpha_without_gamma_still_runs():
+    # the constants need no Gamma, and alpha = 170.5 keeps Gamma(alpha + 1)
+    # finite: neither is refused
+    assert _json(["constants", "--alphas", "200"])[0] == 0
+    code, payload = _json(["sweep", "thm_cb1", "--alphas", "170.5"])
+    assert code == 0 and payload["pass"]
+
+
 def test_sweep_incompatible_holder_exponent_is_usage_error():
     # alpha q <= 1 has no Holder bound to state
     code, _, _ = _run(["sweep", "thm_cb1", "--alphas", "0.25", "--q", "2"])

@@ -307,15 +307,41 @@ def test_precheck_grid_is_cached_read_only_and_unchanged():
     for cached, fresh in zip(grid, _restriction_grid.__wrapped__(64, 8, 0)):
         assert not cached.flags.writeable
         assert np.array_equal(cached, fresh)
-    # a generator is a stream, not a key: it is drawn from on every call
+    # the seed is a key, a whole number: a whole float and a numpy
+    # integer take the int's grid, and a generator, None or a
+    # SeedSequence raises instead of drawing a grid of its own
     e2 = euclidean(2)
     f = squared_distance_function(e2, e2.point(0.3, -0.2))
     g = Geodesic(e2.point(-1.0, 0.5), e2.point(1.0, 1.5))
-    rng = np.random.default_rng(5)
-    first = _restriction_values(f, g, 64, 8, rng)[0]
-    assert np.array_equal(first, _restriction_values(f, g, 64, 8, 5)[0])
-    assert not np.array_equal(_restriction_values(f, g, 64, 8, rng)[0],
-                              first)
+    first = _restriction_values(f, g, 64, 8, 5, 1e-9)[0]
+    for seed in (5.0, np.int64(5)):
+        assert _restriction_values(f, g, 64, 8, seed, 1e-9)[0] is first
+    for seed in (np.random.default_rng(5), None, np.random.SeedSequence(5)):
+        with pytest.raises(DomainError, match="seed"):
+            _restriction_values(f, g, 64, 8, seed, 1e-9)
+
+
+@pytest.mark.parametrize("bad", [
+    {"samples": 2.5}, {"samples": 0}, {"samples": "64"}, {"pairs": 1.5},
+    {"pairs": -1}, {"pairs": None}, {"seed": -1}, {"seed": 0.5},
+    {"seed": math.inf}, {"tol": math.nan}, {"tol": -1e-9},
+    {"tol": math.inf}], ids=lambda bad: "%s=%r" % next(iter(bad.items())))
+def test_checks_refuse_bad_arguments(bad):
+    # every check refuses a samples, pairs or seed that is not a whole
+    # number in range and a tol that is not finite and >= 0 with a
+    # DomainError naming it, before f is called; tol = nan used to fail
+    # every check with worst_slack 0.0
+    calls = []
+    f, g = scalar_pullback(lambda t: calls.append(t) or t * t)
+    name = next(iter(bad))
+    for check in (check_h_convex, check_convex, check_quasi_or_p_convex):
+        with pytest.raises(DomainError, match=name):
+            check(f, g, **bad)
+    assert not calls
+    # the edges of the ranges are valid
+    for check in (check_h_convex, check_convex, check_quasi_or_p_convex):
+        assert check(f, g, samples=1.0, pairs=0, seed=np.int64(0),
+                     tol=0.0).holds
 
 
 def _marked(*marks):

@@ -76,6 +76,33 @@ def test_gamma_domain():
             gamma_fn(bad)
 
 
+def test_overflows_raise_domain_errors_naming_the_term():
+    # Gamma(x) past x ~ 171.6, 1/Gamma(alpha) of every operator, and the
+    # Python powers x ** rho and rho ** -alpha of the Katugampola operators
+    # raise DomainError, not OverflowError
+    assert gamma_fn(171.6) == pytest.approx(1.5859e308, rel=1e-4)
+    for x in (172, 171.7, 10 ** 400):
+        with pytest.raises(DomainError, match=r"Gamma\(x = .+\) overflows"):
+            gamma_fn(x)
+    f = lambda t: t  # noqa: E731
+    for op, args in ((rl_left, (172.0, 0.0, 1.0)),
+                     (rl_right, (172.0, 0.0, 1.0)),
+                     (hadamard_left, (172.0, 1.0, 2.0)),
+                     (hadamard_right, (172.0, 1.0, 2.0)),
+                     (katugampola_left, (172.0, 1.0, 0.0, 1.0)),
+                     (katugampola_right, (172.0, 1.0, 0.0, 1.0))):
+        with pytest.raises(DomainError, match=r"^Gamma\(alpha = 172\.0\) "):
+            op(f, *args)
+    huge = r" = 1e\+200 \*\* 2\.0 overflows"
+    with pytest.raises(DomainError, match=r"^b \*\* rho" + huge):
+        katugampola_right(np.exp, 0.5, 2.0, 0.0, 1e200)
+    with pytest.raises(DomainError, match=r"^x \*\* rho" + huge):
+        katugampola_left(np.exp, 0.5, 2.0, 0.0, 1e200)
+    with pytest.raises(DomainError,
+                       match=r"^rho \*\* -alpha = 1e-05 \*\* -100\.0 "):
+        katugampola_left(f, 100.0, 1e-5, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Liouville
 # ---------------------------------------------------------------------------

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geofrac.convexity import (_flatten_lines, _lines, on_geodesic,
-                               squared_distance_function)
+from geofrac.convexity import on_geodesic, squared_distance_function
 from geofrac.errors import DomainError, SpaceMismatchError
 from geofrac.spaces import (busemann_gap, busemann_gap_batch, cn_gap,
                             cn_gap_batch, comparison_gap,
                             comparison_gap_batch, distance, euclidean,
                             four_point_gap, four_point_gap_batch,
                             geodesic_point, geodesic_restrict, Geodesic,
-                            half_plane, Point, product, random_geodesic,
-                            random_point, sample_points, spider, sturm_gap,
+                            half_plane, HalfPlaneSpace, Point, product,
+                            ProductSpace, random_geodesic, random_point,
+                            sample_points, spider, SpiderSpace, sturm_gap,
                             sturm_gap_batch, _put_rows, _random_ends,
                             _row_geodesic, _take_rows)
 
@@ -945,11 +945,18 @@ def test_take_rows_gathers_the_bits_of_fancy_indexing(space):
             assert view.tobytes() == leaf[3:9].tobytes()
 
 
+def _flat_points(batch, nd: int):
+    # a batch over its first nd axes as one flat batch of points
+    if isinstance(batch, tuple):
+        return tuple(_flat_points(b, nd) for b in batch)
+    return batch.reshape((-1,) + batch.shape[nd:])
+
+
 @pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
 def test_along_broadcasts_lines_of_constants(space):
-    # K rows of endpoint constants, each as a line of one point, against
-    # parameters (2, K, m) give the bits of the per-point constants
-    # against the flat parameters
+    # K rows of endpoint constants, each gathered as a line of one point,
+    # against parameters (2, K, m) give the bits of the per-point
+    # constants against the flat parameters
     rng = np.random.default_rng(9)
     A, B = _random_ends(space, 16, rng, 0.05)
     ends, _ = space._ends(A, B)
@@ -958,6 +965,57 @@ def test_along_broadcasts_lines_of_constants(space):
     ts[0, 1, :2] = 0.0, 1.0
     per_point = np.broadcast_to(rows[:, None], ts.shape).ravel()
     want = space._along(_take_rows(ends, per_point), ts.ravel())
-    got = _flatten_lines(space._along(_lines(_take_rows(ends, rows)), ts),
-                         ts.ndim)
+    got = _flat_points(space._along(_take_rows(ends, rows[:, None]), ts),
+                      ts.ndim)
     assert _same_bits(got, want)
+
+
+def _edge_lines(space, P, Y):
+    """P (2, K, m) and Y (K, 1), K >= 3, with lines at the edges of the
+    half-plane distance and at the spider hub, in every factor.  On a
+    half-plane, line 0 is scaled to y ~ 1e-200, where 4 y1 y2 underflows,
+    and line 1 to y ~ 1e200, where the squares overflow, so both take the
+    rescale path, and a point of line 2 is its y.  On a spider, the y of
+    each line is on the ray of its first point, and the line has points
+    on that ray, and its last point is on the next ray, past the hub."""
+    if isinstance(space, ProductSpace):
+        (pl, yl), (pr, yr) = (_edge_lines(s, p, y) for s, p, y in
+                              zip((space.left, space.right), P, Y))
+        return (pl, pr), (yl, yr)
+    if isinstance(space, HalfPlaneSpace):
+        P, Y = P.copy(), Y.copy()
+        for k, scale in ((0, 1e-200), (1, 1e200)):
+            P[:, k] *= scale
+            Y[k] *= scale
+        P[0, 2, 3] = Y[2, 0]
+    elif isinstance(space, SpiderSpace):
+        rays = P[0].copy()
+        Y = (rays[0, :, :1].copy(), Y[1])
+        rays[1, :, -1] = (Y[0][:, 0] + 1) % space.k
+        P = (rays, P[1])
+    return P, Y
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+@pytest.mark.parametrize("space", ROW_SPACES + [PROD], ids=lambda s: s.name)
+def test_dist_broadcasts_lines_of_points(space):
+    # points (2, K, m) against y gathered as (K, 1), one y per line, give
+    # the bits of the flat distances of each point against its own copy
+    # of its line's y; half-plane lines take the rescale path, with an
+    # identical pair among them, and spider lines cross the hub
+    rng = np.random.default_rng(10)
+    A, B = _random_ends(space, 16, rng, 0.05)
+    ends, _ = space._ends(A, B)
+    ys = space._sample(16, rng)
+    rows = rng.integers(0, 16, 5)
+    ts = rng.uniform(0.0, 1.0, (2, 5, 7))
+    lines = rows[:, None]
+    P, Y = _edge_lines(space, space._along(_take_rows(ends, lines), ts),
+                       _take_rows(ys, lines))
+    per_point = np.broadcast_to(np.arange(5)[:, None], ts.shape).ravel()
+    want = space._dist(_flat_points(P, ts.ndim),
+                       _flat_points(_take_rows(Y, per_point), 2))
+    got = space._dist(P, Y)
+    assert got.shape == ts.shape
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.reshape(ts.shape).tobytes()
