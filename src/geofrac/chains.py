@@ -60,7 +60,13 @@ TheoremParams, HFunction, Points, Geodesics, f and a report.  A public
 chain runs the same body on its one trial (`_OneTrial`), whose integrals
 are the public `integrate`, `katugampola_left` (rho = 1) and
 `compute_E`; powers, Gamma and Beta values are Python-float loops over
-the columns, so a row has its public chain's bits.  Every drawn instance
+the columns, so a row has its public chain's bits.  The pullback kinks
+where its geodesic passes a branch point (`Space._kinks`), and there
+the integrals start their panels: the means at the kink t, the fold
+integral at w = b^rho - t and w = b^rho - (sigma - t), where fg(u) and
+fg(sigma - u) kink; the corollary takes both geodesics' kinks, the
+constants of h none.  A public chain passes the same points to
+`integrate` and `katugampola_left`.  Every drawn instance
 is admissible by theorem, so none is prechecked: f = d(., y)^2 is
 geodesically convex on the four CAT(0) model spaces, f >= 0, and every
 drawn h has h(t) >= t, so f is h-convex along every g (the `convexity`
@@ -181,13 +187,15 @@ def _fname(f: Callable) -> str:
 
 
 def classic_hh(f: Callable, a: float, b: float, *,
-               tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
-    """Midpoint <= mean <= endpoint average, for f convex on [a, b]."""
+               tol: float = DEFAULT_CHAIN_TOL, points=()) -> InequalityReport:
+    """Midpoint <= mean <= endpoint average, for f convex on [a, b];
+    points are the mean's breakpoints (`quadrature.integrate`)."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("need a < b")
     return _evaluate("classic_hh",
-                     _OneTrial(as_array_function(f), interval=(a, b)), tol,
+                     _OneTrial(as_array_function(f), interval=(a, b),
+                               kinks=points), tol,
                      _mean_instance(f, None, a, b))
 
 
@@ -208,8 +216,9 @@ def _pullback_instance(f: Callable, g: Geodesic,
 
 
 def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
-         *, tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
-    """Weighted chain for h-convex f: the endpoint side carries Int h."""
+         *, tol: float = DEFAULT_CHAIN_TOL, points=()) -> InequalityReport:
+    """Weighted chain for h-convex f: the endpoint side carries Int h;
+    points are the mean's breakpoints (`quadrature.integrate`)."""
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError("need a < b")
@@ -218,19 +227,29 @@ def h_hh(f: Callable, h: Union[str, HFunction, Callable], a: float, b: float,
     if not (math.isfinite(h_half) and h_half > 0.0):
         raise DomainError("h(1/2) must be positive")
     return _evaluate("h_hh",
-                     _OneTrial(as_array_function(f), hf=hf, interval=(a, b)),
+                     _OneTrial(as_array_function(f), hf=hf, interval=(a, b),
+                               kinks=points),
                      tol, _mean_instance(f, hf, a, b))
 
 
 def conde_hh(f: Callable, g: Geodesic, *,
              tol: float = DEFAULT_CHAIN_TOL) -> InequalityReport:
     """Midpoint/mean/endpoint chain of f along one geodesic."""
-    return _evaluate("conde_hh", _OneTrial(on_geodesic(f, g)), tol,
+    return _evaluate("conde_hh",
+                     _OneTrial(on_geodesic(f, g), kinks=_kinks(g)), tol,
                      _conde_instance(f, g))
 
 
 def _conde_instance(f: Callable, g: Geodesic) -> dict:
     return {"f": _fname(f), "geodesic": _geodesic_json(g)}
+
+
+def _kinks(*gs: Geodesic) -> list:
+    # the parameters at which the geodesics pass a branch point, where a
+    # pullback along them may kink (`Space._kinks`), one geodesic's after
+    # the other's
+    return [t for g in gs for t in g.space._kinks(g._ends)[0].tolist()
+            if not math.isnan(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +314,9 @@ def _fractional(chain: str, f: Callable, g: Geodesic,
                 tol: float) -> InequalityReport:
     # thm_cb1, thm_cb2 and thm_ty1 on the pullback of f along g
     hf = h_function(h)
-    return _evaluate(chain, _OneTrial(on_geodesic(f, g), hf, p), tol,
-                     _instance(f, g, hf, p))
+    return _evaluate(chain,
+                     _OneTrial(on_geodesic(f, g), hf, p, kinks=_kinks(g)),
+                     tol, _instance(f, g, hf, p))
 
 
 def thm_cb1(f: Callable, g: Geodesic, h: Union[str, HFunction, Callable],
@@ -423,7 +443,8 @@ def corollary_distance(g1: Geodesic, g2: Geodesic,
     _require_dominating_h(hf)
     return _evaluate("corollary_distance",
                      _OneTrial(distance_between_geodesics_function(g1, g2),
-                               hf, params, lengths=(g1.length, g2.length)),
+                               hf, params, lengths=(g1.length, g2.length),
+                               kinks=_kinks(g1, g2)),
                      tol,
                      _corollary_instance(g1, g2, hf, params))
 
@@ -481,17 +502,35 @@ class _Sides:
                 {name: c[i].item() for name, c in self.extras.items()})
 
 
+def _breaks(points: np.ndarray) -> Optional[list]:
+    # the engine's per-row breaks, or None where no row has a column
+    return points.tolist() if points.shape[1] else None
+
+
 class _Rows:
     """The columns a chain body reads: params (R, 5) of alpha, rho, a, b, q
     (NaN without q); k of h = t**k and hfs, the HFunctions (None without
-    h, or for a falsifier row); h_half; ar, br, den = (br - ar)^alpha."""
+    h, or for a falsifier row); h_half; kinks (R, K), the parameters at
+    which the pullback may kink, NaN-padded; and, on first use (the
+    scalar chains read none of them), ar, br and den = (br - ar)^alpha."""
 
-    def __init__(self, params: np.ndarray, k, hfs: list, h_half, lengths):
+    def __init__(self, params: np.ndarray, k, hfs: list, h_half, lengths,
+                 kinks: np.ndarray):
         self.params, self.k, self.hfs = params, k, hfs
         self.alpha, self.rho, self.a, self.b, self.q = params.T
-        self.h_half, self.lengths = h_half, lengths
-        self.ar, self.br = _powers(self.a, self.rho), _powers(self.b, self.rho)
-        self.den = _powers(self.br - self.ar, self.alpha)
+        self.h_half, self.lengths, self.kinks = h_half, lengths, kinks
+
+    @functools.cached_property
+    def ar(self) -> np.ndarray:
+        return _powers(self.a, self.rho)
+
+    @functools.cached_property
+    def br(self) -> np.ndarray:
+        return _powers(self.b, self.rho)
+
+    @functools.cached_property
+    def den(self) -> np.ndarray:
+        return _powers(self.br - self.ar, self.alpha)
 
 
 class _Chunk(_Rows):
@@ -509,7 +548,9 @@ class _Chunk(_Rows):
         super().__init__(params, None if k is None else k.tolist(),
                          [None] * len(params),
                          None if k is None else 0.5 ** k,
-                         np.stack([g[3] for g in geodesics], axis=1))
+                         np.stack([g[3] for g in geodesics], axis=1),
+                         np.concatenate([space._kinks(g[2])
+                                         for g in geodesics], axis=1))
         self.space, self.index = space, np.arange(len(params))
         self.ys = None if ys is None else _read_only(ys)
         self.geodesics = _read_only(geodesics)
@@ -538,25 +579,30 @@ class _Chunk(_Rows):
     def means(self, lo, hi) -> list:
         return [v if isinstance(v, AccuracyError) else v[0] for v in
                 _integrate_rows(self.pull, lo.tolist(), hi.tolist(),
-                                [1.0] * len(lo))]
+                                [1.0] * len(lo), _breaks(self.kinks))]
 
-    def _fold(self, phi: Callable, shift, scales) -> list:
+    def _fold(self, phi: Callable, shift, scales, breaks=None) -> list:
         """scale Int_0^W w^(alpha-1) [phi(u, rows) + phi(shift - u, rows)] dw
-        per row, u = b^rho - w and W = b^rho - a^rho, in one batch."""
-        shift = np.asarray(shift, dtype=float)
+        per row, u = b^rho - w and W = b^rho - a^rho, in one batch, with
+        each row's panels starting at its breaks in w."""
         values = _weighted_rows(
             lambda w, rows: _folded(lambda x: phi(x, rows),
                                     np.maximum(self.br[rows, None] - w, 0.0),
                                     shift[rows, None]),
             [0.0] * len(shift), (self.br - self.ar).tolist(),
-            self.alpha.tolist())
+            self.alpha.tolist(), breaks)
         return [v if isinstance(v, AccuracyError) else scale * v[0]
                 for v, scale in zip(values, scales.tolist())]
 
     def operators(self, shift) -> list:
         """The fold integral of fg over Gamma(alpha) per row: a public
-        trial's `katugampola_left` with rho = 1 on [a^rho, b^rho]."""
-        return self._fold(self.pull, shift, 1.0 / _gamma(self.alpha))
+        trial's `katugampola_left` with rho = 1 on [a^rho, b^rho], whose
+        points, the kinks of fg(u) and of fg(shift - u), are u = kink and
+        u = shift - kink, so its panels start at w = b^rho - u."""
+        shift = np.asarray(shift, dtype=float)
+        u = np.concatenate((self.kinks, shift[:, None] - self.kinks), axis=1)
+        return self._fold(self.pull, shift, 1.0 / _gamma(self.alpha),
+                          _breaks(self.br[:, None] - u))
 
     def e_values(self) -> list:
         """`compute_E` per row, bit for bit but at k = -1, 0.5 and 2 (numpy's
@@ -568,14 +614,15 @@ class _Chunk(_Rows):
 
 class _OneTrial(_Rows):
     """A public chain's one trial as one-row columns: fg is its pullback
-    (f itself for classic_hh and h_hh), and its integrals are the public
-    `integrate`, `katugampola_left` (rho = 1 on [a^rho, b^rho]) and
+    (f itself for classic_hh and h_hh), kinks the parameters at which it
+    may kink, and its integrals are the public `integrate`,
+    `katugampola_left` (rho = 1 on [a^rho, b^rho]) with those points, and
     `compute_E`, whose AccuracyError propagates.  den = 0 (b^rho rounds
     onto a^rho, or the power underflows) is a DomainError."""
 
     def __init__(self, fg: Callable, hf: Optional[HFunction] = None,
                  params: Optional[TheoremParams] = None,
-                 interval=(0.0, 1.0), lengths=None):
+                 interval=(0.0, 1.0), lengths=None, kinks=()):
         p = params
         fields = ((None, None, *interval, None) if p is None
                   else (p.alpha, p.rho, p.a, p.b, p.q))
@@ -583,7 +630,8 @@ class _OneTrial(_Rows):
             np.array([fields], dtype=float),  # NaN for None
             None if hf is None else [hf.k], [hf],
             None if hf is None else np.array([float(hf(0.5))]),
-            np.array([lengths], dtype=float))
+            np.array([lengths], dtype=float),
+            np.array([kinks], dtype=float).reshape(1, -1))
         self.fg, self.hf, self.p = fg, hf, p
         if p is not None and not self.den[0] > 0.0:
             raise DomainError("(b^rho - a^rho)^alpha is 0 at %r" % (p,))
@@ -592,12 +640,15 @@ class _OneTrial(_Rows):
         return self.fg(np.array(ts, dtype=float))
 
     def means(self, lo, hi) -> list:
-        return [integrate(self.fg, float(lo[0]), float(hi[0]))]
+        return [integrate(self.fg, float(lo[0]), float(hi[0]),
+                          points=self.kinks[0].tolist())]
 
     def operators(self, shift) -> list:
         p, s = self.p, float(shift[0])
+        kinks = np.concatenate((self.kinks[0], s - self.kinks[0]))
         return [katugampola_left(lambda u: _folded(self.fg, u, s), p.alpha,
-                                 1.0, float(self.ar[0]), float(self.br[0]))]
+                                 1.0, float(self.ar[0]), float(self.br[0]),
+                                 points=kinks.tolist())]
 
     def e_values(self) -> list:
         p = self.p
@@ -721,13 +772,13 @@ class ChainSpec(NamedTuple):
 CHAINS = {
     "classic_hh": ChainSpec(
         lambda f, g, h, p, **kw: replace(
-            classic_hh(on_geodesic(f, g), p.a, p.b, **kw),
+            classic_hh(on_geodesic(f, g), p.a, p.b, points=_kinks(g), **kw),
             instance=_pullback_instance(f, g, h, p)),
         functools.partial(_mean_rows, False),
         _pullback_instance, takes_h=False),
     "h_hh": ChainSpec(
         lambda f, g, h, p, **kw: replace(
-            h_hh(on_geodesic(f, g), h, p.a, p.b, **kw),
+            h_hh(on_geodesic(f, g), h, p.a, p.b, points=_kinks(g), **kw),
             instance=_pullback_instance(f, g, h, p)),
         functools.partial(_mean_rows, False),
         _pullback_instance),

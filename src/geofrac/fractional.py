@@ -76,6 +76,32 @@ def _check_order(alpha: float) -> None:
         raise DomainError("fractional order alpha must be positive and finite")
 
 
+#: where `_kernel` looks at an operand whose kernel integral is not finite
+_PROBE = (np.arange(16) + 0.5) / 16.0
+
+
+def _kernel(g: Callable, upper: float, alpha: float, points=()) -> tuple:
+    # power_kernel_integral with its error.  An integral whose estimate
+    # leaves the doubles while g stays finite overflows: a DomainError
+    # that says so, not the engine's AccuracyError with a NaN estimate
+    try:
+        return power_kernel_integral(g, upper, alpha, full_output=True,
+                                     points=points)
+    except AccuracyError as exc:
+        if math.isfinite(exc.estimate) or not np.isfinite(
+                np.asarray(g(upper * _PROBE), dtype=float)).all():
+            raise
+        raise DomainError("the kernel integral of order %r over (0, %r) "
+                          "overflows a double" % (alpha, upper)) from None
+
+
+def _finite(term: str, value: float, *args) -> float:
+    # value, or a DomainError naming term % args where a double overflowed
+    if not math.isfinite(value):
+        raise DomainError((term + " overflows a double") % args)
+    return value
+
+
 def _finish(kernel_out, alpha: float, full_output: bool, scale=1.0):
     # the kernel integral times scale / Gamma(alpha)
     prefactor = scale / _no_overflow("Gamma(alpha = %r)", math.gamma, alpha)
@@ -91,8 +117,8 @@ def rl_left(f: RealFunction, alpha: float, a: float, x: float, *,
     _check_order(alpha)
     if not (math.isfinite(a) and math.isfinite(x) and a < x):
         raise DomainError("rl_left requires a < x")
-    out = power_kernel_integral(lambda w: f(x - w), x - a, alpha,
-                                full_output=True)
+    out = _kernel(lambda w: f(x - w),
+                  _finite("x - a = %r - %r", x - a, x, a), alpha)
     return _finish(out, alpha, full_output)
 
 
@@ -102,8 +128,8 @@ def rl_right(f: RealFunction, alpha: float, x: float, b: float, *,
     _check_order(alpha)
     if not (math.isfinite(x) and math.isfinite(b) and x < b):
         raise DomainError("rl_right requires x < b")
-    out = power_kernel_integral(lambda w: f(x + w), b - x, alpha,
-                                full_output=True)
+    out = _kernel(lambda w: f(x + w),
+                  _finite("b - x = %r - %r", b - x, b, x), alpha)
     return _finish(out, alpha, full_output)
 
 
@@ -113,8 +139,8 @@ def hadamard_left(f: RealFunction, alpha: float, a: float, x: float, *,
     _check_order(alpha)
     if not (math.isfinite(a) and math.isfinite(x) and 0.0 < a < x):
         raise DomainError("hadamard_left requires 0 < a < x")
-    out = power_kernel_integral(lambda w: f(x * np.exp(-w)), math.log(x / a),
-                                alpha, full_output=True)
+    out = _kernel(lambda w: f(x * np.exp(-w)), math.log(
+        _finite("log(x/a): x / a = %r / %r", x / a, x, a)), alpha)
     return _finish(out, alpha, full_output)
 
 
@@ -124,8 +150,8 @@ def hadamard_right(f: RealFunction, alpha: float, x: float, b: float, *,
     _check_order(alpha)
     if not (math.isfinite(x) and math.isfinite(b) and 0.0 < x < b):
         raise DomainError("hadamard_right requires 0 < x < b")
-    out = power_kernel_integral(lambda w: f(x * np.exp(w)), math.log(b / x),
-                                alpha, full_output=True)
+    out = _kernel(lambda w: f(x * np.exp(w)), math.log(
+        _finite("log(b/x): b / x = %r / %r", b / x, b, x)), alpha)
     return _finish(out, alpha, full_output)
 
 
@@ -135,12 +161,14 @@ def _check_rho(rho: float) -> None:
 
 
 def katugampola_left(f: RealFunction, alpha: float, rho: float, a: float,
-                     x: float, *, full_output: bool = False):
+                     x: float, *, full_output: bool = False, points=()):
     """Left Katugampola integral of order alpha and parameter rho.
 
     Requires 0 <= a < x.  The substitution w = x**rho - t**rho folds the
     t**(rho-1) measure into the kernel, leaving the operand evaluated at
-    t = (x**rho - w)**(1/rho).
+    t = (x**rho - w)**(1/rho).  points are breakpoints in t, as in
+    `quadrature.integrate`: those in (a, x) start the kernel panels at
+    w = x**rho - t**rho.
     """
     _check_order(alpha)
     _check_rho(rho)
@@ -152,7 +180,8 @@ def katugampola_left(f: RealFunction, alpha: float, rho: float, a: float,
     def g(w):
         return f(np.maximum(xr - w, 0.0) ** inv)
 
-    out = power_kernel_integral(g, xr - a ** rho, alpha, full_output=True)
+    ws = [xr - t ** rho for t in map(float, points) if a < t < x]
+    out = _kernel(g, xr - a ** rho, alpha, ws)
     return _finish(out, alpha, full_output,
                    _no_overflow("rho ** -alpha = %r ** %r", pow, rho, -alpha))
 
@@ -174,7 +203,7 @@ def katugampola_right(f: RealFunction, alpha: float, rho: float, x: float,
         return f((xr + w) ** inv)
 
     br = _no_overflow("b ** rho = %r ** %r", pow, b, rho)
-    out = power_kernel_integral(g, br - xr, alpha, full_output=True)
+    out = _kernel(g, br - xr, alpha)
     return _finish(out, alpha, full_output,
                    _no_overflow("rho ** -alpha = %r ** %r", pow, rho, -alpha))
 

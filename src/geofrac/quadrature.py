@@ -14,6 +14,16 @@ fail there (an operand singular at lo) once through v = (x - lo)**exponent;
 `integrate` is its one-row case, and :func:`power_kernel_integral` is
 `integrate` from 0.
 
+A row may come with breaks, the known places where its operand kinks
+(QUADPACK's QAGP breakpoints, `integrate`'s `points`): level 0 cuts
+the row's interval there and sums each piece and its two halves, and
+the row's budget is set by the sum of its pieces.  In a weighted row a
+piece that starts at x > lo and is wider than 3 (x - lo) is cut again
+at lo + 4 (x - lo), so that no Legendre piece lies closer to the
+kernel's singular point lo than a third of its width.  The rerun maps
+each break c to v = (c - lo)**exponent.  A row without breaks runs the
+engine's level 0 as before, bit for bit.
+
 Every integral runs at one fixed accuracy, set by the module constants
 REL_TOL, ABS_TOL, NODES and MAX_PANELS.  Operands are array functions:
 an array of nodes in, the same shape out (a 0-d result broadcasts).
@@ -212,31 +222,61 @@ def _added(panels: list) -> tuple[float, float]:
     return total, err_total
 
 
-def _integrate_rows(g: Callable, lo, hi, exponent) -> list:
+def _inside(lo: float, hi: float, breaks) -> list:
+    # the breaks strictly inside (lo, hi), as increasing floats
+    return sorted({float(c) for c in breaks if lo < c < hi})
+
+
+def _cut(lo: float, hi: float, inner: list, weighted: bool) -> list:
+    # [lo, *inner, hi]; in a weighted row a piece that starts at x > lo
+    # and is more than 3 (x - lo) wide is cut again at lo + 4 (x - lo),
+    # so that the weight's singular point lo lies at least a third of a
+    # piece's width from it
+    cuts = [lo]
+    for y in inner + [hi]:
+        x = cuts[-1]
+        while weighted and x > lo and lo + 4.0 * (x - lo) < y:
+            x = lo + 4.0 * (x - lo)
+            cuts.append(x)
+        cuts.append(y)
+    return cuts
+
+
+def _integrate_rows(g: Callable, lo, hi, exponent, breaks=None) -> list:
     """R integrals over [lo[r], hi[r]], lo < hi, of the operand g of
     `_panel_sums`: (value, error) or AccuracyError per row.
 
-    Level 0 is each row's interval and its halves; each later level is
-    the halves of every panel that missed, in all rows, in one operand
-    call.  A row fails when a panel misses once it has MAX_PANELS panels,
-    when a panel narrower than span 2**-50 misses, or when the halves of
-    a panel do not sum to a finite number; its estimate then adds the
+    Level 0 is each row's interval cut at its breaks (breaks[r], an
+    iterable of floats; those not strictly inside the interval, NaN
+    among them, are ignored), each piece with its halves; the row's
+    budget is set by the sum of its pieces.  Each later level is the
+    halves of every panel that missed, in all rows, in one operand call.
+    A row fails when a panel misses once it has MAX_PANELS panels, when
+    a panel narrower than span 2**-50 misses, or when the halves of a
+    panel do not sum to a finite number; its estimate then adds the
     panels that missed to those accepted.
     """
     lo, hi, exponent = ([float(v) for v in x] for x in (lo, hi, exponent))
     sums = _panel_sums(g, lo, exponent)
     span = [b - a for a, b in zip(lo, hi)]
-    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    first = sums(list(range(len(lo))),
-                 [x for a, m in zip(lo, mid) for x in (a, a, m)],
-                 [x for b, m in zip(hi, mid) for x in (b, m, b)])
+    cuts = [[a, b] for a, b in zip(lo, hi)] if breaks is None else [
+        _cut(a, b, _inside(a, b, row), e != 1.0)
+        for a, b, row, e in zip(lo, hi, breaks, exponent)]
+    pieces = [(r, a, b) for r, c in enumerate(cuts) for a, b in zip(c, c[1:])]
+    mid = [0.5 * (a + b) for _, a, b in pieces]
+    first = sums([r for r, _, _ in pieces],
+                 [x for (_, a, _), m in zip(pieces, mid) for x in (a, a, m)],
+                 [x for (_, _, b), m in zip(pieces, mid) for x in (b, m, b)])
     # a panel: row, ends, its sum and its halves' sums; a level is in
     # order of row, then of left end
-    level = [(r, lo[r], hi[r], *first[3 * r:3 * r + 3])
-             for r in range(len(lo))]
-    budget = [max(ABS_TOL, REL_TOL * abs(panel[3])) for panel in level]
+    level = [piece + tuple(first[3 * k:3 * k + 3])
+             for k, piece in enumerate(pieces)]
+    whole = [0.0] * len(lo)
+    for panel in level:
+        whole[panel[0]] += panel[3]
+    budget = [max(ABS_TOL, REL_TOL * abs(v)) for v in whole]
     accepted = [[] for _ in lo]
-    count = [3] * len(lo)
+    count = [3 * (len(c) - 1) for c in cuts]
     out = [None] * len(lo)
     while level:
         missed = []
@@ -280,14 +320,15 @@ def _integrate_rows(g: Callable, lo, hi, exponent) -> list:
             for r, v in enumerate(out)]
 
 
-def _weighted_rows(g: Callable, lo, hi, exponent) -> list:
+def _weighted_rows(g: Callable, lo, hi, exponent, breaks=None) -> list:
     """R integrals of (x - lo)**(exponent - 1) * g(x) over [lo, hi], as
     `_integrate_rows`; the rows with exponent != 1 whose Jacobi attempt
     fails (g singular at lo) rerun together once, as (1/exponent) times
-    the integral of g(lo + v**(1/exponent)) over (0, (hi - lo)**exponent);
-    a rerun's AccuracyError is the row's when its estimate and error are
-    finite, and the first attempt's stays the row's otherwise."""
-    out = _integrate_rows(g, lo, hi, exponent)
+    the integral of g(lo + v**(1/exponent)) over (0, (hi - lo)**exponent),
+    with each break c at v = (c - lo)**exponent; a rerun's AccuracyError
+    is the row's when its estimate and error are finite, and the first
+    attempt's stays the row's otherwise."""
+    out = _integrate_rows(g, lo, hi, exponent, breaks)
     at = [r for r, v in enumerate(out) if exponent[r] != 1.0
           and isinstance(v, AccuracyError)]
     if at:
@@ -303,7 +344,9 @@ def _weighted_rows(g: Callable, lo, hi, exponent) -> list:
                                   + _line_power(v, inv[rows], fast),
                                   again[rows]),
                 [0.0] * len(at), [(hi[r] - lo[r]) ** exponent[r] for r in at],
-                [1.0] * len(at))
+                [1.0] * len(at), None if breaks is None else
+                [[(c - lo[r]) ** exponent[r]
+                  for c in _inside(lo[r], hi[r], breaks[r])] for r in at])
         for r, v in zip(at, redo):
             if not isinstance(v, AccuracyError):
                 out[r] = v[0] / exponent[r], v[1] / exponent[r]
@@ -313,15 +356,18 @@ def _weighted_rows(g: Callable, lo, hi, exponent) -> list:
 
 
 def integrate(f: Callable, lo: float, hi: float, *,
-              full_output: bool = False, exponent: float = 1.0):
+              full_output: bool = False, exponent: float = 1.0,
+              points=()):
     """Integral of (x - lo)**(exponent - 1) * f(x) over [lo, hi].
 
     Returns (value, error) if full_output.  With exponent != 1 the panel
     at lo carries the weight in a Gauss-Jacobi rule, and an integral that
     fails so (f singular at lo) is re-run once through
-    v = (x - lo)**exponent (module docstring).  Raises AccuracyError when
-    the panel budget is exhausted before the tolerance is met (divergent
-    or unresolvable integrands).
+    v = (x - lo)**exponent (module docstring).  points are breakpoints,
+    as in QUADPACK's QAGP: the places in (lo, hi) where f may kink, at
+    which the first panels end (points outside (lo, hi) are ignored).
+    Raises AccuracyError when the panel budget is exhausted before the
+    tolerance is met (divergent or unresolvable integrands).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
@@ -333,19 +379,20 @@ def integrate(f: Callable, lo: float, hi: float, *,
 
     g = as_array_function(f)  # called on one flat array of nodes
     [out] = _weighted_rows(lambda x, rows: g(x.reshape(-1)).reshape(x.shape),
-                           [lo], [hi], [exponent])
+                           [lo], [hi], [exponent], [points])
     if isinstance(out, AccuracyError):
         raise out
     return out if full_output else out[0]
 
 
 def power_kernel_integral(g: Callable, upper: float, exponent: float, *,
-                          full_output: bool = False):
+                          full_output: bool = False, points=()):
     """Integral of w**(exponent-1) * g(w) over (0, upper): `integrate`
     from 0, whose Gauss-Jacobi panel carries the kernel and whose rerun
-    through v = w**exponent takes an operand singular at w = 0."""
+    through v = w**exponent takes an operand singular at w = 0; points
+    are `integrate`'s breakpoints, in w."""
     _check_exponent(exponent)
     if upper < 0.0:
         raise DomainError("upper endpoint must be nonnegative")
     return integrate(g, 0.0, upper, exponent=exponent,
-                     full_output=full_output)
+                     full_output=full_output, points=points)

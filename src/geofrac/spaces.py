@@ -132,6 +132,11 @@ class Space:
     its constants against t, so a single row goes against many points,
     many rows against one point each, or K rows gathered as lines of one
     point, `_take_rows(batch, rows[:, None])`, against lines (..., K, m).
+
+    The kink stage `_kinks(ends)` returns an (R, K) array: per row of an
+    endpoint-stage batch the parameters t in (0, 1) at which its geodesic
+    passes a branch point, where a pullback such as d(g(t), y)^2 may kink,
+    padded with NaN.  Quadrature starts its panels there.
     """
 
     name: str = "abstract"
@@ -175,6 +180,9 @@ class Space:
         raise NotImplementedError
 
     def _along(self, ends, t) -> Any:
+        raise NotImplementedError
+
+    def _kinks(self, ends) -> np.ndarray:
         raise NotImplementedError
 
     def _stack(self, coords_list: Sequence[Any]):
@@ -243,6 +251,9 @@ class EuclideanSpace(Space):
         if np.count_nonzero(at):
             out = np.where(at[..., None], B, out)
         return out
+
+    def _kinks(self, ends):
+        return np.empty((len(ends[0]), 0))
 
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list),
@@ -343,6 +354,9 @@ class HalfPlaneSpace(Space):
                 out = np.where(at[..., None], P, out)
         return out
 
+    def _kinks(self, ends):
+        return np.empty((len(ends[0]), 0))
+
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list), 2)
 
@@ -408,6 +422,13 @@ class SpiderSpace(Space):
             rays, radii = np.where(at, ray_b, rays), np.where(at, r2, radii)
         return (rays, radii)
 
+    def _kinks(self, ends):
+        # a segment between two rays passes the hub at t = r1 / (r1 + r2),
+        # inside (0, 1) when neither end is the hub
+        r1, _, ray_a, ray_b, r2 = ends
+        crosses = (ray_a != ray_b) & (r1 > 0.0) & (r2 > 0.0)
+        return (np.where(crosses, r1, np.nan) / (r1 + r2))[:, None]
+
     def _stack(self, coords_list):
         rays = np.array([c[0] for c in coords_list], dtype=np.int64)
         rads = np.array([c[1] for c in coords_list], dtype=float)
@@ -454,6 +475,10 @@ class ProductSpace(Space):
 
     def _along(self, ends, t):
         return (self.left._along(ends[0], t), self.right._along(ends[1], t))
+
+    def _kinks(self, ends):
+        return np.concatenate((self.left._kinks(ends[0]),
+                               self.right._kinks(ends[1])), axis=1)
 
     def _stack(self, coords_list):
         return (self.left._stack([c[0] for c in coords_list]),

@@ -570,6 +570,93 @@ def test_merged_operator_side_across_the_spider_hub(space, reflected):
         assert abs(merged - want) <= REL_TOL * abs(want)
 
 
+# hub-crossing spider instances: g from `start` to `end` crosses the hub,
+# and y lies on the third ray, so that f = d(., y)^2 kinks along g there;
+# (alpha, rho, a, b) with a = 0, b = 1, rho = 1 and kinks near the ends
+HUB_CASES = [((0, 0.7), (1, 0.4), (2, 0.3), 2.5, 2.2, 0.45, 0.9),
+             ((0, 1.3), (2, 0.2), (1, 0.8), 0.4, 0.7, 0.1, 0.95),
+             ((1, 0.05), (0, 1.9), (2, 1.1), 1.3, 1.6, 0.0, 0.6),
+             ((2, 0.9), (0, 0.9), (1, 0.01), 0.75, 1.0, 0.2, 1.0),
+             ((1, 2.0), (2, 0.3), (0, 0.5), 1.9, 0.55, 0.3, 0.8)]
+
+
+@pytest.mark.parametrize("case", HUB_CASES, ids=lambda c: "%s-%s" % c[:2])
+def test_hub_error_bars_bound_a_30_digit_reference(case):
+    # with the hub as a point, the reported error of the mean (on [a, b]
+    # and on [0, 1]) and of both folded operator sides (shift a^rho +
+    # b^rho and 1) bounds its actual error against mpmath at 30 digits,
+    # with the hub as an mpmath.quad breakpoint, plus roundoff.  Each
+    # value is the public chains' own bit for bit
+    import geofrac.chains as chains
+    from geofrac.fractional import katugampola_left
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    start, end, y, alpha, rho, a, b = case
+    sp = spider(3)
+    g = Geodesic(sp.point(*start), sp.point(*end))
+    fg = on_geodesic(squared_distance_function(sp, sp.point(*y)), g)
+    [t] = chains._kinks(g)
+    assert 0.0 < t < 1.0
+    r1, r2, ry, hub = (mp.mpf(v) for v in (start[1], end[1], y[1], t))
+
+    def exact_fg(u):
+        # |s| + r_y is the distance from the point at signed radius s
+        return (abs(r1 - (r1 + r2) * u) + ry) ** 2
+
+    eps = np.finfo(float).eps
+    trial = chains._OneTrial(fg, params=TheoremParams(alpha, rho, a, b),
+                             kinks=[t])
+    for lo, hi in ((a, b), (0.0, 1.0)):
+        value, err = integrate(fg, lo, hi, points=[t], full_output=True)
+        assert value == chains._OneTrial(fg, interval=(lo, hi), kinks=[t]) \
+            .means([lo], [hi])[0]
+        want = mp.quad(exact_fg, [mp.mpf(lo), hub, mp.mpf(hi)])
+        assert abs(value - want) <= err + 8.0 * eps * abs(want)
+    ar, br = float(trial.ar[0]), float(trial.br[0])
+    A, AR, BR = mp.mpf(alpha), mp.mpf(ar), mp.mpf(br)
+    for shift in (ar + br, 1.0):
+        value, err = katugampola_left(lambda u: chains._folded(fg, u, shift),
+                                      alpha, 1.0, ar, br, full_output=True,
+                                      points=[t, shift - t])
+        assert value == trial.operators([shift])[0]
+        # (1/Gamma(alpha)) Int_0^W w^(alpha-1) [fg(u) + fg(shift - u)] dw,
+        # u = b^rho - w, through v = w^alpha, split where u or shift - u
+        # is the hub
+        S = mp.mpf(shift)
+        ws = {w for w in (BR - hub, BR - S + hub) if 0 < w < BR - AR}
+        vs = sorted({mp.mpf(0), (BR - AR) ** A} | {w ** A for w in ws})
+        want = mp.quad(lambda v: exact_fg(BR - v ** (1 / A))
+                       + exact_fg(S - BR + v ** (1 / A)), vs) \
+            / (A * mp.gamma(A))
+        assert abs(value - want) <= err + 8.0 * eps * abs(want)
+
+
+def test_scalar_chains_compute_no_kernel_powers(monkeypatch):
+    # a^rho, b^rho and (b^rho - a^rho)^alpha are computed on first use:
+    # the scalar chains never read them; a public fractional trial whose
+    # (b^rho - a^rho)^alpha is 0 still fails when it is made
+    import geofrac.chains as chains
+
+    powers = []
+
+    def counted(*columns):
+        powers.append(len(columns[0]))
+        return chains._on_floats(pow, 2)(*columns)
+
+    monkeypatch.setattr(chains, "_powers", counted)
+    for chain in ("classic_hh", "h_hh", "conde_hh"):
+        falsify_search(chain, spider(3), 70, seed=1)
+    classic_hh(lambda t: t * t, 0.0, 1.0)
+    assert powers == []
+    falsify_search("thm_cb2", spider(3), 70, seed=1)
+    assert powers
+    f, g = _pullback(lambda t: t)
+    with pytest.raises(DomainError, match=r"\(b\^rho - a\^rho\)\^alpha is 0"):
+        # b^rho rounds onto a^rho
+        chains._OneTrial(on_geodesic(f, g),
+                         params=TheoremParams(1.0, 1e-17, 0.5, 0.6))
+
+
 def test_compute_e_rejects_bad_interval():
     with pytest.raises(DomainError):
         compute_E("identity", 1.0, 1.0, 0.9, 0.2)
@@ -1175,11 +1262,15 @@ def test_batch_rows_equal_the_per_trial_chain(chain):
 
 
 def test_rows_that_miss_are_refined_in_the_batch(monkeypatch):
-    # rows whose first quadrature level misses (the spider hub) are
-    # refined in the batch: the falsifier calls no public chain, and the
-    # worst row's report is built from its batch sides
+    # rows whose first quadrature level misses are refined in the batch:
+    # the falsifier calls no public chain, and the worst row's report is
+    # built from its batch sides.  The spider hub is such a kink once the
+    # space no longer reports it as a break
     import geofrac.chains as chains
+    from geofrac.spaces import SpiderSpace
 
+    monkeypatch.setattr(SpiderSpace, "_kinks", lambda self, ends: np.full(
+        (len(ends[0]), 1), np.nan))
     spec = chains.chain_spec("conde_hh")
     chunk = chains._draw_trials(spec, spider(3), 40,
                                 np.random.default_rng(1))
@@ -1219,7 +1310,8 @@ def test_operator_rows_call_no_per_row_function(monkeypatch):
     trials = [chunk.objects(i) for i in range(len(chunk.params))]
     shifts = [1.0 if k % 2 else p.a ** p.rho + p.b ** p.rho
               for k, (f, g, h, p) in enumerate(trials)]
-    want = [chains._OneTrial(on_geodesic(f, g), params=p)
+    want = [chains._OneTrial(on_geodesic(f, g), params=p,
+                             kinks=chains._kinks(g))
             .operators([s])[0] for (f, g, h, p), s in zip(trials, shifts)]
     assert chunk.operators(shifts) == want
 

@@ -103,6 +103,56 @@ def test_overflows_raise_domain_errors_naming_the_term():
         katugampola_left(f, 100.0, 1e-5, 0.0, 1.0)
 
 
+def test_overflowing_integrals_name_the_overflow():
+    # a kernel range that is finite but whose integral leaves the doubles,
+    # not an AccuracyError with a NaN estimate; the integral of t over
+    # (0, 1.5e308) against w**-0.5 is about 1.2e462
+    with pytest.raises(DomainError, match=r"^the kernel integral of order "
+                       r"0\.5 over \(0, 1\.5e\+308\) overflows a double"):
+        rl_right(lambda t: t, 0.5, 0.0, 1.5e308)
+    # log(x/a), not "integration limits must be finite"
+    with pytest.raises(DomainError, match=r"^log\(x/a\): x / a = "
+                       r"1e\+300 / 1e-300 overflows a double"):
+        hadamard_left(np.cos, 0.5, 1e-300, 1e300)
+    with pytest.raises(DomainError, match=r"^log\(b/x\): b / x = "):
+        hadamard_right(np.cos, 0.5, 1e-300, 1e300)
+    with pytest.raises(DomainError, match=r"^b - x = 1e\+308 - -1e\+308 "):
+        rl_right(lambda t: t, 0.5, -1e308, 1e308)
+    with pytest.raises(DomainError, match=r"^x - a = 1e\+308 - -1e\+308 "):
+        rl_left(lambda t: t, 0.5, -1e308, 1e308)
+    # an operand that is not finite keeps the engine's AccuracyError
+    with np.errstate(invalid="ignore"), pytest.raises(AccuracyError):
+        rl_right(np.log, 0.5, -2.0, 1.0)
+
+
+def test_katugampola_points_start_the_kernel_panels():
+    # |t - 0.6| kinks at t = 0.6, that is at w = x**rho - 0.6**rho: as a
+    # point it converges in one operand call, to the mpmath value with
+    # the kink as a breakpoint; points outside (a, x) are ignored
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.abs(t - 0.6)
+
+    alpha, rho, a, x = 0.7, 2.0, 0.5, 1.0
+    value, err = katugampola_left(f, alpha, rho, a, x, full_output=True,
+                                  points=(0.6, -1.0, 0.5, 1.0, 3.0))
+    assert len(calls) == 1
+    A, R = mp.mpf(alpha), mp.mpf(rho)
+    want = mp.quad(lambda t: (mp.mpf(x) ** R - t ** R) ** (A - 1)
+                   * t ** (R - 1) * abs(t - mp.mpf("0.6")),
+                   [mp.mpf(a), mp.mpf("0.6"), mp.mpf(x)])
+    want = float(want * R ** (1 - A) / mp.gamma(A))
+    assert abs(value - want) <= err + 1e-15 * abs(want)
+    calls.clear()
+    assert katugampola_left(f, alpha, rho, a, x, full_output=True,
+                            points=(-1.0, 0.5, 1.0)) == katugampola_left(
+        f, alpha, rho, a, x, full_output=True)
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Liouville
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from geofrac.errors import AccuracyError, DomainError
 from geofrac.fractional import rl_left
 from geofrac.quadrature import (ABS_TOL, MAX_PANELS, NODES, REL_TOL,
-                                _integrate_rows, _jacobi_rules, _line_power,
+                                _cut, _integrate_rows, _jacobi_rules,
+                                _line_power,
                                 _rule, _rules, _weighted_rows,
                                 as_array_function,
                                 integrate, pointwise, power_kernel_integral)
@@ -646,3 +647,122 @@ def test_non_finite_panel_fails_its_row_at_once():
     assert isinstance(got[1], AccuracyError)
     assert got[0] == integrate(lambda x: np.exp(x) * np.abs(x - 0.3137),
                                0.0, 1.0, full_output=True)
+
+
+# ---------------------------------------------------------------------------
+# breakpoints: a row's first panels end at its breaks
+# ---------------------------------------------------------------------------
+
+
+def _kink_exact(c):
+    # Int_0^1 |x - c| dx
+    return 0.5 * (c * c + (1.0 - c) ** 2)
+
+
+def test_points_start_the_first_panels():
+    # the kink as a point: both pieces and their halves in one operand
+    # call, exact; without it the bisection refines toward the kink
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return OPERANDS["kink"](x)
+
+    out = integrate(counted, 0.0, 1.0, points=(0.3137,), full_output=True)
+    assert calls == [2 * 3 * NODES]
+    _assert_honest(out, _kink_exact(0.3137))
+    calls.clear()
+    integrate(counted, 0.0, 1.0)
+    assert len(calls) > 1
+
+
+def test_points_outside_the_interval_are_ignored():
+    # the ends, points beyond them and NaN cut nothing: the integral is
+    # the one without points, bit for bit; duplicates cut once
+    f = OPERANDS["two_kinks"]
+    for exponent in (1.0, 0.3):
+        want = integrate(f, 0.0, 1.0, exponent=exponent, full_output=True)
+        got = integrate(f, 0.0, 1.0, exponent=exponent, full_output=True,
+                        points=(0.0, 1.0, -0.5, 1.5, math.nan))
+        assert got == want
+    once = integrate(f, 0.0, 1.0, points=(0.2, 0.7), full_output=True)
+    assert integrate(f, 0.0, 1.0, points=[0.7, 0.2, 0.2, 0.7],
+                     full_output=True) == once
+
+
+def test_break_rows_beside_rows_without_breaks():
+    # one batch: a row without breaks is its integral without points bit
+    # for bit, and a row with breaks is integrate with those points; the
+    # level-0 call holds 3 panels per piece, a line per piece
+    f = OPERANDS["kink"]
+    lo, hi = [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]
+    exponent = [1.0, 1.0, 0.3, 2.5]
+    breaks = [[], [0.3137, math.nan], [0.3137], [math.nan]]
+    calls = []
+
+    def stacked(x, rows):
+        calls.append(x.shape)
+        return f(x)
+
+    got = _integrate_rows(stacked, lo, hi, exponent, breaks)
+    assert calls[0] == (1 + 2 + 2 + 1, 3 * NODES)
+    for r in range(4):
+        points = [c for c in breaks[r] if not math.isnan(c)]
+        assert got[r] == integrate(f, lo[r], hi[r], exponent=exponent[r],
+                                   points=points, full_output=True)
+    assert got[0] == integrate(f, 0.0, 1.0, full_output=True)
+    assert got[1] == integrate(f, 0.0, 1.0, points=(0.3137,),
+                               full_output=True)
+
+
+def test_weighted_rows_grade_the_piece_after_a_break_near_lo():
+    # a break c near lo leaves the next piece close to the kernel's
+    # singular point: it is cut at lo + 4^k (c - lo) below the next break,
+    # and the integral converges at level 0
+    assert _cut(0.0, 1.0, [0.01], True) == [0.0, 0.01, 0.04, 0.16, 0.64, 1.0]
+    assert _cut(0.0, 1.0, [0.01, 0.1], True) == [0.0, 0.01, 0.04, 0.1, 0.4,
+                                                 1.0]
+    assert _cut(0.0, 1.0, [0.01], False) == [0.0, 0.01, 1.0]
+    assert _cut(0.0, 1.0, [0.3], True) == [0.0, 0.3, 1.0]
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.abs(x - 0.01)
+
+    e = 0.3
+    out = integrate(f, 0.0, 1.0, exponent=e, points=(0.01,),
+                    full_output=True)
+    assert calls == [5 * 3 * NODES]
+    # Int_0^1 x^(e-1) |x - c| dx in closed form
+    c = 0.01
+    exact = (2.0 * c ** (e + 1.0) / (e * (e + 1.0))
+             + 1.0 / (e + 1.0) - c / e)
+    _assert_honest(out, exact)
+    # an exponent-1 row takes no graded cuts
+    calls.clear()
+    integrate(f, 0.0, 1.0, points=(0.01,))
+    assert calls == [2 * 3 * NODES]
+
+
+def test_rerun_maps_the_breaks_through_the_substitution():
+    # x^-0.4 (1 + |x - 1/2|): the operand's cusp at lo fails the Jacobi
+    # attempt; the rerun through v = x**0.3 starts its panels at
+    # v = 0.5**0.3 and converges at its level 0
+    def f(x):
+        calls.append(x.copy())
+        return np.abs(x) ** 0.3 * (1.0 + np.abs(x - 0.5))
+
+    calls = []
+    out = integrate(f, 0.0, 1.0, exponent=0.3, points=(0.5,),
+                    full_output=True)
+    rerun = calls[-1]
+    assert rerun.size == 2 * 3 * NODES
+    # the rerun's nodes are lo + v**(1/0.3) for v in (0, 1): its second
+    # piece starts at the mapped break, whose image is 0.5
+    assert rerun[:3 * NODES].max() < 0.5 < rerun[3 * NODES:].min()
+    F = lambda x: x ** 0.6 / 0.6  # noqa: E731
+    G = lambda x: x ** 1.6 / 1.6  # noqa: E731
+    exact = (F(1.0) + 0.5 * F(0.5) - G(0.5) + G(1.0) - G(0.5)
+             - 0.5 * (F(1.0) - F(0.5)))
+    _assert_honest(out, exact)

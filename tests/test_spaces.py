@@ -1019,3 +1019,70 @@ def test_dist_broadcasts_lines_of_points(space):
     assert got.shape == ts.shape
     assert np.isfinite(got).all()
     assert got.tobytes() == want.reshape(ts.shape).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# kinks: where a geodesic passes a branch point
+# ---------------------------------------------------------------------------
+
+
+def _kinks_of(space, pairs):
+    A = space._stack([p for p, _ in pairs])
+    B = space._stack([q for _, q in pairs])
+    return space._kinks(space._ends(A, B)[0])
+
+
+SPIDER_PAIRS = [((0, 0.7), (1, 0.4)),  # crosses the hub at t = 7/11
+                ((0, 0.0), (1, 0.4)),  # starts at the hub
+                ((2, 0.5), (1, 0.0)),  # ends at the hub
+                ((1, 0.2), (1, 0.9)),  # on one ray, outward
+                ((1, 0.9), (1, 0.2)),  # on one ray, inward
+                ((0, 0.0), (2, 0.0))]  # from the hub to the hub
+
+
+def test_spider_kinks_are_the_hub_crossings():
+    kinks = _kinks_of(S3, SPIDER_PAIRS)
+    assert kinks.shape == (6, 1)
+    assert kinks[0, 0] == 0.7 / (0.7 + 0.4)
+    # a start or an end at the hub passes it at t = 0 or 1, not inside
+    assert np.isnan(kinks[1:, 0]).all()
+    # the geodesic is at the hub there, and d(g(t), y)^2 with y on the
+    # third ray has one-sided slopes of opposite sign
+    g = Geodesic(S3.point(0, 0.7), S3.point(1, 0.4))
+    t = kinks[0, 0]
+    assert g.eval(t).coords[1] <= 1e-15
+    fg = on_geodesic(squared_distance_function(S3, S3.point(2, 0.3)), g)
+    h = 1e-6
+    left, mid, right = fg(np.array([t - h, t, t + h]))
+    assert (mid - left) / h < -0.5 and (right - mid) / h > 0.5
+
+
+@pytest.mark.parametrize("space", [E2, H, euclidean(5)],
+                         ids=lambda s: s.name)
+def test_smooth_spaces_report_no_kinks(space):
+    rng = np.random.default_rng(3)
+    A, B = space._sample(4, rng), space._sample(4, rng)
+    assert space._kinks(space._ends(A, B)[0]).shape == (4, 0)
+
+
+@pytest.mark.parametrize("spider_left", [True, False])
+def test_product_kinks_are_its_factors_columns(spider_left):
+    # the spider factor's column, on either side of the other factor's
+    # none, and two spider factors' columns side by side
+    other = [((0.0, 1.0), (1.0, 2.0))] * len(SPIDER_PAIRS)
+    if spider_left:
+        space = product(S3, H)
+        pairs = [((p, o), (q, r)) for (p, q), (o, r)
+                 in zip(SPIDER_PAIRS, other)]
+    else:
+        space = product(E2, S3)
+        pairs = [((o, p), (r, q)) for (p, q), (o, r)
+                 in zip(SPIDER_PAIRS, other)]
+    want = _kinks_of(S3, SPIDER_PAIRS)
+    np.testing.assert_array_equal(_kinks_of(space, pairs), want)
+    both = product(S3, S3)
+    swapped = SPIDER_PAIRS[::-1]
+    got = _kinks_of(both, [((p, s), (q, e)) for (p, q), (s, e)
+                           in zip(SPIDER_PAIRS, swapped)])
+    np.testing.assert_array_equal(
+        got, np.concatenate((want, _kinks_of(S3, swapped)), axis=1))

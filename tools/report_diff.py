@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/report_diff.py --parent REV
+    python3 tools/report_diff.py --parent REV [--ledger]
 
 The committed files of REV are exported (`git archive`) into a temporary
 directory; the change is this working tree.  In each checkout every
@@ -28,12 +28,27 @@ The set is:
     benchmark's, on the four benchmark spaces and euclidean(n), n = 1..8.
 
 The files that differ are listed; the exit code is 0 when none does.
+
+With --ledger the same reports are written, and the files that differ
+are walked instead: each pair of JSON outputs is parsed and walked
+together.  Per file the ledger lists the floats whose bits moved, the
+largest relative move |x - y| / max(|x|, |y|) and the largest move in
+ulps (-0.0 against 0.0 is a move of 0 ulps; NaN against NaN is no move).
+A summary whose `worst_instance` describes another instance is listed as
+a switch with both sides' `worst_margin`, and its sides are not walked.
+Every other difference is structural: keys, list lengths, strings,
+booleans such as `pass`, integers such as `violations`, a float that
+turns NaN or infinite, output that is not JSON, exit codes and stderr.
+The exit code is 1 when a structural difference exists, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -153,10 +168,91 @@ def _write_reports(checkout: Path) -> None:
         (out / (name + ".exit")).write_text("%d\n" % run.returncode)
 
 
+def _ordinal(x: float) -> int:
+    # the double's place in the ordered line of doubles, -0.0 and 0.0 at 0
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _same_float(x: float, y: float) -> bool:
+    return (struct.pack("<d", x) == struct.pack("<d", y)
+            or (math.isnan(x) and math.isnan(y)))
+
+
+def walk(x, y, path: str = "$"):
+    """The differences of two parsed JSON values, walked together:
+    ("float", path, x, y) per float whose bits moved between finite
+    values, ("switch", path, margin_x, margin_y) per summary whose
+    worst_instance describes another instance, and ("structural", path,
+    text) for every other difference."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        if set(x) != set(y):
+            yield ("structural", path, "keys %s against %s"
+                   % (sorted(set(x) - set(y)), sorted(set(y) - set(x))))
+        switched = ("worst_margin" in x and "worst_margin" in y
+                    and isinstance(x.get("worst_instance"), dict)
+                    and isinstance(y.get("worst_instance"), dict)
+                    and x["worst_instance"].get("instance")
+                    != y["worst_instance"].get("instance"))
+        if switched:
+            yield ("switch", path, x["worst_margin"], y["worst_margin"])
+        for key in sorted(set(x) & set(y)):
+            if switched and key in ("worst_instance", "worst_margin"):
+                continue
+            yield from walk(x[key], y[key], "%s.%s" % (path, key))
+    elif isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            yield ("structural", path,
+                   "%d items against %d" % (len(x), len(y)))
+        for i, (a, b) in enumerate(zip(x, y)):
+            yield from walk(a, b, "%s[%d]" % (path, i))
+    elif type(x) is float and type(y) is float:
+        if _same_float(x, y):
+            return
+        if math.isfinite(x) and math.isfinite(y):
+            yield ("float", path, x, y)
+        else:
+            yield ("structural", path, "%r against %r" % (x, y))
+    elif type(x) is not type(y) or x != y:
+        yield ("structural", path, "%s against %s"
+               % (json.dumps(x), json.dumps(y)))
+
+
+def ledger(name: str, x: bytes, y: bytes) -> tuple:
+    """(lines, structural) for one file of the set: its float moves, its
+    switches and its structural differences."""
+    if x == y:
+        return [], False
+    try:
+        diffs = list(walk(json.loads(x), json.loads(y)))
+    except ValueError:
+        diffs = [("structural", "$", "output differs and is not JSON")]
+    moves = [(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0,
+              abs(_ordinal(a) - _ordinal(b)))
+             for kind, _, a, b in (d for d in diffs if d[0] == "float")]
+    lines = []
+    if moves:
+        lines.append("%s: %d floats moved, largest %.2g relative, %d ulps"
+                     % (name, len(moves), max(m[0] for m in moves),
+                        max(m[1] for m in moves)))
+    structural = False
+    for d in diffs:
+        if d[0] == "switch":
+            lines.append("%s: worst_instance switched at %s, worst_margin "
+                         "%r -> %r" % (name, d[1], d[2], d[3]))
+        elif d[0] == "structural":
+            structural = True
+            lines.append("%s: structural at %s: %s" % (name, d[1], d[2]))
+    return lines, structural
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True,
                         help="the parent revision to compare with")
+    parser.add_argument("--ledger", action="store_true",
+                        help="walk the JSON outputs that differ and list "
+                             "their float moves and structural differences")
     args = parser.parse_args(argv)
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent],
                          cwd=ROOT, check=True, capture_output=True,
@@ -170,13 +266,21 @@ def main(argv=None) -> int:
             _write_reports(checkout)
         names = [name + ext for name, _ in _commands()
                  for ext in (".stdout", ".stderr", ".exit")]
-        differ = [n for n in names if (parent / OUT / n).read_bytes()
-                  != (ROOT / OUT / n).read_bytes()]
+        sides = {n: ((parent / OUT / n).read_bytes(),
+                     (ROOT / OUT / n).read_bytes()) for n in names}
+    differ = [n for n in names if sides[n][0] != sides[n][1]]
     print("%s vs the working tree: %d files, %d differ"
           % (rev, len(names), len(differ)))
+    if not args.ledger:
+        for name in differ:
+            print("differs:", name)
+        return 1 if differ else 0
+    structural = False
     for name in differ:
-        print("differs:", name)
-    return 1 if differ else 0
+        lines, bad = ledger(name, *sides[name])
+        structural |= bad
+        print("\n".join(lines))
+    return 1 if structural else 0
 
 
 if __name__ == "__main__":
