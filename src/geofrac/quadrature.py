@@ -21,8 +21,8 @@ the row's budget is set by the sum of its pieces.  In a weighted row a
 piece that starts at x > lo and is wider than 3 (x - lo) is cut again
 at lo + 4 (x - lo), so that no Legendre piece lies closer to the
 kernel's singular point lo than a third of its width.  The rerun maps
-each break c to v = (c - lo)**exponent.  A row without breaks runs the
-engine's level 0 as before, bit for bit.
+each break c to v = (c - lo)**exponent.  A row without breaks inside its
+interval is one piece, whose level 0 is its interval and its halves.
 
 Every integral runs at one fixed accuracy, set by the module constants
 REL_TOL, ABS_TOL, NODES and MAX_PANELS.  Operands are array functions:

@@ -183,7 +183,9 @@ class Space:
         raise NotImplementedError
 
     def _kinks(self, ends) -> np.ndarray:
-        raise NotImplementedError
+        # no branch points: the euclidean and half-plane geodesics, whose
+        # endpoint constants lead with the start batch
+        return np.empty((len(ends[0]), 0))
 
     def _stack(self, coords_list: Sequence[Any]):
         raise NotImplementedError
@@ -251,9 +253,6 @@ class EuclideanSpace(Space):
         if np.count_nonzero(at):
             out = np.where(at[..., None], B, out)
         return out
-
-    def _kinks(self, ends):
-        return np.empty((len(ends[0]), 0))
 
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list),
@@ -353,9 +352,6 @@ class HalfPlaneSpace(Space):
             if np.count_nonzero(at):
                 out = np.where(at[..., None], P, out)
         return out
-
-    def _kinks(self, ends):
-        return np.empty((len(ends[0]), 0))
 
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list), 2)

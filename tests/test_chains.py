@@ -553,8 +553,9 @@ def test_merged_operator_side_is_one_batch_per_operand_call():
 @pytest.mark.parametrize("reflected", [False, True])
 def test_merged_operator_side_across_the_spider_hub(space, reflected):
     # g crosses the hub at t = 7/11 and y lies on the third ray, so f along
-    # g has a kink that the quadrature refines.  There the bisection error
-    # bars are not a bound: at (alpha, rho) = (2.5, 2.2) the folded value
+    # g has a kink that the quadrature refines, here without the hub as a
+    # point (test_hub_error_bars_bound_a_30_digit_reference passes it).
+    # There the bisection error bars are not a bound: at (alpha, rho) = (2.5, 2.2) the folded value
     # is 6.8e-14 off a 30-digit reference while the bars sum to about
     # 1e-14, so the two sides are held to the quadrature's REL_TOL
     from geofrac.quadrature import REL_TOL

@@ -141,11 +141,13 @@ def test_katugampola_points_start_the_kernel_panels():
     value, err = katugampola_left(f, alpha, rho, a, x, full_output=True,
                                   points=(0.6, -1.0, 0.5, 1.0, 3.0))
     assert len(calls) == 1
-    A, R = mp.mpf(alpha), mp.mpf(rho)
-    want = mp.quad(lambda t: (mp.mpf(x) ** R - t ** R) ** (A - 1)
-                   * t ** (R - 1) * abs(t - mp.mpf("0.6")),
-                   [mp.mpf(a), mp.mpf("0.6"), mp.mpf(x)])
-    want = float(want * R ** (1 - A) / mp.gamma(A))
+    # rho^-alpha / Gamma(alpha) Int_0^W w^(alpha-1) f((x^rho - w)^(1/rho))
+    # dw, W = x^rho - a^rho, through v = w^alpha, split at the kink
+    A, R, X, K = (mp.mpf(v) for v in (alpha, rho, x, 0.6))
+    ends = [0, (X ** R - K ** R) ** A, (X ** R - mp.mpf(a) ** R) ** A]
+    want = mp.quad(lambda v: abs((X ** R - v ** (1 / A)) ** (1 / R) - K),
+                   ends)
+    want = float(want / (R ** A * A * mp.gamma(A)))
     assert abs(value - want) <= err + 1e-15 * abs(want)
     calls.clear()
     assert katugampola_left(f, alpha, rho, a, x, full_output=True,
