@@ -578,8 +578,8 @@ class _Chunk(_Rows):
 
     def means(self, lo, hi) -> list:
         return [v if isinstance(v, AccuracyError) else v[0] for v in
-                _integrate_rows(self.pull, lo.tolist(), hi.tolist(),
-                                [1.0] * len(lo), _breaks(self.kinks))]
+                _integrate_rows(self.pull, lo, hi, np.ones(len(lo)),
+                                _breaks(self.kinks))]
 
     def _fold(self, phi: Callable, shift, scales, breaks=None) -> list:
         """scale Int_0^W w^(alpha-1) [phi(u, rows) + phi(shift - u, rows)] dw
@@ -589,8 +589,7 @@ class _Chunk(_Rows):
             lambda w, rows: _folded(lambda x: phi(x, rows),
                                     np.maximum(self.br[rows, None] - w, 0.0),
                                     shift[rows, None]),
-            [0.0] * len(shift), (self.br - self.ar).tolist(),
-            self.alpha.tolist(), breaks)
+            np.zeros(len(shift)), self.br - self.ar, self.alpha, breaks)
         return [v if isinstance(v, AccuracyError) else scale * v[0]
                 for v, scale in zip(values, scales.tolist())]
 

@@ -9,10 +9,13 @@ is integrated exactly; every other panel uses Gauss-Legendre on the
 weighted integrand.  The engine (`_integrate_rows`) refines
 breadth-first, one operand call per level for all rows, and adds a row's
 accepted panels in order of left end, the order in which a depth-first
-bisection adds them.  `_weighted_rows` re-runs the weighted rows that
-fail there (an operand singular at lo) once through v = (x - lo)**exponent;
-`integrate` is its one-row case, and :func:`power_kernel_integral` is
-`integrate` from 0.
+bisection adds them.  A batch decides its level 0 on float columns,
+where most rows pass; the rows that miss, and a lone integral, refine in
+Python lists, since a later level holds few panels and numpy's cost per
+call would exceed its arithmetic.  `_weighted_rows` re-runs the
+weighted rows that fail there (an operand singular at lo) once through
+v = (x - lo)**exponent; `integrate` is its one-row case, and
+:func:`power_kernel_integral` is `integrate` from 0.
 
 A row may come with breaks, the known places where its operand kinks
 (QUADPACK's QAGP breakpoints, `integrate`'s `points`): level 0 cuts
@@ -154,62 +157,77 @@ def _line_power(x: np.ndarray, e: np.ndarray, fast) -> np.ndarray:
     return out
 
 
-def _panel_sums(g: Callable, lo: list, exponent: list) -> Callable:
-    """sums(rows, a, b): the rule sums of the panels [a[i], b[i]], P to a
-    line, line k of the integral rows[k], from one call g(nodes, rows) on
-    a (K, P NODES) array.  Panel centres and half-widths are Python-float
-    sums, as a lone panel's; the dots are one stacked product of
-    contiguous rows, which takes each dot as the 1-D `w @ v` does
-    (einsum, gemv and strided rows do not)."""
+def _panel_sums(g: Callable, lo: np.ndarray, exponent: np.ndarray) -> Callable:
+    """sums(rows, a, b, mid, half): the rule sums of the panels [a[i], b[i]]
+    of centres mid[i] and half-widths half[i], P to a line, line k of the
+    integral rows[k], from one call g(nodes, rows) on a (K, P NODES)
+    array.  rows, mid, half and the sums are arrays; a and b, read for
+    the Jacobi panels alone, are arrays at a batch's level 0 and lists
+    in the list levels (`_list_sums`).  The callers take mid and half
+    as 0.5 (a + b) and 0.5 (b - a), elementwise or on Python floats,
+    which round alike; a Jacobi panel's scale width**exponent is
+    Python's pow.  The dots are one stacked product of contiguous rows,
+    which takes each dot as the 1-D `w @ v` does (einsum, gemv and
+    strided rows do not)."""
     xs, ws = _rule(NODES)
-    if any(e != 1.0 for e in exponent):
-        jac_us, jac_lams = _rules(tuple(exponent))
-        lows, powers = np.array(lo), np.array(exponent) - 1.0
+    flat = ws[None]  # the Legendre weights of every panel, as a row
+    exps = exponent.tolist()
+    weighted = any(e != 1.0 for e in exps)
+    if weighted:
+        jac_us, jac_lams = _rules(tuple(exps))
+        powers = exponent - 1.0
         fast = {0.5, 2.0, -1.0}.intersection(powers.tolist())
+        start = lo.tolist()[0]
 
-    def sums(rows: list, a: list, b: list) -> list:
-        scale = [0.5 * (y - x) for x, y in zip(a, b)]
-        pts = (np.array([0.5 * (x + y) for x, y in zip(a, b)])[:, None]
-               + np.array(scale)[:, None] * xs)
-        w = ws
+    def sums(rows, a, b, mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+        pts = mid[:, None] + half[:, None] * xs
+        w, scale = flat, half
         # the panel at lo of a weighted integral takes its Jacobi rule; its
         # Legendre nodes, replaced below, can round onto lo, so its gaps
         # x - lo are set to 1, which keeps their unused power finite
-        if len(lo) == 1 and exponent[0] != 1.0:
-            # a lone integral: one power, and its Jacobi panels, those at
-            # lo, lead the list (a is in increasing order)
-            jac = a.count(lo[0])
-            gap = pts - lo[0]
+        if len(exps) == 1 and weighted:
+            # a lone integral, whose levels are lists: one power, and its
+            # Jacobi panels, those at lo, lead (a is in increasing order)
+            jac, e = a.count(start), exps[0]
+            gap = pts - start
             gap[:jac] = 1.0
-            w = ws * gap ** (exponent[0] - 1.0)
-            for i in range(jac):
-                width = b[i] - lo[0]
-                pts[i] = lo[0] + width * jac_us[0]
-                w[i] = jac_lams[0]
-                scale[i] = width ** exponent[0]
-        elif len(lo) > 1 and any(exponent[r] != 1.0 for r in rows):
-            per = [r for r in rows for _ in range(len(a) // len(rows))]
-            jac = [(i, r, y - x) for i, (r, x, y) in enumerate(zip(per, a, b))
-                   if exponent[r] != 1.0 and x == lo[r]]
-            line_rows = np.array(per)
-            gap = pts - lows[line_rows][:, None]
+            w = ws * gap ** (e - 1.0)
             if jac:
-                i, r, width = (list(c) for c in zip(*jac))
-                gap[i] = 1.0
-            w = ws * _line_power(gap, powers[line_rows], fast)
-            if jac:
-                pts[i] = (lows[r][:, None]
-                          + np.array(width)[:, None] * jac_us[r])
+                width = [y - start for y in b[:jac]]
+                pts[:jac] = start + np.array(width)[:, None] * jac_us[0]
+                w[:jac] = jac_lams[0]
+                scale = half.copy()
+                scale[:jac] = [x ** e for x in width]
+            w = w[:, None]
+        elif weighted:
+            a, b = np.asarray(a), np.asarray(b)
+            per = rows.repeat(len(mid) // len(rows))
+            gap = pts - lo[per][:, None]
+            i = np.flatnonzero((a == lo[per]) & (powers[per] != 0.0))
+            gap[i] = 1.0
+            w = ws * _line_power(gap, powers[per], fast)
+            if len(i):
+                r, width = per[i], b[i] - a[i]
+                pts[i] = lo[r][:, None] + width[:, None] * jac_us[r]
                 w[i] = jac_lams[r]
-                for k, x, j in zip(r, width, i):
-                    scale[j] = x ** exponent[k]
-        vals = np.ascontiguousarray(g(pts.reshape(len(rows), -1),
-                                      np.array(rows)), dtype=float)
+                scale = half.copy()
+                scale[i] = [x ** e for x, e
+                            in zip(width.tolist(), exponent[r].tolist())]
+            w = w[:, None]
+        vals = np.ascontiguousarray(g(pts.reshape(len(rows), -1), rows),
+                                    dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
-            dots = (w[..., None, :] @ vals.reshape(-1, NODES, 1)).ravel()
-        return [c * d for c, d in zip(scale, dots.tolist())]
+            return scale * (w @ vals.reshape(-1, NODES, 1)).ravel()
 
     return sums
+
+
+def _list_sums(sums: Callable, rows: list, a: list, b: list) -> list:
+    # sums of the panels of a list level, centres and half-widths taken on
+    # Python floats
+    return sums(np.array(rows), a, b,
+                np.array([0.5 * (x + y) for x, y in zip(a, b)]),
+                np.array([0.5 * (y - x) for x, y in zip(a, b)])).tolist()
 
 
 def _added(panels: list) -> tuple[float, float]:
@@ -255,29 +273,42 @@ def _integrate_rows(g: Callable, lo, hi, exponent, breaks=None) -> list:
     a panel narrower than span 2**-50 misses, or when the halves of a
     panel do not sum to a finite number; its estimate then adds the
     panels that missed to those accepted.
+
+    A batch runs level 0 on float columns, one element per piece, and a
+    row whose pieces all pass there is done (`_column_level`).  The rows
+    with a missed piece refine in Python lists, and so does a lone
+    integral from its level 0: those levels hold a few panels, where
+    numpy's cost per call exceeds the arithmetic.  (An array level loop
+    made the batch engine about 40 % cheaper, but a lone integral that
+    refines about 3 times slower.)  Both take the same float operations
+    in the same order, so a row's bits do not depend on its batch.
     """
-    lo, hi, exponent = ([float(v) for v in x] for x in (lo, hi, exponent))
+    lo, hi, exponent = (np.asarray(x, dtype=float)
+                        for x in (lo, hi, exponent))
     sums = _panel_sums(g, lo, exponent)
-    span = [b - a for a, b in zip(lo, hi)]
-    cuts = [[a, b] for a, b in zip(lo, hi)] if breaks is None else [
-        _cut(a, b, _inside(a, b, row), e != 1.0)
-        for a, b, row, e in zip(lo, hi, breaks, exponent)]
-    pieces = [(r, a, b) for r, c in enumerate(cuts) for a, b in zip(c, c[1:])]
-    mid = [0.5 * (a + b) for _, a, b in pieces]
-    first = sums([r for r, _, _ in pieces],
-                 [x for (_, a, _), m in zip(pieces, mid) for x in (a, a, m)],
-                 [x for (_, _, b), m in zip(pieces, mid) for x in (b, m, b)])
-    # a panel: row, ends, its sum and its halves' sums; a level is in
-    # order of row, then of left end
-    level = [piece + tuple(first[3 * k:3 * k + 3])
-             for k, piece in enumerate(pieces)]
-    whole = [0.0] * len(lo)
-    for panel in level:
-        whole[panel[0]] += panel[3]
-    budget = [max(ABS_TOL, REL_TOL * abs(v)) for v in whole]
-    accepted = [[] for _ in lo]
-    count = [3 * (len(c) - 1) for c in cuts]
-    out = [None] * len(lo)
+    if len(lo) != 1:
+        out, level, budget, span, count = _column_level(sums, lo, hi,
+                                                        exponent, breaks)
+    else:
+        [a], [b], [e] = lo.tolist(), hi.tolist(), exponent.tolist()
+        cuts = ([a, b] if breaks is None
+                else _cut(a, b, _inside(a, b, breaks[0]), e != 1.0))
+        pieces = list(zip(cuts, cuts[1:]))
+        mid = [0.5 * (a + b) for a, b in pieces]
+        first = _list_sums(
+            sums, [0] * len(pieces),
+            [x for (a, _), m in zip(pieces, mid) for x in (a, a, m)],
+            [x for (_, b), m in zip(pieces, mid) for x in (b, m, b)])
+        # a panel: row, ends, its sum and its halves' sums; a level is in
+        # order of row, then of left end
+        level = [(0, a, b, *first[3 * k:3 * k + 3])
+                 for k, (a, b) in enumerate(pieces)]
+        whole = 0.0
+        for panel in level:
+            whole += panel[3]
+        out, budget = [None], [max(ABS_TOL, REL_TOL * abs(whole))]
+        span, count = [b - a], [3 * len(pieces)]
+    accepted = {panel[0]: [] for panel in level}
     while level:
         missed = []
         for r, a, b, coarse, left, right in level:
@@ -295,8 +326,8 @@ def _integrate_rows(g: Callable, lo, hi, exponent, breaks=None) -> list:
                 or not math.isfinite(fine)}
         for r in sorted(stop):
             total, err_total = _added(
-                accepted[r] + [(a, fine, err) for s, a, _, _, _, fine, err
-                               in missed if s == r])
+                accepted.pop(r) + [(a, fine, err) for s, a, _, _, _, fine,
+                                   err in missed if s == r])
             out[r] = AccuracyError("quadrature did not converge (%d panels, "
                                    "estimate %.6g, error %.3g)"
                                    % (count[r], total, err_total),
@@ -313,11 +344,67 @@ def _integrate_rows(g: Callable, lo, hi, exponent, breaks=None) -> list:
             ends_b += [q1, m, q3, b]
             count[r] += 2
         if level:
-            halves = sums([panel[0] for panel in level], ends_a, ends_b)
+            halves = _list_sums(sums, [panel[0] for panel in level],
+                                ends_a, ends_b)
             level = [panel + tuple(halves[2 * k:2 * k + 2])
                      for k, panel in enumerate(level)]
-    return [v if v is not None else _added(accepted[r])
-            for r, v in enumerate(out)]
+    for r, panels in accepted.items():
+        out[r] = _added(panels)
+    return out
+
+
+def _column_level(sums: Callable, lo, hi, exponent, breaks) -> tuple:
+    """Level 0 of `_integrate_rows` on float columns: each row's (value,
+    error), and for the rows with a missed piece (whose values are
+    placeholders) their pieces as the first list level, in order of row
+    and left end, with every row's budget, span and panel count.  Each
+    operation is the list code's on floats, and a row adds its pieces in
+    their order from 0.0, as a Python sum does (0.0 + -0.0 is 0.0):
+    np.add.at adds in index order."""
+    n = len(lo)
+    rows, a, b = np.arange(n), lo, hi
+    if breaks is not None:
+        cuts = [_cut(x, y, _inside(x, y, c), e != 1.0) for x, y, c, e
+                in zip(lo.tolist(), hi.tolist(), breaks, exponent.tolist())]
+        if any(len(c) > 2 for c in cuts):
+            rows = rows.repeat([len(c) - 1 for c in cuts])
+            a = np.array([x for c in cuts for x in c[:-1]])
+            b = np.array([x for c in cuts for x in c[1:]])
+    one = len(a) == n  # one piece a row
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = b - a
+        span = width if one else hi - lo
+        ends_a, ends_b = a.repeat(3), b.repeat(3)
+        ends_a[2::3] = ends_b[1::3] = 0.5 * (a + b)
+        mid, half = 0.5 * (ends_a + ends_b), 0.5 * (ends_b - ends_a)
+    # a piece's sum and its halves'
+    coarse, left, right = sums(rows, ends_a, ends_b, mid,
+                               half).reshape(-1, 3).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        fine = left + right
+        err = abs(fine - coarse)
+        if one:
+            # |whole| and err >= 0 do not see the sign of a zero
+            whole, total, err_total = coarse, fine + 0.0, err
+        else:
+            whole, total, err_total = np.zeros((3, n))
+            for sum_, x in ((whole, coarse), (total, fine), (err_total, err)):
+                np.add.at(sum_, rows, x)
+        # fmax takes ABS_TOL where REL_TOL |whole| is NaN, as Python's max
+        budget = np.fmax(ABS_TOL, REL_TOL * abs(whole))
+        share = budget if one else budget[rows]
+        hit = err <= np.fmax(share * width / (span if one else span[rows]),
+                             share / MAX_PANELS)
+    out = list(zip(total.tolist(), err_total.tolist()))
+    if hit.all():
+        return out, [], [], [], []
+    redo = np.zeros(n, dtype=bool)
+    redo[rows[~hit]] = True
+    at = np.flatnonzero(redo[rows])
+    level = list(zip(*(c[at].tolist()
+                       for c in (rows, a, b, coarse, left, right))))
+    return (out, level, budget.tolist(), span.tolist(),
+            (3 * np.bincount(rows, minlength=n)).tolist())
 
 
 def _weighted_rows(g: Callable, lo, hi, exponent, breaks=None) -> list:
@@ -332,6 +419,9 @@ def _weighted_rows(g: Callable, lo, hi, exponent, breaks=None) -> list:
     at = [r for r, v in enumerate(out) if exponent[r] != 1.0
           and isinstance(v, AccuracyError)]
     if at:
+        # Python floats, so that (hi - lo)**exponent is Python's pow
+        lo, hi, exponent = (np.asarray(x, dtype=float).tolist()
+                            for x in (lo, hi, exponent))
         again, starts = np.array(at), np.array([lo[r] for r in at])
         inv = np.array([1.0 / exponent[r] for r in at])
         fast = {0.5, 2.0, -1.0}.intersection(inv.tolist())

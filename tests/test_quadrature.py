@@ -11,7 +11,7 @@ from geofrac.fractional import rl_left
 from geofrac.quadrature import (ABS_TOL, MAX_PANELS, NODES, REL_TOL,
                                 _cut, _integrate_rows, _jacobi_rules,
                                 _line_power,
-                                _rule, _rules, _weighted_rows,
+                                _panel_sums, _rule, _rules, _weighted_rows,
                                 as_array_function,
                                 integrate, pointwise, power_kernel_integral)
 
@@ -766,3 +766,107 @@ def test_rerun_maps_the_breaks_through_the_substitution():
     exact = (F(1.0) + 0.5 * F(0.5) - G(0.5) + G(1.0) - G(0.5)
              - 0.5 * (F(1.0) - F(0.5)))
     _assert_honest(out, exact)
+
+
+# ---------------------------------------------------------------------------
+# level 0 on columns: a batch's rows that pass there skip the list loop
+# ---------------------------------------------------------------------------
+
+
+def test_level_zero_row_of_negative_zero_sums_returns_zero():
+    # -1e-300 over a width of 1e-30: every level-0 panel sums to -0.0
+    # (scale * dot underflows), and the row adds them from 0.0 as Python
+    # does, to +0.0, in a batch as alone
+    def stacked(x, rows):
+        return np.where(rows[:, None] == 0, -1e-300, np.exp(x))
+
+    sums = _panel_sums(stacked, np.zeros(1), np.ones(1))
+    a, b = np.array([0.0, 0.0, 0.5e-30]), np.array([1e-30, 0.5e-30, 1e-30])
+    first = sums(np.array([0]), a, b, 0.5 * (a + b), 0.5 * (b - a))
+    assert [math.copysign(1.0, v) for v in first] == [-1.0] * 3
+    got = _integrate_rows(stacked, [0.0, 0.0], [1e-30, 1.0], [1.0, 1.0])
+    assert got[0] == (0.0, 0.0)
+    assert math.copysign(1.0, got[0][0]) == 1.0
+    alone = integrate(lambda x: np.full_like(x, -1e-300), 0.0, 1e-30,
+                      full_output=True)
+    assert alone == (0.0, 0.0) and math.copysign(1.0, alone[0]) == 1.0
+
+
+def test_level_zero_pieces_add_left_to_right():
+    # a step at each break: the pieces' values, about 1, 1e-16, 1e-16 and
+    # -1, add left to right, ((1 + 1e-16) + 1e-16) - 1, which the reverse
+    # order, a pairwise sum and an exact sum do not give; rows of one
+    # piece stand beside the row of 4
+    steps = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    heights = np.array([1.0, 1e-16, 1e-16, -1.0])
+    calls = []
+
+    def f(x):
+        return heights[np.searchsorted(steps, x) - 1]
+
+    def stacked(x, rows):
+        calls.append(x.shape)
+        return np.where(rows[:, None] == 1, f(x), np.cos(x))
+
+    got = _integrate_rows(stacked, [0.0, 0.0, 1.0], [1.0, 4.0, 2.5],
+                          [1.0, 1.0, 1.0], [[], [1.0, 2.0, 3.0], [math.nan]])
+    assert calls == [(1 + 4 + 1, 3 * NODES)]
+    pieces = [integrate(f, x, y, full_output=True)
+              for x, y in zip(steps, steps[1:])]
+    values = [v for v, _ in pieces]
+    total = err_total = 0.0
+    for value, err in pieces:
+        total += value
+        err_total += err
+    assert got[1] == (total, err_total)
+    backward = 0.0
+    for value in reversed(values):
+        backward += value
+    assert total not in (backward, (values[0] + values[1])
+                         + (values[2] + values[3]), math.fsum(values))
+    assert got[0] == integrate(np.cos, 0.0, 1.0, full_output=True)
+    assert got[2] == integrate(np.cos, 1.0, 2.5, full_output=True)
+
+
+def test_rows_that_pass_level_zero_take_one_operand_call():
+    # weighted and unweighted rows, with and without breaks, all passing
+    # at level 0: one operand call, and each row is its lone integral
+    lo, hi = [0.0, 0.5, -1.0, 0.0], [1.0, 2.0, 1.0, 0.8]
+    exponent = [1.0, 0.4, 1.0, 2.5]
+    breaks = [[0.3], [], [0.0, 0.5], [math.nan]]
+    calls = []
+
+    def stacked(x, rows):
+        calls.append(x.shape)
+        return np.exp(x)
+
+    got = _integrate_rows(stacked, lo, hi, exponent, breaks)
+    assert len(calls) == 1
+    for r in range(4):
+        assert got[r] == integrate(np.exp, lo[r], hi[r], exponent=exponent[r],
+                                   points=breaks[r], full_output=True)
+
+
+def test_level_zero_rows_beside_rows_that_fail():
+    # rows that pass at level 0, a row that refines and converges, and
+    # rows that refine to an AccuracyError, in one batch: each row is its
+    # lone run, value and error, or message, estimate and error
+    operands = [np.exp, OPERANDS["kink"], OPERANDS["pole"], np.cos,
+                OPERANDS["step"], OPERANDS["far_pole"]]
+    lo = [0.0, 0.0, 0.0, -2.0, 0.0, 0.0]
+    hi = [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
+
+    def stacked(x, rows):
+        out = np.empty_like(x)
+        for r, f in enumerate(operands):
+            out[rows == r] = f(x[rows == r])
+        return out
+
+    with np.errstate(all="ignore"):
+        got = _integrate_rows(stacked, lo, hi, [1.0] * 6)
+        alone = [_integrate_rows(
+            lambda x, rows, f=f: f(x), [lo[r]], [hi[r]], [1.0])[0]
+            for r, f in enumerate(operands)]
+    assert [isinstance(v, AccuracyError) for v in got] == [
+        False, False, True, False, False, True]
+    assert [_outcome(v) for v in got] == [_outcome(v) for v in alone]

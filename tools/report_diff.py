@@ -16,7 +16,9 @@ The set is:
     searches run three chunks (the last of 2 rows), so that the worst
     rows of all seven chains and of the corollary's product probe are
     compared across chunks;
-  * `sweep` of every chain on the same spaces over a 3 x 3 x 2 x 2 grid;
+  * `sweep` of every chain on the same spaces over a 3 x 3 x 2 x 2 grid
+    (`thm_cb1` with q = 4, since its Hoelder bound needs alpha * q > 1
+    and the grid's smallest alpha is 0.3);
   * `sweep` of the chains whose constants diverge for h = godunova_levin
     (error exits);
   * `constants`, the default grid and `--which E --h power(0.5)`;
@@ -139,8 +141,12 @@ def _commands() -> list:
                         ["-c", CLI, "verify", "--suite", "all", "--space",
                          space, "--trials", "40", "--seed", str(seed)]))
         for chain in CHAINS:
+            # GRID's alpha = 0.3 needs alpha * q > 1 in thm_cb1's Hoelder
+            # bound, which sweep's default q = 2 does not give
+            q = ["--q", "4"] if chain == "thm_cb1" else []
             out.append(("sweep-%s-s%d" % (chain, i),
-                        ["-c", CLI, "sweep", chain, "--space", space, *GRID]))
+                        ["-c", CLI, "sweep", chain, "--space", space, *GRID,
+                         *q]))
     out.append(("verify-spider3-trials130-seed1",
                 ["-c", CLI, "verify", "--suite", "all", "--space", "spider3",
                  "--trials", "130", "--seed", "1"]))
