@@ -189,15 +189,23 @@ def _panel_sums(g: Callable, lo: np.ndarray, exponent: np.ndarray) -> Callable:
             # a lone integral, whose levels are lists: one power, and its
             # Jacobi panels, those at lo, lead (a is in increasing order)
             jac, e = a.count(start), exps[0]
+            # the Jacobi scales first, so that one that overflows raises
+            # before the weights beside it can overflow with a warning
+            width = [y - start for y in b[:jac]]
+            try:
+                scales = [x ** e for x in width]
+            except OverflowError:
+                raise DomainError("the Jacobi panel's scale width ** "
+                                  "exponent = %r ** %r overflows a double"
+                                  % (max(width), e)) from None
             gap = pts - start
             gap[:jac] = 1.0
             w = ws * gap ** (e - 1.0)
             if jac:
-                width = [y - start for y in b[:jac]]
                 pts[:jac] = start + np.array(width)[:, None] * jac_us[0]
                 w[:jac] = jac_lams[0]
                 scale = half.copy()
-                scale[:jac] = [x ** e for x in width]
+                scale[:jac] = scales
             w = w[:, None]
         elif weighted:
             a, b = np.asarray(a), np.asarray(b)
@@ -457,7 +465,9 @@ def integrate(f: Callable, lo: float, hi: float, *,
     as in QUADPACK's QAGP: the places in (lo, hi) where f may kink, at
     which the first panels end (points outside (lo, hi) are ignored).
     Raises AccuracyError when the panel budget is exhausted before the
-    tolerance is met (divergent or unresolvable integrands).
+    tolerance is met (divergent or unresolvable integrands), and
+    DomainError when the scale width**exponent of the panel at lo
+    overflows a double.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")

@@ -31,13 +31,26 @@ Internally every space operates on coordinate batches (vectorized over a
 leading axis) so that bulk randomized checks stay cheap.  A Point is
 validated once, when it is made, and holds its validated one-row batch,
 `row`; its `coords` are read back from that row.  Both are read-only.
-Distances, geodesics and the scalar gaps hand the rows to the batch layer
-as they are.  Each space writes its geodesic formula once, in two stages:
-the endpoint stage `_ends(A, B)` turns two endpoint batches into per-row
-constants and returns them with the distances, the geodesics' lengths,
-and the parameter stage `_along(ends, t)` broadcasts those constants
-against the parameters t, as `_dist` broadcasts its two batches (the
-`Space` docstring states the rule).  A space whose constants need the
+Geodesics and the scalar gaps hand the rows to the batch layer as they
+are.  A distance and a point at 0 < t < 1 on a Geodesic are one row,
+where numpy's cost per call, about half a microsecond a ufunc, is most of
+the work; they take a one-row lane on Python floats (`Space._float_dist`,
+`Space._float_along`), which does the batch kernel's IEEE operations in
+the kernel's order and returns its bits.  Its transcendental functions
+are numpy's ufuncs called on floats (np.sinh, np.arcsinh, np.hypot),
+which give the bits of the array loops, where math.sinh, math.asinh and
+math.hypot miss them by an ulp in a share of values; math.sqrt,
+correctly rounded, is np.sqrt.  A row that the lane's guard declines
+goes to the batch kernel: a half-plane pair that `_dist` rescales, and a
+result that is not a valid finite point or distance, so that warnings
+and errors stay the kernel's.  A Geodesic takes the float form of its
+constants on its first evaluation.  For batches each space writes its
+geodesic formula once, in two stages: the endpoint stage `_ends(A, B)`
+turns two endpoint batches into per-row constants and returns them
+with the distances, the geodesics' lengths, and the parameter stage
+`_along(ends, t)` broadcasts those constants against the parameters t,
+as `_dist` broadcasts its two batches (the `Space` docstring states the
+rule).  A space whose constants need the
 distance (the half-plane, and products with a half-plane factor) thus
 computes it once per geodesic.  A Geodesic runs the endpoint stage once
 and every evaluation only the parameter stage; a gap batch stages each of its
@@ -133,6 +146,14 @@ class Space:
     many rows against one point each, or K rows gathered as lines of one
     point, `_take_rows(batch, rows[:, None])`, against lines (..., K, m).
 
+    The one-row lane takes a single row on Python floats, with the batch
+    kernel's IEEE operations in its order, so that it returns the
+    kernel's bits: `_float_dist(a, b)` is the distance of two points
+    given by their `coords`, and `_float_along(ends, t)` the one-row
+    batch of the point at 0 < t < 1 of a geodesic, from `_row_floats` of
+    its endpoint constants.  Each returns None for a row that its guard
+    declines, which the caller then hands to the kernel.
+
     The kink stage `_kinks(ends)` returns an (R, K) array: per row of an
     endpoint-stage batch the parameters t in (0, 1) at which its geodesic
     passes a branch point, where a pullback such as d(g(t), y)^2 may kink,
@@ -150,7 +171,10 @@ class Space:
 
     def distance(self, p: Point, q: Point) -> float:
         _require_space(self, p, q)
-        return float(self._dist(p.row, q.row)[0])
+        d = self._float_dist(p.coords, q.coords)
+        if d is None:
+            d = float(self._dist(p.row, q.row)[0])
+        return d
 
     def random_point(self, rng: np.random.Generator) -> Point:
         return _point_of_row(self, self._sample(1, rng))
@@ -180,6 +204,12 @@ class Space:
         raise NotImplementedError
 
     def _along(self, ends, t) -> Any:
+        raise NotImplementedError
+
+    def _float_dist(self, a, b):
+        raise NotImplementedError
+
+    def _float_along(self, ends, t: float):
         raise NotImplementedError
 
     def _kinks(self, ends) -> np.ndarray:
@@ -221,6 +251,20 @@ def _squared_gaps(A, B) -> np.ndarray:
     return s
 
 
+def _float_squared_gaps(a: list, b: list) -> float:
+    """`_squared_gaps` of one row, on Python floats: the same squares
+    added in the same order."""
+    if len(a) == 8:
+        d = [(u - v) * (u - v) for u, v in zip(a, b)]
+        return ((d[0] + d[1]) + (d[2] + d[3])) + ((d[4] + d[5])
+                                                  + (d[6] + d[7]))
+    # 0.0 + x is x for a square, which is never -0.0
+    s = 0.0
+    for u, v in zip(a, b):
+        s += (u - v) * (u - v)
+    return s
+
+
 class EuclideanSpace(Space):
     def __init__(self, n: int):
         if not (isinstance(n, int) and 1 <= n <= 8):
@@ -243,6 +287,16 @@ class EuclideanSpace(Space):
 
     def _ends(self, A, B):
         return (A, B, B - A), self._dist(A, B)
+
+    def _float_dist(self, a, b):
+        s = _float_squared_gaps(a.tolist(), b.tolist())
+        # an overflowing square is the kernel's, with its warning
+        return math.sqrt(s) if s <= _HUGE else None
+
+    def _float_along(self, ends, t):
+        A, _, delta = ends
+        out = [x + t * dx for x, dx in zip(A, delta)]
+        return np.array([out]) if all(map(math.isfinite, out)) else None
 
     def _along(self, ends, t):
         A, B, delta = ends
@@ -316,6 +370,22 @@ class HalfPlaneSpace(Space):
             / (2.0 * np.sqrt(A[:, 1]) * np.sqrt(B[:, 1])))
         return d
 
+    def _float_dist(self, a, b):
+        (x1, y1), (x2, y2) = a.tolist(), b.tolist()
+        dx, dy = x1 - x2, y1 - y2
+        num = dx * dx + dy * dy
+        den = 4.0 * y1 * y2
+        # the rows that `_dist` takes by its first formula, num as
+        # `_squared_gaps` adds it: num, den and their ratio normal doubles,
+        # or identical points; den is tested before it divides, and a
+        # normal ratio has a finite distance
+        if _TINY <= den <= _HUGE:
+            r = num / den
+            if ((_TINY <= num and _TINY <= r <= _HUGE)
+                    or (x1 == x2 and y1 == y2)):
+                return 2.0 * float(np.arcsinh(math.sqrt(r)))
+        return None
+
     def _ends(self, A, B):
         dist = self._dist(A, B)
         # below the floor sinh(s d) / sinh d equals s to double precision,
@@ -352,6 +422,18 @@ class HalfPlaneSpace(Space):
             if np.count_nonzero(at):
                 out = np.where(at[..., None], P, out)
         return out
+
+    def _float_along(self, ends, t):
+        (x1, _), (x2, _), d, w1, w2 = ends
+        c1 = float(np.sinh((1.0 - t) * d)) * w1
+        c2 = float(np.sinh(t * d)) * w2
+        s = c1 + c2
+        if s > 0.0:
+            y = 1.0 / s
+            x = (c1 * x1 + c2 * x2) * y
+            if 0.0 < y <= _HUGE and -_HUGE <= x <= _HUGE:
+                return np.array([[x, y]])
+        return None
 
     def _stack(self, coords_list):
         return np.asarray(coords_list, dtype=float).reshape(len(coords_list), 2)
@@ -418,6 +500,23 @@ class SpiderSpace(Space):
             rays, radii = np.where(at, ray_b, rays), np.where(at, r2, radii)
         return (rays, radii)
 
+    def _float_dist(self, a, b):
+        (ray1, r1), (ray2, r2) = a, b
+        # `_dist` forms r1 + r2 on every row; where it overflows, the row
+        # is the kernel's, with its warning
+        s = r1 + r2
+        if s <= _HUGE:
+            return abs(r1 - r2) if ray1 == ray2 else s
+        return None
+
+    def _float_along(self, ends, t):
+        r1, slope, ray_a, ray_b, _ = ends
+        s = r1 + slope * t
+        if abs(s) <= _HUGE:
+            return (np.array([ray_a if s >= 0.0 else ray_b], dtype=np.int64),
+                    np.array([abs(s)]))
+        return None
+
     def _kinks(self, ends):
         # a segment between two rays passes the hub at t = r1 / (r1 + r2),
         # inside (0, 1) when neither end is the hub
@@ -472,6 +571,16 @@ class ProductSpace(Space):
     def _along(self, ends, t):
         return (self.left._along(ends[0], t), self.right._along(ends[1], t))
 
+    def _float_dist(self, a, b):
+        dl = self.left._float_dist(a[0], b[0])
+        dr = None if dl is None else self.right._float_dist(a[1], b[1])
+        return None if dr is None else float(np.hypot(dl, dr))
+
+    def _float_along(self, ends, t):
+        left = self.left._float_along(ends[0], t)
+        right = None if left is None else self.right._float_along(ends[1], t)
+        return None if right is None else (left, right)
+
     def _kinks(self, ends):
         return np.concatenate((self.left._kinks(ends[0]),
                                self.right._kinks(ends[1])), axis=1)
@@ -522,7 +631,7 @@ def _check_unit(t: float) -> float:
 class Geodesic:
     """Constant-speed geodesic segment parametrized on [0, 1]."""
 
-    __slots__ = ("space", "start", "end", "length", "_ends")
+    __slots__ = ("space", "start", "end", "length", "_ends", "_floats")
 
     def __init__(self, start: Point, end: Point):
         if start.space != end.space:
@@ -537,6 +646,8 @@ class Geodesic:
         self.end = end
         self.length = length
         self._ends = ends
+        # the float form of the constants, taken on the first eval
+        self._floats = None
         return self
 
     def eval(self, t: float) -> Point:
@@ -545,8 +656,14 @@ class Geodesic:
             return self.start
         if t == 1.0:
             return self.end
-        return _point_of_row(self.space,
-                             self.space._along(self._ends, np.array([t])))
+        if self._floats is None:
+            self._floats = _row_floats(self._ends)
+        row = self.space._float_along(self._floats, t)
+        if row is None:
+            return _point_of_row(self.space,
+                                 self.space._along(self._ends, np.array([t])))
+        # the lane returns valid coordinates only
+        return Point.__new__(Point)._hold(self.space, row)
 
     def eval_batch(self, ts) -> Any:
         ts = np.asarray(ts, dtype=float).ravel()
@@ -576,6 +693,14 @@ def _take_rows(batch, rows):
     if isinstance(rows, slice):
         return batch[rows]
     return batch.take(rows, axis=0)
+
+
+def _row_floats(batch):
+    # the one row of a coordinate or endpoint-constant batch as Python
+    # numbers, memberwise for a tuple batch
+    if isinstance(batch, tuple):
+        return tuple(_row_floats(b) for b in batch)
+    return batch.tolist()[0]
 
 
 def _put_rows(batch, rows: np.ndarray, new) -> None:

@@ -9,6 +9,7 @@ from geofrac.errors import AccuracyError, DomainError
 from geofrac.fractional import (gamma_fn, hadamard_left, hadamard_right,
                                 katugampola_left, katugampola_right,
                                 lq_norm_unit, rl_left, rl_right, xcp_norm)
+from geofrac.quadrature import power_kernel_integral
 
 # ---------------------------------------------------------------------------
 # brute-force oracle: composite midpoint rule, 1e6 uniform panels, applied
@@ -120,6 +121,13 @@ def test_overflowing_integrals_name_the_overflow():
         rl_right(lambda t: t, 0.5, -1e308, 1e308)
     with pytest.raises(DomainError, match=r"^x - a = 1e\+308 - -1e\+308 "):
         rl_left(lambda t: t, 0.5, -1e308, 1e308)
+    # a kernel panel at 0 whose scale width ** alpha overflows, with no
+    # RuntimeWarning from the weights beside it
+    scale = r"^the Jacobi panel's scale width \*\* exponent = %s overflows"
+    with pytest.raises(DomainError, match=scale % r"1e\+300 \*\* 2\.5"):
+        power_kernel_integral(np.cos, 1e300, 2.5)
+    with pytest.raises(DomainError, match=scale % r"1e\+130 \*\* 2\.5"):
+        rl_left(np.cos, 2.5, 0.0, 1e130)
     # an operand that is not finite keeps the engine's AccuracyError
     with np.errstate(invalid="ignore"), pytest.raises(AccuracyError):
         rl_right(np.log, 0.5, -2.0, 1.0)

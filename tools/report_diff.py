@@ -27,7 +27,11 @@ The set is:
   * sha256 digests of the space layer's outputs: `sample_points` and the
     five `*_gap_batch` functions at 20 000 rows, and per-point `distance`,
     `Geodesic.eval` and geodesic lengths in loops like the geometry
-    benchmark's, on the four benchmark spaces and euclidean(n), n = 1..8.
+    benchmark's, on the four benchmark spaces and euclidean(n), n = 1..8,
+    and per-point distances and geodesic points between fixed extreme
+    rows (half-plane heights from 1e-300 to 1e300, spider hub rows,
+    overflowing squares and radii, product(euclidean2,spider3)), with
+    the kernels' RuntimeWarnings counted by message.
 
 The files that differ are listed; the exit code is 0 when none does.
 
@@ -129,6 +133,60 @@ for name in names + ["euclidean%d" % n for n in range(1, 9)]:
         steps += [sp.distance(p, q) for p, q in zip(pts, pts[1:])]
         steps.append(g.length)
     print(name, "geodesic_eval", digest(tuple(rows), np.array(steps)))
+
+# fixed extreme rows, whose per-point calls reach the rows that the
+# one-row lane declines: half-plane heights from 1e-300 to 1e300, pairs
+# beyond d = 709, identical points and points one ulp apart, spider hub
+# rows and sums of radii that overflow, euclidean squares that overflow,
+# and a product with a spider factor.  Every ordered pair gives a
+# distance and, where its geodesic exists, its points at four parameters.
+# The kernels' RuntimeWarnings are counted by message, since the lines
+# that raise them move between checkouts
+import math, warnings
+from collections import Counter
+
+def heights(rng, m):
+    # m points of the half-plane with x and y of every size
+    return [(float(rng.normal() * 10.0 ** rng.uniform(-300, 300)),
+             float(10.0 ** rng.uniform(-300, 300))) for _ in range(m)]
+
+up = math.nextafter
+hp = [(0.0, 1.0), (0.3, 1.7), (0.0, 1e-300), (1e-300, 1e-300),
+      (0.0, up(1e-300, 1.0)), (0.0, 1e300), (1e300, 1e300),
+      (0.0, up(1e300, 2e300)), (-1e150, 1e-150), (1e150, 1e-150),
+      (0.0, 1e-200), (1e-200, 1e-200), (2.0, 1e-154),
+      (2.0, up(1e-154, 1.0)), (0.0, 1e-162), (1e-162, 1e-162),
+      (0.0, 1e160), (1e150, 1e160), (0.0, 1e100), (1e-100, 1e100),
+      (0.0, 1e120), (3.0, 2.0), (-1e300, 5.0)]
+sp3 = [(0, 0.0), (1, 0.0), (2, 0.0), (0, 1.0), (0, up(1.0, 2.0)),
+       (1, 2.5), (2, 1e-300), (0, 1e300), (1, 1e308), (2, 1e308)]
+e2 = [(0.0, 0.0), (3.0, 4.0), (1e200, 1e200), (-1e200, 0.0),
+      (1e-300, 0.0), (0.0, up(0.0, 1.0)), (1e154, -1e154)]
+extreme = {"halfplane": hp + heights(np.random.default_rng(20001), 40),
+           "spider3": sp3, "euclidean2": e2,
+           "product(euclidean2,spider3)": [(a, b) for a, b in zip(
+               e2 + e2[:3], sp3)]}
+for name, coords in extreme.items():
+    space = parse_space(name)
+    pts = [space.point(c) for c in coords]
+    d, rows, failed = [], [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                d.append(sp.distance(x, y))
+                try:
+                    g = sp.Geodesic(x, y)
+                    for k, s in enumerate((0.25, 1.0 / 3.0, 0.5, 0.9)):
+                        try:
+                            rows.append(g.eval(s).row)
+                        except sp.DomainError:
+                            failed.append((i, j, k))
+                except sp.DomainError:
+                    failed.append((i, j, -1))
+    print(name, "extreme_rows", digest(np.array(d), tuple(rows),
+                                        np.array(failed)),
+          sorted(Counter(str(w.message) for w in caught).items()))
 """
 
 
