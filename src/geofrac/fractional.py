@@ -196,7 +196,7 @@ def katugampola_right(f: RealFunction, alpha: float, rho: float, x: float,
     _check_rho(rho)
     if not (math.isfinite(x) and math.isfinite(b) and 0.0 <= x < b):
         raise DomainError("katugampola_right requires 0 <= x < b")
-    xr = x ** rho
+    xr = _no_overflow("x ** rho = %r ** %r", pow, x, rho)
     inv = 1.0 / rho
 
     def g(w):

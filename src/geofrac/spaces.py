@@ -15,9 +15,12 @@ formula for every pair, vertical or not.  The half-plane distance is
 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))); a pair of distinct points for which
 that loses digits, because |z1 - z2|^2, 4 y1 y2 or their ratio under- or
 overflows, is rescaled by a power of two, exactly, since the metric is
-invariant under z -> lam z.  A geodesic whose weights are not
-finite normal doubles raises DomainError.  Spider geodesics run piecewise
-through the hub.  Product geodesics interpolate coordinatewise.
+invariant under z -> lam z.  A pair whose coordinates that power would
+take past the doubles is translated to the midpoint of its x first, or
+takes its distance from logarithms where that does not suffice.  A
+geodesic whose weights are not finite normal doubles raises DomainError.
+Spider geodesics run piecewise through the hub.  Product geodesics
+interpolate coordinatewise.
 
 On top of the spaces the module exposes comparison quantities, each
 returned as (bound) - (value) so nonnegative results certify the defining
@@ -328,6 +331,35 @@ _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
 
+def _rescaled_dist(A, B, e):
+    # the half-plane distance of rows (x, y) scaled by 2**-e, exactly, with
+    # |z1 - z2| by hypot and the root of y1 y2 taken factor by factor
+    A, B = np.ldexp(A, -e[:, None]), np.ldexp(B, -e[:, None])
+    return 2.0 * np.arcsinh(
+        np.hypot(A[:, 0] - B[:, 0], A[:, 1] - B[:, 1])
+        / (2.0 * np.sqrt(A[:, 1]) * np.sqrt(B[:, 1])))
+
+
+def _far_dist(A, B, e):
+    # rows with a coordinate that overflows when scaled by 2**-e,
+    # translated by the midpoint of x1 and x2 to (g, y1) and (-g, y2),
+    # g = (x1 - x2) / 2, which is finite where x1 - x2 is not.  Where 2 g
+    # or a y still overflows at 2**-e, |z1 - z2| / (2 sqrt(y1 y2)) exceeds
+    # 2**1021, and 2 asinh of it is 2 log(|z1 - z2| / sqrt(y1 y2)) to
+    # double precision
+    g = 0.5 * A[:, 0] - 0.5 * B[:, 0]
+    logs = (np.frexp(np.fmax(A[:, 1], B[:, 1]))[1] - e > 1024) | (
+        (np.frexp(g)[1] - e > 1023) & (g != 0.0))
+    out = np.empty(len(g))
+    y1, y2 = A[logs, 1], B[logs, 1]
+    out[logs] = (2.0 * (np.log(np.hypot(0.5 * g[logs], 0.25 * (y1 - y2)))
+                        + math.log(4.0)) - (np.log(y1) + np.log(y2)))
+    g, near = g[~logs], ~logs
+    out[near] = _rescaled_dist(np.stack((g, A[near, 1]), axis=-1),
+                               np.stack((-g, B[near, 1]), axis=-1), e[near])
+    return out
+
+
 class HalfPlaneSpace(Space):
     """Poincare upper half-plane, curvature -1."""
 
@@ -364,10 +396,17 @@ class HalfPlaneSpace(Space):
         bad |= ~np.isfinite(d)
         A, B = (X[bad] for X in np.broadcast_arrays(A, B))
         e = (np.frexp(A[:, 1])[1] + np.frexp(B[:, 1])[1]) // 2
-        A, B = np.ldexp(A, -e[:, None]), np.ldexp(B, -e[:, None])
-        d[bad] = 2.0 * np.arcsinh(
-            np.hypot(A[:, 0] - B[:, 0], A[:, 1] - B[:, 1])
-            / (2.0 * np.sqrt(A[:, 1]) * np.sqrt(B[:, 1])))
+        # a coordinate of 2**(e + 1024) or more would rescale past the
+        # doubles
+        far = np.frexp(np.fmax(abs(A), abs(B)).max(axis=-1))[1] - e > 1024
+        if np.count_nonzero(far):
+            out = np.empty(len(e))
+            out[far] = _far_dist(A[far], B[far], e[far])
+            near = ~far
+            out[near] = _rescaled_dist(A[near], B[near], e[near])
+            d[bad] = out
+        else:
+            d[bad] = _rescaled_dist(A, B, e)
         return d
 
     def _float_dist(self, a, b):

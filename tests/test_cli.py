@@ -345,6 +345,8 @@ def test_sweep_bad_interval_is_usage_error():
      "--x", "1"],
     ["fracint", "--op", "katugampola-right", "--f", "t", "--alpha", "0.5",
      "--rho", "2", "--x", "0", "--b", "1e200"],
+    ["fracint", "--op", "katugampola-right", "--f", "t", "--alpha", "0.5",
+     "--rho", "2", "--x", "1e200", "--b", "1e201"],
     ["sweep", "thm_cb2", "--alphas", "200"],
     ["sweep", "thm_ty1", "--alphas", "172"],
     ["sweep", "thm_cb1", "--alphas", "170.7"],
@@ -352,8 +354,9 @@ def test_sweep_bad_interval_is_usage_error():
     ids=lambda argv: " ".join(argv[:2] + argv[-4:]))
 def test_overflow_is_usage_error(argv):
     # Gamma(alpha) past alpha ~ 171.6, Gamma(alpha + 1) of a chain's
-    # operator side past alpha ~ 170.6 and b ** rho past the double range:
-    # one error line naming the overflowing term, no traceback
+    # operator side past alpha ~ 170.6, and x ** rho or b ** rho past the
+    # double range: one error line naming the overflowing term, no
+    # traceback
     code, out, err = _run(argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1, err

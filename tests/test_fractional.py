@@ -128,6 +128,11 @@ def test_overflowing_integrals_name_the_overflow():
         power_kernel_integral(np.cos, 1e300, 2.5)
     with pytest.raises(DomainError, match=scale % r"1e\+130 \*\* 2\.5"):
         rl_left(np.cos, 2.5, 0.0, 1e130)
+    # x ** rho of the right operator, as of the left one, not a bare
+    # OverflowError
+    with pytest.raises(DomainError,
+                       match=r"^x \*\* rho = 1e\+200 \*\* 2\.0 overflows"):
+        katugampola_right(np.exp, 0.5, 2.0, 1e200, 1e201)
     # an operand that is not finite keeps the engine's AccuracyError
     with np.errstate(invalid="ignore"), pytest.raises(AccuracyError):
         rl_right(np.log, 0.5, -2.0, 1.0)

@@ -93,3 +93,40 @@ def test_other_differences_are_structural(x, y):
     # output that is not JSON, exit codes and stderr
     lines, structural = report_diff.ledger("f.exit", x, y)
     assert structural and len(lines) == 1
+
+
+def test_the_two_sides_run_under_fixed_hash_seeds(monkeypatch, tmp_path):
+    # the parent export and the working tree differ in PYTHONHASHSEED, so
+    # `--parent HEAD` compares one code under two string-hash seeds
+    seeds = []
+
+    def run(argv, cwd, env, capture_output):
+        seeds.append((cwd, env["PYTHONHASHSEED"]))
+        return report_diff.subprocess.CompletedProcess(argv, 0, b"", b"")
+
+    parent, tree = tmp_path / "parent", tmp_path / "tree"
+    parent.mkdir()
+    tree.mkdir()
+    monkeypatch.setattr(report_diff, "ROOT", tree)
+    monkeypatch.setattr(report_diff.subprocess, "run", run)
+    for checkout in (parent, tree):
+        report_diff._write_reports(checkout)
+    n = len(report_diff._commands())
+    assert seeds == [(parent, "1")] * n + [(tree, "2")] * n
+    # the set holds the searches of two and three chunks on the
+    # half-plane and the products, E for h = identity and two lone
+    # fractional integrals
+    cli = ["-c", report_diff.CLI]
+    verify = cli + ["verify", "--suite", "all", "--space"]
+    added = [verify + [s, "--trials", t, "--seed", "1"]
+             for s, t in (("halfplane", "130"),
+                          ("product(euclidean2,spider3)", "130"),
+                          ("product(euclidean2,halfplane)", "70"),
+                          ("product(euclidean2,spider3)", "70"))]
+    added += [cli + ["constants", "--which", "E", "--h", "identity"],
+              cli + ["fracint", "--op", "katugampola-left", "--f", "t^2",
+                     "--alpha", "0.5", "--rho", "2", "--a", "0", "--x", "1"],
+              cli + ["fracint", "--op", "rl-right", "--f", "t^(1/4)",
+                     "--alpha", "0.25", "--x", "0", "--b", "1"]]
+    argvs = [argv for _, argv in report_diff._commands()]
+    assert all(argv in argvs for argv in added)

@@ -81,6 +81,12 @@ def test_half_plane_works_far_from_unit_height():
         2.0 * math.asinh(0.5), rel=1e-14)
     assert distance(H.point(0.0, 1.0), H.point(0.0, 1e300)) == pytest.approx(
         300.0 * math.log(10.0), rel=1e-14)
+    # rows whose x overflows once rescaled to y1 y2 near 1 are translated
+    # to the midpoint of x1 and x2 first
+    far = H.point(-2.5e183, 2.7e-296)
+    assert distance(far, far) == 0.0
+    assert distance(H.point(1e300, 1e-300), H.point(1e300, 2e-300)) == (
+        pytest.approx(math.log(2.0), rel=1e-14))
     # the metric is invariant under z -> lam z
     unit = distance(H.point(0.0, 1.0), H.point(0.3, 1.7))
     for lam in (1e-300, 1e-200, 1e160, 1e300):
@@ -107,7 +113,10 @@ def test_half_plane_distance_beyond_709():
     mp = pytest.importorskip("mpmath")
     pairs = [((0.0, 1e-200), (0.0, 1e120)), ((0.0, 1.0), (1e200, 1.0)),
              ((-1e150, 1e-150), (1e150, 1e-150)),
-             ((0.0, 1e-300), (0.0, 1e300)), ((3.0, 2.0), (-1e300, 5.0))]
+             ((0.0, 1e-300), (0.0, 1e300)), ((3.0, 2.0), (-1e300, 5.0)),
+             # x or y rescaled to y1 y2 near 1 overflows
+             ((-1e300, 5.0), (0.0, 1e-300)), ((0.0, 1e-300), (-1e300, 5.0)),
+             ((0.0, 1e308), (0.0, 5e-324)), ((0.0, 5e-324), (0.0, 1e308))]
     for (x1, y1), (x2, y2) in pairs:
         got = distance(H.point(x1, y1), H.point(x2, y2))
         with mp.workdps(50):

@@ -7,21 +7,28 @@ Usage (from the repository root):
 The committed files of REV are exported (`git archive`) into a temporary
 directory; the change is this working tree.  In each checkout every
 command of the fixed set runs in a fresh interpreter with the checkout's
-`src` on PYTHONPATH, and its stdout, stderr and exit code go to
-`.report_diff/<name>.stdout`, `.stderr` and `.exit` under that checkout.
+`src` on PYTHONPATH, under PYTHONHASHSEED=1 for REV and 2 for the tree,
+and its stdout, stderr and exit code go to `.report_diff/<name>.stdout`,
+`.stderr` and `.exit` under that checkout.  So `--parent HEAD` is also
+the cross-process check: the same code, under two string-hash seeds.
 The set is:
 
   * `verify --suite all --trials 40` on five spaces, seeds 1-3, and
-    `verify --suite all --space spider3 --trials 130 --seed 1`, whose
-    searches run three chunks (the last of 2 rows), so that the worst
-    rows of all seven chains and of the corollary's product probe are
-    compared across chunks;
+    `verify --suite all --seed 1` at `--trials 130` on spider3, halfplane
+    and product(euclidean2,spider3) and at `--trials 70` on both
+    products, whose searches run three chunks (the last of 2 rows) or
+    two, so that the worst rows of all seven chains and of the
+    corollary's product probe are compared across chunks;
   * `sweep` of every chain on the same spaces over a 3 x 3 x 2 x 2 grid
     (`thm_cb1` with q = 4, since its Hoelder bound needs alpha * q > 1
     and the grid's smallest alpha is 0.3);
   * `sweep` of the chains whose constants diverge for h = godunova_levin
     (error exits);
-  * `constants`, the default grid and `--which E --h power(0.5)`;
+  * `constants`, the default grid and `--which E` for h = power(0.5)
+    and identity;
+  * `fracint`, a left Katugampola integral and a right Riemann-Liouville
+    one whose operand cusp at the kernel end takes the rerun through
+    v = w**alpha;
   * the 84 falsifier summaries of acceptance criterion 4 (7 chains x 4
     spaces x 3 seed slices), as one JSON file;
   * sha256 digests of the space layer's outputs: `sample_points` and the
@@ -205,16 +212,25 @@ def _commands() -> list:
             out.append(("sweep-%s-s%d" % (chain, i),
                         ["-c", CLI, "sweep", chain, "--space", space, *GRID,
                          *q]))
-    out.append(("verify-spider3-trials130-seed1",
-                ["-c", CLI, "verify", "--suite", "all", "--space", "spider3",
-                 "--trials", "130", "--seed", "1"]))
+    for i, trials in ((2, "130"), (1, "130"), (4, "130"), (3, "70"),
+                      (4, "70")):
+        out.append(("verify-s%d-trials%s-seed1" % (i, trials),
+                    ["-c", CLI, "verify", "--suite", "all", "--space",
+                     SPACES[i], "--trials", trials, "--seed", "1"]))
     for chain in ("thm_cb2", "h_hh", "corollary"):
         out.append(("sweep-%s-godunova_levin" % chain,
                     ["-c", CLI, "sweep", chain, "--h", "godunova_levin"]))
     out.append(("constants-default", ["-c", CLI, "constants"]))
-    out.append(("constants-E-power0.5",
-                ["-c", CLI, "constants", "--which", "E", "--h",
-                 "power(0.5)"]))
+    for h in ("power(0.5)", "identity"):
+        out.append(("constants-E-" + h,
+                    ["-c", CLI, "constants", "--which", "E", "--h", h]))
+    out.append(("fracint-katugampola-left",
+                ["-c", CLI, "fracint", "--op", "katugampola-left", "--f",
+                 "t^2", "--alpha", "0.5", "--rho", "2", "--a", "0", "--x",
+                 "1"]))
+    out.append(("fracint-rl-right",
+                ["-c", CLI, "fracint", "--op", "rl-right", "--f", "t^(1/4)",
+                 "--alpha", "0.25", "--x", "0", "--b", "1"]))
     out.append(("criterion-4-summaries", ["-c", CRITERION_4]))
     out.append(("space-layer-digests", ["-c", SPACE_LAYER]))
     return out
@@ -223,7 +239,11 @@ def _commands() -> list:
 def _write_reports(checkout: Path) -> None:
     out = checkout / OUT
     out.mkdir(exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    # fixed string-hash seeds, 1 for the parent and 2 for this tree: run
+    # against itself (--parent HEAD) the tool checks that no report
+    # depends on the iteration order of a set or a dict of strings
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               PYTHONHASHSEED="2" if checkout == ROOT else "1")
     for name, argv in _commands():
         run = subprocess.run([sys.executable, *argv], cwd=checkout, env=env,
                              capture_output=True)
