@@ -16,8 +16,9 @@ formula for every pair, vertical or not.  The half-plane distance is
 that loses digits, because |z1 - z2|^2, 4 y1 y2 or their ratio under- or
 overflows, is rescaled by a power of two, exactly, since the metric is
 invariant under z -> lam z.  A pair whose coordinates that power would
-take past the doubles is translated to the midpoint of its x first, or
-takes its distance from logarithms where that does not suffice.  A
+take to 2**1022 or more, where x1 - x2, a y or the hypot of the gaps
+could overflow, is translated to the midpoint of its x first, or takes
+its distance from logarithms where that does not suffice.  A
 geodesic whose weights are not finite normal doubles raises DomainError.
 Spider geodesics run piecewise through the hub.  Product geodesics
 interpolate coordinatewise.
@@ -341,15 +342,15 @@ def _rescaled_dist(A, B, e):
 
 
 def _far_dist(A, B, e):
-    # rows with a coordinate that overflows when scaled by 2**-e,
-    # translated by the midpoint of x1 and x2 to (g, y1) and (-g, y2),
-    # g = (x1 - x2) / 2, which is finite where x1 - x2 is not.  Where 2 g
-    # or a y still overflows at 2**-e, |z1 - z2| / (2 sqrt(y1 y2)) exceeds
-    # 2**1021, and 2 asinh of it is 2 log(|z1 - z2| / sqrt(y1 y2)) to
-    # double precision
+    # rows with a coordinate of 2**(e + 1022) or more, translated by the
+    # midpoint of x1 and x2 to (g, y1) and (-g, y2), g = (x1 - x2) / 2,
+    # which is finite where x1 - x2 is not.  Where g or a y still reaches
+    # 2**1022 at 2**-e, |z1 - z2| / (2 sqrt(y1 y2)) exceeds 2**1020, and
+    # 2 asinh of it is 2 log(|z1 - z2| / sqrt(y1 y2)) to double precision;
+    # in the other rows both gaps stay below 2**1023 and their hypot is
+    # finite
     g = 0.5 * A[:, 0] - 0.5 * B[:, 0]
-    logs = (np.frexp(np.fmax(A[:, 1], B[:, 1]))[1] - e > 1024) | (
-        (np.frexp(g)[1] - e > 1023) & (g != 0.0))
+    logs = np.frexp(np.fmax(abs(g), np.fmax(A[:, 1], B[:, 1])))[1] - e > 1022
     out = np.empty(len(g))
     y1, y2 = A[logs, 1], B[logs, 1]
     out[logs] = (2.0 * (np.log(np.hypot(0.5 * g[logs], 0.25 * (y1 - y2)))
@@ -396,17 +397,14 @@ class HalfPlaneSpace(Space):
         bad |= ~np.isfinite(d)
         A, B = (X[bad] for X in np.broadcast_arrays(A, B))
         e = (np.frexp(A[:, 1])[1] + np.frexp(B[:, 1])[1]) // 2
-        # a coordinate of 2**(e + 1024) or more would rescale past the
-        # doubles
-        far = np.frexp(np.fmax(abs(A), abs(B)).max(axis=-1))[1] - e > 1024
-        if np.count_nonzero(far):
-            out = np.empty(len(e))
-            out[far] = _far_dist(A[far], B[far], e[far])
-            near = ~far
-            out[near] = _rescaled_dist(A[near], B[near], e[near])
-            d[bad] = out
-        else:
-            d[bad] = _rescaled_dist(A, B, e)
+        # below 2**(e + 1022) a coordinate keeps the rescaled gaps under
+        # 2**1023 and their hypot finite; a larger one could take x1 - x2,
+        # a y or that hypot past the doubles
+        far = np.frexp(np.fmax(abs(A), abs(B)).max(axis=-1))[1] - e > 1022
+        out = np.empty(len(e))
+        out[far] = _far_dist(A[far], B[far], e[far])
+        out[~far] = _rescaled_dist(A[~far], B[~far], e[~far])
+        d[bad] = out
         return d
 
     def _float_dist(self, a, b):

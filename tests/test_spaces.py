@@ -116,7 +116,15 @@ def test_half_plane_distance_beyond_709():
              ((0.0, 1e-300), (0.0, 1e300)), ((3.0, 2.0), (-1e300, 5.0)),
              # x or y rescaled to y1 y2 near 1 overflows
              ((-1e300, 5.0), (0.0, 1e-300)), ((0.0, 1e-300), (-1e300, 5.0)),
-             ((0.0, 1e308), (0.0, 5e-324)), ((0.0, 5e-324), (0.0, 1e308))]
+             ((0.0, 1e308), (0.0, 5e-324)), ((0.0, 5e-324), (0.0, 1e308)),
+             # x1 - x2, or the hypot of the rescaled gaps, overflows
+             ((1e308, 0.5), (-1e308, 0.5)), ((-1e308, 0.5), (1e308, 0.5)),
+             ((1.5e298, 1e-10), (-1.5e298, 1e-10)),
+             ((-1.5e298, 1e-10), (1.5e298, 1e-10)),
+             ((8e307, 1e308), (-8e307, 1e-308)),
+             ((-8e307, 1e-308), (8e307, 1e308)),
+             ((1.7e308, 1e308), (0.0, 1e-308)),
+             ((0.0, 1e-308), (1.7e308, 1e308))]
     for (x1, y1), (x2, y2) in pairs:
         got = distance(H.point(x1, y1), H.point(x2, y2))
         with mp.workdps(50):
