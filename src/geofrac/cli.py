@@ -9,9 +9,13 @@ Four subcommands:
 
 Reports are deterministic: the same flags and seed produce byte-identical
 output.  JSON is written with sorted keys, two-space indentation, and a
-schema field; CSV headers are fixed per command.  Exit codes: 0 clean,
-1 a violated inequality or lost accuracy, 2 usage or parse errors,
-including an --out path that cannot be written.
+schema field.  CSV projects the JSON rows onto a fixed tuple of columns
+per command, each column a key of the rows: sweep spreads side1-side4
+and margin1-margin3 from a row's sides and margins, section and name tag
+verify's falsify, regression and discrepancy rows, and every row takes
+the report's schema.  Exit codes: 0 clean, 1 a violated inequality or
+lost accuracy, 2 usage or parse errors, including an --out path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -396,87 +400,69 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_verify(payload: dict):
-    header = ["schema", "section", "name", "chain", "space", "trials",
-              "seed", "tol", "evaluated", "discarded",
-              "quadrature_failures", "violations", "worst_margin", "pass"]
-    rows = []
-    for s in payload["falsify"]:
-        rows.append([payload["schema"], "falsify", s["chain"], s["chain"],
-                     s["space"], s["trials"], s["seed"], s["tol"],
-                     s["evaluated"], s["discarded"],
-                     s["quadrature_failures"], s["violations"],
-                     s["worst_margin"], s["violations"] == 0])
+_CSV_COLUMNS = {
+    "verify": ("schema", "section", "name", "chain", "space", "trials",
+               "seed", "tol", "evaluated", "discarded",
+               "quadrature_failures", "violations", "worst_margin", "pass"),
+    "sweep": ("schema", "chain", "space", "h", "alpha", "rho", "a", "b",
+              "q", "side1", "side2", "side3", "side4", "margin1",
+              "margin2", "margin3", "pass"),
+    "constants": ("schema", "constant", "h", "alpha", "rho", "a", "b",
+                  "value", "oracle", "abs_error", "pass"),
+    "fracint": ("schema", "op", "f", "alpha", "rho", "a", "x", "b",
+                "value", "error_estimate"),
+}
+
+
+def _csv_rows(payload: dict) -> List[dict]:
+    """The report's CSV rows, each a dict keyed by column name."""
+    command = payload["command"]
+    if command == "fracint":
+        return [payload]
+    if command == "constants":
+        return payload["rows"]
+    if command == "sweep":
+        return [{**r, "chain": payload["chain"], "space": payload["space"],
+                 "h": payload["h"],
+                 **{"side%d" % i: v
+                    for i, (_, v) in enumerate(r["sides"], 1)},
+                 **{"margin%d" % i: v
+                    for i, v in enumerate(r["margins"], 1)}}
+                for r in payload["rows"]]
+    space, tol = payload["space"], payload["tol"]
+    rows = [{**s, "section": "falsify", "name": s["chain"],
+             "pass": s["violations"] == 0} for s in payload["falsify"]]
     for r in payload["regression"]:
         report = r["report"]
-        rows.append([payload["schema"], "regression", r["name"], r["chain"],
-                     payload["space"], None, None, report["tol"], None,
-                     None, None, 0 if report["pass"] else 1,
-                     min(report["margins"]), report["pass"]])
+        rows.append({"section": "regression", "name": r["name"],
+                     "chain": r["chain"], "space": space,
+                     "tol": report["tol"],
+                     "violations": 0 if report["pass"] else 1,
+                     "worst_margin": min(report["margins"]),
+                     "pass": report["pass"]})
     disc = payload.get("discrepancy")
     if disc is not None:
         cb2 = disc["cb2_normalization"]
-        rows.append([payload["schema"], "discrepancy", "cb2_normalization",
-                     "thm_cb2", payload["space"], None, None,
-                     payload["tol"], None, None, None, None,
-                     cb2["literal_minus_canonical"], None])
-        cor = disc["corollary_c_term"]
-        search = cor["product_form_search"]
-        rows.append([payload["schema"], "discrepancy", "corollary_c_term",
-                     "corollary_distance", payload["space"],
-                     search["trials"], search["seed"], payload["tol"],
-                     search["evaluated"], None, None, search["violations"],
-                     search["worst_margin"], None])
-    return header, rows
-
-
-def _csv_sweep(payload: dict):
-    header = ["schema", "chain", "space", "h", "alpha", "rho", "a", "b",
-              "q", "side1", "side2", "side3", "side4", "margin1", "margin2",
-              "margin3", "pass"]
-    rows = []
-    for r in payload["rows"]:
-        sides = [v for _, v in r["sides"]]
-        margins = list(r["margins"])
-        sides += [None] * (4 - len(sides))
-        margins += [None] * (3 - len(margins))
-        rows.append([payload["schema"], payload["chain"], payload["space"],
-                     payload["h"], r["alpha"], r["rho"], r["a"], r["b"],
-                     r["q"]] + sides + margins + [r["pass"]])
-    return header, rows
-
-
-def _csv_constants(payload: dict):
-    header = ["schema", "constant", "h", "alpha", "rho", "a", "b", "value",
-              "oracle", "abs_error", "pass"]
-    rows = [[payload["schema"], r["constant"], r["h"], r["alpha"], r["rho"],
-             r["a"], r["b"], r["value"], r["oracle"], r["abs_error"],
-             r["pass"]] for r in payload["rows"]]
-    return header, rows
-
-
-def _csv_fracint(payload: dict):
-    header = ["schema", "op", "f", "alpha", "rho", "a", "x", "b", "value",
-              "error_estimate"]
-    row = [payload["schema"], payload["op"], payload["f"], payload["alpha"],
-           payload["rho"], payload["a"], payload["x"], payload["b"],
-           payload["value"], payload["error_estimate"]]
-    return header, [row]
-
-
-_CSV_RENDERERS = {"verify": _csv_verify, "sweep": _csv_sweep,
-                  "constants": _csv_constants, "fracint": _csv_fracint}
+        search = disc["corollary_c_term"]["product_form_search"]
+        rows.append({"section": "discrepancy", "name": "cb2_normalization",
+                     "chain": "thm_cb2", "space": space, "tol": tol,
+                     "worst_margin": cb2["literal_minus_canonical"]})
+        rows.append({**search, "section": "discrepancy",
+                     "name": "corollary_c_term",
+                     "chain": "corollary_distance", "tol": tol})
+    return rows
 
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    header, rows = _CSV_RENDERERS[payload["command"]](payload)
+    columns = _CSV_COLUMNS[payload["command"]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerow(columns)
+    for row in _csv_rows(payload):
+        row = dict(row, schema=payload["schema"])
+        writer.writerow([_cell(row.get(column)) for column in columns])
     return buf.getvalue()
 
 

@@ -514,7 +514,10 @@ class SpiderSpace(Space):
     def _dist(self, A, B):
         rays1, r1 = A
         rays2, r2 = B
-        return np.where(rays1 == rays2, np.abs(r1 - r2), r1 + r2)
+        # the end's signed radius, negative on another ray, less the
+        # start's: one IEEE operation per row, so that a row warns only
+        # where its own distance overflows
+        return np.abs(np.where(rays1 == rays2, r2, -r2) - r1)
 
     def _ends(self, A, B):
         rays1, r1 = A
@@ -523,8 +526,8 @@ class SpiderSpace(Space):
         # radius s on the first ray; a segment between two rays passes the
         # hub where s turns negative and goes on along the second ray at
         # radius -s (from a hub start, s >= 0 holds only at t = 0)
-        slope = np.where(rays1 == rays2, r2 - r1, -(r1 + r2))
-        return (r1, slope, rays1, rays2, r2), self._dist(A, B)
+        slope = np.where(rays1 == rays2, r2, -r2) - r1
+        return (r1, slope, rays1, rays2, r2), np.abs(slope)
 
     def _along(self, ends, t):
         r1, slope, ray_a, ray_b, r2 = ends
@@ -539,12 +542,9 @@ class SpiderSpace(Space):
 
     def _float_dist(self, a, b):
         (ray1, r1), (ray2, r2) = a, b
-        # `_dist` forms r1 + r2 on every row; where it overflows, the row
-        # is the kernel's, with its warning
-        s = r1 + r2
-        if s <= _HUGE:
-            return abs(r1 - r2) if ray1 == ray2 else s
-        return None
+        # an overflowing distance is the kernel's, with its warning
+        d = abs((r2 if ray1 == ray2 else -r2) - r1)
+        return d if d <= _HUGE else None
 
     def _float_along(self, ends, t):
         r1, slope, ray_a, ray_b, _ = ends
@@ -557,9 +557,9 @@ class SpiderSpace(Space):
     def _kinks(self, ends):
         # a segment between two rays passes the hub at t = r1 / (r1 + r2),
         # inside (0, 1) when neither end is the hub
-        r1, _, ray_a, ray_b, r2 = ends
+        r1, slope, ray_a, ray_b, r2 = ends
         crosses = (ray_a != ray_b) & (r1 > 0.0) & (r2 > 0.0)
-        return (np.where(crosses, r1, np.nan) / (r1 + r2))[:, None]
+        return (np.where(crosses, r1, np.nan) / -slope)[:, None]
 
     def _stack(self, coords_list):
         rays = np.array([c[0] for c in coords_list], dtype=np.int64)

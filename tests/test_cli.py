@@ -9,9 +9,11 @@ import sys
 
 import pytest
 
+from geofrac.chains import TheoremParams, thm_ty1
 from geofrac.cli import main, parse_space
+from geofrac.convexity import squared_distance_function
 from geofrac.errors import DomainError
-from geofrac.spaces import euclidean, half_plane, product, spider
+from geofrac.spaces import Geodesic, euclidean, half_plane, product, spider
 
 
 def _run(argv):
@@ -49,6 +51,8 @@ def test_parse_space_forms():
     "klein", "euclidean", "euclidean0", "euclidean99", "spider1",
     "product(euclidean2)", "product(euclidean2,spider3,spider4)",
     "product(euclidean2", "hyperbolic3", "euclidean(2", "spider3)",
+    # a factor list that closes before it opens, or never closes
+    "product(euclidean2),spider3)", "product((euclidean2,spider3)",
 ])
 def test_parse_space_rejects(bad):
     with pytest.raises(DomainError):
@@ -129,6 +133,16 @@ def test_fracint_csv_row():
 def test_fracint_usage_errors(argv):
     code, _, _ = _run(argv)
     assert code == 2
+
+
+def test_fracint_lost_accuracy_exits_one():
+    # the right Riemann-Liouville integral of 1/t at 0 diverges: one error
+    # line, no traceback and no report
+    code, out, err = _run(["fracint", "--op", "rl-right", "--f", "t^-1",
+                           "--alpha", "0.5", "--x", "0", "--b", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: quadrature did not converge")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +318,36 @@ def test_sweep_json_rows():
     assert payload["h"] is None
 
 
+def test_sweep_violation_exits_one():
+    # t^3 < t on (0, 1), so d(., y)^2 is not h-convex for h = t^3, and the
+    # h-Hermite-Hadamard chain fails on both of its margins
+    argv = ["sweep", "h_hh", "--h", "power(3)", "--alphas", "1"]
+    code, payload = _json(argv)
+    assert code == 1
+    assert payload["violations"] == 1 and payload["pass"] is False
+    (row,) = payload["rows"]
+    assert row["pass"] is False
+    assert row["margins"] == [pytest.approx(-4.0 / 3.0),
+                              pytest.approx(-1.0 / 6.0)]
+    code, out, _ = _run(argv + ["--format", "csv"])
+    assert code == 1
+    assert out.splitlines()[1].split(",")[-1] == "false"
+
+
+def test_sweep_on_the_half_plane_fixed_instance():
+    # sweep's half-plane instance: the geodesic from (-1, 1) to (1, 1) and
+    # f = d(., (0, 1))^2
+    code, payload = _json(["sweep", "thm_ty1", "--space", "halfplane"])
+    assert code == 0 and payload["space"] == "half_plane"
+    hp = half_plane()
+    want = thm_ty1(squared_distance_function(hp, hp.point(0.0, 1.0)),
+                   Geodesic(hp.point(-1.0, 1.0), hp.point(1.0, 1.0)),
+                   "identity", TheoremParams(1.0, 1.0, 0.0, 1.0)).to_dict()
+    (row,) = payload["rows"]
+    assert [v for _, v in row["sides"]] == [v for _, v in want["sides"]]
+    assert row["pass"] is True
+
+
 def test_sweep_corollary_on_product_space():
     code, payload = _json(["sweep", "corollary",
                            "--space", "product(euclidean(2),spider3)",
@@ -325,6 +369,12 @@ def test_sweep_cb1_records_q():
 def test_sweep_empty_grid_is_usage_error():
     code, _, _ = _run(["sweep", "thm_ty1", "--alphas", ""])
     assert code == 2
+
+
+def test_sweep_grid_entry_not_a_number_is_usage_error():
+    code, out, err = _run(["sweep", "thm_ty1", "--alphas", "1,x"])
+    assert code == 2 and out == ""
+    assert err == "error: --alphas: not a number: 'x'\n"
 
 
 def test_sweep_bad_interval_is_usage_error():

@@ -128,5 +128,15 @@ def test_the_two_sides_run_under_fixed_hash_seeds(monkeypatch, tmp_path):
                      "--alpha", "0.5", "--rho", "2", "--a", "0", "--x", "1"],
               cli + ["fracint", "--op", "rl-right", "--f", "t^(1/4)",
                      "--alpha", "0.25", "--x", "0", "--b", "1"]]
+    # and one CSV report per layout
+    grid = report_diff.GRID
+    added += [cli + argv + ["--format", "csv"] for argv in (
+        ["verify", "--suite", "all", "--space", "spider3", "--trials", "40",
+         "--seed", "1"],
+        ["sweep", "thm_cb1", "--space", "spider3", *grid, "--q", "4"],
+        ["sweep", "corollary", "--space", "halfplane", *grid],
+        ["constants"],
+        ["fracint", "--op", "katugampola-left", "--f", "t^2", "--alpha",
+         "0.5", "--rho", "2", "--a", "0", "--x", "1"])]
     argvs = [argv for _, argv in report_diff._commands()]
     assert all(argv in argvs for argv in added)

@@ -214,6 +214,22 @@ def test_spider_distances():
     assert distance(S3.point(0, 0.0), S3.point(2, 0.0)) == 0.0
 
 
+def test_spider_radii_near_the_top_warn_only_where_the_distance_does():
+    # two points of one ray at radius 1e308 are close; no stage forms
+    # r1 + r2 for them, so none overflows or warns (no filterwarnings
+    # mark: a RuntimeWarning fails the test)
+    p, q = S3.point(1, 1e308), S3.point(1, 1.5e308)
+    assert distance(p, q) == distance(q, p) == 1.5e308 - 1e308
+    g = Geodesic(p, q)
+    assert g.length == 1.5e308 - 1e308
+    mid = g.eval(0.5).coords
+    assert mid[0] == 1 and mid[1] == pytest.approx(1.25e308, rel=1e-15)
+    assert np.isnan(S3._kinks(g._ends)).all()
+    # across the hub the distance r1 + r2 overflows, and that warns
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        assert distance(p, S3.point(2, 1e308)) == math.inf
+
+
 def test_product_distance_adds_in_squares():
     p = _prod_point((0.0, 0.0), (0.0, 1.0))
     q = _prod_point((3.0, 4.0), (0.0, 2.0))

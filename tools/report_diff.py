@@ -29,6 +29,11 @@ The set is:
   * `fracint`, a left Katugampola integral and a right Riemann-Liouville
     one whose operand cusp at the kernel end takes the rerun through
     v = w**alpha;
+  * `--format csv` of five of these commands, one per CSV layout:
+    `verify --suite all --seed 1` on spider3 (falsify, regression and
+    discrepancy rows), the `thm_cb1` sweep on spider3 (three sides, q
+    set), the corollary's sweep on the half-plane (four sides, h set),
+    the default `constants` and the Katugampola `fracint`;
   * the 84 falsifier summaries of acceptance criterion 4 (7 chains x 4
     spaces x 3 seed slices), as one JSON file;
   * sha256 digests of the space layer's outputs: `sample_points` and the
@@ -224,13 +229,23 @@ def _commands() -> list:
     for h in ("power(0.5)", "identity"):
         out.append(("constants-E-" + h,
                     ["-c", CLI, "constants", "--which", "E", "--h", h]))
-    out.append(("fracint-katugampola-left",
-                ["-c", CLI, "fracint", "--op", "katugampola-left", "--f",
-                 "t^2", "--alpha", "0.5", "--rho", "2", "--a", "0", "--x",
-                 "1"]))
+    katugampola = ["fracint", "--op", "katugampola-left", "--f", "t^2",
+                   "--alpha", "0.5", "--rho", "2", "--a", "0", "--x", "1"]
+    out.append(("fracint-katugampola-left", ["-c", CLI, *katugampola]))
     out.append(("fracint-rl-right",
                 ["-c", CLI, "fracint", "--op", "rl-right", "--f", "t^(1/4)",
                  "--alpha", "0.25", "--x", "0", "--b", "1"]))
+    for name, argv in (
+            ("verify-s2-seed1", ["verify", "--suite", "all", "--space",
+                                 SPACES[2], "--trials", "40", "--seed",
+                                 "1"]),
+            ("sweep-thm_cb1-s2", ["sweep", "thm_cb1", "--space", SPACES[2],
+                                  *GRID, "--q", "4"]),
+            ("sweep-corollary-s1", ["sweep", "corollary", "--space",
+                                    SPACES[1], *GRID]),
+            ("constants-default", ["constants"]),
+            ("fracint-katugampola-left", katugampola)):
+        out.append(("csv-" + name, ["-c", CLI, *argv, "--format", "csv"]))
     out.append(("criterion-4-summaries", ["-c", CRITERION_4]))
     out.append(("space-layer-digests", ["-c", SPACE_LAYER]))
     return out
