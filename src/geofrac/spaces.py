@@ -33,23 +33,28 @@ difference of endpoint distances subtracted).
 
 Internally every space operates on coordinate batches (vectorized over a
 leading axis) so that bulk randomized checks stay cheap.  A Point is
-validated once, when it is made, and holds its validated one-row batch,
-`row`; its `coords` are read back from that row.  Both are read-only.
-Geodesics and the scalar gaps hand the rows to the batch layer as they
-are.  A distance and a point at 0 < t < 1 on a Geodesic are one row,
-where numpy's cost per call, about half a microsecond a ufunc, is most of
-the work; they take a one-row lane on Python floats (`Space._float_dist`,
-`Space._float_along`), which does the batch kernel's IEEE operations in
-the kernel's order and returns its bits.  Its transcendental functions
-are numpy's ufuncs called on floats (np.sinh, np.arcsinh, np.hypot),
-which give the bits of the array loops, where math.sinh, math.asinh and
-math.hypot miss them by an ulp in a share of values; math.sqrt,
-correctly rounded, is np.sqrt.  A row that the lane's guard declines
-goes to the batch kernel: a half-plane pair that `_dist` rescales, and a
-result that is not a valid finite point or distance, so that warnings
-and errors stay the kernel's.  A Geodesic takes the float form of its
-constants on its first evaluation.  For batches each space writes its
-geodesic formula once, in two stages: the endpoint stage `_ends(A, B)`
+validated once, when it is made, and holds its validated coordinates as
+Python numbers.  Its one-row batch, `row`, is built from them on first
+use, and its `coords` are read back from that row; both are
+read-only.  Geodesics and the scalar gaps hand the rows to the batch
+layer as they are.  A distance, a random point and a point at 0 < t < 1
+on a Geodesic are one row, where numpy's cost per call, about half a
+microsecond a ufunc, is most of the work, so none of them builds a row:
+`random_point` draws the numbers of `_sample(1, rng)` in its order
+(`Space._draw`), and distances and geodesic points take a one-row lane
+on Python floats (`Space._float_dist`, `Space._float_along`), which
+takes and returns a point's numbers, does the batch kernel's IEEE
+operations in the kernel's order and returns its bits.  Its
+transcendental functions are numpy's ufuncs called on floats (np.sinh,
+np.arcsinh, np.hypot), which give the bits of the array loops, where
+math.sinh, math.asinh and math.hypot miss them by an ulp in a share of
+values; math.sqrt, correctly rounded, is np.sqrt.  A row that the lane's
+guard declines goes to the batch kernel, on the points' rows: a
+half-plane pair that `_dist` rescales, and a result that is not a valid
+finite point or distance, so that warnings and errors stay the
+kernel's.  A Geodesic takes the float form of its constants on its
+first evaluation.  For batches each space writes its geodesic formula
+once, in two stages: the endpoint stage `_ends(A, B)`
 turns two endpoint batches into per-row constants and returns them
 with the distances, the geodesics' lengths, and the parameter stage
 `_along(ends, t)` broadcasts those constants against the parameters t,
@@ -92,31 +97,43 @@ __all__ = ["Space", "Point", "Geodesic", "euclidean", "half_plane", "spider",
 class Point:
     """A point of a model space, validated once, when it is made.
 
-    `row` is the point as a one-row coordinate batch, the form the batch
-    layer takes, built from the validated coordinates; `coords` (the layout
-    is space-specific) is read back from it.  Both are read-only and share
-    no memory with the caller's input, so they cannot come to disagree.
+    A point holds its validated coordinates as Python numbers, the form
+    the one-row lane takes.  `row`, the point as a one-row coordinate
+    batch, the form the batch layer takes, is built from them on first
+    use; `coords` (the layout is space-specific) is read back from `row`.
+    Both are read-only and share no memory with the caller's input, so
+    they cannot come to disagree.
     """
 
-    __slots__ = ("space", "coords", "row")
+    __slots__ = ("space", "_floats", "_row")
 
     def __init__(self, space: "Space", coords: Any):
-        self._hold(space, space._stack([space._validate(coords)]))
+        self._hold(space, space._validate(coords))
 
-    def _hold(self, space: "Space", row) -> "Point":
+    def _hold(self, space: "Space", floats, row=None) -> "Point":
         self.space = space
-        self.row = _read_only(row)
-        # a view of the read-only row where the layout is an array
-        self.coords = space._single(row, 0)
+        self._floats = floats
+        self._row = row
         return self
+
+    @property
+    def row(self):
+        if self._row is None:
+            self._row = _read_only(self.space._stack([self._floats]))
+        return self._row
+
+    @property
+    def coords(self):
+        # a view of the read-only row where the layout is an array
+        return self.space._single(self.row, 0)
 
     def to_dict(self) -> dict:
         return {"space": self.space.name,
-                "coords": self.space._coords_json(self.coords)}
+                "coords": self.space._coords_json(self._floats)}
 
     def __repr__(self) -> str:
         return "Point(%s, %s)" % (self.space.name,
-                                  self.space._coords_json(self.coords))
+                                  self.space._coords_json(self._floats))
 
 
 def _read_only(batch):
@@ -132,9 +149,18 @@ def _read_only(batch):
 def _point_of_row(space: "Space", row) -> Point:
     """The point of a freshly computed one-row batch, validated like any
     other point; the batch itself becomes its row."""
-    p = Point.__new__(Point)._hold(space, row)
-    space._validate(p.coords)
-    return p
+    return Point.__new__(Point)._hold(
+        space, space._validate(_row_floats(row)), _read_only(row))
+
+
+def _reals(coords) -> list:
+    """coords as a flat list of Python floats, as np.asarray(coords,
+    dtype=float).reshape(-1) reads them; a list or tuple of Python floats
+    is taken as it is."""
+    if type(coords) in (list, tuple) and all(type(v) is float
+                                             for v in coords):
+        return list(coords)
+    return np.asarray(coords, dtype=float).reshape(-1).tolist()
 
 
 class Space:
@@ -153,10 +179,15 @@ class Space:
     The one-row lane takes a single row on Python floats, with the batch
     kernel's IEEE operations in its order, so that it returns the
     kernel's bits: `_float_dist(a, b)` is the distance of two points
-    given by their `coords`, and `_float_along(ends, t)` the one-row
-    batch of the point at 0 < t < 1 of a geodesic, from `_row_floats` of
-    its endpoint constants.  Each returns None for a row that its guard
-    declines, which the caller then hands to the kernel.
+    given by the Python numbers that `_validate` returns, and
+    `_float_along(ends, t)` the numbers of the point at 0 < t < 1 of a
+    geodesic, from `_row_floats` of its endpoint constants.  Each returns
+    None for a row that its guard declines, which the caller then hands
+    to the kernel.  `_validate(coords)` checks a point's coordinates and
+    returns them as those numbers, the form `_row_floats` gives of the
+    point's one-row batch, and `_draw(rng)` draws them as `_sample(1,
+    rng)` draws that batch, with the same generator calls in the same
+    order.
 
     The kink stage `_kinks(ends)` returns an (R, K) array: per row of an
     endpoint-stage batch the parameters t in (0, 1) at which its geodesic
@@ -175,13 +206,14 @@ class Space:
 
     def distance(self, p: Point, q: Point) -> float:
         _require_space(self, p, q)
-        d = self._float_dist(p.coords, q.coords)
+        d = self._float_dist(p._floats, q._floats)
         if d is None:
             d = float(self._dist(p.row, q.row)[0])
         return d
 
     def random_point(self, rng: np.random.Generator) -> Point:
-        return _point_of_row(self, self._sample(1, rng))
+        return Point.__new__(Point)._hold(self, self._validate(
+            self._draw(rng)))
 
     def __repr__(self) -> str:
         return self.name
@@ -228,6 +260,9 @@ class Space:
         raise NotImplementedError
 
     def _sample(self, m: int, rng: np.random.Generator):
+        raise NotImplementedError
+
+    def _draw(self, rng: np.random.Generator):
         raise NotImplementedError
 
     def _coords_json(self, coords):
@@ -280,10 +315,10 @@ class EuclideanSpace(Space):
         return (self.n,)
 
     def _validate(self, coords):
-        arr = np.asarray(coords, dtype=float).reshape(-1)
-        if arr.shape != (self.n,) or not np.isfinite(arr).all():
+        vals = _reals(coords)
+        if len(vals) != self.n or not all(map(math.isfinite, vals)):
             raise DomainError("expected %d finite coordinates" % self.n)
-        return arr
+        return vals
 
     def _dist(self, A, B):
         s = _squared_gaps(A, B)
@@ -293,14 +328,14 @@ class EuclideanSpace(Space):
         return (A, B, B - A), self._dist(A, B)
 
     def _float_dist(self, a, b):
-        s = _float_squared_gaps(a.tolist(), b.tolist())
+        s = _float_squared_gaps(a, b)
         # an overflowing square is the kernel's, with its warning
         return math.sqrt(s) if s <= _HUGE else None
 
     def _float_along(self, ends, t):
         A, _, delta = ends
         out = [x + t * dx for x, dx in zip(A, delta)]
-        return np.array([out]) if all(map(math.isfinite, out)) else None
+        return out if all(map(math.isfinite, out)) else None
 
     def _along(self, ends, t):
         A, B, delta = ends
@@ -321,6 +356,11 @@ class EuclideanSpace(Space):
 
     def _sample(self, m, rng):
         return rng.normal(0.0, 1.0, (m, self.n))
+
+    def _draw(self, rng):
+        # one call for the row's n draws costs less than n scalar calls
+        # from n = 2 on
+        return rng.normal(0.0, 1.0, self.n).tolist()
 
     def _coords_json(self, coords):
         return [float(v) for v in coords]
@@ -367,10 +407,11 @@ class HalfPlaneSpace(Space):
     name = "half_plane"
 
     def _validate(self, coords):
-        arr = np.asarray(coords, dtype=float).reshape(-1)
-        if arr.shape != (2,) or not np.isfinite(arr).all() or arr[1] <= 0.0:
+        vals = _reals(coords)
+        if (len(vals) != 2 or not all(map(math.isfinite, vals))
+                or vals[1] <= 0.0):
             raise DomainError("half-plane points are (x, y) with y > 0")
-        return arr
+        return vals
 
     def _dist(self, A, B):
         # 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))) keeps the digits of close
@@ -408,7 +449,7 @@ class HalfPlaneSpace(Space):
         return d
 
     def _float_dist(self, a, b):
-        (x1, y1), (x2, y2) = a.tolist(), b.tolist()
+        (x1, y1), (x2, y2) = a, b
         dx, dy = x1 - x2, y1 - y2
         num = dx * dx + dy * dy
         den = 4.0 * y1 * y2
@@ -469,7 +510,7 @@ class HalfPlaneSpace(Space):
             y = 1.0 / s
             x = (c1 * x1 + c2 * x2) * y
             if 0.0 < y <= _HUGE and -_HUGE <= x <= _HUGE:
-                return np.array([[x, y]])
+                return [x, y]
         return None
 
     def _stack(self, coords_list):
@@ -483,6 +524,9 @@ class HalfPlaneSpace(Space):
         out[:, 0] = rng.normal(0.0, 1.0, m)
         out[:, 1] = rng.lognormal(0.0, 0.5, m)
         return out
+
+    def _draw(self, rng):
+        return [rng.normal(0.0, 1.0), rng.lognormal(0.0, 0.5)]
 
     def _coords_json(self, coords):
         return [float(coords[0]), float(coords[1])]
@@ -550,8 +594,7 @@ class SpiderSpace(Space):
         r1, slope, ray_a, ray_b, _ = ends
         s = r1 + slope * t
         if abs(s) <= _HUGE:
-            return (np.array([ray_a if s >= 0.0 else ray_b], dtype=np.int64),
-                    np.array([abs(s)]))
+            return (ray_a if s >= 0.0 else ray_b, abs(s))
         return None
 
     def _kinks(self, ends):
@@ -573,6 +616,9 @@ class SpiderSpace(Space):
         rays = rng.integers(0, self.k, m)
         rads = np.abs(rng.normal(0.0, 1.0, m))
         return (rays.astype(np.int64), rads)
+
+    def _draw(self, rng):
+        return (int(rng.integers(0, self.k)), abs(rng.normal(0.0, 1.0)))
 
     def _coords_json(self, coords):
         return [int(coords[0]), float(coords[1])]
@@ -631,6 +677,9 @@ class ProductSpace(Space):
 
     def _sample(self, m, rng):
         return (self.left._sample(m, rng), self.right._sample(m, rng))
+
+    def _draw(self, rng):
+        return (self.left._draw(rng), self.right._draw(rng))
 
     def _coords_json(self, coords):
         return [self.left._coords_json(coords[0]),
@@ -695,12 +744,12 @@ class Geodesic:
             return self.end
         if self._floats is None:
             self._floats = _row_floats(self._ends)
-        row = self.space._float_along(self._floats, t)
-        if row is None:
+        floats = self.space._float_along(self._floats, t)
+        if floats is None:
             return _point_of_row(self.space,
                                  self.space._along(self._ends, np.array([t])))
         # the lane returns valid coordinates only
-        return Point.__new__(Point)._hold(self.space, row)
+        return Point.__new__(Point)._hold(self.space, floats)
 
     def eval_batch(self, ts) -> Any:
         ts = np.asarray(ts, dtype=float).ravel()

@@ -1,5 +1,6 @@
 """Geometry layer: spaces, geodesics, comparison gaps."""
 
+import json
 import math
 import time
 import warnings
@@ -622,7 +623,7 @@ def _lane_is_the_kernel(space, a, b, t):
     bit and with the same warnings; the lane itself raises no warning,
     and where it takes a row it returns the kernel's bits."""
     p, q = space.point(a), space.point(b)
-    lane = space._float_dist(p.coords, q.coords)
+    lane = space._float_dist(p._floats, q._floats)
     want, warned = _caught(lambda: float(space._dist(p.row, q.row)[0]))
     got, got_warned = _caught(distance, p, q)
     assert _same_bits(got, want) and got_warned == warned
@@ -638,7 +639,7 @@ def _lane_is_the_kernel(space, a, b, t):
         assert lane is None
     else:
         assert _same_bits(got.row, want)
-        assert lane is None or _same_bits(lane, want)
+        assert lane is None or _same_bits(space._stack([lane]), want)
 
 
 INNER = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -958,13 +959,147 @@ def test_point_rows_give_the_batch_formulas_bits():
 
 
 def test_random_point_draws_as_before():
-    # the same draws from the generator, in the same order
-    for space in ROW_SPACES:
-        p = random_point(space, np.random.default_rng(65))
-        batch = space._sample(1, np.random.default_rng(65))
-        assert _same_bits(p.row, batch), space
-        assert (space._coords_json(p.coords)
-                == space._coords_json(space._single(batch, 0)))
+    # the same draws from the generator, in the same order: 200
+    # consecutive points against 200 one-row batches, so that a draw
+    # that takes more or fewer of the stream's bits (integers for some k)
+    # moves every later point
+    spaces = ([euclidean(n) for n in range(1, 9)]
+              + [spider(k) for k in range(2, 17)] + ROW_SPACES)
+    for space in spaces:
+        rng1, rng2 = np.random.default_rng(65), np.random.default_rng(65)
+        for i in range(200):
+            p = random_point(space, rng1)
+            batch = space._sample(1, rng2)
+            assert _same_bits(p.row, batch), (space, i)
+            assert (space._coords_json(p.coords)
+                    == space._coords_json(space._single(batch, 0)))
+        assert rng1.bit_generator.state == rng2.bit_generator.state, space
+
+
+def _count_rows(monkeypatch):
+    """A counter of the calls that build a coordinate batch: every
+    space's `_stack` and `spaces._read_only`."""
+    import geofrac.spaces as sp
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+
+    for cls in (type(E2), HalfPlaneSpace, SpiderSpace, ProductSpace):
+        monkeypatch.setattr(cls, "_stack", counted(cls._stack))
+    monkeypatch.setattr(sp, "_read_only", counted(sp._read_only))
+    return calls
+
+
+def test_per_point_calls_build_no_row(monkeypatch):
+    # random_point, distance and Geodesic.eval on rows the lane takes
+    # hold Python numbers alone; a later p.row is built then, with the
+    # bits of the point's stacked coordinates
+    rng = np.random.default_rng(66)
+    geodesics = {space: random_geodesic(space, rng, min_length=0.1)
+                 for space in ROW_SPACES + [PROD]}
+    calls = _count_rows(monkeypatch)
+    for space, g in geodesics.items():
+        p, q = random_point(space, rng), random_point(space, rng)
+        assert distance(p, q) >= 0.0
+        pts = [g.eval(t) for t in (0.1, 0.5, 0.9)]
+        assert all(distance(x, p) >= 0.0 for x in pts)
+        assert not calls, space
+        for x in [p, q] + pts:
+            assert _same_bits(x.row, space._stack([x.coords])), space
+        assert calls
+        del calls[:]
+
+
+def _array_validate(space, coords):
+    # the coordinate check of a euclidean or half-plane point on a numpy
+    # array, the reference for the check on Python floats
+    arr = np.asarray(coords, dtype=float).reshape(-1)
+    if isinstance(space, HalfPlaneSpace):
+        if arr.shape != (2,) or not np.isfinite(arr).all() or arr[1] <= 0.0:
+            raise DomainError("half-plane points are (x, y) with y > 0")
+    elif arr.shape != (space.n,) or not np.isfinite(arr).all():
+        raise DomainError("expected %d finite coordinates" % space.n)
+    return arr
+
+
+def _float_leaves(obj):
+    if isinstance(obj, (tuple, list)):
+        return [leaf for item in obj for leaf in _float_leaves(item)]
+    return [obj]
+
+
+@pytest.mark.parametrize("space", [E2, euclidean(1), H],
+                         ids=lambda s: s.name)
+def test_coordinates_check_as_the_array_check_did(space):
+    # NaN and inf, wrong lengths, y <= 0 and y = -0.0, numpy scalars,
+    # ints and bools, nested lists and arrays: the same points with the
+    # same Python floats, or the same DomainError message
+    n = 2 if space is H else space.n
+    good = [0.5] * n
+    cases = [good, [math.nan] * n, [0.5] * (n - 1) + [math.inf],
+             [-math.inf] + [0.5] * (n - 1), [], [0.5] * (n + 1),
+             [0.5] * (n - 1) if n > 1 else [0.5, 0.5], [0.5, 0.0],
+             [0.5, -1.0], [0.5, -0.0], [0.5, 5e-324],
+             [np.float64(0.25)] * n, [1] * n, [True] * n,
+             [np.int64(3)] * n, [good], [[v] for v in good], [[good]],
+             np.array(good), np.array([good]), tuple(good)]
+    for coords in cases:
+        try:
+            want = _array_validate(space, coords).tolist()
+        except DomainError as exc:
+            want = str(exc)
+        makers = [lambda: Point(space, coords), lambda: space.point(coords)]
+        flat = np.asarray(coords, dtype=float).reshape(-1)
+        if flat.size == n:  # a one-row batch, as the kernels return it
+            makers.append(lambda: _point_of_row(space, flat[None, :]))
+        for make in makers:
+            try:
+                p = make()
+            except DomainError as exc:
+                assert str(exc) == want, (space, coords)
+                continue
+            assert p._floats == want, (space, coords)
+            assert all(type(v) is float for v in p._floats)
+            assert type(p.coords) is np.ndarray and p.coords.tolist() == want
+
+
+def test_points_hold_python_numbers_and_print_as_before():
+    cases = [(E2.point(np.float64(1.5), True), "[1.5, 1.0]"),
+             (H.point(0, 1), "[0.0, 1.0]"),
+             (H.point([[np.float32(0.5), 2]]), "[0.5, 2.0]"),
+             (S3.point(True, 2), "[1, 2.0]"),
+             (S3.point(np.float64(2.0), np.int64(0)), "[2, 0.0]"),
+             (_prod_point([np.int8(1), 2.5], np.array([0.0, 3.0])),
+              "[[1.0, 2.5], [0.0, 3.0]]"),
+             (product(H, S3).point(([0.0, 1.0], [1, 0.5])),
+              "[[0.0, 1.0], [1, 0.5]]")]
+    for p, text in cases:
+        assert repr(p) == "Point(%s, %s)" % (p.space.name, text)
+        assert p.to_dict() == {"space": p.space.name,
+                               "coords": json.loads(text)}
+        assert [type(v) for v in _float_leaves(p._floats)] == [
+            type(v) for v in _float_leaves(json.loads(text))]
+    assert type(cases[0][0].coords) is np.ndarray
+    assert type(cases[3][0].coords) is tuple
+    assert type(cases[3][0].coords[0]) is int
+    assert [type(c) for c in cases[5][0].coords] == [np.ndarray, np.ndarray]
+    with pytest.raises(DomainError, match="spider points"):
+        S3.point(0, 1.0, 2.0)
+    with pytest.raises(DomainError, match="ray index"):
+        S3.point(math.nan, 1.0)
+    with pytest.raises(DomainError, match="radius"):
+        S3.point(1, -0.5)
+    with pytest.raises(DomainError, match="radius"):
+        S3.point(1, math.inf)
+    with pytest.raises(DomainError, match="product points"):
+        PROD.point([[0.0, 1.0]])
+    with pytest.raises(DomainError, match="y > 0"):
+        PROD.point(([0.0, 1.0], [0.0, -0.0]))
 
 
 def test_point_serialization_round_trip():

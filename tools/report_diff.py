@@ -39,7 +39,9 @@ The set is:
   * sha256 digests of the space layer's outputs: `sample_points` and the
     five `*_gap_batch` functions at 20 000 rows, and per-point `distance`,
     `Geodesic.eval` and geodesic lengths in loops like the geometry
-    benchmark's, on the four benchmark spaces and euclidean(n), n = 1..8,
+    benchmark's, with the row (dtypes included) and the JSON coordinates
+    of each `random_point` and of each `random_geodesic`'s start and end,
+    on the four benchmark spaces and euclidean(n), n = 1..8,
     and per-point distances and geodesic points between fixed extreme
     rows (half-plane heights from 1e-300 to 1e300, spider hub rows,
     overflowing squares and radii, product(euclidean2,spider3)), with
@@ -98,6 +100,7 @@ print(json.dumps(out, indent=1, sort_keys=True))
 # the space layer's batch and per-point outputs, as digests
 SPACE_LAYER = """
 import hashlib
+import json
 import numpy as np
 import geofrac.spaces as sp
 from geofrac.cli import parse_space
@@ -116,6 +119,13 @@ def digest(*batches):
         h.update(a.tobytes())
     return h.hexdigest()
 
+def points_digest(space, pts):
+    # each point's row, dtypes included (spider rays are int64), and its
+    # coordinates as JSON
+    text = json.dumps([space._coords_json(p.coords) for p in pts])
+    return "%s %s" % (digest(tuple(p.row for p in pts)),
+                      hashlib.sha256(text.encode()).hexdigest())
+
 names = ["euclidean2", "halfplane", "spider3",
          "product(euclidean2,halfplane)"]
 for name in names + ["euclidean%d" % n for n in range(1, 9)]:
@@ -131,20 +141,24 @@ for name in names + ["euclidean%d" % n for n in range(1, 9)]:
     print(name, "four_point",
           digest(sp.four_point_gap_batch(space, A, B, C, D, t)))
     print(name, "sturm", digest(sp.sturm_gap_batch(space, A, B, C, D, t)))
-    d = []
+    d, drawn = [], []
     for _ in range(100):
         x, y, z = (sp.random_point(space, rng) for _ in range(3))
+        drawn += [x, y, z]
         d += [sp.distance(x, x), sp.distance(x, y), sp.distance(y, x),
               sp.distance(x, z), sp.distance(y, z)]
     print(name, "distance", digest(np.array(d)))
-    rows, steps = [], []
+    print(name, "random_point", points_digest(space, drawn))
+    rows, steps, ends = [], [], []
     for _ in range(30):
         g = sp.random_geodesic(space, rng, min_length=1e-3)
+        ends += [g.start, g.end]
         pts = [g.eval(s) for s in np.linspace(0.0, 1.0, 17)]
         rows += [p.row for p in pts]
         steps += [sp.distance(p, q) for p, q in zip(pts, pts[1:])]
         steps.append(g.length)
     print(name, "geodesic_eval", digest(tuple(rows), np.array(steps)))
+    print(name, "random_geodesic_ends", points_digest(space, ends))
 
 # fixed extreme rows, whose per-point calls reach the rows that the
 # one-row lane declines: half-plane heights from 1e-300 to 1e300, pairs
